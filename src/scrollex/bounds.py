@@ -29,7 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, canonical_cycle, induced, is_chordal
+from .graphs import (
+    DEFAULT_CYCLE_CAP,
+    _cycle_search,
+    canonical_cycle,
+    cycle_edges,
+    induced,
+    is_chordal,
+)
 from .homology import INFINITE, QQ, clique_homology, p2_monomial
 from .ordering import NotOrderableError, OrderFound, find_admissible_order
 from .groebner import initial_complex
@@ -107,28 +114,27 @@ def _virtual_edge_blocks(ext):
 def classify_edge(cycle, e, ext):
     """EdgeClass of edge ``e`` of the virtual minimal cycle ``cycle``."""
     g = ext.base.skeleton
-    cyc_edges = set()
-    k = len(cycle)
-    for i in range(k):
-        cyc_edges.add(g.edge_key(cycle[i], cycle[(i + 1) % k]))
     e = g.edge_key(*e)
-    if e not in cyc_edges:
+    if e not in cycle_edges(cycle, g):
         raise ValueError(f"{e} is not an edge of the cycle {cycle}")
-    vmap = _virtual_edge_blocks(ext)
+    return _classify(e, set(cycle), _virtual_edge_blocks(ext), g)
+
+
+def _classify(e, members, vmap, g):
+    """EdgeClass of the canonical cycle edge ``e``; ``members`` is V(C)."""
     if e not in vmap:
         return EdgeClass("nonvirtual", 1)
     m, kblk = vmap[e]
-    others = set(cycle) - set(e)
-    spare = [
-        x
-        for x in sorted(m.facet - m.gamma_vertices(), key=g.rank.get)
-        if all(not g.has_edge(x, w) for w in others)
-    ]
-    if spare:
+    ends = set(e)
+
+    def isolated(x):  # no edge from x to the cycle outside e
+        return (g.adj[x] & members) <= ends
+
+    if any(isolated(x) for x in m.facet - m.gamma_vertices()):
         return EdgeClass("R1", 2, m.facet, kblk)
     usable = {kblk}
     for j, b in enumerate(m.blocks, 1):
-        if all(not g.has_edge(b.x, w) for w in others):
+        if isolated(b.x):
             usable.add(j)
     jls = tuple(sorted(usable))
     eta = min(len(m.blocks[j - 1].y) for j in jls)
@@ -146,63 +152,16 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     one facet.
     """
     g = ext.base.skeleton
-    rank = g.rank
-    adj = g.adj
-    virt = virtual_edges(ext)
-    cx = ext.base
-    found = []
-
-    def edge_facets(u, w):
-        return frozenset(cx.facets_of_edge(u, w))
-
-    def step(path, members, facets_used, v0, r0):
-        last = path[-1]
-        interior = path[1:-1]
-        for u in sorted(adj[last], key=rank.get):
-            if rank[u] <= r0 or u in members:
-                continue
-            if any(
-                w in adj[u] and g.edge_key(u, w) not in virt for w in interior
-            ):
-                continue  # a chord that survives in the initial complex
-            ef_last = edge_facets(last, u)
-            if ef_last & facets_used:
-                continue  # two cycle edges would share a facet
-            if v0 in adj[u]:
-                if len(path) + 1 >= 4 and rank[u] > rank[path[1]]:
-                    ef_close = edge_facets(u, v0)
-                    if not (ef_close & (facets_used | ef_last)):
-                        found.append(tuple(path) + (u,))
-                        if len(found) > cap:
-                            raise CycleCapExceeded(
-                                f"more than {cap} virtual cycle candidates"
-                            )
-                if g.edge_key(u, v0) not in virt:
-                    continue  # extending would leave a surviving chord to v0
-            path.append(u)
-            members.add(u)
-            step(path, members, facets_used | ef_last, v0, r0)
-            path.pop()
-            members.remove(u)
-
-    for v0 in g.vertices:
-        r0 = rank[v0]
-        for v1 in sorted((u for u in adj[v0] if rank[u] > r0), key=rank.get):
-            step([v0, v1], {v0, v1}, edge_facets(v0, v1), v0, r0)
-
+    found = _cycle_search(
+        g, virtual_edges(ext), ext.base.facets_of_edge, None, cap,
+        "virtual cycle candidates",
+    )
     vmap = _virtual_edge_blocks(ext)
     out = []
-    for cyc in sorted(found, key=lambda c: (len(c), tuple(rank[v] for v in c))):
-        classes = {}
-        expandable = True
-        k = len(cyc)
-        for i in range(k):
-            e = g.edge_key(cyc[i], cyc[(i + 1) % k])
-            classes[e] = classify_edge(cyc, e, ext)
-            if e in vmap:
-                m, kblk = vmap[e]
-                if kblk != 1:
-                    expandable = False
+    for cyc in found:
+        members = set(cyc)
+        classes = {e: _classify(e, members, vmap, g) for e in cycle_edges(cyc, g)}
+        expandable = all(ec.block in (None, 1) for ec in classes.values())
         out.append(VirtualCycle(cyc, classes, expandable))
     return tuple(out)
 
@@ -283,13 +242,8 @@ def upper_bound(ext, cycles=None, gate=None):
     g = ext.base.skeleton
 
     def expanded_length(vc):
-        k = len(vc.cycle)
-        extra = 0
-        for i in range(k):
-            e = g.edge_key(vc.cycle[i], vc.cycle[(i + 1) % k])
-            if e in vmap:
-                extra += len(vmap[e][0].blocks[0].y)
-        return k + extra
+        extra = sum(len(vmap[e][0].blocks[0].y) for e in vc.edge_classes if e in vmap)
+        return len(vc.cycle) + extra
 
     rank = g.rank
     best = min(
@@ -343,7 +297,6 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
     orderable = isinstance(find_admissible_order(ext.matrices), OrderFound)
     cycles = virtual_minimal_cycles(ext, cap=cap)
     vmap = _virtual_edge_blocks(ext)
-    g = ext.base.skeleton
 
     if orderable:
         sub_value, low_wit = lower_bound(ext, cycles)
@@ -355,20 +308,15 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
     up_value, up_wit = upper_bound(ext, cycles, gate)
 
     expandable_all = all(vc.expandable for vc in cycles)
-    sizes_ok = True
-    for vc in cycles:
-        k = len(vc.cycle)
-        for i in range(k):
-            e = g.edge_key(vc.cycle[i], vc.cycle[(i + 1) % k])
-            if e not in vmap:
-                continue
-            m, _ = vmap[e]
-            y1 = len(m.blocks[0].y)
-            ymin = min(len(b.y) for b in m.blocks)
-            cond1 = y1 == ymin >= 2 and m.gamma_vertices() == m.facet
-            cond2 = y1 == 1
-            if not (cond1 or cond2):
-                sizes_ok = False
+
+    def sizes_fit(m):
+        y1 = len(m.blocks[0].y)
+        ymin = min(len(b.y) for b in m.blocks)
+        return y1 == 1 or (y1 == ymin >= 2 and m.gamma_vertices() == m.facet)
+
+    sizes_ok = all(
+        sizes_fit(vmap[e][0]) for vc in cycles for e in vc.edge_classes if e in vmap
+    )
     hypotheses = {
         "chordal_base": False,
         "admissible_order": orderable,

@@ -3,7 +3,7 @@
     scrollex validate  FILE
     scrollex order     FILE
     scrollex groebner  FILE
-    scrollex cycles    FILE [--kind minimal|virtual]
+    scrollex cycles    FILE [--kind minimal|virtual] [--cap N]
     scrollex betti     FILE [--ideal gamma|initial] [--field q|P] [--max-vertices N]
     scrollex p2        FILE [--mode lower|upper|exact|auto]
     scrollex poligon   N S
@@ -13,7 +13,8 @@
 Reports are canonical JSON on stdout (sorted keys, exact integers, infinite
 values as the string "infinity"); diagnostics go to stderr.  Exit codes:
 0 success, 1 input or validation error, 2 method not applicable, 3 resource
-cap exceeded.  SCROLLEX_THREADS caps the worker count of the Betti sweep.
+cap exceeded.  A cycle census has no limit on cycle length; only its cap on
+the number of cycles (--cap, default 10^6) stops it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -91,13 +91,6 @@ def _envelope(command, digest, payload):
     doc = {"command": command, "version": __version__, "instance_digest": digest}
     doc.update(payload)
     return doc
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("SCROLLEX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_field(text):
@@ -193,9 +186,7 @@ def cmd_betti(ext, digest, args):
         graph = ext.base.skeleton
     else:
         graph = initial_complex(ext, "star").graph
-    table = betti_table(
-        graph, field, max_vertices=args.max_vertices, threads=_threads()
-    )
+    table = betti_table(graph, field, max_vertices=args.max_vertices)
     p2 = p2_from_table(table, 2)
     payload = {
         "ideal": args.ideal,

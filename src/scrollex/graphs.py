@@ -196,37 +196,70 @@ def chordless_cycles(g, max_len=None, cap=DEFAULT_CYCLE_CAP):
     ``max_len`` the census is truncated to cycles of at most that length.
     Aborts with :class:`CycleCapExceeded` past ``cap`` emitted cycles.
     """
+    return _cycle_search(g, frozenset(), None, max_len, cap, "chordless cycles")
+
+
+def _cycle_search(g, allowed, facets, max_len, cap, what):
+    """Canonical cycles of length >= 4 whose chords all lie in ``allowed``.
+
+    With ``facets`` (edge endpoints -> facet indices) no two cycle edges may
+    share a facet.  One explicit-stack walk per start pair (v0, v1): every
+    other vertex outranks v0 and the cycle closes on a neighbour of v0 that
+    outranks v1.  A walk stops at a vertex whose edge to v0 is a forbidden
+    chord.  Sorted by (length, rank); :class:`CycleCapExceeded` past ``cap``
+    cycles, counted as ``what``.
+    """
     rank = g.rank
     adj = g.adj
+    key = g.edge_key
+    nbrs = {v: sorted(adj[v], key=rank.get) for v in g.vertices}
     found = []
-
-    def step(path, members, v0, r0):
-        last = path[-1]
-        interior = path[1:-1]
-        for u in sorted(adj[last], key=rank.get):
-            if rank[u] <= r0 or u in members:
-                continue
-            if any(w in adj[u] for w in interior):
-                continue  # chord against the path interior
-            if v0 in adj[u]:
-                if len(path) + 1 >= 4 and rank[u] > rank[path[1]]:
-                    found.append(tuple(path) + (u,))
-                    if len(found) > cap:
-                        raise CycleCapExceeded(
-                            f"more than {cap} chordless cycles"
-                        )
-                # extending past u would leave the chord {u, v0}
-            elif max_len is None or len(path) + 1 < max_len:
-                path.append(u)
-                members.add(u)
-                step(path, members, v0, r0)
-                path.pop()
-                members.remove(u)
-
     for v0 in g.vertices:
         r0 = rank[v0]
-        for v1 in sorted((u for u in adj[v0] if rank[u] > r0), key=rank.get):
-            step([v0, v1], {v0, v1}, v0, r0)
+        higher = [u for u in nbrs[v0] if rank[u] > r0]
+        # nothing outranks the top higher neighbour, so its walk cannot close
+        for v1 in higher[:-1]:
+            r1 = rank[v1]
+            path = [v0, v1]
+            members = {v0, v1}
+            used = set(facets(v0, v1)) if facets else set()
+            # one frame per path vertex past v0: its unvisited neighbours and
+            # the facets its incoming edge added to ``used``
+            stack = [(iter(nbrs[v1]), ())]
+            while stack:
+                last = path[-1]
+                for u in stack[-1][0]:
+                    if rank[u] <= r0 or u in members:
+                        continue
+                    if any(
+                        w != v0 and w != last and key(u, w) not in allowed
+                        for w in adj[u] & members
+                    ):
+                        continue  # a forbidden chord to the path interior
+                    ef = facets(last, u) if facets else ()
+                    if not used.isdisjoint(ef):
+                        continue  # two cycle edges would share a facet
+                    if v0 in adj[u]:
+                        if (
+                            len(path) >= 3
+                            and rank[u] > r1
+                            and (not facets or used.union(ef).isdisjoint(facets(u, v0)))
+                        ):
+                            found.append(tuple(path) + (u,))
+                            if len(found) > cap:
+                                raise CycleCapExceeded(f"more than {cap} {what}")
+                        if key(u, v0) not in allowed:
+                            continue  # extending would leave the chord {u, v0}
+                    if max_len is not None and len(path) + 1 >= max_len:
+                        continue
+                    path.append(u)
+                    members.add(u)
+                    used.update(ef)
+                    stack.append((iter(nbrs[u]), ef))
+                    break
+                else:
+                    used.difference_update(stack.pop()[1])
+                    members.discard(path.pop())
     found.sort(key=lambda c: (len(c), tuple(rank[v] for v in c)))
     return tuple(found)
 

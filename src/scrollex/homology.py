@@ -14,7 +14,6 @@ is floating point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -58,6 +57,8 @@ class FieldSpec:
     char: int = 0
 
     def __post_init__(self):
+        if self.char >= 2**31:
+            raise ValueError(f"field characteristic {self.char} is not below 2^31")
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"{self.char} is not prime")
 
@@ -376,7 +377,7 @@ def hochster_betti(g, i, sigma, field=QQ):
     return clique_homology(induced(g, sigma), field).get(d, 0)
 
 
-def betti_table(g, field=QQ, max_vertices=20, threads=1):
+def betti_table(g, field=QQ, max_vertices=20):
     """Full Betti table of the non-edge ideal of ``g`` via the subset sweep.
 
     Sums the multigraded values over all vertex subsets, sizes ascending,
@@ -388,31 +389,16 @@ def betti_table(g, field=QQ, max_vertices=20, threads=1):
         raise GuardExceeded(
             f"{n} vertices exceed the subset-sweep guard ({max_vertices})"
         )
-    subsets = [
-        sigma
-        for k in range(2, n + 1)
-        for sigma in combinations(g.vertices, k)
-    ]
-
-    def work(sigma):
-        return clique_homology(induced(g, sigma), field)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, subsets))
-    else:
-        results = [work(s) for s in subsets]
-
     graded = {}
     multigraded = {}
-    for sigma, ranks in zip(subsets, results):
-        k = len(sigma)
-        for d, h in ranks.items():
-            i = k - d - 2
-            if i < 0 or not h:
-                continue
-            multigraded[(i, frozenset(sigma))] = h
-            graded[(i, k)] = graded.get((i, k), 0) + h
+    for k in range(2, n + 1):
+        for sigma in combinations(g.vertices, k):
+            for d, h in clique_homology(induced(g, sigma), field).items():
+                i = k - d - 2
+                if i < 0 or not h:
+                    continue
+                multigraded[(i, frozenset(sigma))] = h
+                graded[(i, k)] = graded.get((i, k), 0) + h
     return BettiTable(graded, multigraded)
 
 

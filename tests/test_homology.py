@@ -23,6 +23,7 @@ from scrollex import (
     reduced_homology_rank,
     stanley_reisner_generators,
 )
+from scrollex import homology
 from scrollex.homology import BettiTable, FieldSpec
 
 
@@ -50,6 +51,8 @@ def test_field_spec():
     assert repr(gf(5)) == "GF(5)"
     with pytest.raises(ValueError):
         FieldSpec(6)
+    with pytest.raises(ValueError):
+        FieldSpec(1000000000000000003)
 
 
 def test_reduced_homology_examples():
@@ -132,10 +135,12 @@ def test_betti_table_multigraded_sums_to_graded():
     assert sums == t.graded
 
 
-def test_betti_table_threads_deterministic():
-    t1 = betti_table(HEX, threads=1)
-    t2 = betti_table(HEX, threads=4)
-    assert t1.graded == t2.graded and t1.multigraded == t2.multigraded
+def test_betti_table_cold_and_warm_core_cache():
+    homology._CORE_CACHE.clear()
+    cold = betti_table(HEX)
+    assert homology._CORE_CACHE  # the hexagon itself is a core
+    warm = betti_table(HEX)
+    assert cold.graded == warm.graded and cold.multigraded == warm.multigraded
 
 
 def test_field_independence_on_cycles():

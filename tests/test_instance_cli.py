@@ -1,9 +1,15 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from scrollex import InstanceError, parse_instance
+from scrollex import (
+    InstanceError,
+    chordless_cycles,
+    parse_instance,
+    virtual_minimal_cycles,
+)
 from scrollex.cli import main
 from scrollex.instance import instance_digest
 
@@ -201,8 +207,9 @@ def test_cli_cycles_cap_exit3(tmp_path, capsys):
     }
     f = tmp_path / "k33.json"
     f.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "cycles", str(f), "--cap", "3")
-    assert code == 3 and "more than 3" in err
+    for kind in ("minimal", "virtual"):
+        code, out, err = run(capsys, "cycles", str(f), "--kind", kind, "--cap", "3")
+        assert code == 3 and "more than 3" in err and out == ""
 
 
 def test_cli_betti_initial_hexagon(capsys):
@@ -250,6 +257,33 @@ def test_cli_infinite_serialization(tmp_path, capsys):
     code, out, _ = run(capsys, "p2", str(f))
     body = json.loads(out)
     assert code == 0 and body["exact"] == "infinity" and body["two_linear"]
+
+
+def test_cli_field_characteristic_too_large(capsys):
+    big = "1000000000000000003"
+    code, out, err = run(capsys, "betti", path("bruns"), "--field", big)
+    assert code == 1 and out == "" and "2^31" in err
+
+
+def test_long_bare_polygon_census(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 200
+    names = [f"x{i}" for i in range(n)]
+    doc = {
+        "vertices": names,
+        "edges": [[names[i], names[(i + 1) % n]] for i in range(n)],
+        "extensions": [],
+    }
+    f = tmp_path / "polygon.json"
+    f.write_text(json.dumps(doc))
+    ext, _ = parse_instance(f.read_text())
+    assert chordless_cycles(ext.base.skeleton) == (tuple(names),)
+    (vc,) = virtual_minimal_cycles(ext)
+    assert vc.cycle == tuple(names)
+    assert {ec.kind for ec in vc.edge_classes.values()} == {"nonvirtual"}
+    code, out, _ = run(capsys, "p2", str(f))
+    body = json.loads(out)
+    assert code == 0
+    assert body["lower"] == body["upper"] == body["exact"] == n - 3
 
 
 def test_cli_thread_env(monkeypatch, capsys):
