@@ -8,6 +8,7 @@ outputs, byte for byte.
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 
 DEFAULT_CYCLE_CAP = 10**6
@@ -133,8 +134,10 @@ def maximal_cliques(g):
 def is_chordal(g):
     """True iff every cycle of length > 3 has a chord.
 
-    Runs maximum-cardinality search and verifies the resulting order is a
-    perfect elimination order.  Agrees with ``chordless_cycles(g) == ()``.
+    Runs maximum-cardinality search (highest weight first, ties to the
+    lowest rank, picked from a bucket queue by weight) and verifies the
+    resulting order is a perfect elimination order.  Agrees with
+    ``chordless_cycles(g) == ()``.
 
     >>> is_chordal(build_graph("abcd", ["ab", "bc", "cd", "da"]))
     False
@@ -144,19 +147,29 @@ def is_chordal(g):
         return True
     rank = g.rank
     adj = g.adj
-    weight = {v: 0 for v in g.vertices}
+    weight = dict.fromkeys(g.vertices, 0)
+    # buckets[w] is a heap of the ranks of vertices that reached weight w; an
+    # entry is stale once its vertex is numbered or has moved up a bucket
+    buckets = [list(range(n))] + [[] for _ in range(n)]
+    top = 0
     visit = []
     numbered = set()
-    for _ in range(n):
-        v = max(
-            (u for u in g.vertices if u not in numbered),
-            key=lambda u: (weight[u], -rank[u]),
-        )
+    while len(visit) < n:
+        heap = buckets[top]
+        while heap:
+            v = g.vertices[heapq.heappop(heap)]
+            if v not in numbered and weight[v] == top:
+                break
+        else:
+            top -= 1
+            continue
         visit.append(v)
         numbered.add(v)
         for u in adj[v]:
             if u not in numbered:
                 weight[u] += 1
+                heapq.heappush(buckets[weight[u]], rank[u])
+                top = max(top, weight[u])
     # visit[0] is eliminated last; elim[v] = position in elimination order
     elim = {v: n - 1 - i for i, v in enumerate(visit)}
     for v in g.vertices:

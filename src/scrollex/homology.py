@@ -152,20 +152,6 @@ def _matrix_rank(rows, char):
 # ---------------------------------------------------------------------------
 
 
-def _all_cliques_by_size(n, adj):
-    """Cliques of the index graph, grouped by size; vertices are 0..n-1."""
-    by_size = {}
-
-    def grow(cl, cand):
-        by_size.setdefault(len(cl), []).append(cl)
-        for t, u in enumerate(cand):
-            grow(cl + (u,), [w for w in cand[t + 1 :] if w in adj[u]])
-
-    for v in range(n):
-        grow((v,), [w for w in sorted(adj[v]) if w > v])
-    return by_size
-
-
 def _boundary_rank(faces_k, faces_km1, char):
     """Rank of the boundary map from k-faces to (k-1)-faces."""
     if not faces_k or not faces_km1:
@@ -179,107 +165,137 @@ def _boundary_rank(faces_k, faces_km1, char):
     return _matrix_rank(rows, char)
 
 
-_CORE_CACHE = {}
+def _bits(s):
+    """Indices of the set bits of ``s``, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
 
 
-def _core_homology(n, edges, char):
-    """Reduced Betti numbers of the clique complex of a connected core graph."""
-    key = (char, n, edges)
-    hit = _CORE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    adj = {v: set() for v in range(n)}
-    for u, w in edges:
-        adj[u].add(w)
-        adj[w].add(u)
-    by_size = _all_cliques_by_size(n, adj)
-    top = max(by_size)
-    # r[k] = rank of the boundary map from faces of size k to faces of size k-1;
-    # k = 1 is the augmentation onto the empty face.
-    r = {0: 0, 1: 1 if n else 0}
-    for k in range(2, top + 1):
-        r[k] = _boundary_rank(
-            sorted(by_size.get(k, ())), sorted(by_size.get(k - 1, ())), char
-        )
-    r[top + 1] = 0
-    out = {}
-    for k in range(1, top + 1):
-        f = len(by_size.get(k, ()))
-        h = f - r[k] - r.get(k + 1, 0)
-        if h:
-            out[k - 1] = h
-    _CORE_CACHE[key] = out
+def _adjacency_masks(g):
+    """``nbr[i]`` is the neighbourhood of the vertex of rank i, as a bitmask."""
+    rank = g.rank
+    return [sum(1 << rank[w] for w in g.adj[v]) for v in g.vertices]
+
+
+def _dominated(s, nbr):
+    """The first vertex of ``s`` (by rank) that is dominated in ``s``, or -1.
+
+    v is dominated by a neighbour u when ``nbr[v] & s & ~bit(u)`` is a subset
+    of ``nbr[u]``.  Deleting v is then a strong collapse: the clique complex
+    keeps its homotopy type.  Chordal graphs collapse to a point this way.
+    An isolated vertex is never dominated.
+
+    >>> path = [0b010, 0b101, 0b010]  # 0 - 1 - 2
+    >>> _dominated(0b111, path), _dominated(0b101, path)
+    (0, -1)
+    >>> _dominated(0b1111, [0b1010, 0b0101, 0b1010, 0b0101])  # a 4-cycle
+    -1
+    """
+    rest = s
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        nv = nbr[v] & s
+        others = nv
+        while others:
+            ubit = others & -others
+            if nv & ~nbr[ubit.bit_length() - 1] == ubit:
+                return v
+            others ^= ubit
+        rest ^= low
+    return -1
+
+
+def _components(s, nbr):
+    """Connected components of the subgraph induced on ``s``, as bitmasks."""
+    out = []
+    while s:
+        comp = frontier = s & -s
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= nbr[v]
+            frontier = reach & s & ~comp
+            comp |= frontier
+        out.append(comp)
+        s ^= comp
     return out
 
 
-def _dismantle(verts, adj):
-    """Iteratively drop dominated vertices; preserves the homotopy type.
+def _disjoint_union(parts):
+    """Reduced Betti numbers of a disjoint union of nonempty complexes."""
+    out = {0: len(parts) - 1} if len(parts) > 1 else {}
+    for h in parts:
+        for d, r in h.items():
+            out[d] = out.get(d, 0) + r
+    return out
 
-    A vertex v is dominated by a neighbour u when every other neighbour of v
-    is also adjacent to u; removing v then deformation-retracts the clique
-    complex.  Chordal graphs dismantle to a point.
+
+def _core_homology(s, nbr, char, cores):
+    """Reduced Betti numbers of the clique complex on the connected core ``s``.
+
+    Memoized in ``cores`` under ``(m, edges)``: the core relabelled 0..m-1
+    by rank.
     """
-    alive = set(verts)
-    changed = True
-    while changed and len(alive) > 1:
-        changed = False
-        for v in sorted(alive):
-            nv = adj[v] & alive
-            for u in sorted(nv):
-                if (nv - {u}) <= adj[u]:
-                    alive.remove(v)
-                    changed = True
-                    break
-            if changed:
-                break
-    return alive
+    verts = list(_bits(s))
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = tuple(
+        (i, pos[w]) for i, v in enumerate(verts) for w in _bits(nbr[v] & s) if w > v
+    )
+    key = (len(verts), edges)
+    hit = cores.get(key)
+    if hit is not None:
+        return hit
+    # faces (cliques) grouped by size, each group in lexicographic order
+    by_size = {}
+
+    def grow(clique, cand):
+        by_size.setdefault(len(clique), []).append(clique)
+        for u in _bits(cand):
+            grow(clique + (u,), cand & nbr[u] & -(2 << u))
+
+    grow((), s)
+    top = max(by_size)
+    # r[k] = rank of the boundary map from faces of size k to faces of size
+    # k-1; r[1] = 1 is the augmentation onto the empty face
+    r = [0, 1]
+    for k in range(2, top + 1):
+        r.append(_boundary_rank(by_size[k], by_size[k - 1], char))
+    r.append(0)
+    out = {}
+    for k in range(1, top + 1):
+        h = len(by_size[k]) - r[k] - r[k + 1]
+        if h:
+            out[k - 1] = h
+    cores[key] = out
+    return out
 
 
 def clique_homology(g, field=QQ):
     """All nonzero reduced Betti numbers of the clique complex of ``g``.
 
     Returns a dict dimension -> rank.  The empty graph has H~_{-1} of rank 1.
+    Dominated vertices are deleted first; each remaining component is a
+    point or a core that goes to the rank kernels.
     """
     n = len(g.vertices)
     if n == 0:
         return {-1: 1}
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    adj = {i: {idx[w] for w in g.adj[v]} for v, i in idx.items()}
-    seen = set()
-    comps = []
-    for s in range(n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    total = {}
-    if len(comps) > 1:
-        total[0] = len(comps) - 1
-    for comp in comps:
-        core = _dismantle(comp, adj)
-        if len(core) <= 1:
-            continue
-        order = sorted(core)
-        relabel = {v: i for i, v in enumerate(order)}
-        edges = tuple(
-            sorted(
-                (relabel[u], relabel[w])
-                for u, w in combinations(order, 2)
-                if w in adj[u]
-            )
-        )
-        for d, h in _core_homology(len(order), edges, field.char).items():
-            if h:
-                total[d] = total.get(d, 0) + h
-    return {d: h for d, h in total.items() if h}
+    nbr = _adjacency_masks(g)
+    s = (1 << n) - 1
+    v = _dominated(s, nbr)
+    while v >= 0:
+        s ^= 1 << v
+        v = _dominated(s, nbr)
+    cores = {}
+    return _disjoint_union(
+        [
+            _core_homology(c, nbr, field.char, cores) if c & (c - 1) else {}
+            for c in _components(s, nbr)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +397,49 @@ def betti_table(g, field=QQ, max_vertices=20):
     """Full Betti table of the non-edge ideal of ``g`` via the subset sweep.
 
     Sums the multigraded values over all vertex subsets, sizes ascending,
-    each size in lexicographic rank order.  Refuses (rather than degrades)
-    when the vertex count exceeds ``max_vertices``.
+    each size in lexicographic rank order.  Subsets are bitmasks over vertex
+    ranks, and each one reuses what the sweep found for a smaller subset: a
+    subset with a dominated vertex v has the homology of the subset without
+    v, and a disconnected subset (an isolated vertex is a component) sums
+    its components' homology plus one H~_0 rank per extra component.  Only
+    a connected subset with no dominated vertex is reduced by the rank
+    kernels, once per distinct core.  Refuses (rather than degrades) when
+    the vertex count exceeds ``max_vertices``.
     """
     n = len(g.vertices)
     if n > max_vertices:
         raise GuardExceeded(
             f"{n} vertices exceed the subset-sweep guard ({max_vertices})"
         )
+    nbr = _adjacency_masks(g)
+    bits = [1 << i for i in range(n)]
+    # h[s]: reduced Betti numbers of the clique complex on the subset s.
+    # Subsets with equal homology share one interned dict.
+    h = [{}] * (1 << n)
+    h[0] = {-1: 1}
+    interned = {}
+    cores = {}
     graded = {}
     multigraded = {}
     for k in range(2, n + 1):
-        for sigma in combinations(g.vertices, k):
-            for d, h in clique_homology(induced(g, sigma), field).items():
+        for sigma, combo in zip(combinations(g.vertices, k), combinations(bits, k)):
+            s = sum(combo)
+            v = _dominated(s, nbr)
+            if v >= 0:
+                h[s] = hs = h[s ^ bits[v]]
+            else:
+                parts = _components(s, nbr)
+                if len(parts) > 1:
+                    hs = _disjoint_union([h[c] for c in parts])
+                else:
+                    hs = _core_homology(s, nbr, field.char, cores)
+                h[s] = hs = interned.setdefault(tuple(sorted(hs.items())), hs)
+            for d, r in hs.items():
                 i = k - d - 2
-                if i < 0 or not h:
+                if i < 0:
                     continue
-                multigraded[(i, frozenset(sigma))] = h
-                graded[(i, k)] = graded.get((i, k), 0) + h
+                multigraded[(i, frozenset(sigma))] = r
+                graded[(i, k)] = graded.get((i, k), 0) + r
     return BettiTable(graded, multigraded)
 
 

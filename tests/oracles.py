@@ -8,7 +8,8 @@ the implementation paths it checks.
 from collections import deque
 from itertools import combinations, permutations
 
-from scrollex import canonical_cycle, induced, initial_complex
+from scrollex import canonical_cycle, induced, initial_complex, reduced_homology_rank
+from scrollex.homology import BettiTable
 from scrollex.bounds import _virtual_edge_blocks, virtual_edges
 
 
@@ -130,3 +131,30 @@ def bfs_replacement_length(ext, cycle, e):
                 return dist[w]
             q.append(w)
     return None
+
+
+def brute_betti_table(g, field):
+    """Hochster's formula summed naively over every vertex subset.
+
+    Each subset's clique complex is listed by testing every sub-subset for
+    being a clique, and its reduced homology comes from the generic
+    face-list ``reduced_homology_rank``: no dominated vertices, no
+    components, no memo.
+    """
+    graded = {}
+    multigraded = {}
+    for k in range(2, len(g.vertices) + 1):
+        for sigma in combinations(g.vertices, k):
+            faces = [
+                f
+                for r in range(k + 1)
+                for f in combinations(sigma, r)
+                if all(g.has_edge(u, w) for u, w in combinations(f, 2))
+            ]
+            for d in range(-1, k - 1):
+                h = reduced_homology_rank(faces, d, field)
+                i = k - d - 2
+                if h:
+                    multigraded[(i, frozenset(sigma))] = h
+                    graded[(i, k)] = graded.get((i, k), 0) + h
+    return BettiTable(graded, multigraded)

@@ -81,6 +81,14 @@ def test_is_chordal_examples():
     assert not is_chordal(bruns_graph())
 
 
+def test_is_chordal_long_path_and_polygon():
+    n = 3000
+    names = [f"x{i}" for i in range(n)]
+    path = [(names[i], names[i + 1]) for i in range(n - 1)]
+    assert is_chordal(build_graph(names, path))
+    assert not is_chordal(build_graph(names, path + [(names[-1], names[0])]))
+
+
 def test_chordless_cycles_examples():
     tree = build_graph("abcd", ["ab", "bc", "bd"])
     assert chordless_cycles(tree) == ()

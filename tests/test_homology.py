@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.generators.atlas import graph_atlas_g
 
 from scrollex import (
     INFINITE,
@@ -25,6 +26,7 @@ from scrollex import (
 )
 from scrollex import homology
 from scrollex.homology import BettiTable, FieldSpec
+from oracles import brute_betti_table
 
 
 def cycle_graph(n, names=None):
@@ -35,6 +37,27 @@ def cycle_graph(n, names=None):
 C4 = cycle_graph(4, list("abcd"))
 K3 = build_graph("abc", ["ab", "bc", "ca"])
 HEX = cycle_graph(6)
+POINT = build_graph(["p"], [])
+CROSS8 = build_graph(
+    [f"{s}{i}" for i in range(4) for s in "ab"],
+    [
+        (f"{s}{i}", f"{t}{j}")
+        for i, j in combinations(range(4), 2)
+        for s in "ab"
+        for t in "ab"
+    ],
+)
+
+
+def disjoint_union(*parts, seed=None):
+    """The parts side by side; with ``seed`` the vertex ranks are shuffled."""
+    names, edges = [], []
+    for t, g in enumerate(parts):
+        names += [f"{v}_{t}" for v in g.vertices]
+        edges += [(f"{u}_{t}", f"{w}_{t}") for u, w in g.edges]
+    if seed is not None:
+        random.Random(seed).shuffle(names)
+    return build_graph(names, edges)
 
 
 def downward_closure(faces):
@@ -136,11 +159,47 @@ def test_betti_table_multigraded_sums_to_graded():
 
 
 def test_betti_table_cold_and_warm_core_cache():
-    homology._CORE_CACHE.clear()
-    cold = betti_table(HEX)
-    assert homology._CORE_CACHE  # the hexagon itself is a core
-    warm = betti_table(HEX)
-    assert cold.graded == warm.graded and cold.multigraded == warm.multigraded
+    # cores are memoized per sweep, so every call starts cold; the module
+    # keeps no process-global cache that a first call could warm
+    first = betti_table(HEX)
+    second = betti_table(HEX)
+    assert first.graded == second.graded and first.multigraded == second.multigraded
+    assert not [
+        name
+        for name, value in vars(homology).items()
+        if not name.startswith("__")
+        and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, gf(2)], ids=repr)
+def test_betti_table_matches_brute_force_on_atlas(field):
+    checked = 0
+    for a in graph_atlas_g():
+        if a.number_of_nodes() > 6:
+            break  # the atlas lists graphs by vertex count
+        g = build_graph(
+            [f"v{i}" for i in a.nodes()], [(f"v{u}", f"v{w}") for u, w in a.edges()]
+        )
+        fast, slow = betti_table(g, field), brute_betti_table(g, field)
+        assert fast.graded == slow.graded, sorted(a.edges())
+        assert fast.multigraded == slow.multigraded, sorted(a.edges())
+        checked += 1
+    assert checked == 209
+
+
+@pytest.mark.parametrize("field", [QQ, gf(2)], ids=repr)
+@pytest.mark.parametrize(
+    "parts",
+    [(C4, C4), (C4, POINT, POINT), (cycle_graph(5), K3), (CROSS8, POINT)],
+    ids=["C4+C4", "C4+2pts", "C5+K3", "cross8+pt"],
+)
+def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field):
+    for seed in (None, 7):
+        g = disjoint_union(*parts, seed=seed)
+        fast, slow = betti_table(g, field), brute_betti_table(g, field)
+        assert fast.graded == slow.graded
+        assert fast.multigraded == slow.multigraded
 
 
 def test_field_independence_on_cycles():
