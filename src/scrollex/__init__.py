@@ -9,7 +9,8 @@ The package computes, with integer arithmetic only:
   including the initial complex obtained by deleting matrix diagonals;
 * admissible orders of matrix families and the induced variable orders;
 * lower, upper and (under explicit hypotheses) exact values of p2 for the
-  extended binomial system, with homology-backed witnesses.
+  extended binomial system, with witness cycles whose homology rank
+  ``homology_witness`` computes on request.
 """
 
 __version__ = "0.1.0"

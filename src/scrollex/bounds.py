@@ -263,7 +263,8 @@ class P2Report:
     """Everything the three p2 routes say about one instance.
 
     ``lower`` is the certified lower bound (p2 of the initial complex);
-    ``lower_substitution`` is the replacement-length formula, never larger.
+    ``lower_substitution`` is the replacement-length formula.  The two are
+    not ordered: ``lower_substitution`` can exceed ``lower``.
     ``exact`` is numeric only when the exactness hypotheses all verify, and
     then equals both bounds; otherwise it is the interval between them.
     """

@@ -60,24 +60,21 @@ from .extension import ExtensionError
 from .graphs import GraphError
 
 
-def _jsonable(x):
+def _json_default(x):
     if x is INFINITE:
         return "infinity"
     if isinstance(x, NotApplicable):
         return {"not_applicable": x.reason}
     if isinstance(x, Interval):
-        return {"lower": _jsonable(x.lower), "upper": _jsonable(x.upper)}
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return {"lower": x.lower, "upper": x.upper}
     if isinstance(x, frozenset):
         return sorted(x)
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _emit(report):
-    sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    sys.stdout.write(text + "\n")
 
 
 def _load(path):
@@ -185,7 +182,10 @@ def cmd_betti(ext, digest, args):
     if args.ideal == "gamma":
         graph = ext.base.skeleton
     else:
-        graph = initial_complex(ext, "star").graph
+        try:
+            graph = initial_complex(ext, "star").graph
+        except NotOrderableError:
+            return _envelope("betti", digest, {"not_applicable": "no admissible order"}), 2
     table = betti_table(graph, field, max_vertices=args.max_vertices)
     p2 = p2_from_table(table, 2)
     payload = {
@@ -193,7 +193,7 @@ def cmd_betti(ext, digest, args):
         "field": repr(field),
         "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
         "two_linear": table.is_two_linear(),
-        "p2": _jsonable(p2.p2),
+        "p2": p2.p2,
         "witnesses": p2.witness_count,
     }
     return _envelope("betti", digest, payload), 0
@@ -206,7 +206,7 @@ def cmd_p2(ext, digest, args):
             value, wit = lower_bound(ext)
         except NotOrderableError as e:
             return _envelope("p2", digest, {"not_applicable": str(e)}), 2
-        payload = {"mode": "lower", "lower": _jsonable(value)}
+        payload = {"mode": "lower", "lower": value}
         if wit is not None:
             payload["witness"] = _cycle_payload(wit, g.rank)
         return _envelope("p2", digest, payload), 0
@@ -223,11 +223,11 @@ def cmd_p2(ext, digest, args):
     payload = {
         "mode": args.mode,
         "two_linear": report.two_linear,
-        "lower": _jsonable(report.lower),
-        "lower_substitution": _jsonable(report.lower_substitution),
-        "upper": _jsonable(report.upper),
-        "exact": _jsonable(report.exact),
-        "hypotheses": _jsonable(report.hypotheses),
+        "lower": report.lower,
+        "lower_substitution": report.lower_substitution,
+        "upper": report.upper,
+        "exact": report.exact,
+        "hypotheses": report.hypotheses,
         "toricity": {
             "ok": report.toricity.ok,
             "reason": report.toricity.reason,
@@ -291,13 +291,9 @@ def main(argv=None):
         if args.command == "poligon":
             report, code = cmd_poligon(args)
         elif args.command == "gen-chordal":
-            doc = fixtures.chordal_instance(args.seed, args.vertices)
-            sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-            return 0
+            report, code = fixtures.chordal_instance(args.seed, args.vertices), 0
         elif args.command == "gen-cycle-ext":
-            doc = fixtures.random_cycle_extension_instance(args.seed, args.length)
-            sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-            return 0
+            report, code = fixtures.random_cycle_extension_instance(args.seed, args.length), 0
         else:
             ext, digest = _load(args.file)
             handler = {

@@ -58,11 +58,6 @@ class ScrollMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ScrollMatrix is immutable")
 
-    @property
-    def head(self):
-        """The top-left entry (always x0)."""
-        return self.x0
-
     def columns(self):
         """All columns as (top, bottom) pairs, first column included."""
         b1 = self.blocks[0]
@@ -88,10 +83,6 @@ class ScrollMatrix:
 
     def variables(self):
         return frozenset({self.x0} | {b.x for b in self.blocks} | set(self.y_vertices()))
-
-    def block_pairs(self):
-        """The proper-edge pairs {x0, x_j}, one per block, in block order."""
-        return tuple(frozenset((self.x0, b.x)) for b in self.blocks)
 
     def column_position(self, j, t):
         """Column index of the t-th new variable (1-based) of block j (1-based)."""
@@ -124,9 +115,6 @@ class Extension:
 
     def __setattr__(self, name, value):
         raise AttributeError("Extension is immutable")
-
-    def matrix_index(self, m):
-        return self.matrices.index(m)
 
     def __repr__(self):
         return (

@@ -73,9 +73,6 @@ class Graph:
     def has_edge(self, u, w):
         return w in self.adj.get(u, ())
 
-    def neighbors(self, v):
-        return tuple(sorted(self.adj[v], key=self.rank.get))
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)

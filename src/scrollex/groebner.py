@@ -38,38 +38,30 @@ def monomial(variables, order):
         raise ValueError(f"variable {e.args[0]!r} is not ranked") from None
 
 
+def _lex_key(order, m):
+    """Sort key that orders monomials as :func:`lex_compare` does.
+
+    The ranks in ascending order, each negated: a smaller rank at the first
+    difference, or more ranks after a common prefix, gives the larger key.
+    """
+    try:
+        return tuple(sorted((-order.rank[v] for v in m), reverse=True))
+    except KeyError as e:
+        raise ValueError(f"variable {e.args[0]!r} is not ranked") from None
+
+
 def lex_compare(order, a, b):
     """Pure lexicographic comparison; returns 1, 0 or -1 (a vs b).
 
     Monomials written as rank sequences compare lexicographically, smaller
     sequence first; a proper prefix is the smaller monomial.
     """
-    try:
-        ra = sorted(order.rank[v] for v in a)
-        rb = sorted(order.rank[v] for v in b)
-    except KeyError as e:
-        raise ValueError(f"variable {e.args[0]!r} is not ranked") from None
-    for x, y in zip(ra, rb):
-        if x != y:
-            return 1 if x < y else -1
-    if len(ra) == len(rb):
-        return 0
-    return -1 if len(ra) < len(rb) else 1
+    ka, kb = _lex_key(order, a), _lex_key(order, b)
+    return (ka > kb) - (ka < kb)
 
 
 def _mul(a, b, order):
     return monomial(a + b, order)
-
-
-def _divides(a, b):
-    # does monomial a divide monomial b (as multisets)
-    rem = list(b)
-    for v in a:
-        if v in rem:
-            rem.remove(v)
-        else:
-            return False
-    return True
 
 
 def _quotient(b, a):
@@ -130,43 +122,40 @@ def s_polynomial(f, g, order):
     return terms
 
 
-def normal_form(terms, nf_monomials, binomials, order):
+def normal_form(terms, nf, leads, order):
     """Remainder of the division algorithm against the prepared system.
 
-    Repeatedly top-reduces: the current lead term is cancelled by the first
-    monomial generator dividing it, else rewritten by the first binomial
-    whose lead divides it, else moved to the remainder.  Division by a
-    monomial kills the whole term; division by lead - trail replaces the
-    term by a strictly smaller one, so the loop terminates.
+    ``nf`` is the set of monomial generators and ``leads`` maps a binomial
+    lead to ``(position, binomial)`` for the first binomial in system order
+    with that lead.  Terms are keyed by canonical monomials.  Every
+    generator is quadratic, so a term is divisible by one exactly when one
+    of its variable pairs is that generator.
+
+    Repeatedly top-reduces: the current lead term is cancelled if one of its
+    pairs is a monomial generator, else rewritten by the earliest binomial
+    whose lead is one of its pairs, else moved to the remainder.  Division
+    by a monomial kills the whole term; division by lead - trail replaces
+    the term by a strictly smaller one, so the loop terminates.
     """
     work = dict(terms)
     remainder = {}
     while work:
-        m = None
-        for other in work:
-            if m is None or lex_compare(order, other, m) > 0:
-                m = other
+        m = max(work, key=lambda t: _lex_key(order, t))
         c = work.pop(m)
-        reduced = False
-        for mono in nf_monomials:
-            if _divides(mono, m):
-                reduced = True
-                break
-        if reduced:
+        pairs = list(combinations(m, 2))
+        if any(p in nf for p in pairs):
             continue
-        for b in binomials:
-            if _divides(b.lead, m):
-                q = _quotient(m, b.lead)
-                t = _mul(q, b.trail, order)
-                nc = work.get(t, 0) - c * b.trail_coeff
-                if nc:
-                    work[t] = nc
-                else:
-                    work.pop(t, None)
-                reduced = True
-                break
-        if not reduced:
+        hits = [leads[p] for p in pairs if p in leads]
+        if not hits:
             remainder[m] = c
+            continue
+        b = min(hits, key=lambda hit: hit[0])[1]
+        t = _mul(_quotient(m, b.lead), b.trail, order)
+        nc = work.get(t, 0) - c * b.trail_coeff
+        if nc:
+            work[t] = nc
+        else:
+            work.pop(t, None)
     return remainder
 
 
@@ -198,6 +187,10 @@ def buchberger_is_groebner(system, order):
     criterion), as are pairs of plain monomials.
     """
     nf, binomials = prepare_system(system, order)
+    nf_set = set(nf)
+    leads = {}
+    for i, b in enumerate(binomials):
+        leads.setdefault(b.lead, (i, b))
     # monomial x binomial pairs
     for mono in nf:
         for b in binomials:
@@ -205,13 +198,13 @@ def buchberger_is_groebner(system, order):
                 continue
             lcm = _lcm(mono, b.lead, order)
             t = _mul(_quotient(lcm, b.lead), b.trail, order)
-            rem = normal_form({t: -b.trail_coeff}, nf, binomials, order)
+            rem = normal_form({t: -b.trail_coeff}, nf_set, leads, order)
             if rem:
                 return GroebnerCheck(False, (mono, b), rem)
     for f, g in combinations(binomials, 2):
         if _coprime(f.lead, g.lead):
             continue
-        rem = normal_form(s_polynomial(f, g, order), nf, binomials, order)
+        rem = normal_form(s_polynomial(f, g, order), nf_set, leads, order)
         if rem:
             return GroebnerCheck(False, (f, g), rem)
     return GroebnerCheck(True)

@@ -46,7 +46,7 @@ class OrderCycle:
 
 def heads_digraph(matrices):
     matrices = tuple(matrices)
-    heads = [m.head for m in matrices]
+    heads = [m.x0 for m in matrices]
     second = [set(m.bottom_row()) for m in matrices]
     arcs = frozenset(
         (i, j)
@@ -119,7 +119,7 @@ def check_admissible_order(matrices):
     """
     matrices = tuple(matrices)
     k = len(matrices)
-    heads = [m.head for m in matrices]
+    heads = [m.x0 for m in matrices]
     second = [set(m.bottom_row()) for m in matrices]
     bottom_left = [m.bottom_row()[0] for m in matrices]
     for i in range(k):

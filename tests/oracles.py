@@ -5,10 +5,19 @@ permutation sweeps, and breadth-first search.  None of it shares code with
 the implementation paths it checks.
 """
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
 
-from scrollex import canonical_cycle, induced, initial_complex, reduced_homology_rank
+from scrollex import (
+    GroebnerCheck,
+    canonical_cycle,
+    induced,
+    initial_complex,
+    monomial,
+    reduced_homology_rank,
+    s_polynomial,
+)
+from scrollex.groebner import prepare_system
 from scrollex.homology import BettiTable
 from scrollex.bounds import _virtual_edge_blocks, virtual_edges
 
@@ -158,3 +167,82 @@ def brute_betti_table(g, field):
                     multigraded[(i, frozenset(sigma))] = h
                     graded[(i, k)] = graded.get((i, k), 0) + h
     return BettiTable(graded, multigraded)
+
+
+def _lex_greater(order, a, b):
+    """Whether monomial a is lex-larger than b: at the first difference of
+    their sorted rank sequences a has the smaller rank, or b is a proper
+    prefix of a."""
+    ra = sorted(order.rank[v] for v in a)
+    rb = sorted(order.rank[v] for v in b)
+    for x, y in zip(ra, rb):
+        if x != y:
+            return x < y
+    return len(ra) > len(rb)
+
+
+def _divides(a, b):
+    """Whether monomial a divides monomial b, as multisets of variables."""
+    rem = list(b)
+    for v in a:
+        if v not in rem:
+            return False
+        rem.remove(v)
+    return True
+
+
+def _quotient(b, a):
+    rem = list(b)
+    for v in a:
+        rem.remove(v)
+    return tuple(rem)
+
+
+def scan_normal_form(terms, nf_monomials, binomials, order):
+    """Division by linear scans: the lead term by a pairwise lex scan, then
+    the first NF monomial, else the first binomial in list order whose lead
+    divides it as a multiset, of any degree."""
+    work = dict(terms)
+    remainder = {}
+    while work:
+        m = None
+        for other in work:
+            if m is None or _lex_greater(order, other, m):
+                m = other
+        c = work.pop(m)
+        if any(_divides(mono, m) for mono in nf_monomials):
+            continue
+        for b in binomials:
+            if _divides(b.lead, m):
+                t = monomial(_quotient(m, b.lead) + b.trail, order)
+                nc = work.get(t, 0) - c * b.trail_coeff
+                if nc:
+                    work[t] = nc
+                else:
+                    work.pop(t, None)
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def scan_is_groebner(system, order):
+    """The Buchberger check with :func:`scan_normal_form`, visiting the
+    monomial x binomial pairs and then the binomial pairs in system order."""
+    nf, binomials = prepare_system(system, order)
+    for mono in nf:
+        for b in binomials:
+            if not set(mono) & set(b.lead):
+                continue
+            # lcm(mono, lead) / lead, as multisets
+            cofactor = tuple((Counter(mono) - Counter(b.lead)).elements())
+            t = monomial(cofactor + b.trail, order)
+            rem = scan_normal_form({t: -b.trail_coeff}, nf, binomials, order)
+            if rem:
+                return GroebnerCheck(False, (mono, b), rem)
+    for f, g in combinations(binomials, 2):
+        if set(f.lead) & set(g.lead):
+            rem = scan_normal_form(s_polynomial(f, g, order), nf, binomials, order)
+            if rem:
+                return GroebnerCheck(False, (f, g), rem)
+    return GroebnerCheck(True)

@@ -252,6 +252,23 @@ def test_report_not_orderable(triangle_ring):
     assert not rep.hypotheses["admissible_order"]
 
 
+def test_report_lower_bounds_at_most_upper(corpus):
+    from scrollex.fixtures import random_extension_instance
+
+    seed54, _ = parse_instance(random_extension_instance(54, require_orderable=False))
+    rep = p2_report(seed54)
+    # the two lower bounds are not ordered against each other
+    assert (rep.lower, rep.lower_substitution, rep.upper) == (5, 6, 6)
+    checked = 0
+    for ext in corpus + [seed54]:
+        rep = p2_report(ext)
+        for low in (rep.lower, rep.lower_substitution):
+            if isinstance(low, int) and isinstance(rep.upper, int):
+                assert low <= rep.upper
+                checked += 1
+    assert checked >= 40
+
+
 def test_substitution_lower_matches_initial_complex_p2_on_fixtures(
     bruns, square_one_edge, flap_square, cycle_extensions
 ):

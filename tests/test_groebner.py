@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from scrollex import (
@@ -24,6 +26,7 @@ from scrollex import (
 from scrollex.extension import GeneratorSystem
 from scrollex.graphs import clique_complex
 from scrollex.groebner import LeadTieError
+from oracles import scan_is_groebner
 
 
 def generic_scroll_system(n):
@@ -76,14 +79,14 @@ def test_s_polynomial_shared_head_case():
 
 def test_normal_form_examples():
     order = VarOrder(["a", "b", "u"])
-    nf = [("a", "b")]
-    binoms = [Binomial(("a", "u"), ("b", "b"))]
+    nf = {("a", "b")}
+    leads = {("a", "u"): (0, Binomial(("a", "u"), ("b", "b")))}
     # a member of the system reduces to zero
-    assert normal_form({("a", "u"): 1, ("b", "b"): -1}, nf, binoms, order) == {}
+    assert normal_form({("a", "u"): 1, ("b", "b"): -1}, nf, leads, order) == {}
     # a multiple of a monomial generator dies
-    assert normal_form({("a", "b", "u"): 5}, nf, binoms, order) == {}
+    assert normal_form({("a", "b", "u"): 5}, nf, leads, order) == {}
     # an untouchable monomial survives
-    assert normal_form({("u", "u"): 1}, nf, binoms, order) == {("u", "u"): 1}
+    assert normal_form({("u", "u"): 1}, nf, leads, order) == {("u", "u"): 1}
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -203,3 +206,38 @@ def test_spair_degree_bound(bruns):
                 continue
             s = s_polynomial(f, g, order)
             assert all(len(m) <= 3 for m in s)
+
+
+def mutated_systems(system, order, rng):
+    """The system itself, each system with one minor dropped, the system
+    with every other NF monomial dropped, and the system under the reversed
+    and under a shuffled variable order."""
+    yield system, order
+    for i, (facet, minors) in enumerate(system.minors):
+        for j in range(len(minors)):
+            kept = minors[:j] + minors[j + 1 :]
+            yield GeneratorSystem(
+                system.nf,
+                system.minors[:i] + ((facet, kept),) + system.minors[i + 1 :],
+            ), order
+    yield GeneratorSystem(system.nf[::2], system.minors), order
+    yield system, VarOrder(reversed(order.variables))
+    shuffled = list(order.variables)
+    rng.shuffle(shuffled)
+    yield system, VarOrder(shuffled)
+
+
+def test_buchberger_matches_scanning_oracle(corpus):
+    rng = random.Random(7)
+    checked = failed = 0
+    for ext in corpus:
+        decision = find_admissible_order(ext.matrices)
+        images = [pi_star(m) for m in decision.matrices]
+        order = variable_order(decision.matrices, images, ext.skeleton_bar.vertices)
+        for system, var_order in mutated_systems(generator_system(ext), order, rng):
+            check = buchberger_is_groebner(system, var_order)
+            assert check == scan_is_groebner(system, var_order)
+            checked += 1
+            failed += not check.ok
+    # the mutations must exercise the choice of failing pair and remainder
+    assert failed > checked // 2

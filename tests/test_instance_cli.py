@@ -220,6 +220,14 @@ def test_cli_betti_initial_hexagon(capsys):
     assert doc["p2"] == 3
 
 
+def test_cli_betti_initial_not_orderable(capsys):
+    code, out, err = run(capsys, "betti", path("triangle_ring"), "--ideal", "initial")
+    doc = json.loads(out)
+    assert code == 2 and err == ""
+    assert doc["command"] == "betti"
+    assert doc["not_applicable"] == "no admissible order"
+
+
 def test_cli_betti_gamma_field(capsys):
     code, out, _ = run(capsys, "betti", path("bruns"), "--field", "2")
     doc = json.loads(out)
