@@ -20,10 +20,8 @@ from .graphs import (
     CycleCapExceeded,
     Graph,
     GraphError,
-    build_graph,
     canonical_cycle,
     chordless_cycles,
-    clique_complex,
     cycle_edges,
     induced,
     is_chordal,
@@ -40,13 +38,8 @@ from .homology import (
     betti_table,
     clique_homology,
     cycle_betti_table,
-    gf,
-    hochster_betti,
-    is_2_linear_monomial,
     p2_from_table,
     p2_monomial,
-    reduced_homology_rank,
-    stanley_reisner_generators,
 )
 from .extension import (
     Extension,
@@ -57,7 +50,6 @@ from .extension import (
     ToricityReport,
     generator_system,
     matrix_minors,
-    primary_components,
     toricity_gate,
     validate_extension,
 )
@@ -72,9 +64,7 @@ from .ordering import (
     heads_digraph,
     identity_permutation,
     is_admissible_permutation,
-    is_scroll_shape,
     pi_star,
-    scroll_permutation,
     variable_order,
 )
 from .groebner import (
@@ -101,7 +91,6 @@ from .bounds import (
     classify_edge,
     expand_cycle,
     homology_witness,
-    is_2_linear_extension,
     lower_bound,
     p2_report,
     upper_bound,

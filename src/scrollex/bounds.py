@@ -92,23 +92,18 @@ def virtual_edges(ext):
 
     Independent of the column permutation choice.
     """
-    g = ext.base.skeleton
-    out = set()
-    for m in ext.matrices:
-        for b in m.blocks:
-            if b.y:
-                out.add(g.edge_key(m.x0, b.x))
-    return frozenset(out)
+    return frozenset(_virtual_edge_blocks(ext))
 
 
 def _virtual_edge_blocks(ext):
+    """Each virtual edge mapped to (its matrix, the 1-based index of its block)."""
     g = ext.base.skeleton
-    out = {}
-    for m in ext.matrices:
-        for j, b in enumerate(m.blocks, 1):
-            if b.y:
-                out[g.edge_key(m.x0, b.x)] = (m, j)
-    return out
+    return {
+        g.edge_key(m.x0, b.x): (m, j)
+        for m in ext.matrices
+        for j, b in enumerate(m.blocks, 1)
+        if b.y
+    }
 
 
 def classify_edge(cycle, e, ext):
@@ -251,11 +246,6 @@ def upper_bound(ext, cycles=None, gate=None):
         key=lambda vc: (expanded_length(vc), tuple(rank[v] for v in vc.cycle)),
     )
     return expanded_length(best) - 3, best
-
-
-def is_2_linear_extension(ext):
-    """The binomial system has a linear resolution iff the base is chordal."""
-    return is_chordal(ext.base.skeleton)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ values as the string "infinity"); diagnostics go to stderr.  Exit codes:
 0 success, 1 input or validation error, 2 method not applicable, 3 resource
 cap exceeded.  A cycle census has no limit on cycle length; only its cap on
 the number of cycles (--cap, default 10^6) stops it.
+
+The key "lower" of a p2 report depends on the mode.  Under --mode lower it
+is the replacement-length bound of the virtual minimal cycles; under auto
+and exact it is p2 of the initial complex, and the replacement-length bound
+is under "lower_substitution".  The two bounds can differ.
 """
 
 from __future__ import annotations
@@ -28,13 +33,11 @@ from . import __version__
 from .bounds import (
     Interval,
     NotApplicable,
-    classify_edge,
     lower_bound,
     p2_report,
     upper_bound,
     virtual_minimal_cycles,
 )
-from .extension import toricity_gate
 from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, chordless_cycles
 from .groebner import initial_complex, lead_deletions, buchberger_is_groebner
 from .homology import (
@@ -45,7 +48,6 @@ from .homology import (
     betti_table,
     cycle_betti_table,
     p2_from_table,
-    p2_monomial,
 )
 from .instance import InstanceError, instance_digest, parse_instance
 from .ordering import (

@@ -102,14 +102,11 @@ class Extension:
     whose edge set is the union of all pairs inside each extended facet.
     """
 
-    __slots__ = ("base", "matrices", "by_facet", "facet_bar", "skeleton_bar")
+    __slots__ = ("base", "matrices", "facet_bar", "skeleton_bar")
 
     def __init__(self, base, matrices, facet_bar, skeleton_bar):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "matrices", tuple(matrices))
-        object.__setattr__(
-            self, "by_facet", {m.facet: m for m in matrices}
-        )
         object.__setattr__(self, "facet_bar", facet_bar)
         object.__setattr__(self, "skeleton_bar", skeleton_bar)
 
@@ -248,24 +245,6 @@ def generator_system(ext):
     )
     minors = tuple((m.facet, matrix_minors(m)) for m in ext.matrices)
     return GeneratorSystem(nf, minors)
-
-
-def primary_components(ext):
-    """One symbolic component per facet: (facet, minors of its matrix, excluded variables).
-
-    Facets without a matrix get an empty minor list.  The excluded variables
-    are everything outside the extended facet.
-    """
-    rank = ext.skeleton_bar.rank
-    allv = set(ext.skeleton_bar.vertices)
-    out = []
-    for f in ext.base.facet_sets():
-        m = ext.by_facet.get(f)
-        minors = matrix_minors(m) if m is not None else ()
-        fb = ext.facet_bar[f]
-        excluded = tuple(sorted(allv - fb, key=rank.get))
-        out.append((tuple(sorted(f, key=rank.get)), minors, excluded))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

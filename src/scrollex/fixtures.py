@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, CliqueComplex, maximal_cliques, proper_edges
-from .extension import ScrollBlock, ScrollMatrix, validate_extension
 from .ordering import OrderFound, find_admissible_order
 from .instance import parse_instance
 

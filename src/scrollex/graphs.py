@@ -28,7 +28,7 @@ class Graph:
     Edges are stored canonically: each pair sorted by vertex rank, duplicate
     edges collapsed.  Instances are immutable and hashable.
 
-    >>> g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    >>> g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     >>> sorted(g.edges)
     [('a', 'b'), ('a', 'c'), ('b', 'c')]
     """
@@ -87,11 +87,6 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def build_graph(vertices, edges):
-    """Validate and canonicalize raw vertex/edge data into a Graph."""
-    return Graph(vertices, edges)
-
-
 def induced(g, w):
     """Subgraph of ``g`` on the vertex set ``w`` with all edges inside ``w``."""
     w = set(w)
@@ -136,7 +131,7 @@ def is_chordal(g):
     resulting order is a perfect elimination order.  Agrees with
     ``chordless_cycles(g) == ()``.
 
-    >>> is_chordal(build_graph("abcd", ["ab", "bc", "cd", "da"]))
+    >>> is_chordal(Graph("abcd", ["ab", "bc", "cd", "da"]))
     False
     """
     n = len(g.vertices)
@@ -316,10 +311,6 @@ class CliqueComplex:
 
     def __repr__(self):
         return f"CliqueComplex({len(self.skeleton.vertices)} vertices, {len(self.facets)} facets)"
-
-
-def clique_complex(g):
-    return CliqueComplex(g)
 
 
 def proper_edges(cx):

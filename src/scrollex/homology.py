@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import DEFAULT_CYCLE_CAP, chordless_cycles, induced, is_chordal
+from .graphs import DEFAULT_CYCLE_CAP, chordless_cycles
 
 
 class GuardExceeded(ValueError):
@@ -67,10 +67,6 @@ class FieldSpec:
 
 
 QQ = FieldSpec(0)
-
-
-def gf(p):
-    return FieldSpec(p)
 
 
 # ---------------------------------------------------------------------------
@@ -141,28 +137,20 @@ def rank_mod(rows, p):
     return r
 
 
-def _matrix_rank(rows, char):
-    if not rows or not rows[0]:
-        return 0
-    return rank_int(rows) if char == 0 else rank_mod(rows, char)
-
-
 # ---------------------------------------------------------------------------
-# clique-complex homology (fast path)
+# clique-complex homology
 # ---------------------------------------------------------------------------
 
 
 def _boundary_rank(faces_k, faces_km1, char):
-    """Rank of the boundary map from k-faces to (k-1)-faces."""
-    if not faces_k or not faces_km1:
-        return 0
+    """Rank of the boundary map from k-faces to (k-1)-faces (both nonempty)."""
     index = {f: i for i, f in enumerate(faces_km1)}
     rows = [[0] * len(faces_k) for _ in faces_km1]
     for c, face in enumerate(faces_k):
         for pos in range(len(face)):
             sub = face[:pos] + face[pos + 1 :]
             rows[index[sub]][c] = 1 if pos % 2 == 0 else -1
-    return _matrix_rank(rows, char)
+    return rank_int(rows) if char == 0 else rank_mod(rows, char)
 
 
 def _bits(s):
@@ -299,57 +287,8 @@ def clique_homology(g, field=QQ):
 
 
 # ---------------------------------------------------------------------------
-# generic face-list homology (independent of the clique fast path)
-# ---------------------------------------------------------------------------
-
-
-def reduced_homology_rank(faces, d, field=QQ):
-    """dim of the reduced homology H~_d of an explicit simplicial complex.
-
-    ``faces`` must be closed under taking subsets and contain the empty
-    face.  H~_{-1} of the complex {{}} has rank 1.  Works straight from the
-    boundary matrices; used as the slow cross-check for the clique path.
-    """
-    if d < -1:
-        raise ValueError("homological dimension below -1")
-    fset = {frozenset(f) for f in faces}
-    if frozenset() not in fset:
-        raise ValueError("face list must contain the empty face")
-    for f in fset:
-        for v in f:
-            if f - {v} not in fset:
-                raise ValueError("face list is not closed under subsets")
-    by_size = {}
-    for f in fset:
-        by_size.setdefault(len(f), []).append(tuple(sorted(f, key=str)))
-    for k in by_size:
-        by_size[k].sort()
-    f_d = len(by_size.get(d + 1, ()))
-
-    def rk(k):
-        # boundary from faces of size k to faces of size k-1
-        if k <= 0:
-            return 0
-        if k == 1:
-            return 1 if by_size.get(1) else 0
-        return _boundary_rank(by_size.get(k, []), by_size.get(k - 1, []), field.char)
-
-    return f_d - rk(d + 1) - rk(d + 2)
-
-
-# ---------------------------------------------------------------------------
 # Betti tables of edge ideals
 # ---------------------------------------------------------------------------
-
-
-def stanley_reisner_generators(cx):
-    """Quadratic generators of the non-face ideal: the non-edges of the skeleton."""
-    g = cx.skeleton
-    return frozenset(
-        (u, w)
-        for u, w in combinations(g.vertices, 2)
-        if not g.has_edge(u, w)
-    )
 
 
 @dataclass(frozen=True)
@@ -375,22 +314,6 @@ class BettiTable:
             return None
         key = max(self.graded)
         return key, self.graded[key]
-
-
-def hochster_betti(g, i, sigma, field=QQ):
-    """Multigraded Betti number of the edge-complement ideal at (i, sigma).
-
-    Equals the rank of H~_{|sigma|-i-2} of the clique complex induced on
-    sigma.
-    """
-    sigma = set(sigma)
-    unknown = sigma - set(g.vertices)
-    if unknown:
-        raise ValueError(f"unknown vertices: {sorted(unknown)}")
-    d = len(sigma) - i - 2
-    if d < -1 or i < 0:
-        return 0
-    return clique_homology(induced(g, sigma), field).get(d, 0)
 
 
 def betti_table(g, field=QQ, max_vertices=20):
@@ -477,11 +400,6 @@ def p2_from_table(table, d=2):
         return P2Result(INFINITE, 0)
     p = min(bad)
     return P2Result(p, table.entry(p, p + d + 1))
-
-
-def is_2_linear_monomial(g):
-    """Whether the non-edge ideal of ``g`` has a linear resolution."""
-    return is_chordal(g)
 
 
 def cycle_betti_table(n, s=0):

@@ -257,51 +257,3 @@ def variable_order(matrices, images, universe):
                     f"column ({top}, {bot}) of {m!r} is not top-heavy"
                 )
     return order
-
-
-# ---------------------------------------------------------------------------
-# scrollification of a generic two-row matrix
-# ---------------------------------------------------------------------------
-
-
-def scroll_permutation(top, bottom):
-    """Column order turning a generic two-row matrix into scroll shape.
-
-    Start from the first column; while the bottom entry of the last chosen
-    column reappears in the top row of an unused column, chain to that
-    column; otherwise take the first unused column.  The output permutation
-    makes each chained run a scroll block.
-    """
-    top = tuple(top)
-    bottom = tuple(bottom)
-    if len(top) != len(bottom) or not top:
-        raise ValueError("rows must be nonempty and of equal length")
-    n = len(top)
-    used = [False] * n
-    seq = [0]
-    used[0] = True
-    while len(seq) < n:
-        tail = bottom[seq[-1]]
-        nxt = next(
-            (i for i in range(n) if not used[i] and top[i] == tail), None
-        )
-        if nxt is None:
-            nxt = next(i for i in range(n) if not used[i])
-        seq.append(nxt)
-        used[nxt] = True
-    return tuple(seq)
-
-
-def is_scroll_shape(top, bottom, image):
-    """Whether the permuted matrix is maximally chained into scroll blocks.
-
-    Wherever a block breaks (the top entry differs from the previous bottom
-    entry), that previous bottom entry must not occur in the top row of any
-    later column; otherwise the chain should have continued there.
-    """
-    cols = [(top[i], bottom[i]) for i in image]
-    for t in range(1, len(cols)):
-        if cols[t][0] != cols[t - 1][1]:
-            if any(cols[s][0] == cols[t - 1][1] for s in range(t, len(cols))):
-                return False
-    return True

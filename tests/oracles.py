@@ -1,25 +1,29 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive: exhaustive subset enumeration,
-permutation sweeps, and breadth-first search.  None of it shares code with
-the implementation paths it checks.
+permutation sweeps, breadth-first search and textbook Gaussian elimination.
+No oracle calls the kernel it checks: homology ranks come from
+``oracle_rank`` below, not from ``rank_int`` or ``rank_mod``, and
+``scan_is_groebner`` divides by its own scans (it shares only the system
+preparation and the S-polynomial with the library).
 """
 
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from scrollex import (
+    QQ,
     GroebnerCheck,
     canonical_cycle,
     induced,
     initial_complex,
     monomial,
-    reduced_homology_rank,
     s_polynomial,
 )
 from scrollex.groebner import prepare_system
 from scrollex.homology import BettiTable
-from scrollex.bounds import _virtual_edge_blocks, virtual_edges
+from scrollex.bounds import virtual_edges
 
 
 def brute_maximal_cliques(g):
@@ -119,7 +123,12 @@ def bfs_replacement_length(ext, cycle, e):
     g = ext.base.skeleton
     h = initial_complex(ext, "star").graph
     e = g.edge_key(*e)
-    m, _k = _virtual_edge_blocks(ext)[e]
+    m = next(
+        m
+        for m in ext.matrices
+        for b in m.blocks
+        if b.y and g.edge_key(m.x0, b.x) == e
+    )
     fbar = ext.facet_bar[m.facet]
     others = set(cycle) - set(e)
     allowed = {
@@ -140,6 +149,70 @@ def bfs_replacement_length(ext, cycle, e):
                 return dist[w]
             q.append(w)
     return None
+
+
+def oracle_rank(rows, char=0):
+    """Rank of an integer matrix by plain Gaussian elimination: in
+    ``Fraction`` arithmetic over QQ (``char`` 0), modulo ``char`` otherwise.
+    Entries stay ints while every multiplier is an integer."""
+    m = [[x % char if char else x for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        support = [j for j in range(c, ncols) if top[j]]
+        for row in m[rank + 1 :]:
+            if not row[c]:
+                continue
+            if char:
+                f = row[c] * pow(top[c], -1, char)
+                for j in support:
+                    row[j] = (row[j] - f * top[j]) % char
+            else:
+                f = Fraction(row[c]) / top[c]
+                if f.denominator == 1:
+                    f = f.numerator
+                for j in support:
+                    row[j] -= f * top[j]
+        rank += 1
+    return rank
+
+
+def reduced_homology_rank(faces, d, field=QQ):
+    """dim of the reduced homology H~_d of an explicit simplicial complex.
+
+    ``faces`` must be closed under taking subsets and contain the empty
+    face.  H~_{-1} of the complex {{}} has rank 1.  Works straight from the
+    boundary matrices, including the augmentation onto the empty face, with
+    :func:`oracle_rank`.
+    """
+    if d < -1:
+        raise ValueError("homological dimension below -1")
+    fset = {frozenset(f) for f in faces}
+    if frozenset() not in fset:
+        raise ValueError("face list must contain the empty face")
+    for f in fset:
+        for v in f:
+            if f - {v} not in fset:
+                raise ValueError("face list is not closed under subsets")
+    by_size = {}
+    for f in fset:
+        by_size.setdefault(len(f), []).append(tuple(sorted(f, key=str)))
+
+    def boundary_rank(k):
+        # boundary from faces of size k to faces of size k-1
+        index = {f: i for i, f in enumerate(by_size.get(k - 1, ()))}
+        rows = [[0] * len(by_size.get(k, ())) for _ in index]
+        for c, face in enumerate(by_size.get(k, ())):
+            for pos in range(len(face)):
+                rows[index[face[:pos] + face[pos + 1 :]]][c] = (-1) ** pos
+        return oracle_rank(rows, field.char)
+
+    return len(by_size.get(d + 1, ())) - boundary_rank(d + 1) - boundary_rank(d + 2)
 
 
 def brute_betti_table(g, field):

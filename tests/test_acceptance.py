@@ -15,32 +15,30 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from scrollex import (
+    FieldSpec,
+    Graph,
     INFINITE,
     NotApplicable,
     QQ,
     OrderFound,
     betti_table,
-    build_graph,
     buchberger_is_groebner,
     check_admissible_order,
     cycle_betti_table,
     expand_cycle,
     find_admissible_order,
     generator_system,
-    gf,
     homology_witness,
     identity_permutation,
     initial_complex,
     is_chordal,
     lead_deletions,
-    lower_bound,
     p2_from_table,
     p2_monomial,
     p2_report,
     parse_instance,
     pi_star,
     toricity_gate,
-    upper_bound,
     variable_order,
     virtual_minimal_cycles,
 )
@@ -54,7 +52,7 @@ from oracles import bfs_replacement_length
 def _nx_to_graph(g):
     names = [f"v{i}" for i in sorted(g.nodes())]
     relabel = {n: f"v{i}" for i, n in enumerate(sorted(g.nodes()))}
-    return build_graph(names, [(relabel[u], relabel[w]) for u, w in g.edges()])
+    return Graph(names, [(relabel[u], relabel[w]) for u, w in g.edges()])
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +74,7 @@ def small_graph_corpus():
             for j in range(i + 1, n)
             if rng.random() < p
         ]
-        randoms.append(build_graph(names, edges))
+        randoms.append(Graph(names, edges))
     return atlas + randoms
 
 
@@ -115,7 +113,7 @@ def test_criterion_3_polygon_closed_form():
         for s in (0, 1, 2, 3):
             nn = n + s
             names = [f"x{i}" for i in range(nn)]
-            cyc = build_graph(names, [(names[i], names[(i + 1) % nn]) for i in range(nn)])
+            cyc = Graph(names, [(names[i], names[(i + 1) % nn]) for i in range(nn)])
             sweep = betti_table(cyc)
             closed = cycle_betti_table(n, s)
             assert sweep.graded == closed.graded, (n, s)
@@ -144,7 +142,7 @@ def test_criterion_4_generic_scroll_basis():
             frozenset((xs[i], ys[j])) for i in range(n) for j in range(i + 1, n)
         }
         verts = xs + ys
-        complement = build_graph(
+        complement = Graph(
             verts,
             [
                 (u, w)
@@ -289,7 +287,7 @@ def test_criterion_10_homology_witnesses(corpus):
             if not vc.expandable:
                 continue
             expanded = expand_cycle(vc, ext)
-            for field in (QQ, gf(2)):
+            for field in (QQ, FieldSpec(2)):
                 assert homology_witness(expanded, ext, field) >= 1
             checked += 1
     assert checked >= 10

@@ -1,20 +1,19 @@
 import pytest
 
 from scrollex import (
+    CliqueComplex,
+    FieldSpec,
+    Graph,
     INFINITE,
     NotApplicable,
     NotOrderableError,
     QQ,
-    build_graph,
     chordless_cycles,
     classify_edge,
-    clique_complex,
     expand_cycle,
-    gf,
     homology_witness,
     induced,
     initial_complex,
-    is_2_linear_extension,
     lower_bound,
     p2_monomial,
     p2_report,
@@ -32,7 +31,7 @@ from oracles import bfs_replacement_length, brute_virtual_cycles
 def test_virtual_edges_examples(bruns, square_one_edge):
     assert virtual_edges(bruns) == {("a", "c"), ("d", "e")}
     assert virtual_edges(square_one_edge) == {("1", "2")}
-    base = clique_complex(build_graph("abc", ["ab", "bc", "ca"]))
+    base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
     assert virtual_edges(validate_extension(base, [])) == frozenset()
 
 
@@ -97,7 +96,7 @@ def test_classify_square_one_edge(square_one_edge):
 def test_classify_empty_first_block_gives_short_detour():
     # first block empty: the surviving edge {x0, x1} gives a length-two
     # detour through x1, so eta = 0 and the class is R2
-    base = clique_complex(build_graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
+    base = CliqueComplex(Graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
     ext = validate_extension(
         base,
         [
@@ -156,7 +155,7 @@ def test_expand_cycle_without_virtual_edges_is_identity():
 
 
 def test_expand_cycle_rejects_non_first_block():
-    base = clique_complex(build_graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
+    base = CliqueComplex(Graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
     ext = validate_extension(
         base,
         [
@@ -178,7 +177,7 @@ def test_homology_witness_fixtures(bruns, square_one_edge):
     (vc,) = virtual_minimal_cycles(bruns)
     ct = expand_cycle(vc, bruns)
     assert homology_witness(ct, bruns, QQ) == 1
-    assert homology_witness(ct, bruns, gf(2)) == 1
+    assert homology_witness(ct, bruns, FieldSpec(2)) == 1
     (vh,) = virtual_minimal_cycles(square_one_edge)
     assert homology_witness(expand_cycle(vh, square_one_edge), square_one_edge) == 1
 
@@ -191,7 +190,7 @@ def test_upper_bound_fixtures(bruns, square_one_edge, flap_square):
 
 
 def test_upper_bound_no_expandable_cycle():
-    base = clique_complex(build_graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
+    base = CliqueComplex(Graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
     ext = validate_extension(
         base,
         [
@@ -209,9 +208,9 @@ def test_upper_bound_no_expandable_cycle():
 def test_is_two_linear_extension(bruns):
     from scrollex.fixtures import chordal_instance
 
-    assert not is_2_linear_extension(bruns)
+    assert not p2_report(bruns).two_linear
     ext, _ = parse_instance(chordal_instance(2))
-    assert is_2_linear_extension(ext)
+    assert p2_report(ext).two_linear
 
 
 def test_report_bruns(bruns):

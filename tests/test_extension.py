@@ -4,14 +4,13 @@ from itertools import combinations
 import pytest
 
 from scrollex import (
+    CliqueComplex,
     ExtensionError,
+    Graph,
     ScrollBlock,
     ScrollMatrix,
-    build_graph,
-    clique_complex,
     generator_system,
     matrix_minors,
-    primary_components,
     toricity_gate,
     validate_extension,
 )
@@ -47,7 +46,7 @@ def test_extended_edge_count_matches_pairwise_scan(corpus):
 
 def two_triangle_base():
     # triangles abc and bcd share the edge bc
-    return clique_complex(build_graph("abcd", ["ab", "ac", "bc", "bd", "cd"]))
+    return CliqueComplex(Graph("abcd", ["ab", "ac", "bc", "bd", "cd"]))
 
 
 def test_non_proper_edge_rejected():
@@ -104,7 +103,7 @@ def test_block_shape_errors():
 
 
 def test_empty_first_block_with_second_block_is_valid():
-    base = clique_complex(build_graph("abc", ["ab", "bc", "ca"]))
+    base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
     ext = validate_extension(
         base,
         [
@@ -158,27 +157,6 @@ def test_minors_stay_inside_their_facet_and_avoid_nf(corpus):
                         assert frozenset(mono) not in nf
 
 
-def test_primary_components_bruns(bruns):
-    comps = dict(
-        (frozenset(f), (minors, excluded))
-        for f, minors, excluded in primary_components(bruns)
-    )
-    assert len(comps) == 4
-    minors, excluded = comps[frozenset("abc")]
-    assert minors == ((("a", "c"), ("z", "z")),)
-    assert set(excluded) == set("dewx")
-    minors_cd, excluded_cd = comps[frozenset("cd")]
-    assert minors_cd == ()
-    assert set(excluded_cd) == set("abezwx")
-
-
-def test_primary_components_unextended_triangle():
-    base = clique_complex(build_graph("abc", ["ab", "bc", "ca"]))
-    ext = validate_extension(base, [])
-    comps = primary_components(ext)
-    assert comps == ((("a", "b", "c"), (), ()),)
-
-
 def test_toricity_bruns(bruns):
     report = toricity_gate(bruns)
     assert report.ok
@@ -187,8 +165,8 @@ def test_toricity_bruns(bruns):
 
 def test_toricity_shared_two_variables():
     # two triangles glued along the non-proper edge uv; both matrices touch u and v
-    g = build_graph("uvwz", ["uv", "uw", "vw", "uz", "vz"])
-    base = clique_complex(g)
+    g = Graph("uvwz", ["uv", "uw", "vw", "uz", "vz"])
+    base = CliqueComplex(g)
     mats = [
         ScrollMatrix(frozenset("uvw"), "w", [ScrollBlock("u", ("p",)), ScrollBlock("v", ("q",))]),
         ScrollMatrix(frozenset("uvz"), "z", [ScrollBlock("u", ("r",)), ScrollBlock("v", ("s",))]),

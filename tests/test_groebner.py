@@ -4,9 +4,9 @@ import pytest
 
 from scrollex import (
     Binomial,
+    Graph,
     VarOrder,
     buchberger_is_groebner,
-    build_graph,
     find_admissible_order,
     generator_system,
     identity_permutation,
@@ -24,7 +24,7 @@ from scrollex import (
     variable_order,
 )
 from scrollex.extension import GeneratorSystem
-from scrollex.graphs import clique_complex
+from scrollex.graphs import CliqueComplex
 from scrollex.groebner import LeadTieError
 from oracles import scan_is_groebner
 
@@ -110,7 +110,7 @@ def test_generic_scroll_initial_graph_two_linear():
         for w in verts[i + 1 :]
         if frozenset((u, w)) not in leads
     ]
-    g = build_graph(verts, edges)
+    g = Graph(verts, edges)
     assert is_chordal(g)
 
 
@@ -153,7 +153,7 @@ def test_initial_complex_bruns(bruns):
 
 
 def test_initial_complex_unextended():
-    base = clique_complex(build_graph("abc", ["ab", "bc", "ca"]))
+    base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
     ext = validate_extension(base, [])
     ic = initial_complex(ext)
     assert ic.deleted == frozenset()

@@ -8,37 +8,34 @@ from networkx.generators.atlas import graph_atlas_g
 from scrollex import (
     INFINITE,
     QQ,
+    CliqueComplex,
+    FieldSpec,
+    Graph,
     GuardExceeded,
     betti_table,
-    build_graph,
-    clique_complex,
     clique_homology,
     cycle_betti_table,
-    gf,
-    hochster_betti,
-    induced,
-    is_2_linear_monomial,
+    generator_system,
     is_chordal,
     p2_from_table,
     p2_monomial,
-    reduced_homology_rank,
-    stanley_reisner_generators,
+    validate_extension,
 )
 from scrollex import homology
-from scrollex.homology import BettiTable, FieldSpec
-from oracles import brute_betti_table
+from scrollex.homology import BettiTable, rank_int, rank_mod
+from oracles import brute_betti_table, oracle_rank, reduced_homology_rank
 
 
 def cycle_graph(n, names=None):
     names = names or [f"x{i}" for i in range(n)]
-    return build_graph(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
+    return Graph(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
 
 
 C4 = cycle_graph(4, list("abcd"))
-K3 = build_graph("abc", ["ab", "bc", "ca"])
+K3 = Graph("abc", ["ab", "bc", "ca"])
 HEX = cycle_graph(6)
-POINT = build_graph(["p"], [])
-CROSS8 = build_graph(
+POINT = Graph(["p"], [])
+CROSS8 = Graph(
     [f"{s}{i}" for i in range(4) for s in "ab"],
     [
         (f"{s}{i}", f"{t}{j}")
@@ -57,7 +54,7 @@ def disjoint_union(*parts, seed=None):
         edges += [(f"{u}_{t}", f"{w}_{t}") for u, w in g.edges]
     if seed is not None:
         random.Random(seed).shuffle(names)
-    return build_graph(names, edges)
+    return Graph(names, edges)
 
 
 def downward_closure(faces):
@@ -71,7 +68,7 @@ def downward_closure(faces):
 
 def test_field_spec():
     assert repr(QQ) == "QQ"
-    assert repr(gf(5)) == "GF(5)"
+    assert repr(FieldSpec(5)) == "GF(5)"
     with pytest.raises(ValueError):
         FieldSpec(6)
     with pytest.raises(ValueError):
@@ -94,6 +91,40 @@ def test_reduced_homology_examples():
         reduced_homology_rank([frozenset("ab")], 0)  # not closed
 
 
+def rank_cases():
+    """Seeded small integer matrices: empty shapes, all-zero matrices,
+    random entries from small sets, and boundary maps of clique complexes."""
+    rng = random.Random(31)
+    cases = [[], [[]], [[], []], [[0, 0, 0], [0, 0, 0]], [[2]], [[3, 0], [0, 6]]]
+    for _ in range(150):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        entries = rng.choice([(-1, 0, 1), (-1, 0, 0, 0, 1), (0, 0, 2, 3, -6), range(-9, 10)])
+        cases.append([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        edges = {e for e in combinations(range(n), 2) if rng.random() < 0.6}
+        faces = [
+            [f for f in combinations(range(n), k) if set(combinations(f, 2)) <= edges]
+            for k in range(6)
+        ]
+        for k in range(1, 6):
+            index = {f: i for i, f in enumerate(faces[k - 1])}
+            rows = [[0] * len(faces[k]) for _ in index]
+            for c, f in enumerate(faces[k]):
+                for pos in range(k):
+                    rows[index[f[:pos] + f[pos + 1 :]]][c] = (-1) ** pos
+            cases.append(rows)
+    return cases
+
+
+def test_rank_kernels_match_oracle_rank():
+    assert oracle_rank([[2]]) == 1 and oracle_rank([[2]], 2) == 0
+    for rows in rank_cases():
+        assert rank_int(rows) == oracle_rank(rows), rows
+        for p in (2, 3, 32003):
+            assert rank_mod(rows, p) == oracle_rank(rows, p), (rows, p)
+
+
 def test_clique_homology_matches_generic_path():
     rng = random.Random(11)
     for _ in range(25):
@@ -105,8 +136,8 @@ def test_clique_homology_matches_generic_path():
             for j in range(i + 1, n)
             if rng.random() < 0.5
         ]
-        g = build_graph(verts, edges)
-        cx = clique_complex(g)
+        g = Graph(verts, edges)
+        cx = CliqueComplex(g)
         faces = downward_closure(
             [c for f in cx.facets for r in range(1, len(f) + 1) for c in combinations(f, r)]
         )
@@ -116,18 +147,21 @@ def test_clique_homology_matches_generic_path():
 
 
 def test_hochster_examples():
-    assert hochster_betti(C4, 1, "abcd") == 1
-    assert hochster_betti(C4, 0, "ac") == 1
-    for i in range(4):
-        assert hochster_betti(K3, i, "abc") == 0
-    with pytest.raises(ValueError):
-        hochster_betti(C4, 0, {"a", "zz"})
+    assert betti_table(C4).multigraded == {
+        (0, frozenset("ac")): 1,
+        (0, frozenset("bd")): 1,
+        (1, frozenset("abcd")): 1,
+    }
+    assert betti_table(K3).multigraded == {}
 
 
 def test_stanley_reisner_generators():
-    assert stanley_reisner_generators(clique_complex(K3)) == frozenset()
-    assert stanley_reisner_generators(clique_complex(C4)) == {("a", "c"), ("b", "d")}
-    assert len(stanley_reisner_generators(clique_complex(HEX))) == 9
+    def nf(g):
+        return generator_system(validate_extension(CliqueComplex(g), [])).nf
+
+    assert nf(K3) == ()
+    assert nf(C4) == (("a", "c"), ("b", "d"))
+    assert len(nf(HEX)) == 9
 
 
 def test_betti_table_c4():
@@ -145,7 +179,7 @@ def test_betti_table_k3_empty():
 
 def test_betti_table_guard():
     verts = [f"v{i}" for i in range(8)]
-    g = build_graph(verts, [])
+    g = Graph(verts, [])
     with pytest.raises(GuardExceeded):
         betti_table(g, max_vertices=7)
 
@@ -172,13 +206,13 @@ def test_betti_table_cold_and_warm_core_cache():
     ]
 
 
-@pytest.mark.parametrize("field", [QQ, gf(2)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, FieldSpec(2)], ids=repr)
 def test_betti_table_matches_brute_force_on_atlas(field):
     checked = 0
     for a in graph_atlas_g():
         if a.number_of_nodes() > 6:
             break  # the atlas lists graphs by vertex count
-        g = build_graph(
+        g = Graph(
             [f"v{i}" for i in a.nodes()], [(f"v{u}", f"v{w}") for u, w in a.edges()]
         )
         fast, slow = betti_table(g, field), brute_betti_table(g, field)
@@ -188,7 +222,7 @@ def test_betti_table_matches_brute_force_on_atlas(field):
     assert checked == 209
 
 
-@pytest.mark.parametrize("field", [QQ, gf(2)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, FieldSpec(2)], ids=repr)
 @pytest.mark.parametrize(
     "parts",
     [(C4, C4), (C4, POINT, POINT), (cycle_graph(5), K3), (CROSS8, POINT)],
@@ -207,12 +241,12 @@ def test_field_independence_on_cycles():
         g = cycle_graph(n)
         t0 = betti_table(g, QQ)
         for p in (2, 3):
-            assert betti_table(g, gf(p)).graded == t0.graded
+            assert betti_table(g, FieldSpec(p)).graded == t0.graded
 
 
 def test_euler_characteristic_consistency():
     rng = random.Random(5)
-    for field in (QQ, gf(2), gf(3)):
+    for field in (QQ, FieldSpec(2), FieldSpec(3)):
         for _ in range(10):
             n = rng.randint(1, 6)
             verts = [f"v{i}" for i in range(n)]
@@ -222,8 +256,8 @@ def test_euler_characteristic_consistency():
                 for j in range(i + 1, n)
                 if rng.random() < 0.5
             ]
-            g = build_graph(verts, edges)
-            cx = clique_complex(g)
+            g = Graph(verts, edges)
+            cx = CliqueComplex(g)
             faces = {
                 frozenset(c)
                 for f in cx.facets
@@ -244,7 +278,7 @@ def test_p2_monomial_examples():
     assert p2_monomial(C4).p2 == 1 and p2_monomial(C4).witness_count == 1
     c5 = cycle_graph(5)
     assert p2_monomial(c5).p2 == 2 and p2_monomial(c5).witness_count == 1
-    tree = build_graph("abcd", ["ab", "bc", "bd"])
+    tree = Graph("abcd", ["ab", "bc", "bd"])
     assert p2_monomial(tree).p2 is INFINITE
     assert p2_monomial(tree).witness_count == 0
 
@@ -266,9 +300,8 @@ def test_two_linear_iff_chordal():
             for j in range(i + 1, n)
             if rng.random() < 0.5
         ]
-        g = build_graph(verts, edges)
-        assert is_2_linear_monomial(g) == is_chordal(g)
-        assert is_2_linear_monomial(g) == betti_table(g).is_two_linear()
+        g = Graph(verts, edges)
+        assert is_chordal(g) == betti_table(g).is_two_linear()
 
 
 def test_cycle_betti_closed_form():

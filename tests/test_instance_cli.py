@@ -3,10 +3,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scrollex import (
     InstanceError,
     chordless_cycles,
+    fixtures,
     parse_instance,
     virtual_minimal_cycles,
 )
@@ -91,6 +93,60 @@ def test_facet_override_checked():
     assert err.value.path == "/facets"
 
 
+NAMES = st.sampled_from(["a", "b", "c", "d", "y", "z", ""])
+VERTICES = st.sampled_from("abcd")
+KEYS = st.sampled_from(
+    ["vertices", "edges", "facets", "extensions", "facet", "x0", "blocks", "x", "y", "extra"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def shaped(strategy):
+    """Either a value of the schema's shape or an arbitrary JSON value."""
+    return strategy | JSON_VALUES
+
+
+FACETS = shaped(st.lists(VERTICES, max_size=4, unique=True))
+BLOCKS = shaped(
+    st.fixed_dictionaries({"x": shaped(VERTICES), "y": shaped(st.lists(NAMES, max_size=2))})
+)
+EXTENSIONS = shaped(
+    st.fixed_dictionaries(
+        {"facet": FACETS, "x0": shaped(VERTICES), "blocks": shaped(st.lists(BLOCKS, max_size=3))}
+    )
+)
+DOCUMENTS = shaped(
+    st.fixed_dictionaries(
+        {
+            "vertices": shaped(st.just(list("abcd")) | st.lists(NAMES, max_size=5, unique=True)),
+            "edges": shaped(
+                st.lists(shaped(st.lists(VERTICES, min_size=2, max_size=2)), max_size=6)
+            ),
+        },
+        optional={
+            "facets": shaped(st.lists(FACETS, max_size=3)),
+            "extensions": shaped(st.lists(EXTENSIONS, max_size=2)),
+        },
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCUMENTS)
+def test_parse_instance_fuzz_raises_only_instance_error(doc):
+    outcomes = []
+    for document in (doc, json.dumps(doc)):
+        try:
+            outcomes.append(parse_instance(document)[1])
+        except InstanceError as e:
+            outcomes.append(e.path)
+    assert outcomes[0] == outcomes[1]
+
+
 def test_digest_independent_of_edge_order():
     doc1 = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
     doc2 = {"vertices": ["a", "b", "c"], "edges": [["c", "b"], ["b", "a"]]}
@@ -153,6 +209,19 @@ def test_cli_p2_exact_interval_exit(capsys):
 def test_cli_p2_lower_not_orderable(capsys):
     code, out, _ = run(capsys, "p2", path("triangle_ring"), "--mode", "lower")
     assert code == 2
+
+
+def test_cli_p2_lower_key_depends_on_mode(tmp_path, capsys):
+    # --mode lower prints the replacement-length bound under "lower"; auto
+    # prints p2 of the initial complex there and the replacement-length
+    # bound under "lower_substitution"
+    f = tmp_path / "seed54.json"
+    f.write_text(json.dumps(fixtures.random_extension_instance(54, require_orderable=False)))
+    code, out, _ = run(capsys, "p2", str(f), "--mode", "lower")
+    assert code == 0 and json.loads(out)["lower"] == 6
+    code, out, _ = run(capsys, "p2", str(f), "--mode", "auto")
+    doc = json.loads(out)
+    assert code == 0 and doc["lower"] == 5 and doc["lower_substitution"] == 6
 
 
 def test_cli_order_witness(capsys):

@@ -1,4 +1,3 @@
-import random
 from itertools import permutations
 
 import pytest
@@ -15,9 +14,7 @@ from scrollex import (
     heads_digraph,
     identity_permutation,
     is_admissible_permutation,
-    is_scroll_shape,
     pi_star,
-    scroll_permutation,
     variable_order,
 )
 
@@ -193,34 +190,3 @@ def test_var_order_rejects_duplicates():
 def test_cycle_extensions_always_orderable(cycle_extensions):
     for ext in cycle_extensions:
         assert isinstance(find_admissible_order(ext.matrices), OrderFound)
-
-
-def test_scroll_permutation_examples():
-    # already in scroll form: stays put
-    top = ("x0", "u", "v", "w")
-    bottom = ("u", "v", "b", "c")
-    assert scroll_permutation(top, bottom) == (0, 1, 2, 3)
-    assert is_scroll_shape(top, bottom, (0, 1, 2, 3))
-    # one chain
-    assert scroll_permutation(("x1", "x2", "x3"), ("x2", "x3", "y")) == (0, 1, 2)
-    # no reuse at all: identity
-    assert scroll_permutation(("x1", "x2"), ("y1", "y2")) == (0, 1)
-    # shuffled chain gets reassembled
-    top, bottom = ("x2", "x1", "x3"), ("x3", "x2", "y")
-    image = scroll_permutation(top, bottom)
-    assert image == (0, 2, 1)
-    assert is_scroll_shape(top, bottom, image)
-    assert not is_scroll_shape(top, bottom, (0, 1, 2))
-
-
-def test_scroll_permutation_random_inputs_always_scroll():
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randint(1, 7)
-        xs = [f"x{i}" for i in range(n)]
-        ys = [rng.choice(xs + [f"y{i}" for i in range(n)]) for _ in range(n)]
-        # keep columns loop-free
-        bottom = [y if y != x else f"y{x}" for x, y in zip(xs, ys)]
-        image = scroll_permutation(xs, bottom)
-        assert sorted(image) == list(range(n))
-        assert is_scroll_shape(xs, bottom, image)
