@@ -8,9 +8,10 @@ The package computes, with integer arithmetic only:
 * validation and Groebner verification of scroll-matrix extension data,
   including the initial complex obtained by deleting matrix diagonals;
 * admissible orders of matrix families and the induced variable orders;
-* lower, upper and (under explicit hypotheses) exact values of p2 for the
-  extended binomial system, with witness cycles whose homology rank
-  ``homology_witness`` computes on request.
+* one p2 report for the extended binomial system: the certified lower
+  bound (p2 of the initial complex), the replacement-length value (a lower
+  bound under the ``block_sizes`` hypothesis), the first-block upper bound
+  with its witness cycle, and the exact value under explicit hypotheses.
 """
 
 __version__ = "0.1.0"
@@ -88,12 +89,7 @@ from .bounds import (
     NotApplicable,
     P2Report,
     VirtualCycle,
-    classify_edge,
-    expand_cycle,
-    homology_witness,
-    lower_bound,
     p2_report,
-    upper_bound,
     virtual_edges,
     virtual_minimal_cycles,
 )

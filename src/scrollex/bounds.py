@@ -19,26 +19,22 @@ C.  The closed forms:
     t = eta + 2 when eta < |Y_k| (class R2), t = eta + 1 when eta = |Y_k|
     (class R3).
 
-Summing t over a cycle and subtracting 3 lower-bounds p2 of the binomial
-system; expanding every virtual edge through its first block upper-bounds
-it when the scroll ideals form a toric (forest) family; under the
-hypotheses checked in :func:`p2_report` the two meet and the value is exact.
+Summing t over a cycle and subtracting 3 gives the replacement-length
+value; it lower-bounds p2 of the binomial system only under the
+``block_sizes`` hypothesis (observed, not proved).  The certified lower
+bound is p2 of the initial complex.  Expanding every virtual edge through
+its first block upper-bounds p2 when the scroll ideals form a toric
+(forest) family; under the hypotheses checked in :func:`p2_report` the
+bounds meet and the value is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    DEFAULT_CYCLE_CAP,
-    _cycle_search,
-    canonical_cycle,
-    cycle_edges,
-    induced,
-    is_chordal,
-)
-from .homology import INFINITE, QQ, clique_homology, p2_monomial
-from .ordering import NotOrderableError, OrderFound, find_admissible_order
+from .graphs import DEFAULT_CYCLE_CAP, _cycle_search, cycle_edges, is_chordal
+from .homology import INFINITE, p2_monomial
+from .ordering import NotOrderableError
 from .groebner import initial_complex
 from .extension import toricity_gate
 
@@ -64,7 +60,7 @@ class EdgeClass:
 
     kind: str  # "nonvirtual" | "R1" | "R2" | "R3"
     t: int
-    facet: frozenset | None = None
+    matrix: object = None  # the ScrollMatrix of a virtual edge
     block: int | None = None  # 1-based index of the block ending at the far vertex
     eta: int | None = None
     jls: tuple | None = None  # usable block indices, 1-based
@@ -106,15 +102,6 @@ def _virtual_edge_blocks(ext):
     }
 
 
-def classify_edge(cycle, e, ext):
-    """EdgeClass of edge ``e`` of the virtual minimal cycle ``cycle``."""
-    g = ext.base.skeleton
-    e = g.edge_key(*e)
-    if e not in cycle_edges(cycle, g):
-        raise ValueError(f"{e} is not an edge of the cycle {cycle}")
-    return _classify(e, set(cycle), _virtual_edge_blocks(ext), g)
-
-
 def _classify(e, members, vmap, g):
     """EdgeClass of the canonical cycle edge ``e``; ``members`` is V(C)."""
     if e not in vmap:
@@ -126,7 +113,7 @@ def _classify(e, members, vmap, g):
         return (g.adj[x] & members) <= ends
 
     if any(isolated(x) for x in m.facet - m.gamma_vertices()):
-        return EdgeClass("R1", 2, m.facet, kblk)
+        return EdgeClass("R1", 2, m, kblk)
     usable = {kblk}
     for j, b in enumerate(m.blocks, 1):
         if isolated(b.x):
@@ -135,8 +122,8 @@ def _classify(e, members, vmap, g):
     eta = min(len(m.blocks[j - 1].y) for j in jls)
     yk = len(m.blocks[kblk - 1].y)
     if eta < yk:
-        return EdgeClass("R2", eta + 2, m.facet, kblk, eta, jls)
-    return EdgeClass("R3", eta + 1, m.facet, kblk, eta, jls)
+        return EdgeClass("R2", eta + 2, m, kblk, eta, jls)
+    return EdgeClass("R3", eta + 1, m, kblk, eta, jls)
 
 
 def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
@@ -147,11 +134,10 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     one facet.
     """
     g = ext.base.skeleton
-    found = _cycle_search(
-        g, virtual_edges(ext), ext.base.facets_of_edge, None, cap,
-        "virtual cycle candidates",
-    )
     vmap = _virtual_edge_blocks(ext)
+    found = _cycle_search(
+        g, vmap, ext.base.facets_of_edge, None, cap, "virtual cycle candidates",
+    )
     out = []
     for cyc in found:
         members = set(cyc)
@@ -161,102 +147,35 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     return tuple(out)
 
 
-def lower_bound(ext, cycles=None):
-    """min over virtual minimal cycles of the summed replacement lengths, - 3.
-
-    Requires the matrix family to be admissibly orderable.  Infinite when no
-    virtual minimal cycle exists (chordal base).
-    """
-    if not isinstance(find_admissible_order(ext.matrices), OrderFound):
-        raise NotOrderableError("the matrix family admits no admissible order")
-    if cycles is None:
-        cycles = virtual_minimal_cycles(ext)
-    if not cycles:
-        return INFINITE, None
-    rank = ext.base.skeleton.rank
-    best = min(
-        cycles,
-        key=lambda vc: (vc.total_length(), len(vc.cycle), tuple(rank[v] for v in vc.cycle)),
+def _expanded_length(vc):
+    """|C| plus |Y_1| of every virtual edge: the first-block expansion's length."""
+    return len(vc.cycle) + sum(
+        len(ec.matrix.blocks[0].y) for ec in vc.edge_classes.values() if ec.matrix
     )
-    return best.total_length() - 3, best
 
 
-def expand_cycle(vc, ext):
-    """Replace each virtual edge by the path through its first block.
-
-    Only defined for expandable cycles: every virtual edge must be the
-    {x0, x_1} pair of its facet's matrix.  The result is a cycle of the
-    extended 1-skeleton in canonical form, of length |C| + sum |Y_1|.
-    """
-    cycle = vc.cycle if isinstance(vc, VirtualCycle) else tuple(vc)
-    g = ext.base.skeleton
-    vmap = _virtual_edge_blocks(ext)
-    seq = []
-    k = len(cycle)
-    for i in range(k):
-        u, w = cycle[i], cycle[(i + 1) % k]
-        seq.append(u)
-        e = g.edge_key(u, w)
-        if e in vmap:
-            m, kblk = vmap[e]
-            if kblk != 1:
-                raise ValueError(
-                    f"virtual edge {e} sits on block {kblk}, not the first block"
-                )
-            ys = list(m.blocks[0].y)
-            seq.extend(ys if u == m.x0 else reversed(ys))
-    return canonical_cycle(seq, ext.skeleton_bar.rank)
-
-
-def homology_witness(cycle_bar, ext, field=QQ):
-    """Rank of H~_1 of the extended complex restricted to the cycle's vertices.
-
-    The expansion of a virtual minimal cycle always has rank >= 1 here; the
-    value is computed, not assumed.
-    """
-    sub = induced(ext.skeleton_bar, set(cycle_bar))
-    return clique_homology(sub, field).get(1, 0)
-
-
-def upper_bound(ext, cycles=None, gate=None):
-    """min over expandable cycles of the expanded length, - 3.
-
-    Not applicable when the toricity gate fails or no virtual minimal cycle
-    is expandable.
-    """
-    if gate is None:
-        gate = toricity_gate(ext)
-    if not gate.ok:
-        return NotApplicable(f"toricity gate failed: {gate.reason}"), None
-    if cycles is None:
-        cycles = virtual_minimal_cycles(ext)
-    expandable = [vc for vc in cycles if vc.expandable]
-    if not expandable:
-        return NotApplicable("no expandable virtual minimal cycle"), None
-    vmap = _virtual_edge_blocks(ext)
-    g = ext.base.skeleton
-
-    def expanded_length(vc):
-        extra = sum(len(vmap[e][0].blocks[0].y) for e in vc.edge_classes if e in vmap)
-        return len(vc.cycle) + extra
-
-    rank = g.rank
-    best = min(
-        expandable,
-        key=lambda vc: (expanded_length(vc), tuple(rank[v] for v in vc.cycle)),
-    )
-    return expanded_length(best) - 3, best
+def _sizes_fit(m):
+    """|Y_1| = 1, or |Y_1| = min_j |Y_j| >= 2 with no facet vertex outside m."""
+    y1 = len(m.blocks[0].y)
+    ymin = min(len(b.y) for b in m.blocks)
+    return y1 == 1 or (y1 == ymin >= 2 and m.gamma_vertices() == m.facet)
 
 
 @dataclass(frozen=True)
 class P2Report:
-    """Everything the three p2 routes say about one instance.
+    """Everything scrollex says about p2 of one instance.
 
-    ``lower`` is the certified lower bound (p2 of the initial complex);
-    ``lower_substitution`` is the replacement-length formula.  The two are
-    not ordered: ``lower_substitution`` can exceed ``lower``.
-    ``exact`` is numeric only when the exactness hypotheses all verify, and
-    then equals both bounds; otherwise it is the interval between them.
+    ``lower`` is the certified lower bound: p2 of the initial complex, by
+    upper semicontinuity of Betti numbers under Groebner degeneration.
+    ``lower_substitution`` is the replacement-length value
+    min over virtual minimal cycles of sum t - 3, and ``lower_witness`` the
+    cycle attaining it.  It is a lower bound only under the ``block_sizes``
+    hypothesis (observed so far, not proved); without it, it can exceed p2
+    of the binomial system.  ``upper`` is the first-block expansion bound,
+    witnessed by ``upper_witness``.  ``exact`` is numeric only when the
+    exactness hypotheses all verify, and then equals both bounds; otherwise
+    it is the interval between ``lower`` and ``upper``.  A bound the
+    instance does not support is a :class:`NotApplicable`.
     """
 
     two_linear: bool
@@ -271,7 +190,7 @@ class P2Report:
 
 
 def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
-    """Run every route and combine them; see :class:`P2Report`.
+    """Compute every p2 bound from one cycle census; see :class:`P2Report`.
 
     Chordal bases short-circuit to an infinite (linear) report.  The
     exactness hypotheses: an admissible order exists, the toricity gate
@@ -285,28 +204,41 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
             True, INFINITE, INFINITE, INFINITE, INFINITE,
             {"chordal_base": True}, None, None, gate,
         )
-    orderable = isinstance(find_admissible_order(ext.matrices), OrderFound)
+    # not empty: a chordless cycle of the non-chordal base is virtual minimal
     cycles = virtual_minimal_cycles(ext, cap=cap)
-    vmap = _virtual_edge_blocks(ext)
+    rank = ext.base.skeleton.rank
 
-    if orderable:
-        sub_value, low_wit = lower_bound(ext, cycles)
-        cert_value = p2_monomial(initial_complex(ext, "star").graph, cap=cap).p2
+    def ranks(vc):
+        return tuple(rank[v] for v in vc.cycle)
+
+    try:
+        initial = initial_complex(ext, "star").graph
+    except NotOrderableError:
+        orderable, low_wit = False, None
+        cert_value = sub_value = NotApplicable("no admissible order")
     else:
-        sub_value, low_wit = NotApplicable("no admissible order"), None
-        cert_value = NotApplicable("no admissible order")
+        orderable = True
+        low_wit = min(cycles, key=lambda vc: (vc.total_length(), len(vc.cycle), ranks(vc)))
+        sub_value = low_wit.total_length() - 3
+        cert_value = p2_monomial(initial, cap=cap).p2
 
-    up_value, up_wit = upper_bound(ext, cycles, gate)
+    expandable = [vc for vc in cycles if vc.expandable]
+    up_wit = min(
+        expandable, key=lambda vc: (_expanded_length(vc), ranks(vc)), default=None
+    )
+    if not gate.ok:
+        up_value, up_wit = NotApplicable(f"toricity gate failed: {gate.reason}"), None
+    elif up_wit is None:
+        up_value = NotApplicable("no expandable virtual minimal cycle")
+    else:
+        up_value = _expanded_length(up_wit) - 3
 
-    expandable_all = all(vc.expandable for vc in cycles)
-
-    def sizes_fit(m):
-        y1 = len(m.blocks[0].y)
-        ymin = min(len(b.y) for b in m.blocks)
-        return y1 == 1 or (y1 == ymin >= 2 and m.gamma_vertices() == m.facet)
-
+    expandable_all = len(expandable) == len(cycles)
     sizes_ok = all(
-        sizes_fit(vmap[e][0]) for vc in cycles for e in vc.edge_classes if e in vmap
+        _sizes_fit(ec.matrix)
+        for vc in cycles
+        for ec in vc.edge_classes.values()
+        if ec.matrix
     )
     hypotheses = {
         "chordal_base": False,
@@ -315,7 +247,7 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
         "expandable_family_complete": expandable_all,
         "block_sizes": sizes_ok,
     }
-    if orderable and gate.ok and expandable_all and sizes_ok and cycles:
+    if orderable and gate.ok and expandable_all and sizes_ok:
         exact = up_value
     else:
         exact = Interval(cert_value, up_value)

@@ -16,10 +16,14 @@ values as the string "infinity"); diagnostics go to stderr.  Exit codes:
 cap exceeded.  A cycle census has no limit on cycle length; only its cap on
 the number of cycles (--cap, default 10^6) stops it.
 
-The key "lower" of a p2 report depends on the mode.  Under --mode lower it
-is the replacement-length bound of the virtual minimal cycles; under auto
-and exact it is p2 of the initial complex, and the replacement-length bound
-is under "lower_substitution".  The two bounds can differ.
+Every p2 mode reads one report.  "lower" is p2 of the initial complex, a
+certified lower bound; "lower_substitution" is the replacement-length value
+of the virtual minimal cycles, a lower bound only when the "block_sizes"
+hypothesis holds; "upper" is the first-block expansion bound.  --mode lower
+prints "lower", "lower_substitution" and the latter's witness cycle;
+--mode upper prints "upper" and its witness cycle; auto and exact print the
+whole report.  A mode exits 2 when its value is not applicable, and exact
+also when p2 is only boxed in an interval.
 """
 
 from __future__ import annotations
@@ -30,15 +34,8 @@ import json
 import sys
 
 from . import __version__
-from .bounds import (
-    Interval,
-    NotApplicable,
-    lower_bound,
-    p2_report,
-    upper_bound,
-    virtual_minimal_cycles,
-)
-from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, chordless_cycles
+from .bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
+from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, GraphError, chordless_cycles
 from .groebner import initial_complex, lead_deletions, buchberger_is_groebner
 from .homology import (
     FieldSpec,
@@ -59,7 +56,6 @@ from .ordering import (
 )
 from . import fixtures
 from .extension import ExtensionError
-from .graphs import GraphError
 
 
 def _json_default(x):
@@ -202,26 +198,20 @@ def cmd_betti(ext, digest, args):
 
 
 def cmd_p2(ext, digest, args):
-    g = ext.base.skeleton
-    if args.mode == "lower":
-        try:
-            value, wit = lower_bound(ext)
-        except NotOrderableError as e:
-            return _envelope("p2", digest, {"not_applicable": str(e)}), 2
-        payload = {"mode": "lower", "lower": value}
-        if wit is not None:
-            payload["witness"] = _cycle_payload(wit, g.rank)
-        return _envelope("p2", digest, payload), 0
-    if args.mode == "upper":
-        value, wit = upper_bound(ext)
+    report = p2_report(ext)
+    rank = ext.base.skeleton.rank
+    if args.mode in ("lower", "upper"):
+        value = getattr(report, args.mode)
         if isinstance(value, NotApplicable):
             return _envelope("p2", digest, {"not_applicable": value.reason}), 2
-        payload = {"mode": "upper", "upper": value}
-        if wit is not None:
-            payload["witness"] = _cycle_payload(wit, g.rank)
+        payload = {"mode": args.mode, args.mode: value}
+        if args.mode == "lower":
+            payload["lower_substitution"] = report.lower_substitution
+        witness = getattr(report, f"{args.mode}_witness")
+        if witness is not None:
+            payload["witness"] = _cycle_payload(witness, rank)
         return _envelope("p2", digest, payload), 0
 
-    report = p2_report(ext)
     payload = {
         "mode": args.mode,
         "two_linear": report.two_linear,
@@ -230,18 +220,14 @@ def cmd_p2(ext, digest, args):
         "upper": report.upper,
         "exact": report.exact,
         "hypotheses": report.hypotheses,
-        "toricity": {
-            "ok": report.toricity.ok,
-            "reason": report.toricity.reason,
-        },
+        "toricity": {"ok": report.toricity.ok, "reason": report.toricity.reason},
     }
     if report.lower_witness is not None:
-        payload["lower_witness"] = _cycle_payload(report.lower_witness, g.rank)
+        payload["lower_witness"] = _cycle_payload(report.lower_witness, rank)
     if report.upper_witness is not None:
-        payload["upper_witness"] = _cycle_payload(report.upper_witness, g.rank)
-    if args.mode == "exact" and isinstance(report.exact, Interval):
-        return _envelope("p2", digest, payload), 2
-    return _envelope("p2", digest, payload), 0
+        payload["upper_witness"] = _cycle_payload(report.upper_witness, rank)
+    code = 2 if args.mode == "exact" and isinstance(report.exact, Interval) else 0
+    return _envelope("p2", digest, payload), code
 
 
 def cmd_poligon(args):

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exhaustive subset enumeration,
 permutation sweeps, breadth-first search and textbook Gaussian elimination.
 No oracle calls the kernel it checks: homology ranks come from
-``oracle_rank`` below, not from ``rank_int`` or ``rank_mod``, and
+``oracle_rank`` below, not from ``rank_int`` or ``rank_mod``;
+``binomial_class_betti`` works from the matrices and the extended skeleton
+alone, with its own sparse rank and nothing from ``scrollex.homology``; and
 ``scan_is_groebner`` divides by its own scans (it shares only the system
 preparation and the S-polynomial with the library).
 """
@@ -113,6 +115,54 @@ def brute_virtual_cycles(ext):
     return tuple(out)
 
 
+def virtual_matrix(ext, e):
+    """(matrix, 1-based block index) of the virtual edge ``e``, or None."""
+    key = ext.base.skeleton.edge_key
+    return next(
+        (
+            (m, j)
+            for m in ext.matrices
+            for j, b in enumerate(m.blocks, 1)
+            if b.y and key(m.x0, b.x) == key(*e)
+        ),
+        None,
+    )
+
+
+def expand_cycle(vc, ext):
+    """Replace each virtual edge of the VirtualCycle ``vc`` by the path
+    through its first block.
+
+    Only defined for cycles whose virtual edges all sit on the first block
+    of their matrix.  The result is a cycle of the extended 1-skeleton in
+    canonical form, of length |C| + sum |Y_1|.
+    """
+    seq = []
+    for u, w in zip(vc.cycle, vc.cycle[1:] + vc.cycle[:1]):
+        seq.append(u)
+        hit = virtual_matrix(ext, (u, w))
+        if hit is None:
+            continue
+        m, block = hit
+        if block != 1:
+            raise ValueError(f"virtual edge {u}-{w} sits on block {block}, not the first block")
+        ys = list(m.blocks[0].y)
+        seq.extend(ys if u == m.x0 else reversed(ys))
+    return canonical_cycle(seq, ext.skeleton_bar.rank)
+
+
+def homology_witness(cycle_bar, ext, field=QQ):
+    """Rank of H~_1 of the extended clique complex restricted to the cycle's
+    vertices, from the face list by :func:`reduced_homology_rank`."""
+    g = ext.skeleton_bar
+    vs = list(cycle_bar)
+    faces = [()]
+    for f in faces:  # the list grows: every clique extended by later vertices
+        start = vs.index(f[-1]) + 1 if f else 0
+        faces.extend(f + (v,) for v in vs[start:] if all(g.has_edge(u, v) for u in f))
+    return reduced_homology_rank(faces, 1, field)
+
+
 def bfs_replacement_length(ext, cycle, e):
     """Shortest local substitution of a virtual edge, found by plain BFS.
 
@@ -123,12 +173,7 @@ def bfs_replacement_length(ext, cycle, e):
     g = ext.base.skeleton
     h = initial_complex(ext, "star").graph
     e = g.edge_key(*e)
-    m = next(
-        m
-        for m in ext.matrices
-        for b in m.blocks
-        if b.y and g.edge_key(m.x0, b.x) == e
-    )
+    m, _block = virtual_matrix(ext, e)
     fbar = ext.facet_bar[m.facet]
     others = set(cycle) - set(e)
     allowed = {
@@ -182,16 +227,14 @@ def oracle_rank(rows, char=0):
     return rank
 
 
-def reduced_homology_rank(faces, d, field=QQ):
-    """dim of the reduced homology H~_d of an explicit simplicial complex.
+def reduced_homology_ranks(faces, field=QQ):
+    """Every nonzero dim H~_d, keyed by d, of an explicit simplicial complex.
 
     ``faces`` must be closed under taking subsets and contain the empty
     face.  H~_{-1} of the complex {{}} has rank 1.  Works straight from the
     boundary matrices, including the augmentation onto the empty face, with
-    :func:`oracle_rank`.
+    :func:`oracle_rank`; each boundary map is ranked once.
     """
-    if d < -1:
-        raise ValueError("homological dimension below -1")
     fset = {frozenset(f) for f in faces}
     if frozenset() not in fset:
         raise ValueError("face list must contain the empty face")
@@ -202,6 +245,7 @@ def reduced_homology_rank(faces, d, field=QQ):
     by_size = {}
     for f in fset:
         by_size.setdefault(len(f), []).append(tuple(sorted(f, key=str)))
+    top = max(by_size)
 
     def boundary_rank(k):
         # boundary from faces of size k to faces of size k-1
@@ -212,7 +256,20 @@ def reduced_homology_rank(faces, d, field=QQ):
                 rows[index[face[:pos] + face[pos + 1 :]]][c] = (-1) ** pos
         return oracle_rank(rows, field.char)
 
-    return len(by_size.get(d + 1, ())) - boundary_rank(d + 1) - boundary_rank(d + 2)
+    ranks = [0] + [boundary_rank(k) for k in range(1, top + 1)] + [0]
+    out = {}
+    for k in range(top + 1):  # faces of size k carry H~_{k-1}
+        h = len(by_size[k]) - ranks[k] - ranks[k + 1]
+        if h:
+            out[k - 1] = h
+    return out
+
+
+def reduced_homology_rank(faces, d, field=QQ):
+    """dim of the reduced homology H~_d; see :func:`reduced_homology_ranks`."""
+    if d < -1:
+        raise ValueError("homological dimension below -1")
+    return reduced_homology_ranks(faces, field).get(d, 0)
 
 
 def brute_betti_table(g, field):
@@ -220,7 +277,7 @@ def brute_betti_table(g, field):
 
     Each subset's clique complex is listed by testing every sub-subset for
     being a clique, and its reduced homology comes from the generic
-    face-list ``reduced_homology_rank``: no dominated vertices, no
+    face-list ``reduced_homology_ranks``: no dominated vertices, no
     components, no memo.
     """
     graded = {}
@@ -233,13 +290,153 @@ def brute_betti_table(g, field):
                 for f in combinations(sigma, r)
                 if all(g.has_edge(u, w) for u, w in combinations(f, 2))
             ]
-            for d in range(-1, k - 1):
-                h = reduced_homology_rank(faces, d, field)
+            for d, h in reduced_homology_ranks(faces, field).items():
                 i = k - d - 2
-                if h:
-                    multigraded[(i, frozenset(sigma))] = h
-                    graded[(i, k)] = graded.get((i, k), 0) + h
+                multigraded[(i, frozenset(sigma))] = h
+                graded[(i, k)] = graded.get((i, k), 0) + h
     return BettiTable(graded, multigraded)
+
+
+def sparse_rank_mod(columns, p):
+    """Rank over GF(p) of sparse vectors given as dicts index -> int, by
+    elimination on the smallest index of each vector."""
+    pivots = {}
+    for col in columns:
+        v = {i: x % p for i, x in col.items() if x % p}
+        while v:
+            k = min(v)
+            piv = pivots.get(k)
+            if piv is None:
+                inv = pow(v[k], -1, p)
+                pivots[k] = {i: x * inv % p for i, x in v.items()}
+                break
+            f = v[k]
+            for i, x in piv.items():
+                y = (v.get(i, 0) - f * x) % p
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+    return len(pivots)
+
+
+def _binomial_generators(ext):
+    """The generators of B as exponent vectors over ``skeleton_bar.vertices``:
+    the non-edges as index pairs, and each nonzero 2x2 minor
+    top_u*bot_v - top_v*bot_u (u < v) as a pair of exponent tuples."""
+    g = ext.skeleton_bar
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    n = len(idx)
+    nonedges = [
+        (idx[u], idx[w]) for u, w in combinations(g.vertices, 2) if not g.has_edge(u, w)
+    ]
+
+    def expo(*vs):
+        e = [0] * n
+        for v in vs:
+            e[idx[v]] += 1
+        return tuple(e)
+
+    minors = []
+    for m in ext.matrices:
+        cols = m.columns()
+        for u, v in combinations(range(len(cols)), 2):
+            a, b = expo(cols[u][0], cols[v][1]), expo(cols[v][0], cols[u][1])
+            if a != b:
+                minors.append((a, b))
+    return idx, nonedges, minors
+
+
+def _exp_divides(a, w):
+    return all(x <= y for x, y in zip(a, w))
+
+
+def _move(w, a, b):
+    return tuple(x - y + z for x, y, z in zip(w, a, b))
+
+
+def binomial_class(ext, mono):
+    """The degree class of the monomial ``mono`` (an iterable of vertex
+    names, repeats allowed): every monomial reached from it by swapping the
+    two terms of a minor.  The classes are the congruence classes of the
+    grading by which B is homogeneous; each class lies in one degree."""
+    idx, _nonedges, minors = _binomial_generators(ext)
+    w0 = [0] * len(idx)
+    for v in mono:
+        w0[idx[v]] += 1
+    seen = {tuple(w0)}
+    queue = deque(seen)
+    while queue:
+        w = queue.popleft()
+        for a, b in minors:
+            for x, y in ((a, b), (b, a)):
+                if _exp_divides(x, w):
+                    nxt = _move(w, x, y)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+    return seen
+
+
+def binomial_class_betti(ext, mono, p=32003):
+    """beta_{i,b}(B) over GF(p) for every i, nonzero ones only, where B is the
+    extended binomial ideal and b the class of the monomial ``mono``.
+
+    beta_{i,b}(B) = dim H_{i+1} of the Koszul complex K(x) (x) S/B in class
+    b.  Its degree-j part has the basis (F, u): |F| = j, u a monomial with
+    u * x_F in the class.  The part of B there is spanned by the (F, u) with
+    u divisible by a non-edge and by (F, u) - (F, u') with u = t*a, u' = t*b
+    for a minor a - b.  The rank of the induced differential on the quotient
+    is rank[image of d | B-part] - rank[B-part].
+    """
+    _idx, nonedges, minors = _binomial_generators(ext)
+    basis = {}  # j -> {(F, u): position}
+    for w in binomial_class(ext, mono):
+        support = [k for k, x in enumerate(w) if x]
+        for j in range(len(support) + 1):
+            for f in combinations(support, j):
+                u = list(w)
+                for k in f:
+                    u[k] -= 1
+                part = basis.setdefault(j, {})
+                part.setdefault((f, tuple(u)), len(part))
+    top = max(basis)
+
+    def b_part(j):
+        cols = []
+        for (f, u), pos in basis[j].items():
+            if any(u[x] and u[y] for x, y in nonedges):
+                cols.append({pos: 1})
+            for a, b in minors:
+                if _exp_divides(a, u):
+                    cols.append({pos: 1, basis[j][(f, _move(u, a, b))]: -1})
+        return cols
+
+    def d_image(j):  # d of the degree-j basis, in the degree-(j-1) positions
+        lower = basis.get(j - 1, {})
+        cols = []
+        for f, u in basis.get(j, {}):
+            col = {}
+            for pos, k in enumerate(f):
+                v = list(u)
+                v[k] += 1
+                col[lower[(f[:pos] + f[pos + 1 :], tuple(v))]] = (-1) ** pos
+            cols.append(col)
+        return cols
+
+    b_cols = {j: b_part(j) for j in range(top + 1)}
+    b_rank = {j: sparse_rank_mod(cols, p) for j, cols in b_cols.items()}
+    # rank of the quotient differential out of degree j
+    d_rank = {
+        j: sparse_rank_mod(d_image(j) + b_cols[j - 1], p) - b_rank[j - 1]
+        for j in range(1, top + 2)
+    }
+    out = {}
+    for j in range(1, top + 1):
+        h = len(basis[j]) - b_rank[j] - d_rank[j] - d_rank[j + 1]
+        if h:
+            out[j - 1] = h
+    return out
 
 
 def _lex_greater(order, a, b):

@@ -25,10 +25,8 @@ from scrollex import (
     buchberger_is_groebner,
     check_admissible_order,
     cycle_betti_table,
-    expand_cycle,
     find_admissible_order,
     generator_system,
-    homology_witness,
     identity_permutation,
     initial_complex,
     is_chordal,
@@ -46,7 +44,7 @@ from scrollex import fixtures
 from scrollex.bounds import Interval
 from scrollex.extension import GeneratorSystem
 from scrollex.ordering import VarOrder
-from oracles import bfs_replacement_length
+from oracles import bfs_replacement_length, expand_cycle, homology_witness
 
 
 def _nx_to_graph(g):

@@ -1,3 +1,5 @@
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from scrollex import (
@@ -6,26 +8,30 @@ from scrollex import (
     Graph,
     INFINITE,
     NotApplicable,
-    NotOrderableError,
     QQ,
     chordless_cycles,
-    classify_edge,
-    expand_cycle,
-    homology_witness,
+    cycle_betti_table,
+    fixtures,
     induced,
     initial_complex,
-    lower_bound,
     p2_monomial,
     p2_report,
     parse_instance,
-    upper_bound,
     validate_extension,
     virtual_edges,
     virtual_minimal_cycles,
 )
 from scrollex.bounds import Interval
 from scrollex.extension import ScrollBlock, ScrollMatrix
-from oracles import bfs_replacement_length, brute_virtual_cycles
+from oracles import (
+    bfs_replacement_length,
+    binomial_class,
+    binomial_class_betti,
+    brute_betti_table,
+    brute_virtual_cycles,
+    expand_cycle,
+    homology_witness,
+)
 
 
 def test_virtual_edges_examples(bruns, square_one_edge):
@@ -77,14 +83,15 @@ def test_every_virtual_cycle_contains_an_induced_cycle(corpus):
 def test_classify_bruns(bruns):
     (vc,) = virtual_minimal_cycles(bruns)
     ac = vc.edge_classes[("a", "c")]
-    assert (ac.kind, ac.t) == ("R1", 2)
+    assert (ac.kind, ac.t, ac.matrix.facet, ac.block) == ("R1", 2, frozenset("abc"), 1)
     de = vc.edge_classes[("d", "e")]
     assert (de.kind, de.t, de.eta, de.jls) == ("R3", 3, 2, (1,))
+    assert de.matrix.facet == frozenset("de")
     for e in (("c", "d"), ("a", "e")):
         assert vc.edge_classes[e].kind == "nonvirtual"
         assert vc.edge_classes[e].t == 1
-    with pytest.raises(ValueError):
-        classify_edge(vc.cycle, ("a", "d"), bruns)
+        assert vc.edge_classes[e].matrix is None
+    assert set(vc.edge_classes) == {("a", "c"), ("c", "d"), ("d", "e"), ("a", "e")}
 
 
 def test_classify_square_one_edge(square_one_edge):
@@ -115,18 +122,23 @@ def test_classify_empty_first_block_gives_short_detour():
 
 
 def test_lower_bound_fixtures(bruns, square_one_edge, triangle_ring):
-    value, wit = lower_bound(bruns)
-    assert value == 4 and wit.cycle == ("a", "c", "d", "e")
-    assert lower_bound(square_one_edge)[0] == 3
-    with pytest.raises(NotOrderableError):
-        lower_bound(triangle_ring)
+    rep = p2_report(bruns)
+    assert rep.lower_substitution == 4
+    assert rep.lower_witness.cycle == ("a", "c", "d", "e")
+    assert rep.lower_witness.total_length() == 7
+    rep = p2_report(square_one_edge)
+    assert rep.lower_substitution == 3 and rep.lower_witness.cycle == ("1", "2", "3", "4")
+    rep = p2_report(triangle_ring)
+    assert rep.lower_substitution == NotApplicable("no admissible order")
+    assert rep.lower_witness is None
 
 
 def test_lower_bound_infinite_for_chordal_base():
     from scrollex.fixtures import chordal_instance
 
     ext, _ = parse_instance(chordal_instance(1))
-    assert lower_bound(ext)[0] is INFINITE
+    rep = p2_report(ext)
+    assert rep.lower_substitution is INFINITE and rep.lower_witness is None
 
 
 def test_expand_cycle_fixtures(bruns, square_one_edge):
@@ -183,10 +195,13 @@ def test_homology_witness_fixtures(bruns, square_one_edge):
 
 
 def test_upper_bound_fixtures(bruns, square_one_edge, flap_square):
-    assert upper_bound(bruns)[0] == 4
-    assert upper_bound(square_one_edge)[0] == 3
-    value, _ = upper_bound(flap_square)
-    assert isinstance(value, NotApplicable) and "toricity" in value.reason
+    rep = p2_report(bruns)
+    assert rep.upper == 4 and rep.upper_witness.cycle == ("a", "c", "d", "e")
+    rep = p2_report(square_one_edge)
+    assert rep.upper == 3 and rep.upper_witness.cycle == ("1", "2", "3", "4")
+    rep = p2_report(flap_square)
+    assert isinstance(rep.upper, NotApplicable) and "toricity" in rep.upper.reason
+    assert rep.upper_witness is None
 
 
 def test_upper_bound_no_expandable_cycle():
@@ -201,8 +216,10 @@ def test_upper_bound_no_expandable_cycle():
             )
         ],
     )
-    value, _ = upper_bound(ext)
-    assert isinstance(value, NotApplicable) and "expandable" in value.reason
+    rep = p2_report(ext)
+    assert rep.upper == NotApplicable("no expandable virtual minimal cycle")
+    assert rep.upper_witness is None
+    assert not rep.hypotheses["expandable_family_complete"]
 
 
 def test_is_two_linear_extension(bruns):
@@ -272,9 +289,8 @@ def test_substitution_lower_matches_initial_complex_p2_on_fixtures(
     bruns, square_one_edge, flap_square, cycle_extensions
 ):
     for ext in [bruns, square_one_edge, flap_square] + cycle_extensions:
-        sub, _ = lower_bound(ext)
         cert = p2_monomial(initial_complex(ext, "star").graph).p2
-        assert sub == cert
+        assert p2_report(ext).lower_substitution == cert
 
 
 def test_replacement_lengths_match_bfs(corpus):
@@ -295,3 +311,51 @@ def test_cycle_extension_reports(cycle_extensions):
         rep = p2_report(ext)
         assert rep.exact == n + s - 3
         assert rep.lower == rep.upper == rep.exact
+
+
+def test_binomial_betti_oracle_matches_hochster_on_c5():
+    # J = 0: every class is one monomial, and B is the non-edge ideal
+    g = Graph("abcde", ["ab", "bc", "cd", "de", "ae"])
+    ext = validate_extension(CliqueComplex(g), [])
+    got = {}
+    for k in range(2, 6):
+        for sigma in combinations(g.vertices, k):
+            for i, h in binomial_class_betti(ext, sigma).items():
+                got[(i, frozenset(sigma))] = h
+    assert got == brute_betti_table(g, FieldSpec(32003)).multigraded
+    assert len(got) == 11
+    assert binomial_class_betti(ext, "aab") == binomial_class_betti(ext, "aac") == {}
+
+
+def test_binomial_betti_oracle_matches_polygon_closed_form():
+    # every class of degree at most the number of variables, each once
+    ext, _ = parse_instance(fixtures.cycle_extension_instance(4, [1, 1, 0, 0]))
+    vs = ext.skeleton_bar.vertices
+    graded, seen = {}, set()
+    for d in range(2, len(vs) + 1):
+        for mono in combinations_with_replacement(vs, d):
+            cls = binomial_class(ext, mono)
+            if min(cls) in seen:
+                continue
+            seen.add(min(cls))
+            for i, h in binomial_class_betti(ext, mono).items():
+                graded[(i, d)] = graded.get((i, d), 0) + h
+    assert graded == cycle_betti_table(4, 2).graded
+
+
+@pytest.mark.parametrize(
+    "seed, sigma",
+    [(54, "v0 v1 v2 v3 v4 y0 y1 y2"), (360, "v0 v1 v2 v3 v4 y0 y1")],
+)
+def test_binomial_betti_pins_p2_where_substitution_overshoots(seed, sigma):
+    # beta_{k,k+3}(B) = 1 in the class of sigma, so p2(B) <= k; the certified
+    # lower bound gives p2(B) >= k, and the replacement-length value k + 1
+    # (block_sizes fails) is no lower bound here
+    ext, _ = parse_instance(fixtures.random_extension_instance(seed, require_orderable=False))
+    sigma = sigma.split()
+    k = len(sigma) - 3
+    betti = binomial_class_betti(ext, sigma)
+    assert betti[k] == 1 and all(i >= k for i in betti)
+    rep = p2_report(ext)
+    assert rep.lower == k and rep.lower_substitution == k + 1
+    assert not rep.hypotheses["block_sizes"]

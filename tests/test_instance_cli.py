@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scrollex import (
     InstanceError,
     chordless_cycles,
-    fixtures,
     parse_instance,
     virtual_minimal_cycles,
 )
@@ -211,17 +210,25 @@ def test_cli_p2_lower_not_orderable(capsys):
     assert code == 2
 
 
-def test_cli_p2_lower_key_depends_on_mode(tmp_path, capsys):
-    # --mode lower prints the replacement-length bound under "lower"; auto
-    # prints p2 of the initial complex there and the replacement-length
-    # bound under "lower_substitution"
-    f = tmp_path / "seed54.json"
-    f.write_text(json.dumps(fixtures.random_extension_instance(54, require_orderable=False)))
-    code, out, _ = run(capsys, "p2", str(f), "--mode", "lower")
-    assert code == 0 and json.loads(out)["lower"] == 6
-    code, out, _ = run(capsys, "p2", str(f), "--mode", "auto")
+def test_cli_p2_lower_key_same_in_every_mode(capsys):
+    # "lower" is p2 of the initial complex in every mode; the replacement-
+    # length value (6 here) is only ever under "lower_substitution"
+    docs = {}
+    for mode in ("lower", "auto", "exact"):
+        code, out, _ = run(capsys, "p2", path("seed54"), "--mode", mode)
+        docs[mode] = json.loads(out)
+        assert code == (2 if mode == "exact" else 0)
+        assert docs[mode]["lower"] == 5 and docs[mode]["lower_substitution"] == 6
+    assert docs["lower"]["witness"] == docs["auto"]["lower_witness"]
+
+
+def test_cli_p2_upper_chordal_base(capsys):
+    code, out, _ = run(capsys, "p2", path("chordal3"), "--mode", "upper")
+    assert code == 0
     doc = json.loads(out)
-    assert code == 0 and doc["lower"] == 5 and doc["lower_substitution"] == 6
+    assert doc["upper"] == "infinity" and "witness" not in doc
+    _, out, _ = run(capsys, "p2", path("chordal3"), "--mode", "auto")
+    assert json.loads(out)["upper"] == "infinity"
 
 
 def test_cli_order_witness(capsys):
