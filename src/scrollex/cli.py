@@ -13,8 +13,10 @@
 Reports are canonical JSON on stdout (sorted keys, exact integers, infinite
 values as the string "infinity"); diagnostics go to stderr.  Exit codes:
 0 success, 1 input or validation error, 2 method not applicable, 3 resource
-cap exceeded.  A cycle census has no limit on cycle length; only its cap on
-the number of cycles (--cap, default 10^6) stops it.
+cap exceeded, 4 internal error: any other exception, reported on one stderr
+line as "error: internal error: <Type>: <message>", never as a traceback.
+A cycle census has no limit on cycle length; only its cap on the number of
+cycles (--cap, default 10^6) stops it.
 
 Every p2 mode reads one report.  "lower" is p2 of the initial complex, a
 certified lower bound; "lower_substitution" is the replacement-length value
@@ -293,6 +295,7 @@ def main(argv=None):
                 "p2": cmd_p2,
             }[args.command]
             report, code = handler(ext, digest, args)
+        _emit(report)
     except CycleCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
@@ -302,7 +305,10 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    _emit(report)
+    except Exception as e:
+        message = " ".join(str(e).split())
+        sys.stderr.write(f"error: internal error: {type(e).__name__}: {message}\n")
+        return 4
     return code
 
 

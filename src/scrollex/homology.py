@@ -6,9 +6,11 @@ multigraded entry at (i, sigma) is the dimension of H~_{|sigma|-i-2} of the
 clique complex induced on sigma, and the graded table sums those entries over
 subsets of equal size.
 
-All arithmetic is exact: ranks over the rationals use fraction-free integer
-elimination, ranks over a prime field use modular elimination.  Nothing here
-is floating point.
+All arithmetic is exact.  One kernel, :func:`rank`, ranks every boundary
+map over the rationals and over prime fields alike: it reduces sparse
+columns (a k-face's column holds k entries of +-1) on their last nonzero
+row, in the integers over QQ and modulo p over GF(p).  Nothing here is
+floating point.
 """
 
 from __future__ import annotations
@@ -70,71 +72,60 @@ QQ = FieldSpec(0)
 
 
 # ---------------------------------------------------------------------------
-# exact rank kernels
+# exact rank kernel
 # ---------------------------------------------------------------------------
 
 
-def rank_int(rows):
-    """Rank over the rationals of an integer matrix, by Bareiss elimination.
+def rank(columns, char):
+    """Rank of an integer matrix over QQ (``char`` 0) or GF(``char``).
 
-    Fraction-free: every division is exact, so the computation stays in the
-    integers no matter how the entries grow.
+    The matrix is given by its columns, each a sparse dict row -> int.  Each
+    column in turn is reduced by its last nonzero row against the pivot
+    columns stored so far, and stored as the pivot of that row when no pivot
+    is there yet; the rank is the number of stored pivots.  With pivot
+    entry a and column entry b, the column loses b/a times the pivot: over
+    GF(p) always, over QQ when a divides b (every +-1 pivot).  Otherwise,
+    over QQ, it becomes a'*col - b'*piv with (a', b') = (a, b) / gcd(a, b),
+    divided by its content: a' is nonzero, so the span is kept, and the
+    arithmetic stays exact in the integers.
+
+    >>> rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 1}], 0)
+    2
+    >>> rank([{0: 2}, {0: 1, 1: 1}], 2)
+    1
     """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = -1
-        best = None
-        for i in range(r, nr):
-            a = m[i][c]
-            if a and (best is None or abs(a) < best):
-                piv, best = i, abs(a)
-                if best == 1:
-                    break
-        if piv < 0:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pn = m[r][c]
-        top = m[r]
-        for i in range(r + 1, nr):
-            row = m[i]
-            a = row[c]
-            for j in range(c + 1, nc):
-                row[j] = (pn * row[j] - a * top[j]) // prev
-            row[c] = 0
-        prev = pn
-        r += 1
-    return r
-
-
-def rank_mod(rows, p):
-    """Rank of an integer matrix over GF(p)."""
-    m = [[x % p for x in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c]), -1)
-        if piv < 0:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        top = [(x * inv) % p for x in m[r]]
-        m[r] = top
-        for i in range(r + 1, nr):
-            a = m[i][c]
-            if a:
-                row = m[i]
-                m[i] = [(x - a * y) % p for x, y in zip(row, top)]
-        r += 1
-    return r
+    pivots = {}
+    for col in columns:
+        v = {i: y for i, x in col.items() if (y := x % char if char else x)}
+        while v:
+            low = max(v)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = v
+                break
+            a, b = piv[low], v[low]
+            scale = 1
+            if char:
+                f = b * pow(a, -1, char)
+            elif b % a == 0:
+                f = b // a
+            else:
+                g = math.gcd(a, b)
+                scale, f = a // g, b // g
+                v = {i: x * scale for i, x in v.items()}
+            for i, x in piv.items():
+                y = v.get(i, 0) - f * x
+                if char:
+                    y %= char
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+            if scale != 1 and v:
+                g = math.gcd(*v.values())
+                if g > 1:
+                    v = {i: x // g for i, x in v.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +136,11 @@ def rank_mod(rows, p):
 def _boundary_rank(faces_k, faces_km1, char):
     """Rank of the boundary map from k-faces to (k-1)-faces (both nonempty)."""
     index = {f: i for i, f in enumerate(faces_km1)}
-    rows = [[0] * len(faces_k) for _ in faces_km1]
-    for c, face in enumerate(faces_k):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1 :]
-            rows[index[sub]][c] = 1 if pos % 2 == 0 else -1
-    return rank_int(rows) if char == 0 else rank_mod(rows, char)
+    columns = [
+        {index[face[:pos] + face[pos + 1 :]]: (-1) ** pos for pos in range(len(face))}
+        for face in faces_k
+    ]
+    return rank(columns, char)
 
 
 def _bits(s):
@@ -266,7 +256,7 @@ def clique_homology(g, field=QQ):
 
     Returns a dict dimension -> rank.  The empty graph has H~_{-1} of rank 1.
     Dominated vertices are deleted first; each remaining component is a
-    point or a core that goes to the rank kernels.
+    point or a core that goes to the rank kernel.
     """
     n = len(g.vertices)
     if n == 0:
@@ -325,9 +315,9 @@ def betti_table(g, field=QQ, max_vertices=20):
     subset with a dominated vertex v has the homology of the subset without
     v, and a disconnected subset (an isolated vertex is a component) sums
     its components' homology plus one H~_0 rank per extra component.  Only
-    a connected subset with no dominated vertex is reduced by the rank
-    kernels, once per distinct core.  Refuses (rather than degrades) when
-    the vertex count exceeds ``max_vertices``.
+    a connected subset with no dominated vertex goes to the rank kernel,
+    once per distinct core.  Refuses (rather than degrades) when the vertex
+    count exceeds ``max_vertices``.
     """
     n = len(g.vertices)
     if n > max_vertices:

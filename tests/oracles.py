@@ -3,7 +3,7 @@
 Everything here is deliberately naive: exhaustive subset enumeration,
 permutation sweeps, breadth-first search and textbook Gaussian elimination.
 No oracle calls the kernel it checks: homology ranks come from
-``oracle_rank`` below, not from ``rank_int`` or ``rank_mod``;
+``oracle_rank`` below, not from the library's ``rank`` kernel;
 ``binomial_class_betti`` works from the matrices and the extended skeleton
 alone, with its own sparse rank and nothing from ``scrollex.homology``; and
 ``scan_is_groebner`` divides by its own scans (it shares only the system

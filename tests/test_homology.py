@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from scrollex import (
     validate_extension,
 )
 from scrollex import homology
-from scrollex.homology import BettiTable, rank_int, rank_mod
+from scrollex.homology import BettiTable, rank
 from oracles import brute_betti_table, oracle_rank, reduced_homology_rank
 
 
@@ -35,15 +36,22 @@ C4 = cycle_graph(4, list("abcd"))
 K3 = Graph("abc", ["ab", "bc", "ca"])
 HEX = cycle_graph(6)
 POINT = Graph(["p"], [])
-CROSS8 = Graph(
-    [f"{s}{i}" for i in range(4) for s in "ab"],
-    [
-        (f"{s}{i}", f"{t}{j}")
-        for i, j in combinations(range(4), 2)
-        for s in "ab"
-        for t in "ab"
-    ],
-)
+
+
+def cross_polytope(k):
+    """The boundary of the k-dimensional cross-polytope as a flag complex."""
+    return Graph(
+        [f"{s}{i}" for i in range(k) for s in "ab"],
+        [
+            (f"{s}{i}", f"{t}{j}")
+            for i, j in combinations(range(k), 2)
+            for s in "ab"
+            for t in "ab"
+        ],
+    )
+
+
+CROSS8 = cross_polytope(4)
 
 
 def disjoint_union(*parts, seed=None):
@@ -55,6 +63,14 @@ def disjoint_union(*parts, seed=None):
     if seed is not None:
         random.Random(seed).shuffle(names)
     return Graph(names, edges)
+
+
+def join(*parts):
+    """The graph join: the parts side by side, plus every edge between two parts."""
+    names = [[f"{v}_{t}" for v in g.vertices] for t, g in enumerate(parts)]
+    edges = [(f"{u}_{t}", f"{w}_{t}") for t, g in enumerate(parts) for u, w in g.edges]
+    edges += [(u, w) for p, q in combinations(names, 2) for u in p for w in q]
+    return Graph([v for p in names for v in p], edges)
 
 
 def downward_closure(faces):
@@ -92,8 +108,9 @@ def test_reduced_homology_examples():
 
 
 def rank_cases():
-    """Seeded small integer matrices: empty shapes, all-zero matrices,
-    random entries from small sets, and boundary maps of clique complexes."""
+    """Seeded small integer matrices, as lists of rows: empty shapes, all-zero
+    matrices, random entries from small sets, boundary maps of clique
+    complexes, and larger matrices whose pivots rarely divide each other."""
     rng = random.Random(31)
     cases = [[], [[]], [[], []], [[0, 0, 0], [0, 0, 0]], [[2]], [[3, 0], [0, 6]]]
     for _ in range(150):
@@ -114,15 +131,59 @@ def rank_cases():
                 for pos in range(k):
                     rows[index[f[:pos] + f[pos + 1 :]]][c] = (-1) ** pos
             cases.append(rows)
+    for _ in range(30):
+        nr, nc = rng.randint(6, 12), rng.randint(6, 12)
+        entries = rng.choice([(0, 0, 2, 3, -6), range(-9, 10)])
+        cases.append([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
     return cases
 
 
 def test_rank_kernels_match_oracle_rank():
+    # the kernel reads sparse columns; a matrix and its transpose have one rank
     assert oracle_rank([[2]]) == 1 and oracle_rank([[2]], 2) == 0
     for rows in rank_cases():
-        assert rank_int(rows) == oracle_rank(rows), rows
-        for p in (2, 3, 32003):
-            assert rank_mod(rows, p) == oracle_rank(rows, p), (rows, p)
+        ncols = len(rows[0]) if rows else 0
+        cols = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+        transposed = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        for p in (0, 2, 3, 32003):
+            want = oracle_rank(rows, p)
+            assert rank(cols, p) == want, (rows, p)
+            assert rank(transposed, p) == want, (rows, p, "transposed")
+
+
+def flag_rp2():
+    """The barycentric subdivision of the 6-vertex RP^2, as a flag complex:
+    one vertex per face, an edge for each strict inclusion (31 vertices)."""
+    facets = ["123", "134", "145", "156", "126", "235", "346", "245", "356", "246"]
+    faces = sorted({"".join(f) for t in facets for r in (1, 2, 3) for f in combinations(t, r)})
+    edges = [(u, w) for u, w in combinations(faces, 2) if set(u) < set(w) or set(w) < set(u)]
+    return Graph(faces, edges)
+
+
+def test_torsion_rp2_depends_on_the_field():
+    # H_1(RP^2; Z) = Z/2: invisible over QQ and GF(3), one class in H_1 and H_2
+    # over GF(2).  A stored pivot 2 over QQ must not be read mod 2.
+    g = flag_rp2()
+    assert len(g.vertices) == 31
+    faces = downward_closure(CliqueComplex(g).facets)
+    for field, want in [(QQ, {}), (FieldSpec(3), {}), (FieldSpec(2), {1: 1, 2: 1})]:
+        assert clique_homology(g, field) == want, field
+        for d in (0, 1, 2):
+            assert reduced_homology_rank(faces, d, field) == want.get(d, 0), (field, d)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(32003)], ids=repr)
+def test_cross_polytope_betti_table_closed_form(field):
+    # the 12-vertex cross-polytope's ideal is a complete intersection of six
+    # quadrics: its Koszul table has beta_{i-1, 2i} = C(6, i)
+    t = betti_table(cross_polytope(6), field)
+    assert t.graded == {(i - 1, 2 * i): math.comb(6, i) for i in range(1, 7)}
+
+
+def test_flag_spheres_clique_homology():
+    assert clique_homology(cross_polytope(7)) == {6: 1}
+    c4 = cycle_graph(4)
+    assert clique_homology(join(c4, c4, cycle_graph(5))) == {5: 1}
 
 
 def test_clique_homology_matches_generic_path():

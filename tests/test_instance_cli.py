@@ -11,6 +11,7 @@ from scrollex import (
     parse_instance,
     virtual_minimal_cycles,
 )
+from scrollex import cli
 from scrollex.cli import main
 from scrollex.instance import instance_digest
 
@@ -177,6 +178,30 @@ def test_cli_invalid_instance(tmp_path, capsys):
 def test_cli_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 1 and "error" in err
+
+
+def raise_runtime_error(ext, digest, args):
+    raise RuntimeError("kernel\nfailed")
+
+
+def return_unserializable(ext, digest, args):
+    return {"x": object()}, 0
+
+
+@pytest.mark.parametrize(
+    "handler, line",
+    [
+        (raise_runtime_error, "RuntimeError: kernel failed"),
+        (return_unserializable, "TypeError: object is not JSON serializable"),
+    ],
+    ids=["handler-raises", "report-unserializable"],
+)
+def test_cli_internal_error_exit4(monkeypatch, capsys, handler, line):
+    monkeypatch.setattr(cli, "cmd_betti", handler)
+    code, out, err = run(capsys, "betti", path("bruns"))
+    assert code == 4 and out == ""
+    assert err == f"error: internal error: {line}\n"
+    assert "Traceback" not in err
 
 
 def test_cli_p2_auto_bruns(capsys):
