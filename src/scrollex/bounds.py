@@ -30,23 +30,21 @@ bounds meet and the value is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import DEFAULT_CYCLE_CAP, _cycle_search, cycle_edges, is_chordal
+from .graphs import DEFAULT_CYCLE_CAP, _cycle_search, cycle_edges, frozen_record, is_chordal
 from .homology import INFINITE, p2_monomial
 from .ordering import NotOrderableError
 from .groebner import initial_complex
 from .extension import toricity_gate
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NotApplicable:
     """A bound this machinery cannot certify on the instance, with the reason."""
 
     reason: str
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Interval:
     """An undetermined p2, boxed between the certified bounds."""
 
@@ -54,7 +52,7 @@ class Interval:
     upper: object
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EdgeClass:
     """Classification of one cycle edge and its replacement length t."""
 
@@ -66,7 +64,7 @@ class EdgeClass:
     jls: tuple | None = None  # usable block indices, 1-based
 
 
-@dataclass(frozen=True)
+@frozen_record
 class VirtualCycle:
     """A virtual minimal cycle with its per-edge classification.
 
@@ -102,10 +100,13 @@ def _virtual_edge_blocks(ext):
     }
 
 
+_NONVIRTUAL = EdgeClass("nonvirtual", 1)  # shared: most cycle edges are not virtual
+
+
 def _classify(e, members, vmap, g):
     """EdgeClass of the canonical cycle edge ``e``; ``members`` is V(C)."""
     if e not in vmap:
-        return EdgeClass("nonvirtual", 1)
+        return _NONVIRTUAL
     m, kblk = vmap[e]
     ends = set(e)
 
@@ -161,7 +162,7 @@ def _sizes_fit(m):
     return y1 == 1 or (y1 == ymin >= 2 and m.gamma_vertices() == m.facet)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class P2Report:
     """Everything scrollex says about p2 of one instance.
 

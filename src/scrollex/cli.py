@@ -12,9 +12,11 @@
 
 Reports are canonical JSON on stdout (sorted keys, exact integers, infinite
 values as the string "infinity"); diagnostics go to stderr.  Exit codes:
-0 success, 1 input or validation error, 2 method not applicable, 3 resource
-cap exceeded, 4 internal error: any other exception, reported on one stderr
-line as "error: internal error: <Type>: <message>", never as a traceback.
+0 success, 1 input or validation error (a Betti table over more vertices
+than --max-vertices is one), 2 method not applicable, 3 a cycle census
+exceeded its cap, 4 internal error: any other exception, reported on one
+stderr line as "error: internal error: <Type>: <message>", never as a
+traceback.
 A cycle census has no limit on cycle length; only its cap on the number of
 cycles (--cap, default 10^6) stops it.
 
@@ -56,7 +58,6 @@ from .ordering import (
     pi_star,
     variable_order,
 )
-from . import fixtures
 from .extension import ExtensionError
 
 
@@ -281,9 +282,13 @@ def main(argv=None):
         if args.command == "poligon":
             report, code = cmd_poligon(args)
         elif args.command == "gen-chordal":
-            report, code = fixtures.chordal_instance(args.seed, args.vertices), 0
+            from .fixtures import chordal_instance
+
+            report, code = chordal_instance(args.seed, args.vertices), 0
         elif args.command == "gen-cycle-ext":
-            report, code = fixtures.random_cycle_extension_instance(args.seed, args.length), 0
+            from .fixtures import random_cycle_extension_instance
+
+            report, code = random_cycle_extension_instance(args.seed, args.length), 0
         else:
             ext, digest = _load(args.file)
             handler = {

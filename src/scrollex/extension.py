@@ -15,10 +15,9 @@ of the package analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import CliqueComplex, Graph, proper_edges
+from .graphs import CliqueComplex, Graph, frozen_record, proper_edges
 
 
 class ExtensionError(ValueError):
@@ -30,7 +29,7 @@ class ExtensionError(ValueError):
         self.block_index = block_index
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScrollBlock:
     """One block: the facet vertex x closing the block and its new variables."""
 
@@ -205,7 +204,7 @@ def validate_extension(base, matrices):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GeneratorSystem:
     """Monomial and binomial generators of the extended ideal.
 
@@ -252,7 +251,7 @@ def generator_system(ext):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ToricityReport:
     """Outcome of the variable-sharing forest test on the scroll matrices.
 

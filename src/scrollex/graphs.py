@@ -1,4 +1,5 @@
-"""Finite undirected graphs, clique complexes, chordality, chordless cycles.
+"""Finite undirected graphs, clique complexes, chordality, chordless cycles,
+and :func:`frozen_record`, the decorator behind every report type.
 
 Every structure in this package is deterministic: a vertex keeps the position
 it had in the input ("rank"), and every sort key, tie-break and output order
@@ -20,6 +21,86 @@ class GraphError(ValueError):
 
 class CycleCapExceeded(RuntimeError):
     """A cycle census grew past the configured cap and was aborted."""
+
+
+def frozen_record(cls):
+    """Class decorator: an immutable record of the fields annotated in ``cls``.
+
+    A field's class attribute is its default; fields with defaults come
+    last.  Adds ``__init__`` (which then calls ``__post_init__``, if any; it
+    may normalise a field with ``object.__setattr__``), ``__eq__`` (same
+    class, equal fields), ``__hash__`` (of the field tuple), ``__repr__``
+    unless the class has one, and a ``__setattr__``/``__delattr__`` that
+    raises AttributeError.  No source is generated, so a record costs next
+    to nothing to define.  Fields are set with ``object.__setattr__`` and
+    read with ``getattr``, never through ``__dict__``: touching that would
+    turn the instance's inline attribute values into a dict and slow every
+    later attribute read.
+
+    >>> @frozen_record
+    ... class Pair:
+    ...     a: int
+    ...     b: int = 0
+    >>> Pair(1), Pair(1) == Pair(a=1, b=0), hash(Pair(1, 2)) == hash((1, 2))
+    (Pair(a=1, b=0), True, True)
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    n = len(names)
+    defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
+    required = n - len(defaults)
+    if any(f in cls.__dict__ for f in names[:required]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    post_init = getattr(cls, "__post_init__", None)
+    set_field = object.__setattr__
+
+    def bind(args, kwargs):
+        if len(args) > n:
+            raise TypeError(f"{cls.__name__}() takes {n} arguments, got {len(args)}")
+        values = list(args)
+        for k in range(len(args), n):
+            if names[k] in kwargs:
+                values.append(kwargs.pop(names[k]))
+            elif k >= required:
+                values.append(defaults[k - required])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {names[k]!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected argument {next(iter(kwargs))!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not required <= len(args) <= n:
+            args = bind(args, kwargs)
+        elif len(args) < n:
+            args += defaults[len(args) - n :]
+        for f, v in zip(names, args):
+            set_field(self, f, v)
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self):
+        return tuple([getattr(self, f) for f in names])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(names, fields(self)))
+        return f"{cls.__qualname__}({inner})"
+
+    def refuse(self, name, value=None):
+        raise AttributeError(f"{cls.__name__} is immutable: cannot set or delete {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+    cls.__setattr__ = cls.__delattr__ = refuse
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = __repr__
+    return cls
 
 
 class Graph:

@@ -8,10 +8,9 @@ kept as dicts from variable tuples to small integer coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, frozen_record
 from .ordering import (
     NotOrderableError,
     OrderCycle,
@@ -86,7 +85,7 @@ def _coprime(a, b):
     return not set(a) & set(b)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Binomial:
     """lead + trail_coeff * trail with lead strictly larger under the order."""
 
@@ -159,7 +158,7 @@ def normal_form(terms, nf, leads, order):
     return remainder
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GroebnerCheck:
     """Outcome of the Buchberger test: every S-pair reduced to zero, or not."""
 
@@ -232,7 +231,7 @@ def lead_deletions(system, order):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class InitialComplex:
     """The extended 1-skeleton minus the diagonal edges of every matrix."""
 

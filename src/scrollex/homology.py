@@ -16,10 +16,9 @@ floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import DEFAULT_CYCLE_CAP, chordless_cycles
+from .graphs import DEFAULT_CYCLE_CAP, chordless_cycles, frozen_record
 
 
 class GuardExceeded(ValueError):
@@ -52,7 +51,7 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FieldSpec:
     """Coefficient field: char 0 means the rationals, otherwise a prime field."""
 
@@ -82,12 +81,13 @@ def rank(columns, char):
     The matrix is given by its columns, each a sparse dict row -> int.  Each
     column in turn is reduced by its last nonzero row against the pivot
     columns stored so far, and stored as the pivot of that row when no pivot
-    is there yet; the rank is the number of stored pivots.  With pivot
-    entry a and column entry b, the column loses b/a times the pivot: over
-    GF(p) always, over QQ when a divides b (every +-1 pivot).  Otherwise,
-    over QQ, it becomes a'*col - b'*piv with (a', b') = (a, b) / gcd(a, b),
-    divided by its content: a' is nonzero, so the span is kept, and the
-    arithmetic stays exact in the integers.
+    is there yet; the rank is the number of stored pivots.  Over GF(p) a
+    pivot is scaled to a leading 1 when it is stored, so a column with
+    entry b loses b times it: one inverse per pivot, not per step.  Over QQ,
+    with pivot entry a, the column loses b/a times the pivot when a divides
+    b (every +-1 pivot).  Otherwise it becomes a'*col - b'*piv with
+    (a', b') = (a, b) / gcd(a, b), divided by its content: a' is nonzero,
+    so the span is kept, and the arithmetic stays exact in the integers.
 
     >>> rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 1}], 0)
     2
@@ -101,12 +101,15 @@ def rank(columns, char):
             low = max(v)
             piv = pivots.get(low)
             if piv is None:
+                if char and v[low] != 1:
+                    inv = pow(v[low], -1, char)
+                    v = {i: x * inv % char for i, x in v.items()}
                 pivots[low] = v
                 break
             a, b = piv[low], v[low]
             scale = 1
             if char:
-                f = b * pow(a, -1, char)
+                f = b
             elif b % a == 0:
                 f = b // a
             else:
@@ -281,7 +284,7 @@ def clique_homology(g, field=QQ):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BettiTable:
     """Graded (and optionally multigraded) Betti numbers; zero entries omitted.
 
@@ -361,7 +364,7 @@ def betti_table(g, field=QQ, max_vertices=20):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class P2Result:
     """p2 of a quadratic ideal plus the count of witnessing shortest cycles."""
 

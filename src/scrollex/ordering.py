@@ -11,14 +11,14 @@ directed cycle is the witness of impossibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .graphs import frozen_record
 
 
 class NotOrderableError(RuntimeError):
     """The matrix family admits no admissible order."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HeadsDigraph:
     """Arc (i, j): matrix i's top-left entry lies in matrix j's second row."""
 
@@ -26,7 +26,7 @@ class HeadsDigraph:
     arcs: frozenset
 
 
-@dataclass(frozen=True)
+@frozen_record
 class OrderFound:
     matrices: tuple
 
@@ -35,7 +35,7 @@ class OrderFound:
         return tuple(m.facet for m in self.matrices)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class OrderCycle:
     matrices: tuple
 

@@ -1,4 +1,7 @@
+import ast
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -341,6 +344,23 @@ def test_cli_betti_guard(capsys):
         capsys, "betti", path("bruns"), "--ideal", "initial", "--max-vertices", "3"
     )
     assert code == 1 and "guard" in err
+
+
+def test_cli_import_footprint():
+    """``import scrollex.cli`` loads every compute layer and nothing it does not need.
+
+    A fresh interpreter per CLI call pays for every module imported here.
+    The compute modules must stay loaded: the benchmark's tracer wraps only
+    modules present in ``sys.modules`` when it installs.
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import scrollex.cli; import sys; print(sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(done.stdout))
+    assert not loaded & {"dataclasses", "inspect", "scrollex.fixtures"}
+    layers = {"scrollex.homology", "scrollex.groebner", "scrollex.ordering", "scrollex.bounds"}
+    assert layers <= loaded
 
 
 def test_cli_poligon(capsys):

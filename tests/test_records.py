@@ -1,0 +1,108 @@
+"""The frozen records: immutability, equality, hashing, repr, validation.
+
+Every report type is built by ``graphs.frozen_record``; these tests pin the
+behaviour the rest of the package relies on, including how ``cli._emit``
+serialises the two records that appear in JSON reports.
+"""
+
+import json
+
+import pytest
+
+from scrollex import INFINITE, QQ, FieldSpec, Interval, NotApplicable, ScrollBlock
+from scrollex import cli
+from scrollex.graphs import frozen_record
+from scrollex.groebner import Binomial, GroebnerCheck
+from scrollex.ordering import OrderCycle, OrderFound
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        (Binomial(("a", "b"), ("c", "d")), "lead"),
+        (FieldSpec(3), "char"),
+        (ScrollBlock("x", ["y"]), "y"),
+        (GroebnerCheck(True), "pair"),
+    ],
+)
+def test_fields_cannot_be_assigned_or_deleted(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.new_attribute = 1
+
+
+def test_equality_is_by_class_and_fields():
+    assert Binomial(("a",), ("b",)) == Binomial(lead=("a",), trail=("b",), trail_coeff=-1)
+    assert Binomial(("a",), ("b",)) != Binomial(("a",), ("b",), 1)
+    assert Interval(1, 2) == Interval(1, 2) and Interval(1, 2) != Interval(2, 1)
+    # same field names and values, different classes
+    assert OrderFound(()) != OrderCycle(())
+    assert OrderFound(()) != ((),)
+
+
+def test_hash_is_the_hash_of_the_field_tuple():
+    assert hash(Binomial(("a", "b"), ("c",))) == hash((("a", "b"), ("c",), -1))
+    assert hash(FieldSpec(32003)) == hash((32003,))
+    assert hash(ScrollBlock("x", ["y", "z"])) == hash(("x", ("y", "z")))
+    assert len({FieldSpec(2), FieldSpec(2), QQ}) == 2
+
+
+def test_repr():
+    assert repr(FieldSpec(0)) == "QQ" and repr(FieldSpec(5)) == "GF(5)"
+    assert repr(Interval(1, INFINITE)) == "Interval(lower=1, upper=infinity)"
+    assert repr(Binomial(("a",), ("b",))) == "Binomial(lead=('a',), trail=('b',), trail_coeff=-1)"
+
+
+@pytest.mark.parametrize("char", [4, 1, 2**31])
+def test_field_spec_rejects_bad_characteristics(char):
+    with pytest.raises(ValueError):
+        FieldSpec(char)
+
+
+def test_post_init_normalises_scroll_block():
+    block = ScrollBlock("x", ["y", "z"])
+    assert block.y == ("y", "z") and isinstance(block.y, tuple)
+    assert block == ScrollBlock(x="x", y=("y", "z"))
+
+
+@frozen_record
+class Triple:
+    a: int
+    b: int = 1
+    c: int = 2
+
+
+def test_defaults_fill_the_missing_trailing_fields():
+    assert repr(Triple(0)) == "Triple(a=0, b=1, c=2)"
+    assert Triple(0, 5) == Triple(0, 5, 2) == Triple(a=0, b=5)
+    assert Triple(a=0) == Triple(0, 1, 2)
+    assert Triple(0, c=7) == Triple(0, 1, 7)
+
+
+def test_constructor_argument_errors():
+    with pytest.raises(TypeError):
+        Binomial(("a",))
+    with pytest.raises(TypeError):
+        Binomial(("a",), ("b",), -1, 0)
+    with pytest.raises(TypeError):
+        Binomial(("a",), ("b",), sign=1)
+    with pytest.raises(TypeError):
+        Binomial(("a",), ("b",), lead=("c",))
+    with pytest.raises(TypeError):
+
+        @frozen_record
+        class Misordered:
+            a: int = 0
+            b: int
+
+
+def test_emit_writes_not_applicable_and_interval_as_objects(capsys):
+    cli._emit({"exact": Interval(3, NotApplicable("no cycle")), "upper": NotApplicable("gate")})
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "exact": {"lower": 3, "upper": {"not_applicable": "no cycle"}},
+        "upper": {"not_applicable": "gate"},
+    }
