@@ -270,6 +270,8 @@ def random_cycle_extension_instance(seed, n=None):
     rng = random.Random(seed)
     if n is None:
         n = rng.randint(4, 6)
+    elif n < 4:
+        raise ValueError("cycle length must be at least 4")
     sizes = [rng.randint(0, 3) for _ in range(n)]
     sizes[rng.randrange(n)] = 0
     if not any(sizes):

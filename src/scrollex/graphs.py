@@ -295,6 +295,8 @@ def _cycle_search(g, allowed, facets, max_len, cap, what):
     chord.  Sorted by (length, rank); :class:`CycleCapExceeded` past ``cap``
     cycles, counted as ``what``.
     """
+    if cap < 0:
+        raise ValueError(f"cycle cap must be nonnegative, got {cap}")
     rank = g.rank
     adj = g.adj
     key = g.edge_key

@@ -2,8 +2,10 @@
 
 The generator system under scrutiny is tiny by design: quadratic squarefree
 monomials (the non-edges) plus quadratic binomials (the matrix minors).
-Polynomials never grow past a handful of degree-(<=3) terms, so terms are
-kept as dicts from variable tuples to small integer coefficients.
+Polynomials never grow past a handful of degree-(<=3) terms.  The public
+arithmetic keys terms by variable tuples; the Buchberger check encodes every
+monomial once as the sorted tuple of its variables' order ranks, reduces
+through dicts keyed by those tuples, and decodes only what it reports.
 """
 
 from __future__ import annotations
@@ -59,32 +61,6 @@ def lex_compare(order, a, b):
     return (ka > kb) - (ka < kb)
 
 
-def _mul(a, b, order):
-    return monomial(a + b, order)
-
-
-def _quotient(b, a):
-    rem = list(b)
-    for v in a:
-        rem.remove(v)
-    return tuple(rem)
-
-
-def _lcm(a, b, order):
-    out = list(a)
-    rem = list(a)
-    for v in b:
-        if v in rem:
-            rem.remove(v)
-        else:
-            out.append(v)
-    return monomial(out, order)
-
-
-def _coprime(a, b):
-    return not set(a) & set(b)
-
-
 @frozen_record
 class Binomial:
     """lead + trail_coeff * trail with lead strictly larger under the order."""
@@ -104,42 +80,67 @@ def orient_minor(pair, order):
     return Binomial(m1, m2) if c > 0 else Binomial(m2, m1)
 
 
+def _times(m, lead, trail):
+    """``lcm(m, lead) / lead * trail`` on rank tuples, sorted."""
+    rest = list(m)
+    for r in lead:
+        if r in rest:
+            rest.remove(r)
+    rest += trail
+    rest.sort()
+    return tuple(rest)
+
+
+def _encode(i, b, order):
+    """``(i, lead, trail, trail_coeff)`` of binomial ``b`` on rank tuples."""
+    rank = order.rank.__getitem__
+    lead, trail = (tuple(map(rank, monomial(m, order))) for m in (b.lead, b.trail))
+    return i, lead, trail, b.trail_coeff
+
+
+def _decode(terms, order):
+    return {tuple(order.variables[r] for r in m): c for m, c in terms.items()}
+
+
+def _s_terms(f, g):
+    """The S-polynomial of two encoded binomials, on rank tuples, zero terms dropped."""
+    (_i, fl, ft, fc), (_j, gl, gt, gc) = f, g
+    terms = {}
+    for t, c in ((_times(gl, fl, ft), fc), (_times(fl, gl, gt), -gc)):
+        terms[t] = terms.get(t, 0) + c
+    return {t: c for t, c in terms.items() if c}
+
+
 def s_polynomial(f, g, order):
     """The S-polynomial of two oriented binomials, as a term dict."""
-    lcm = _lcm(f.lead, g.lead, order)
-    terms = {}
-
-    def add(mono, coeff):
-        c = terms.get(mono, 0) + coeff
-        if c:
-            terms[mono] = c
-        else:
-            terms.pop(mono, None)
-
-    add(_mul(_quotient(lcm, f.lead), f.trail, order), f.trail_coeff)
-    add(_mul(_quotient(lcm, g.lead), g.trail, order), -g.trail_coeff)
-    return terms
+    return _decode(_s_terms(_encode(0, f, order), _encode(1, g, order)), order)
 
 
-def normal_form(terms, nf, leads, order):
+def normal_form(terms, nf, leads):
     """Remainder of the division algorithm against the prepared system.
 
-    ``nf`` is the set of monomial generators and ``leads`` maps a binomial
-    lead to ``(position, binomial)`` for the first binomial in system order
-    with that lead.  Terms are keyed by canonical monomials.  Every
-    generator is quadratic, so a term is divisible by one exactly when one
-    of its variable pairs is that generator.
+    Monomials are sorted tuples of ``order.rank`` values.  ``nf`` is the set
+    of monomial generators; ``leads`` maps a binomial lead to ``(position,
+    lead, trail, trail_coeff)`` of the first binomial in system order with
+    that lead.  Every generator is quadratic, so a term is divisible by one
+    exactly when one of its rank pairs is that generator.  The terms share
+    one degree, so the lex-largest term is the smallest rank tuple.
 
-    Repeatedly top-reduces: the current lead term is cancelled if one of its
-    pairs is a monomial generator, else rewritten by the earliest binomial
-    whose lead is one of its pairs, else moved to the remainder.  Division
-    by a monomial kills the whole term; division by lead - trail replaces
-    the term by a strictly smaller one, so the loop terminates.
+    Repeatedly top-reduces: the lead term is cancelled if one of its pairs
+    is a monomial generator, else rewritten by the earliest binomial whose
+    lead is one of its pairs, else moved to the remainder.  A rewrite gives
+    a strictly smaller term, so the loop terminates.
+
+    With ranks a=0, b=1, u=2 and the generators ab and au - b^2:
+
+    >>> nf, leads = {(0, 1)}, {(0, 2): (0, (0, 2), (1, 1), -1)}
+    >>> normal_form({(0, 2, 2): 3, (1, 2, 2): 1}, nf, leads)
+    {(1, 1, 2): 3, (1, 2, 2): 1}
     """
     work = dict(terms)
     remainder = {}
     while work:
-        m = max(work, key=lambda t: _lex_key(order, t))
+        m = min(work)
         c = work.pop(m)
         pairs = list(combinations(m, 2))
         if any(p in nf for p in pairs):
@@ -148,13 +149,11 @@ def normal_form(terms, nf, leads, order):
         if not hits:
             remainder[m] = c
             continue
-        b = min(hits, key=lambda hit: hit[0])[1]
-        t = _mul(_quotient(m, b.lead), b.trail, order)
-        nc = work.get(t, 0) - c * b.trail_coeff
-        if nc:
-            work[t] = nc
-        else:
-            work.pop(t, None)
+        _pos, lead, trail, coeff = min(hits)
+        t = _times(m, lead, trail)
+        work[t] = work.get(t, 0) - c * coeff
+        if not work[t]:
+            del work[t]
     return remainder
 
 
@@ -183,29 +182,26 @@ def buchberger_is_groebner(system, order):
 
     Checks that every S-polynomial of a pair with non-coprime leads reduces
     to zero; pairs with coprime leads are skipped (first Buchberger
-    criterion), as are pairs of plain monomials.
+    criterion), as are pairs of plain monomials.  A monomial generator m
+    enters as the binomial m + 0.  Pairs come from an index of binomial
+    positions by lead variable, in the order of a scan over all pairs.
     """
     nf, binomials = prepare_system(system, order)
-    nf_set = set(nf)
+    gens = nf + binomials
+    coded = [(i, tuple(map(order.rank.__getitem__, m)), (), 0) for i, m in enumerate(nf)]
+    coded += [_encode(i, b, order) for i, b in enumerate(binomials, len(nf))]
+    nf_set = {f[1] for f in coded[: len(nf)]}
     leads = {}
-    for i, b in enumerate(binomials):
-        leads.setdefault(b.lead, (i, b))
-    # monomial x binomial pairs
-    for mono in nf:
-        for b in binomials:
-            if _coprime(mono, b.lead):
-                continue
-            lcm = _lcm(mono, b.lead, order)
-            t = _mul(_quotient(lcm, b.lead), b.trail, order)
-            rem = normal_form({t: -b.trail_coeff}, nf_set, leads, order)
+    by_var = {}  # lead variable rank -> ascending binomial positions
+    for f in coded[len(nf) :]:
+        leads.setdefault(f[1], f)
+        for r in set(f[1]):
+            by_var.setdefault(r, []).append(f[0])
+    for f in coded:
+        for j in sorted({j for r in f[1] for j in by_var.get(r, ()) if j > f[0]}):
+            rem = normal_form(_s_terms(f, coded[j]), nf_set, leads)
             if rem:
-                return GroebnerCheck(False, (mono, b), rem)
-    for f, g in combinations(binomials, 2):
-        if _coprime(f.lead, g.lead):
-            continue
-        rem = normal_form(s_polynomial(f, g, order), nf_set, leads, order)
-        if rem:
-            return GroebnerCheck(False, (f, g), rem)
+                return GroebnerCheck(False, (gens[f[0]], gens[j]), _decode(rem, order))
     return GroebnerCheck(True)
 
 

@@ -18,11 +18,13 @@ from scrollex import (
     monomial,
     normal_form,
     orient_minor,
+    parse_instance,
     pi_star,
     s_polynomial,
     validate_extension,
     variable_order,
 )
+from scrollex import fixtures
 from scrollex.extension import GeneratorSystem
 from scrollex.graphs import CliqueComplex
 from scrollex.groebner import LeadTieError
@@ -78,15 +80,15 @@ def test_s_polynomial_shared_head_case():
 
 
 def test_normal_form_examples():
-    order = VarOrder(["a", "b", "u"])
-    nf = {("a", "b")}
-    leads = {("a", "u"): (0, Binomial(("a", "u"), ("b", "b")))}
+    # ranks a=0, b=1, u=2; generators ab and au - b^2
+    nf = {(0, 1)}
+    leads = {(0, 2): (0, (0, 2), (1, 1), -1)}
     # a member of the system reduces to zero
-    assert normal_form({("a", "u"): 1, ("b", "b"): -1}, nf, leads, order) == {}
+    assert normal_form({(0, 2): 1, (1, 1): -1}, nf, leads) == {}
     # a multiple of a monomial generator dies
-    assert normal_form({("a", "b", "u"): 5}, nf, leads, order) == {}
+    assert normal_form({(0, 1, 2): 5}, nf, leads) == {}
     # an untouchable monomial survives
-    assert normal_form({("u", "u"): 1}, nf, leads, order) == {("u", "u"): 1}
+    assert normal_form({(2, 2): 1}, nf, leads) == {(2, 2): 1}
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -197,12 +199,12 @@ def test_spair_degree_bound(bruns):
     decision = find_admissible_order(bruns.matrices)
     images = [pi_star(m) for m in decision.matrices]
     order = variable_order(decision.matrices, images, bruns.skeleton_bar.vertices)
-    from scrollex.groebner import prepare_system, _coprime
+    from scrollex.groebner import prepare_system
 
     _nf, binomials = prepare_system(generator_system(bruns), order)
     for i, f in enumerate(binomials):
         for g in binomials[i + 1 :]:
-            if _coprime(f.lead, g.lead):
+            if not set(f.lead) & set(g.lead):
                 continue
             s = s_polynomial(f, g, order)
             assert all(len(m) <= 3 for m in s)
@@ -241,3 +243,25 @@ def test_buchberger_matches_scanning_oracle(corpus):
             failed += not check.ok
     # the mutations must exercise the choice of failing pair and remainder
     assert failed > checked // 2
+
+
+def test_buchberger_matches_scanning_oracle_cycle_extension():
+    # 29 variables, several binomials per lead variable; the per-minor
+    # mutations are left out to keep the test fast.  The reversed order
+    # swaps the diagonals of every scroll matrix and stays a Groebner basis;
+    # the shuffled orders give failing pairs.
+    ext = parse_instance(fixtures.cycle_extension_instance(8, [3] * 7 + [0]))[0]
+    decision = find_admissible_order(ext.matrices)
+    images = [pi_star(m) for m in decision.matrices]
+    order = variable_order(decision.matrices, images, ext.skeleton_bar.vertices)
+    system = generator_system(ext)
+    orders = [order, VarOrder(reversed(order.variables))]
+    rng = random.Random(7)
+    for _ in range(2):
+        shuffled = list(order.variables)
+        rng.shuffle(shuffled)
+        orders.append(VarOrder(shuffled))
+    checks = [buchberger_is_groebner(system, o) for o in orders]
+    assert [c.ok for c in checks] == [True, True, False, False]
+    for check, var_order in zip(checks, orders):
+        assert check == scan_is_groebner(system, var_order)

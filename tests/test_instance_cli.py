@@ -316,6 +316,15 @@ def test_cli_cycles_cap_exit3(tmp_path, capsys):
         assert code == 3 and "more than 3" in err and out == ""
 
 
+def test_cli_cycles_negative_cap_exit1(capsys):
+    # chordal3 has a chordal base: a census there finds nothing to count
+    for name in ("bruns", "chordal3"):
+        for kind in ("minimal", "virtual"):
+            code, out, err = run(capsys, "cycles", path(name), "--kind", kind, "--cap", "-1")
+            assert (code, out) == (1, "")
+            assert err == "error: cycle cap must be nonnegative, got -1\n"
+
+
 def test_cli_betti_initial_hexagon(capsys):
     code, out, _ = run(capsys, "betti", path("square_one_edge"), "--ideal", "initial")
     doc = json.loads(out)
@@ -432,3 +441,10 @@ def test_cli_generators_deterministic(capsys):
     assert code == 0
     ext, _ = parse_instance(json.loads(out3))
     assert len(ext.base.skeleton.vertices) >= 4
+
+
+def test_cli_gen_cycle_ext_short_length(capsys):
+    for length in ("0", "-2", "3"):
+        code, out, err = run(capsys, "gen-cycle-ext", "--seed", "1", "--length", length)
+        assert (code, out) == (1, "")
+        assert err == "error: cycle length must be at least 4\n"
