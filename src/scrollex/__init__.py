@@ -55,15 +55,11 @@ from .extension import (
     validate_extension,
 )
 from .ordering import (
-    HeadsDigraph,
     NotOrderableError,
     OrderCycle,
     OrderFound,
     VarOrder,
-    check_admissible_order,
     find_admissible_order,
-    heads_digraph,
-    identity_permutation,
     is_admissible_permutation,
     pi_star,
     variable_order,

@@ -213,7 +213,7 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
         return tuple(rank[v] for v in vc.cycle)
 
     try:
-        initial = initial_complex(ext, "star").graph
+        initial = initial_complex(ext).graph
     except NotOrderableError:
         orderable, low_wit = False, None
         cert_value = sub_value = NotApplicable("no admissible order")

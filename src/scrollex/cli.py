@@ -51,13 +51,7 @@ from .homology import (
     p2_from_table,
 )
 from .instance import InstanceError, instance_digest, parse_instance
-from .ordering import (
-    NotOrderableError,
-    OrderFound,
-    find_admissible_order,
-    pi_star,
-    variable_order,
-)
+from .ordering import NotOrderableError, OrderFound, find_admissible_order
 from .extension import ExtensionError
 
 
@@ -139,25 +133,18 @@ def cmd_order(ext, digest, args):
 def cmd_groebner(ext, digest, args):
     from .extension import generator_system
 
-    decision = find_admissible_order(ext.matrices)
-    if not isinstance(decision, OrderFound):
-        return (
-            _envelope(
-                "groebner",
-                digest,
-                {"not_applicable": "no admissible order", "witness": [sorted(f) for f in decision.facets]},
-            ),
-            2,
-        )
-    images = [pi_star(m) for m in decision.matrices]
-    order = variable_order(decision.matrices, images, ext.skeleton_bar.vertices)
+    try:
+        ic = initial_complex(ext)
+    except NotOrderableError as e:
+        witness = [sorted(f) for f in e.facets]
+        payload = {"not_applicable": "no admissible order", "witness": witness}
+        return _envelope("groebner", digest, payload), 2
     system = generator_system(ext)
-    check = buchberger_is_groebner(system, order)
-    ic = initial_complex(ext, "star")
-    groebner_route = lead_deletions(system, order)
+    check = buchberger_is_groebner(system, ic.order)
+    groebner_route = lead_deletions(system, ic.order)
     payload = {
         "groebner_basis": check.ok,
-        "variable_order": list(order.variables),
+        "variable_order": list(ic.order.variables),
         "deletions": [list(e) for e in sorted(ic.deleted)],
         "routes_agree": groebner_route == {frozenset(e) for e in ic.deleted},
     }
@@ -184,7 +171,7 @@ def cmd_betti(ext, digest, args):
         graph = ext.base.skeleton
     else:
         try:
-            graph = initial_complex(ext, "star").graph
+            graph = initial_complex(ext).graph
         except NotOrderableError:
             return _envelope("betti", digest, {"not_applicable": "no admissible order"}), 2
     table = betti_table(graph, field, max_vertices=args.max_vertices)

@@ -1,9 +1,10 @@
-"""Instance builders: the worked examples of the package plus seeded generators.
+"""Instance builders: extended polygons plus seeded generators.
 
 Everything here returns plain instance dicts (the JSON schema of
 :mod:`scrollex.instance`), so the same corpus is available to the CLI
 generator subcommands and to the test suite.  All randomness flows through
-an explicit seed.
+an explicit seed.  The worked examples live once, as JSON files under
+``tests/fixtures/``.
 """
 
 from __future__ import annotations
@@ -13,109 +14,6 @@ import random
 from .graphs import Graph, CliqueComplex, maximal_cliques, proper_edges
 from .ordering import OrderFound, find_admissible_order
 from .instance import parse_instance
-
-
-def bruns_instance():
-    """Triangle {a,b,c} and path c-d-e-a closing a square a-c-d-e.
-
-    The triangle is extended along {a, c} by one variable, the edge {d, e}
-    by two.  The single virtual minimal cycle acde expands to a 7-gon.
-    """
-    return {
-        "vertices": ["a", "b", "c", "d", "e"],
-        "edges": [["a", "b"], ["b", "c"], ["a", "c"], ["c", "d"], ["d", "e"], ["a", "e"]],
-        "extensions": [
-            {"facet": ["a", "b", "c"], "x0": "a", "blocks": [{"x": "c", "y": ["z"]}]},
-            {"facet": ["d", "e"], "x0": "e", "blocks": [{"x": "d", "y": ["w", "x"]}]},
-        ],
-    }
-
-
-def square_one_edge_instance():
-    """A 4-cycle with one edge blown up by two variables: the hexagon instance."""
-    return {
-        "vertices": ["1", "2", "3", "4"],
-        "edges": [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]],
-        "extensions": [
-            {"facet": ["1", "2"], "x0": "1", "blocks": [{"x": "2", "y": ["u", "v"]}]},
-        ],
-    }
-
-
-def triangle_ring_instance():
-    """Four triangles in a ring; the head of every matrix feeds the next one.
-
-    The heads chase each other cyclically, so no admissible order exists.
-    """
-    return {
-        "vertices": ["a", "b", "c", "d", "e", "f", "g", "h"],
-        "edges": [
-            ["a", "e"], ["a", "b"], ["e", "b"],
-            ["d", "h"], ["d", "a"], ["h", "a"],
-            ["c", "g"], ["c", "d"], ["g", "d"],
-            ["b", "f"], ["b", "c"], ["f", "c"],
-        ],
-        "extensions": [
-            {"facet": ["a", "e", "b"], "x0": "a",
-             "blocks": [{"x": "b", "y": ["x", "y"]}, {"x": "e", "y": ["z"]}]},
-            {"facet": ["d", "h", "a"], "x0": "d",
-             "blocks": [{"x": "a", "y": ["r", "s"]}, {"x": "h", "y": ["q"]}]},
-            {"facet": ["c", "g", "d"], "x0": "c",
-             "blocks": [{"x": "g", "y": ["u"]}, {"x": "d", "y": ["t"]}]},
-            {"facet": ["b", "f", "c"], "x0": "b",
-             "blocks": [{"x": "c", "y": ["w"]}, {"x": "f", "y": ["v"]}]},
-        ],
-    }
-
-
-def triangle_ring_reoriented_instance():
-    """The ring with the second matrix re-anchored at a; now orderable.
-
-    The base swaps the roles of h and q: q becomes a graph vertex and h a
-    new variable of the second matrix.
-    """
-    return {
-        "vertices": ["a", "b", "c", "d", "e", "f", "g", "q"],
-        "edges": [
-            ["a", "e"], ["a", "b"], ["e", "b"],
-            ["d", "q"], ["d", "a"], ["q", "a"],
-            ["c", "g"], ["c", "d"], ["g", "d"],
-            ["b", "f"], ["b", "c"], ["f", "c"],
-        ],
-        "extensions": [
-            {"facet": ["a", "e", "b"], "x0": "a",
-             "blocks": [{"x": "b", "y": ["x", "y"]}, {"x": "e", "y": ["z"]}]},
-            {"facet": ["d", "q", "a"], "x0": "a",
-             "blocks": [{"x": "d", "y": ["s", "r"]}, {"x": "q", "y": ["h"]}]},
-            {"facet": ["c", "g", "d"], "x0": "c",
-             "blocks": [{"x": "g", "y": ["u"]}, {"x": "d", "y": ["t"]}]},
-            {"facet": ["b", "f", "c"], "x0": "b",
-             "blocks": [{"x": "c", "y": ["w"]}, {"x": "f", "y": ["v"]}]},
-        ],
-    }
-
-
-def flap_square_instance():
-    """A square a-b-c-d with a flap triangle on every side, fully extended.
-
-    Orderable, but the scroll ideals share variables around a cycle, so the
-    toricity gate fails and only the lower bound is certified.
-    """
-    return {
-        "vertices": ["a", "b", "c", "d", "e", "f", "g", "h"],
-        "edges": [
-            ["a", "d"], ["a", "h"], ["d", "h"],
-            ["a", "b"], ["a", "e"], ["b", "e"],
-            ["b", "c"], ["b", "f"], ["c", "f"],
-            ["c", "d"], ["c", "g"], ["d", "g"],
-        ],
-        "extensions": [
-            {"facet": ["a", "d", "h"], "x0": "a", "blocks": [{"x": "d", "y": ["y1", "y2"]}]},
-            {"facet": ["a", "b", "e"], "x0": "a", "blocks": [{"x": "b", "y": ["y3", "y4"]}]},
-            {"facet": ["b", "c", "f"], "x0": "b", "blocks": [{"x": "c", "y": ["y5", "y6"]}]},
-            {"facet": ["c", "d", "g"], "x0": "c", "blocks": [{"x": "d", "y": ["y7", "y8"]}]},
-        ],
-    }
 
 
 def cycle_extension_instance(n, sizes):
@@ -248,6 +146,8 @@ def random_extension_instance(seed, require_orderable=True, max_total=12):
 
 def chordal_instance(seed, n=6):
     """A seeded random extension over a chordal base (always 2-linear)."""
+    if n < 1:
+        raise ValueError("vertex count must be at least 1")
     rng = random.Random(seed)
     for _ in range(400):
         g = random_chordal_graph(rng, n)

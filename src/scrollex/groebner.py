@@ -16,10 +16,10 @@ from .graphs import Graph, frozen_record
 from .ordering import (
     NotOrderableError,
     OrderCycle,
+    VarOrder,
     find_admissible_order,
-    identity_permutation,
-    is_admissible_permutation,
     pi_star,
+    variable_order,
 )
 
 
@@ -229,52 +229,43 @@ def lead_deletions(system, order):
 
 @frozen_record
 class InitialComplex:
-    """The extended 1-skeleton minus the diagonal edges of every matrix."""
+    """The extended 1-skeleton minus the diagonal edges of every matrix.
+
+    ``order`` is the lex variable order under which the generator system
+    has these diagonals as its lead terms.
+    """
 
     graph: Graph
     deleted: frozenset
-    per_facet: tuple  # ((facet, (pairs...)), ...) in matrix order
+    order: VarOrder
 
 
-def resolve_permutations(ext, perms="star"):
-    """Normalize a permutation choice into one image per matrix."""
-    if perms == "star":
-        return tuple(pi_star(m) for m in ext.matrices)
-    if perms == "identity":
-        return tuple(identity_permutation(m) for m in ext.matrices)
-    return tuple(tuple(perms[m.facet]) for m in ext.matrices)
-
-
-def initial_complex(ext, perms="star"):
+def initial_complex(ext):
     """Delete the diagonals {top_i, bottom_k}, i < k, of every permuted matrix.
 
-    Requires an admissibly orderable family and admissible permutations; the
-    resulting edge set is exactly the complement of the lead terms of the
-    Groebner route, and its restriction to every extended facet is chordal.
+    The one place where the admissible order is decided: the family is
+    ordered by :func:`find_admissible_order` (NotOrderableError with the
+    witness cycle as ``facets`` if it has no order), every matrix is
+    permuted by :func:`pi_star`, and the same ordered, permuted family gives
+    the variable order.  The resulting edge set is exactly the complement
+    of the lead terms of the Groebner route, and its restriction to every
+    extended facet is chordal.  No diagonal degenerates to a square: the
+    variable order has checked that every permutation is admissible.
     """
-    if isinstance(find_admissible_order(ext.matrices), OrderCycle):
-        raise NotOrderableError("the matrix family admits no admissible order")
-    images = resolve_permutations(ext, perms)
+    decision = find_admissible_order(ext.matrices)
+    if isinstance(decision, OrderCycle):
+        raise NotOrderableError(
+            "the matrix family admits no admissible order", decision.facets
+        )
+    images = tuple(pi_star(m) for m in decision.matrices)
     gbar = ext.skeleton_bar
-    per_facet = []
+    order = variable_order(decision.matrices, images, gbar.vertices)
     deleted = set()
-    for m, image in zip(ext.matrices, images):
-        if not is_admissible_permutation(m, image):
-            raise ValueError(f"permutation {image} is not admissible for {m!r}")
+    for m, image in zip(decision.matrices, images):
         cols = m.columns()
         pc = [cols[p] for p in image]
-        dels = set()
         for i in range(len(pc)):
             for k in range(i + 1, len(pc)):
-                a, b = pc[i][0], pc[k][1]
-                if a == b:
-                    raise SquareLeadError(
-                        f"diagonal ({a}, {b}) of {m!r} degenerates to a square"
-                    )
-                dels.add(gbar.edge_key(a, b))
-        per_facet.append(
-            (m.facet, tuple(sorted(dels, key=lambda e: (gbar.rank[e[0]], gbar.rank[e[1]]))))
-        )
-        deleted |= dels
+                deleted.add(gbar.edge_key(pc[i][0], pc[k][1]))
     graph = Graph(gbar.vertices, gbar.edges - deleted)
-    return InitialComplex(graph, frozenset(deleted), tuple(per_facet))
+    return InitialComplex(graph, frozenset(deleted), order)

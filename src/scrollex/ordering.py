@@ -1,12 +1,12 @@
 """Admissible orders of scroll matrices, column permutations, variable orders.
 
-A family of matrices is admissibly ordered when, at every position, either
-the top-left entry of the matrix avoids the second rows of all later
-matrices, or the fallback head-matching condition holds (see
-:func:`check_admissible_order`).  Existence is decided on a digraph: there
-is an arc from matrix A to matrix B exactly when A's top-left entry occurs
-in B's second row; an order exists iff that digraph is acyclic, and a
-directed cycle is the witness of impossibility.
+A family of matrices is admissibly ordered when, at every position, the
+top-left entry of the matrix avoids the second rows of all later matrices
+(the literal definition's fallback branch is tested only by the brute-force
+judge ``check_admissible_order`` in ``tests/oracles.py``).  Existence is
+decided on a digraph: an arc runs from matrix A to matrix B exactly when
+A's top-left entry occurs in B's second row; an order exists iff that
+digraph is acyclic, and a directed cycle is the witness of impossibility.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from .graphs import frozen_record
 
 
 class NotOrderableError(RuntimeError):
-    """The matrix family admits no admissible order."""
+    """The matrix family admits no admissible order.
 
+    ``facets`` is the directed cycle that witnesses it, when one is known.
+    """
 
-@frozen_record
-class HeadsDigraph:
-    """Arc (i, j): matrix i's top-left entry lies in matrix j's second row."""
-
-    facets: tuple
-    arcs: frozenset
+    def __init__(self, message, facets=None):
+        super().__init__(message)
+        self.facets = facets
 
 
 @frozen_record
@@ -44,34 +43,29 @@ class OrderCycle:
         return tuple(m.facet for m in self.matrices)
 
 
-def heads_digraph(matrices):
-    matrices = tuple(matrices)
-    heads = [m.x0 for m in matrices]
-    second = [set(m.bottom_row()) for m in matrices]
-    arcs = frozenset(
-        (i, j)
-        for i in range(len(matrices))
-        for j in range(len(matrices))
-        if i != j and heads[i] in second[j]
-    )
-    return HeadsDigraph(tuple(m.facet for m in matrices), arcs)
-
-
 def find_admissible_order(matrices):
     """Order the family so every arc target precedes its source, or witness a cycle.
 
-    Emission is chain-following: a matrix becomes ready once all matrices
-    whose second row contains its head are placed; among ready matrices the
-    most recently enabled goes first, seeds and simultaneous enables by
-    input rank.  Returns :class:`OrderFound` (the order satisfies the
-    first admissibility condition at every position) or :class:`OrderCycle`.
+    There is an arc (i, j) when matrix i's top-left entry lies in matrix
+    j's second row.  Emission is chain-following: a matrix becomes ready
+    once all matrices whose second row contains its head are placed; among
+    ready matrices the most recently enabled goes first, seeds and
+    simultaneous enables by input rank.  Returns :class:`OrderFound` (the
+    order satisfies the first admissibility condition at every position)
+    or :class:`OrderCycle`.
     """
     matrices = tuple(matrices)
     k = len(matrices)
-    dg = heads_digraph(matrices)
+    second = [set(m.bottom_row()) for m in matrices]
+    arcs = [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j and matrices[i].x0 in second[j]
+    ]
     out_count = [0] * k
     into = [[] for _ in range(k)]  # into[j] = sources of arcs pointing at j
-    for i, j in sorted(dg.arcs):
+    for i, j in arcs:
         out_count[i] += 1
         into[j].append(i)
     frontier = [i for i in range(k) if out_count[i] == 0]
@@ -89,11 +83,10 @@ def find_admissible_order(matrices):
         frontier = sorted(newly) + frontier
     if len(order) == k:
         return OrderFound(tuple(matrices[i] for i in order))
-    remaining = [i for i in range(k) if not placed[i]]
     # every remaining matrix keeps an arc into the remaining set: walk until
     # a repeat and cut out the directed cycle
-    rem = set(remaining)
-    succ = {i: sorted(j for (a, j) in dg.arcs if a == i and j in rem) for i in rem}
+    rem = {i for i in range(k) if not placed[i]}
+    succ = {i: [j for (a, j) in arcs if a == i and j in rem] for i in rem}
     walk = [min(rem)]
     seen_at = {walk[0]: 0}
     while True:
@@ -106,40 +99,6 @@ def find_admissible_order(matrices):
     lo = cyc.index(min(cyc))
     cyc = cyc[lo:] + cyc[:lo]
     return OrderCycle(tuple(matrices[i] for i in cyc))
-
-
-def check_admissible_order(matrices):
-    """Literal two-branch admissibility test of an ordered family.
-
-    Position i passes when either (1) the head of matrix i is in no later
-    matrix's second row, or (2) some later matrix j has the head of i as its
-    bottom-left entry, some earlier matrix i' shares its head with matrix j,
-    and no matrix before i' has the head of i.  This is the brute-force
-    oracle; the decision procedure above uses condition (1) only.
-    """
-    matrices = tuple(matrices)
-    k = len(matrices)
-    heads = [m.x0 for m in matrices]
-    second = [set(m.bottom_row()) for m in matrices]
-    bottom_left = [m.bottom_row()[0] for m in matrices]
-    for i in range(k):
-        if all(heads[i] not in second[j] for j in range(i + 1, k)):
-            continue
-        ok = False
-        for j in range(i + 1, k):
-            if heads[i] != bottom_left[j]:
-                continue
-            for ip in range(i):
-                if heads[ip] == heads[j] and all(
-                    heads[i] != heads[jp] for jp in range(ip)
-                ):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +122,6 @@ def is_admissible_permutation(m, image):
         if any(cols[image[j]][0] == bot for j in range(i + 1)):
             return False
     return True
-
-
-def identity_permutation(m):
-    return tuple(range(len(m.columns())))
 
 
 def pi_star(m):
@@ -217,41 +172,27 @@ def variable_order(matrices, images, universe):
 
     Walks the permuted first rows in matrix order, assigning each unseen
     variable the next (smaller) position; all remaining members of
-    ``universe`` follow in their input order.  The result makes every
-    permuted top row strictly decreasing and every column top-heavy; a
-    violation (possible only for inputs that break the preconditions) raises.
+    ``universe`` follow in their input order.  The family must come in an
+    admissible order, as :func:`find_admissible_order` emits it; that is not
+    re-checked.  Each permutation is checked for admissibility (ValueError),
+    and the result for making every permuted top row strictly decreasing and
+    every column top-heavy (NotOrderableError).
     """
     matrices = tuple(matrices)
-    images = tuple(tuple(im) for im in images)
-    if not check_admissible_order(matrices):
-        raise NotOrderableError("matrices are not admissibly ordered")
+    permuted = []
     for m, im in zip(matrices, images):
         if not is_admissible_permutation(m, im):
-            raise ValueError(f"permutation {im} is not admissible for {m!r}")
-    seq = []
-    seen = set()
-    for m, im in zip(matrices, images):
+            raise ValueError(f"permutation {tuple(im)} is not admissible for {m!r}")
         cols = m.columns()
-        for pos in im:
-            top = cols[pos][0]
-            if top not in seen:
-                seen.add(top)
-                seq.append(top)
-    for v in universe:
-        if v not in seen:
-            seen.add(v)
-            seq.append(v)
-    order = VarOrder(seq)
-    for m, im in zip(matrices, images):
-        cols = m.columns()
-        tops = [cols[pos][0] for pos in im]
-        for a, b in zip(tops, tops[1:]):
-            if not order.greater(a, b):
-                raise NotOrderableError(
-                    f"top row of {m!r} is not decreasing under the induced order"
-                )
-        for pos in im:
-            top, bot = cols[pos]
+        permuted.append([cols[pos] for pos in im])
+    tops = [[top for top, _bot in cols] for cols in permuted]
+    order = VarOrder(dict.fromkeys([v for row in tops for v in row] + list(universe)))
+    for m, cols, row in zip(matrices, permuted, tops):
+        if not all(order.greater(a, b) for a, b in zip(row, row[1:])):
+            raise NotOrderableError(
+                f"top row of {m!r} is not decreasing under the induced order"
+            )
+        for top, bot in cols:
             if not order.greater(top, bot):
                 raise NotOrderableError(
                     f"column ({top}, {bot}) of {m!r} is not top-heavy"

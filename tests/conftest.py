@@ -7,35 +7,62 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from scrollex import fixtures, parse_instance
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def load(doc):
     ext, _canonical = parse_instance(doc)
     return ext
 
 
+def load_fixture(name):
+    """The extension stored in ``tests/fixtures/{name}.json``."""
+    return load((FIXTURES / f"{name}.json").read_text())
+
+
 @pytest.fixture(scope="session")
 def bruns():
-    return load(fixtures.bruns_instance())
+    """Triangle {a,b,c} and path c-d-e-a closing a square a-c-d-e.
+
+    The triangle is extended along {a, c} by one variable, the edge {d, e}
+    by two.  The single virtual minimal cycle acde expands to a 7-gon.
+    """
+    return load_fixture("bruns")
 
 
 @pytest.fixture(scope="session")
 def square_one_edge():
-    return load(fixtures.square_one_edge_instance())
+    """A 4-cycle with one edge blown up by two variables: the hexagon instance."""
+    return load_fixture("square_one_edge")
 
 
 @pytest.fixture(scope="session")
 def triangle_ring():
-    return load(fixtures.triangle_ring_instance())
+    """Four triangles in a ring; the head of every matrix feeds the next one.
+
+    The heads chase each other cyclically, so no admissible order exists.
+    """
+    return load_fixture("triangle_ring")
 
 
 @pytest.fixture(scope="session")
 def triangle_ring_reoriented():
-    return load(fixtures.triangle_ring_reoriented_instance())
+    """The ring with the second matrix re-anchored at a; now orderable.
+
+    The base swaps the roles of h and q: q becomes a graph vertex and h a
+    new variable of the second matrix.
+    """
+    return load_fixture("triangle_ring_reoriented")
 
 
 @pytest.fixture(scope="session")
 def flap_square():
-    return load(fixtures.flap_square_instance())
+    """A square a-b-c-d with a flap triangle on every side, fully extended.
+
+    Orderable, but the scroll ideals share variables around a cycle, so the
+    toricity gate fails and only the lower bound is certified.
+    """
+    return load_fixture("flap_square")
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,14 @@ No oracle calls the kernel it checks: homology ranks come from
 alone, with its own sparse rank and nothing from ``scrollex.homology``; and
 ``scan_is_groebner`` divides by its own scans (it shares only the system
 preparation and the S-polynomial with the library).
+
+Three judges of the paper's ordering data live here as well, because only
+tests use them: ``check_admissible_order``, the literal two-branch
+admissibility test that ``find_admissible_order`` is checked against;
+``identity_permutation``, the second admissible permutation the theorem
+tests quantify over besides pi*; and ``diagonal_deletions``, the matrix
+diagonals under any given permutations, which with ``identity_route``
+stands in for ``initial_complex`` when the permutations are not pi*.
 """
 
 from collections import Counter, deque
@@ -18,14 +26,80 @@ from scrollex import (
     QQ,
     GroebnerCheck,
     canonical_cycle,
+    find_admissible_order,
     induced,
     initial_complex,
     monomial,
     s_polynomial,
+    variable_order,
 )
 from scrollex.groebner import prepare_system
 from scrollex.homology import BettiTable
 from scrollex.bounds import virtual_edges
+
+
+def check_admissible_order(matrices):
+    """Literal two-branch admissibility test of an ordered family.
+
+    Position i passes when either (1) the head of matrix i is in no later
+    matrix's second row, or (2) some later matrix j has the head of i as its
+    bottom-left entry, some earlier matrix i' shares its head with matrix j,
+    and no matrix before i' has the head of i.  The library's decision
+    procedure uses condition (1) only.
+    """
+    matrices = tuple(matrices)
+    k = len(matrices)
+    heads = [m.x0 for m in matrices]
+    second = [set(m.bottom_row()) for m in matrices]
+    bottom_left = [m.bottom_row()[0] for m in matrices]
+    for i in range(k):
+        if all(heads[i] not in second[j] for j in range(i + 1, k)):
+            continue
+        ok = False
+        for j in range(i + 1, k):
+            if heads[i] != bottom_left[j]:
+                continue
+            for ip in range(i):
+                if heads[ip] == heads[j] and all(
+                    heads[i] != heads[jp] for jp in range(ip)
+                ):
+                    ok = True
+                    break
+            if ok:
+                break
+        if not ok:
+            return False
+    return True
+
+
+def identity_permutation(m):
+    return tuple(range(len(m.columns())))
+
+
+def diagonal_deletions(ext, matrices, images):
+    """The diagonals {top_i, bottom_k}, i < k, of every permuted matrix.
+
+    Returned as edge keys of the extended skeleton.
+    """
+    gbar = ext.skeleton_bar
+    out = set()
+    for m, image in zip(matrices, images):
+        cols = [m.columns()[p] for p in image]
+        for (top, _), (_, bottom) in combinations(cols, 2):
+            out.add(gbar.edge_key(top, bottom))
+    return frozenset(out)
+
+
+def identity_route(ext):
+    """The variable order and the deleted diagonals under identity permutations.
+
+    The counterpart of ``initial_complex(ext)``'s ``order`` and ``deleted``,
+    which use pi*.
+    """
+    decision = find_admissible_order(ext.matrices)
+    identity = [identity_permutation(m) for m in decision.matrices]
+    order = variable_order(decision.matrices, identity, ext.skeleton_bar.vertices)
+    return order, diagonal_deletions(ext, decision.matrices, identity)
 
 
 def brute_maximal_cliques(g):
@@ -171,7 +245,7 @@ def bfs_replacement_length(ext, cycle, e):
     the cycle.  Returns the path length, or None when no detour exists.
     """
     g = ext.base.skeleton
-    h = initial_complex(ext, "star").graph
+    h = initial_complex(ext).graph
     e = g.edge_key(*e)
     m, _block = virtual_matrix(ext, e)
     fbar = ext.facet_bar[m.facet]

@@ -23,11 +23,9 @@ from scrollex import (
     OrderFound,
     betti_table,
     buchberger_is_groebner,
-    check_admissible_order,
     cycle_betti_table,
     find_admissible_order,
     generator_system,
-    identity_permutation,
     initial_complex,
     is_chordal,
     lead_deletions,
@@ -35,16 +33,20 @@ from scrollex import (
     p2_monomial,
     p2_report,
     parse_instance,
-    pi_star,
     toricity_gate,
-    variable_order,
     virtual_minimal_cycles,
 )
 from scrollex import fixtures
 from scrollex.bounds import Interval
 from scrollex.extension import GeneratorSystem
 from scrollex.ordering import VarOrder
-from oracles import bfs_replacement_length, expand_cycle, homology_witness
+from oracles import (
+    bfs_replacement_length,
+    check_admissible_order,
+    expand_cycle,
+    homology_witness,
+    identity_route,
+)
 
 
 def _nx_to_graph(g):
@@ -161,14 +163,10 @@ def test_criterion_5_random_extensions_groebner(random_extensions):
         decision = find_admissible_order(ext.matrices)
         assert isinstance(decision, OrderFound)
         system = generator_system(ext)
-        for name, images in (
-            ("star", [pi_star(m) for m in decision.matrices]),
-            ("identity", [identity_permutation(m) for m in decision.matrices]),
-        ):
-            order = variable_order(decision.matrices, images, ext.skeleton_bar.vertices)
+        ic = initial_complex(ext)
+        for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
             assert buchberger_is_groebner(system, order).ok
-            ic = initial_complex(ext, name)
-            assert lead_deletions(system, order) == {frozenset(e) for e in ic.deleted}
+            assert lead_deletions(system, order) == {frozenset(e) for e in deleted}
     print(
         f"\nACCEPTANCE 5 PASS: Buchberger + route agreement on "
         f"{len(random_extensions)} random extensions x two permutations"

@@ -5,11 +5,11 @@ import pytest
 from scrollex import (
     Binomial,
     Graph,
+    NotOrderableError,
     VarOrder,
     buchberger_is_groebner,
     find_admissible_order,
     generator_system,
-    identity_permutation,
     induced,
     initial_complex,
     is_chordal,
@@ -28,7 +28,7 @@ from scrollex import fixtures
 from scrollex.extension import GeneratorSystem
 from scrollex.graphs import CliqueComplex
 from scrollex.groebner import LeadTieError
-from oracles import scan_is_groebner
+from oracles import diagonal_deletions, identity_permutation, identity_route, scan_is_groebner
 
 
 def generic_scroll_system(n):
@@ -139,7 +139,7 @@ def test_bruns_system_is_groebner(bruns):
 
 
 def test_initial_complex_square_one_edge(square_one_edge):
-    ic = initial_complex(square_one_edge, "star")
+    ic = initial_complex(square_one_edge)
     assert ic.deleted == {("1", "2"), ("1", "v"), ("2", "u")}
     # what is left of the extended square is a hexagon
     g = ic.graph
@@ -148,10 +148,9 @@ def test_initial_complex_square_one_edge(square_one_edge):
 
 
 def test_initial_complex_bruns(bruns):
-    ic = initial_complex(bruns, "star")
+    ic = initial_complex(bruns)
     assert ic.deleted == {("a", "c"), ("e", "x"), ("d", "e"), ("d", "w")}
-    per_facet = dict(ic.per_facet)
-    assert per_facet[frozenset("abc")] == (("a", "c"),)
+    assert ic.order.variables == ("a", "z", "e", "w", "x", "b", "c", "d")
 
 
 def test_initial_complex_unextended():
@@ -162,37 +161,45 @@ def test_initial_complex_unextended():
     assert ic.graph == ext.skeleton_bar
 
 
+def test_initial_complex_unorderable_carries_witness(triangle_ring):
+    with pytest.raises(NotOrderableError) as err:
+        initial_complex(triangle_ring)
+    assert err.value.facets == find_admissible_order(triangle_ring.matrices).facets
+
+
+def test_initial_complex_order_is_the_pi_star_order(corpus):
+    for ext in corpus:
+        decision = find_admissible_order(ext.matrices)
+        images = [pi_star(m) for m in decision.matrices]
+        ic = initial_complex(ext)
+        assert ic.order.variables == variable_order(
+            decision.matrices, images, ext.skeleton_bar.vertices
+        ).variables
+        assert ic.deleted == diagonal_deletions(ext, decision.matrices, images)
+
+
 def test_initial_complex_partition(corpus):
     for ext in corpus:
-        for perms in ("star", "identity"):
-            ic = initial_complex(ext, perms)
-            assert not (ic.deleted & ic.graph.edges)
-            assert ic.deleted | ic.graph.edges == ext.skeleton_bar.edges
+        ic = initial_complex(ext)
+        assert not (ic.deleted & ic.graph.edges)
+        assert ic.deleted | ic.graph.edges == ext.skeleton_bar.edges
 
 
 def test_initial_complex_facet_restrictions_chordal(corpus):
     for ext in corpus:
-        for perms in ("star", "identity"):
-            ic = initial_complex(ext, perms)
+        gbar = ext.skeleton_bar
+        _order, deleted = identity_route(ext)
+        for graph in (initial_complex(ext).graph, Graph(gbar.vertices, gbar.edges - deleted)):
             for fb in ext.facet_bar.values():
-                assert is_chordal(induced(ic.graph, fb))
+                assert is_chordal(induced(graph, fb))
 
 
 def test_lead_route_equals_diagonal_route(corpus):
     for ext in corpus:
-        decision = find_admissible_order(ext.matrices)
         system = generator_system(ext)
-        for name, images in (
-            ("star", [pi_star(m) for m in decision.matrices]),
-            ("identity", [identity_permutation(m) for m in decision.matrices]),
-        ):
-            order = variable_order(
-                decision.matrices, images, ext.skeleton_bar.vertices
-            )
-            ic = initial_complex(ext, name)
-            assert lead_deletions(system, order) == {
-                frozenset(e) for e in ic.deleted
-            }
+        ic = initial_complex(ext)
+        for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
+            assert lead_deletions(system, order) == {frozenset(e) for e in deleted}
 
 
 def test_spair_degree_bound(bruns):

@@ -290,6 +290,23 @@ def test_cli_groebner_not_applicable(capsys):
     assert code == 2
 
 
+def test_cli_groebner_decides_the_order_once(monkeypatch, capsys):
+    from scrollex.ordering import find_admissible_order
+
+    calls = []
+
+    def counted(matrices):
+        calls.append(1)
+        return find_admissible_order(matrices)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scrollex") and hasattr(module, "find_admissible_order"):
+            monkeypatch.setattr(module, "find_admissible_order", counted)
+    code, out, _ = run(capsys, "groebner", path("bruns"))
+    assert code == 0 and json.loads(out)["groebner_basis"]
+    assert len(calls) == 1
+
+
 def test_cli_cycles(capsys):
     code, out, _ = run(capsys, "cycles", path("bruns"), "--kind", "minimal")
     doc = json.loads(out)
@@ -441,6 +458,13 @@ def test_cli_generators_deterministic(capsys):
     assert code == 0
     ext, _ = parse_instance(json.loads(out3))
     assert len(ext.base.skeleton.vertices) >= 4
+
+
+def test_cli_gen_chordal_no_vertices(capsys):
+    for vertices in ("-1", "0"):
+        code, out, err = run(capsys, "gen-chordal", "--seed", "1", "--vertices", vertices)
+        assert (code, out) == (1, "")
+        assert err == "error: vertex count must be at least 1\n"
 
 
 def test_cli_gen_cycle_ext_short_length(capsys):

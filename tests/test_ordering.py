@@ -9,29 +9,12 @@ from scrollex import (
     ScrollBlock,
     ScrollMatrix,
     VarOrder,
-    check_admissible_order,
     find_admissible_order,
-    heads_digraph,
-    identity_permutation,
     is_admissible_permutation,
     pi_star,
     variable_order,
 )
-
-
-def test_heads_digraph_bruns(bruns):
-    dg = heads_digraph(bruns.matrices)
-    assert dg.arcs == frozenset()
-
-
-def test_heads_digraph_ring(triangle_ring):
-    dg = heads_digraph(triangle_ring.matrices)
-    assert dg.arcs == {(0, 1), (1, 2), (2, 3), (3, 0)}
-
-
-def test_heads_digraph_single_matrix(bruns):
-    dg = heads_digraph(bruns.matrices[:1])
-    assert dg.arcs == frozenset()
+from oracles import check_admissible_order, identity_permutation
 
 
 def test_find_order_bruns(bruns):
