@@ -21,10 +21,8 @@ from .graphs import (
     CycleCapExceeded,
     Graph,
     GraphError,
-    canonical_cycle,
     chordless_cycles,
     cycle_edges,
-    induced,
     is_chordal,
     maximal_cliques,
     proper_edges,

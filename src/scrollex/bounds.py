@@ -137,7 +137,7 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     g = ext.base.skeleton
     vmap = _virtual_edge_blocks(ext)
     found = _cycle_search(
-        g, vmap, ext.base.facets_of_edge, None, cap, "virtual cycle candidates",
+        g, vmap, ext.base.edge_facets, cap, "virtual cycle candidates",
     )
     out = []
     for cyc in found:

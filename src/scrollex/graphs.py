@@ -168,17 +168,6 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def induced(g, w):
-    """Subgraph of ``g`` on the vertex set ``w`` with all edges inside ``w``."""
-    w = set(w)
-    unknown = w - set(g.vertices)
-    if unknown:
-        raise GraphError(f"unknown vertices: {sorted(unknown)}")
-    verts = [v for v in g.vertices if v in w]
-    edges = [e for e in g.edges if e[0] in w and e[1] in w]
-    return Graph(verts, edges)
-
-
 def maximal_cliques(g):
     """All maximal cliques, each sorted by rank, listed lexicographically.
 
@@ -254,102 +243,108 @@ def is_chordal(g):
     return True
 
 
-def canonical_cycle(seq, rank):
-    """Canonical form of a cyclic vertex sequence.
-
-    Starts at the smallest vertex; the direction is chosen so the second
-    vertex is smaller than the last.  Two sequences describing the same
-    cycle canonicalize to the same tuple.
-    """
-    seq = tuple(seq)
-    k = len(seq)
-    i0 = min(range(k), key=lambda i: rank[seq[i]])
-    fwd = tuple(seq[(i0 + t) % k] for t in range(k))
-    bwd = tuple(seq[(i0 - t) % k] for t in range(k))
-    return fwd if rank[fwd[1]] < rank[bwd[1]] else bwd
-
-
 def cycle_edges(cycle, g):
     """The edge set of a cycle as canonical pairs, in traversal order."""
     k = len(cycle)
     return tuple(g.edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k))
 
 
-def chordless_cycles(g, max_len=None, cap=DEFAULT_CYCLE_CAP):
+def chordless_cycles(g, cap=DEFAULT_CYCLE_CAP):
     """All chordless cycles of length >= 4, canonical, sorted by (length, rank).
 
-    A cycle C qualifies iff the subgraph induced on V(C) is exactly C.  With
-    ``max_len`` the census is truncated to cycles of at most that length.
+    A cycle C qualifies iff the subgraph induced on V(C) is exactly C.
     Aborts with :class:`CycleCapExceeded` past ``cap`` emitted cycles.
     """
-    return _cycle_search(g, frozenset(), None, max_len, cap, "chordless cycles")
+    return _cycle_search(g, (), None, cap, "chordless cycles")
 
 
-def _cycle_search(g, allowed, facets, max_len, cap, what):
+def _cycle_search(g, allowed, facets, cap, what, shortest=False):
     """Canonical cycles of length >= 4 whose chords all lie in ``allowed``.
 
-    With ``facets`` (edge endpoints -> facet indices) no two cycle edges may
-    share a facet.  One explicit-stack walk per start pair (v0, v1): every
-    other vertex outranks v0 and the cycle closes on a neighbour of v0 that
-    outranks v1.  A walk stops at a vertex whose edge to v0 is a forbidden
-    chord.  Sorted by (length, rank); :class:`CycleCapExceeded` past ``cap``
-    cycles, counted as ``what``.
+    Runs on vertex ranks.  ``block[i]`` is the bitmask of i and of its
+    neighbours joined by a forbidden chord (one not in ``allowed``).  With
+    ``facets`` (canonical edge -> facet indices) every edge carries a bitmask
+    of its facets, and no two cycle edges may share a facet.  One
+    explicit-stack walk per start pair (v0, v1): every other vertex outranks
+    v0 and the cycle closes on a neighbour of v0 that outranks v1.  The path
+    interior (all but v0 and the last vertex) and the facets its edges use
+    are two running masks, set on push and undone on pop, so each test is
+    one ``&``.  A walk stops at a vertex whose edge to v0 is a forbidden
+    chord.  With ``shortest`` only the shortest cycles are kept, and a path
+    that cannot close into one is not extended.  Names are mapped back for
+    the kept cycles only.  Sorted by (length, rank);
+    :class:`CycleCapExceeded` past ``cap`` kept cycles, counted as ``what``.
     """
     if cap < 0:
         raise ValueError(f"cycle cap must be nonnegative, got {cap}")
     rank = g.rank
-    adj = g.adj
-    key = g.edge_key
-    nbrs = {v: sorted(adj[v], key=rank.get) for v in g.vertices}
+    n = len(g.vertices)
+    nbrs = [[] for _ in range(n)]
+    block = [1 << i for i in range(n)]
+    fm = [{} for _ in range(n)] if facets else [[0] * n] * n  # fm[i][j]: facets of {i, j}
+    for u, w in g.edges:
+        a, b = rank[u], rank[w]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+        if (u, w) not in allowed:
+            block[a] |= 1 << b
+            block[b] |= 1 << a
+        if facets:
+            m = 0
+            for f in facets[u, w]:
+                m |= 1 << f
+            fm[a][b] = fm[b][a] = m
+    for ns in nbrs:
+        ns.sort()
+    bound = n  # longest cycle kept
     found = []
-    for v0 in g.vertices:
-        r0 = rank[v0]
-        higher = [u for u in nbrs[v0] if rank[u] > r0]
-        # nothing outranks the top higher neighbour, so its walk cannot close
-        for v1 in higher[:-1]:
-            r1 = rank[v1]
-            path = [v0, v1]
-            members = {v0, v1}
-            used = set(facets(v0, v1)) if facets else set()
+    for r0, ns in enumerate(nbrs):
+        higher = [j for j in ns if j > r0]
+        if len(higher) < 2:
+            continue  # nothing outranks the top higher neighbour, so its walk cannot close
+        near0 = set(ns)
+        forb0 = {j for j in ns if block[r0] >> j & 1}
+        f0 = fm[r0]
+        for r1 in higher[:-1]:
+            path, inner, used = [r0, r1], 0, f0[r1]
             # one frame per path vertex past v0: its unvisited neighbours and
-            # the facets its incoming edge added to ``used``
-            stack = [(iter(nbrs[v1]), ())]
+            # the facet mask of its incoming edge, undone from ``used`` on pop
+            stack = [(iter(nbrs[r1]), f0[r1])]
             while stack:
                 last = path[-1]
+                fl = fm[last]
                 for u in stack[-1][0]:
-                    if rank[u] <= r0 or u in members:
-                        continue
-                    if any(
-                        w != v0 and w != last and key(u, w) not in allowed
-                        for w in adj[u] & members
-                    ):
-                        continue  # a forbidden chord to the path interior
-                    ef = facets(last, u) if facets else ()
-                    if not used.isdisjoint(ef):
+                    if u <= r0 or block[u] & inner:
+                        continue  # on the path, or a forbidden chord to its interior
+                    ef = fl[u]
+                    if used & ef:
                         continue  # two cycle edges would share a facet
-                    if v0 in adj[u]:
-                        if (
-                            len(path) >= 3
-                            and rank[u] > r1
-                            and (not facets or used.union(ef).isdisjoint(facets(u, v0)))
-                        ):
-                            found.append(tuple(path) + (u,))
+                    if u in near0:
+                        k = len(path) + 1
+                        if k >= 4 and u > r1 and k <= bound and not (used | ef) & fm[u][r0]:
+                            if shortest and k < bound:
+                                bound = k
+                                found.clear()
+                            found.append((*path, u))
                             if len(found) > cap:
                                 raise CycleCapExceeded(f"more than {cap} {what}")
-                        if key(u, v0) not in allowed:
+                        if u in forb0:
                             continue  # extending would leave the chord {u, v0}
-                    if max_len is not None and len(path) + 1 >= max_len:
+                    if len(path) + 2 > bound:
                         continue
                     path.append(u)
-                    members.add(u)
-                    used.update(ef)
+                    inner |= 1 << last
+                    used |= ef
                     stack.append((iter(nbrs[u]), ef))
                     break
                 else:
-                    used.difference_update(stack.pop()[1])
-                    members.discard(path.pop())
-    found.sort(key=lambda c: (len(c), tuple(rank[v] for v in c)))
-    return tuple(found)
+                    used ^= stack.pop()[1]
+                    path.pop()
+                    inner ^= 1 << path[-1]  # the new last vertex leaves the interior
+                    # (popping v1 sets v0's bit, but that ends the walk)
+    found.sort(key=lambda c: (len(c), c))
+    vs = g.vertices
+    return tuple(tuple([vs[i] for i in c]) for c in found)
 
 
 class CliqueComplex:
@@ -358,9 +353,10 @@ class CliqueComplex:
     The faces of the complex are exactly the cliques of ``skeleton``; the
     facet list is therefore determined by the graph.  An explicit facet list
     may be supplied for validation and is rejected if it differs.
+    ``edge_facets`` maps each canonical edge to the indices of its facets.
     """
 
-    __slots__ = ("skeleton", "facets", "_edge_facets")
+    __slots__ = ("skeleton", "facets", "edge_facets")
 
     def __init__(self, skeleton, facets=None):
         cliques = maximal_cliques(skeleton)
@@ -378,7 +374,7 @@ class CliqueComplex:
                 edge_facets.setdefault(skeleton.edge_key(u, w), []).append(idx)
         object.__setattr__(
             self,
-            "_edge_facets",
+            "edge_facets",
             {e: tuple(ix) for e, ix in edge_facets.items()},
         )
 
@@ -387,7 +383,7 @@ class CliqueComplex:
 
     def facets_of_edge(self, u, w):
         """Indices (into ``facets``) of the facets containing the edge {u, w}."""
-        return self._edge_facets.get(self.skeleton.edge_key(u, w), ())
+        return self.edge_facets.get(self.skeleton.edge_key(u, w), ())
 
     def facet_sets(self):
         return tuple(frozenset(f) for f in self.facets)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .graphs import DEFAULT_CYCLE_CAP, chordless_cycles, frozen_record
+from .graphs import DEFAULT_CYCLE_CAP, _cycle_search, frozen_record
 
 
 class GuardExceeded(ValueError):
@@ -376,14 +376,14 @@ def p2_monomial(g, cap=DEFAULT_CYCLE_CAP):
     """p2 of the non-edge ideal of ``g``: shortest chordless cycle length - 3.
 
     Infinite exactly when ``g`` is chordal; the witness count is the number
-    of chordless cycles of the shortest length.
+    of chordless cycles of the shortest length.  The census keeps only the
+    cycles no longer than the shortest found so far, and ``cap`` counts
+    those alone.
     """
-    cycles = chordless_cycles(g, cap=cap)
+    cycles = _cycle_search(g, (), None, cap, "chordless cycles", shortest=True)
     if not cycles:
         return P2Result(INFINITE, 0)
-    shortest = len(cycles[0])
-    count = sum(1 for c in cycles if len(c) == shortest)
-    return P2Result(shortest - 3, count)
+    return P2Result(len(cycles[0]) - 3, len(cycles))
 
 
 def p2_from_table(table, d=2):

@@ -16,6 +16,10 @@ admissibility test that ``find_admissible_order`` is checked against;
 tests quantify over besides pi*; and ``diagonal_deletions``, the matrix
 diagonals under any given permutations, which with ``identity_route``
 stands in for ``initial_complex`` when the permutations are not pi*.
+
+The graph helpers ``induced`` and ``canonical_cycle`` live here as well,
+since only the oracles and tests build induced subgraphs or canonicalize
+cycles by hand.
 """
 
 from collections import Counter, deque
@@ -24,10 +28,10 @@ from itertools import combinations, permutations
 
 from scrollex import (
     QQ,
+    Graph,
+    GraphError,
     GroebnerCheck,
-    canonical_cycle,
     find_admissible_order,
-    induced,
     initial_complex,
     monomial,
     s_polynomial,
@@ -100,6 +104,32 @@ def identity_route(ext):
     identity = [identity_permutation(m) for m in decision.matrices]
     order = variable_order(decision.matrices, identity, ext.skeleton_bar.vertices)
     return order, diagonal_deletions(ext, decision.matrices, identity)
+
+
+def induced(g, w):
+    """Subgraph of ``g`` on the vertex set ``w`` with all edges inside ``w``."""
+    w = set(w)
+    unknown = w - set(g.vertices)
+    if unknown:
+        raise GraphError(f"unknown vertices: {sorted(unknown)}")
+    verts = [v for v in g.vertices if v in w]
+    edges = [e for e in g.edges if e[0] in w and e[1] in w]
+    return Graph(verts, edges)
+
+
+def canonical_cycle(seq, rank):
+    """Canonical form of a cyclic vertex sequence.
+
+    Starts at the smallest vertex; the direction is chosen so the second
+    vertex is smaller than the last.  Two sequences describing the same
+    cycle canonicalize to the same tuple.
+    """
+    seq = tuple(seq)
+    k = len(seq)
+    i0 = min(range(k), key=lambda i: rank[seq[i]])
+    fwd = tuple(seq[(i0 + t) % k] for t in range(k))
+    bwd = tuple(seq[(i0 - t) % k] for t in range(k))
+    return fwd if rank[fwd[1]] < rank[bwd[1]] else bwd
 
 
 def brute_maximal_cliques(g):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -12,7 +13,6 @@ from scrollex import (
     chordless_cycles,
     cycle_betti_table,
     fixtures,
-    induced,
     initial_complex,
     p2_monomial,
     p2_report,
@@ -32,6 +32,7 @@ from oracles import (
     expand_cycle,
     homology_witness,
     identity_route,
+    induced,
 )
 
 
@@ -63,6 +64,19 @@ def test_virtual_cycle_census_matches_bruteforce(corpus):
     for ext in corpus:
         got = tuple(vc.cycle for vc in virtual_minimal_cycles(ext))
         assert got == brute_virtual_cycles(ext)
+
+
+def test_virtual_cycle_census_matches_bruteforce_on_shuffled_ranks():
+    # 250 instances beyond the corpus, orderable or not, each with its base
+    # vertices listed in a seeded random order so that ranks follow no name
+    # order
+    for seed in range(100, 350):
+        doc = fixtures.random_extension_instance(seed, require_orderable=False)
+        vertices = list(doc["vertices"])
+        random.Random(seed).shuffle(vertices)
+        ext, _ = parse_instance(dict(doc, vertices=vertices))
+        got = tuple(vc.cycle for vc in virtual_minimal_cycles(ext))
+        assert got == brute_virtual_cycles(ext), seed
 
 
 def test_census_empty_for_chordal_base():

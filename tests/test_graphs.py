@@ -5,18 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 import scrollex.graphs
 from scrollex import (
+    INFINITE,
     CliqueComplex,
     CycleCapExceeded,
     Graph,
     GraphError,
-    canonical_cycle,
+    P2Result,
     chordless_cycles,
-    induced,
     is_chordal,
     maximal_cliques,
+    p2_monomial,
     proper_edges,
 )
-from oracles import brute_chordless_cycles, brute_maximal_cliques
+from oracles import brute_chordless_cycles, brute_maximal_cliques, canonical_cycle, induced
 
 BRUNS_VERTICES = "abcde"
 BRUNS_EDGES = ["ab", "bc", "ac", "cd", "de", "ae"]
@@ -101,16 +102,6 @@ def test_chordless_cycles_bruns_matches_oracle():
     assert chordless_cycles(g) == brute_chordless_cycles(g)
 
 
-def test_chordless_cycles_max_len():
-    # a square and a pentagon sharing nothing
-    g = Graph(
-        "abcdvwxyz", ["ab", "bc", "cd", "da", "vw", "wx", "xy", "yz", "zv"]
-    )
-    assert len(chordless_cycles(g)) == 2
-    only_short = chordless_cycles(g, max_len=4)
-    assert [len(c) for c in only_short] == [4]
-
-
 def test_chordless_cycles_cap():
     verts = [f"u{i}" for i in range(3)] + [f"w{i}" for i in range(3)]
     edges = [(u, w) for u in verts[:3] for w in verts[3:]]
@@ -160,7 +151,9 @@ def test_canonical_cycle_rotation_reflection():
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=7))
-    verts = [f"v{i}" for i in range(n)]
+    # ranks follow a drawn permutation of the names, so that a census mixing
+    # up ranks and names disagrees with the oracle
+    verts = draw(st.permutations([f"v{i}" for i in range(n)]))
     pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
     return Graph(verts, edges)
@@ -194,6 +187,29 @@ def test_cliques_cover_and_antichain(g):
 @given(small_graphs())
 def test_census_matches_bruteforce(g):
     assert chordless_cycles(g) == brute_chordless_cycles(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_p2_monomial_matches_bruteforce(g):
+    holes = brute_chordless_cycles(g)
+    if not holes:
+        assert p2_monomial(g) == P2Result(INFINITE, 0)
+    else:
+        shortest = len(holes[0])
+        count = sum(1 for c in holes if len(c) == shortest)
+        assert p2_monomial(g) == P2Result(shortest - 3, count)
+
+
+def test_p2_monomial_drops_a_longer_hole_found_first():
+    # the walk from rank 0 meets the hexagon on ranks 0-5 before the
+    # square on ranks 6-9, so the hexagon must be dropped from the count
+    hexagon = [(f"h{i}", f"h{(i + 1) % 6}") for i in range(6)]
+    square = [(f"s{i}", f"s{(i + 1) % 4}") for i in range(4)]
+    names = [f"h{i}" for i in range(6)] + [f"s{i}" for i in range(4)]
+    g = Graph(names, hexagon + square)
+    assert len(chordless_cycles(g)) == 2
+    assert p2_monomial(g) == P2Result(1, 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,6 @@ from scrollex import (
     buchberger_is_groebner,
     find_admissible_order,
     generator_system,
-    induced,
     initial_complex,
     is_chordal,
     lead_deletions,
@@ -28,7 +27,13 @@ from scrollex import fixtures
 from scrollex.extension import GeneratorSystem
 from scrollex.graphs import CliqueComplex
 from scrollex.groebner import LeadTieError
-from oracles import diagonal_deletions, identity_permutation, identity_route, scan_is_groebner
+from oracles import (
+    diagonal_deletions,
+    identity_permutation,
+    identity_route,
+    induced,
+    scan_is_groebner,
+)
 
 
 def generic_scroll_system(n):
