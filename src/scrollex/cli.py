@@ -51,7 +51,7 @@ from .homology import (
     p2_from_table,
 )
 from .instance import InstanceError, instance_digest, parse_instance
-from .ordering import NotOrderableError, OrderFound, find_admissible_order
+from .ordering import NotOrderableError, find_admissible_order
 from .extension import ExtensionError
 
 
@@ -116,17 +116,12 @@ def cmd_validate(ext, digest, args):
 
 
 def cmd_order(ext, digest, args):
-    decision = find_admissible_order(ext.matrices)
-    if isinstance(decision, OrderFound):
-        payload = {
-            "orderable": True,
-            "order": [sorted(f) for f in decision.facets],
-        }
+    try:
+        matrices = find_admissible_order(ext.matrices)
+    except NotOrderableError as e:
+        payload = {"orderable": False, "witness": [sorted(f) for f in e.facets]}
     else:
-        payload = {
-            "orderable": False,
-            "witness": [sorted(f) for f in decision.facets],
-        }
+        payload = {"orderable": True, "order": [sorted(m.facet) for m in matrices]}
     return _envelope("order", digest, payload), 0
 
 
@@ -175,7 +170,7 @@ def cmd_betti(ext, digest, args):
         except NotOrderableError:
             return _envelope("betti", digest, {"not_applicable": "no admissible order"}), 2
     table = betti_table(graph, field, max_vertices=args.max_vertices)
-    p2 = p2_from_table(table, 2)
+    p2 = p2_from_table(table)
     payload = {
         "ideal": args.ideal,
         "field": repr(field),

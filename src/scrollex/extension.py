@@ -67,9 +67,6 @@ class ScrollMatrix:
                 cols.append((ys[t], ys[t + 1] if t + 1 < len(ys) else b.x))
         return tuple(cols)
 
-    def top_row(self):
-        return tuple(c[0] for c in self.columns())
-
     def bottom_row(self):
         return tuple(c[1] for c in self.columns())
 

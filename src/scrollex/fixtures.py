@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, CliqueComplex, maximal_cliques, proper_edges
-from .ordering import OrderFound, find_admissible_order
+from .ordering import NotOrderableError, find_admissible_order
 from .instance import parse_instance
 
 
@@ -134,11 +134,9 @@ def random_extension_instance(seed, require_orderable=True, max_total=12):
         }
         try:
             ext, _ = parse_instance(doc)
-        except ValueError:
-            continue
-        if require_orderable and not isinstance(
-            find_admissible_order(ext.matrices), OrderFound
-        ):
+            if require_orderable:
+                find_admissible_order(ext.matrices)
+        except (ValueError, NotOrderableError):
             continue
         return doc
     raise RuntimeError(f"no valid instance found for seed {seed}")

@@ -171,7 +171,8 @@ class Graph:
 def maximal_cliques(g):
     """All maximal cliques, each sorted by rank, listed lexicographically.
 
-    Bron-Kerbosch with a deterministic pivot choice.
+    Bron-Kerbosch with a deterministic pivot choice.  Each call owns its
+    ``p`` and ``x`` and moves a visited vertex from one to the other in place.
     """
     rank = g.rank
     adj = g.adj
@@ -184,8 +185,8 @@ def maximal_cliques(g):
         pivot = max(p | x, key=lambda v: (len(adj[v] & p), -rank[v]))
         for v in sorted(p - adj[pivot], key=rank.get):
             expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+            p.discard(v)
+            x.add(v)
 
     if g.vertices:
         expand(set(), set(g.vertices), set())

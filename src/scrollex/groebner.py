@@ -1,11 +1,12 @@
-"""Lex-order binomial arithmetic, Buchberger verification, initial complexes.
+"""Buchberger verification of the generator system, initial complexes.
 
 The generator system under scrutiny is tiny by design: quadratic squarefree
 monomials (the non-edges) plus quadratic binomials (the matrix minors).
-Polynomials never grow past a handful of degree-(<=3) terms.  The public
-arithmetic keys terms by variable tuples; the Buchberger check encodes every
-monomial once as the sorted tuple of its variables' order ranks, reduces
-through dicts keyed by those tuples, and decodes only what it reports.
+Polynomials never grow past a handful of degree-(<=3) terms.  Under a lex
+variable order, :func:`prepare_system` encodes every generator once as the
+sorted tuple of its variables' ranks (rank 0 is the largest variable); the
+Buchberger check reduces through dicts keyed by those tuples, and variable
+names come back only in what it reports.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graphs import Graph, frozen_record
-from .ordering import (
-    NotOrderableError,
-    OrderCycle,
-    VarOrder,
-    find_admissible_order,
-    pi_star,
-    variable_order,
-)
+from .ordering import VarOrder, find_admissible_order, pi_star, variable_order
 
 
 class LeadTieError(ValueError):
@@ -31,36 +25,6 @@ class SquareLeadError(ValueError):
     """A diagonal pair degenerated to a square; admissibility was violated."""
 
 
-def monomial(variables, order):
-    """Canonical form of a monomial: its variables sorted by order rank."""
-    try:
-        return tuple(sorted(variables, key=order.rank.__getitem__))
-    except KeyError as e:
-        raise ValueError(f"variable {e.args[0]!r} is not ranked") from None
-
-
-def _lex_key(order, m):
-    """Sort key that orders monomials as :func:`lex_compare` does.
-
-    The ranks in ascending order, each negated: a smaller rank at the first
-    difference, or more ranks after a common prefix, gives the larger key.
-    """
-    try:
-        return tuple(sorted((-order.rank[v] for v in m), reverse=True))
-    except KeyError as e:
-        raise ValueError(f"variable {e.args[0]!r} is not ranked") from None
-
-
-def lex_compare(order, a, b):
-    """Pure lexicographic comparison; returns 1, 0 or -1 (a vs b).
-
-    Monomials written as rank sequences compare lexicographically, smaller
-    sequence first; a proper prefix is the smaller monomial.
-    """
-    ka, kb = _lex_key(order, a), _lex_key(order, b)
-    return (ka > kb) - (ka < kb)
-
-
 @frozen_record
 class Binomial:
     """lead + trail_coeff * trail with lead strictly larger under the order."""
@@ -68,16 +32,6 @@ class Binomial:
     lead: tuple
     trail: tuple
     trail_coeff: int = -1
-
-
-def orient_minor(pair, order):
-    """Turn an unsigned minor (two monomials) into an oriented Binomial."""
-    m1 = monomial(pair[0], order)
-    m2 = monomial(pair[1], order)
-    c = lex_compare(order, m1, m2)
-    if c == 0:
-        raise LeadTieError(f"minor {pair} has equal monomials under the order")
-    return Binomial(m1, m2) if c > 0 else Binomial(m2, m1)
 
 
 def _times(m, lead, trail):
@@ -91,29 +45,36 @@ def _times(m, lead, trail):
     return tuple(rest)
 
 
-def _encode(i, b, order):
-    """``(i, lead, trail, trail_coeff)`` of binomial ``b`` on rank tuples."""
-    rank = order.rank.__getitem__
-    lead, trail = (tuple(map(rank, monomial(m, order))) for m in (b.lead, b.trail))
-    return i, lead, trail, b.trail_coeff
+def _names(m, order):
+    return tuple(order.variables[r] for r in m)
 
 
-def _decode(terms, order):
-    return {tuple(order.variables[r] for r in m): c for m, c in terms.items()}
+def _generator(f, order):
+    """An encoded generator as reported: a monomial's variables, or a Binomial."""
+    _i, lead, trail, c = f
+    if not c:
+        return _names(lead, order)
+    return Binomial(_names(lead, order), _names(trail, order))
 
 
 def _s_terms(f, g):
-    """The S-polynomial of two encoded binomials, on rank tuples, zero terms dropped."""
+    """The S-polynomial of two encoded binomials, on rank tuples, zero terms dropped.
+
+    A binomial is ``(position, lead, trail, trail_coeff)``.  With ranks
+    x1..x3 = 0..2 and y1..y3 = 3..5, the minors x1*y2 - x2*y1 and
+    x1*y3 - x3*y1 share the head x1:
+
+    >>> f, g = (0, (0, 4), (1, 3), -1), (1, (0, 5), (2, 3), -1)
+    >>> _s_terms(f, g)
+    {(1, 3, 5): -1, (2, 3, 4): 1}
+    >>> _s_terms(f, f)
+    {}
+    """
     (_i, fl, ft, fc), (_j, gl, gt, gc) = f, g
     terms = {}
     for t, c in ((_times(gl, fl, ft), fc), (_times(fl, gl, gt), -gc)):
         terms[t] = terms.get(t, 0) + c
     return {t: c for t, c in terms.items() if c}
-
-
-def s_polynomial(f, g, order):
-    """The S-polynomial of two oriented binomials, as a term dict."""
-    return _decode(_s_terms(_encode(0, f, order), _encode(1, g, order)), order)
 
 
 def normal_form(terms, nf, leads):
@@ -167,13 +128,30 @@ class GroebnerCheck:
 
 
 def prepare_system(system, order):
-    """Deterministic reducer lists: NF monomials first, then oriented minors."""
-    nf = [monomial(p, order) for p in system.nf]
-    nf.sort(key=lambda m: tuple(order.rank[v] for v in m))
+    """The generators on rank tuples: ``(nf, binomials)``.
+
+    Every monomial becomes the sorted tuple of its variables' ranks under
+    ``order``.  ``nf`` lists the monomial generators, ascending; ``binomials``
+    lists one ``(lead, trail)`` per minor, in system order.  Every generator
+    is quadratic, so the lex-larger monomial of a minor is the smaller
+    tuple.  Raises ValueError for a variable the order does not rank and
+    :class:`LeadTieError` for a minor whose two monomials are equal.
+    """
+
+    def encode(m):
+        try:
+            return tuple(sorted(order.rank[v] for v in m))
+        except KeyError as e:
+            raise ValueError(f"variable {e.args[0]!r} is not ranked") from None
+
+    nf = sorted(map(encode, system.nf))
     binomials = []
     for _facet, minors in system.minors:
         for pair in minors:
-            binomials.append(orient_minor(pair, order))
+            a, b = map(encode, pair)
+            if a == b:
+                raise LeadTieError(f"minor {pair} has equal monomials under the order")
+            binomials.append((a, b) if a < b else (b, a))
     return nf, binomials
 
 
@@ -184,13 +162,14 @@ def buchberger_is_groebner(system, order):
     to zero; pairs with coprime leads are skipped (first Buchberger
     criterion), as are pairs of plain monomials.  A monomial generator m
     enters as the binomial m + 0.  Pairs come from an index of binomial
-    positions by lead variable, in the order of a scan over all pairs.
+    positions by lead variable, in the order of a scan over all pairs.  A
+    failure reports the pair (a monomial as its variables, a minor as a
+    :class:`Binomial`) and the remainder in variable names.
     """
     nf, binomials = prepare_system(system, order)
-    gens = nf + binomials
-    coded = [(i, tuple(map(order.rank.__getitem__, m)), (), 0) for i, m in enumerate(nf)]
-    coded += [_encode(i, b, order) for i, b in enumerate(binomials, len(nf))]
-    nf_set = {f[1] for f in coded[: len(nf)]}
+    coded = [(i, m, (), 0) for i, m in enumerate(nf)]
+    coded += [(i, lead, trail, -1) for i, (lead, trail) in enumerate(binomials, len(nf))]
+    nf_set = set(nf)
     leads = {}
     by_var = {}  # lead variable rank -> ascending binomial positions
     for f in coded[len(nf) :]:
@@ -201,7 +180,9 @@ def buchberger_is_groebner(system, order):
         for j in sorted({j for r in f[1] for j in by_var.get(r, ()) if j > f[0]}):
             rem = normal_form(_s_terms(f, coded[j]), nf_set, leads)
             if rem:
-                return GroebnerCheck(False, (gens[f[0]], gens[j]), _decode(rem, order))
+                pair = (_generator(f, order), _generator(coded[j], order))
+                remainder = {_names(m, order): c for m, c in rem.items()}
+                return GroebnerCheck(False, pair, remainder)
     return GroebnerCheck(True)
 
 
@@ -214,8 +195,8 @@ def lead_deletions(system, order):
     """
     _nf, binomials = prepare_system(system, order)
     out = set()
-    for b in binomials:
-        u, w = b.lead
+    for lead, _trail in binomials:
+        u, w = _names(lead, order)
         if u == w:
             raise SquareLeadError(f"square lead {u}^2")
         out.add(frozenset((u, w)))
@@ -244,24 +225,20 @@ def initial_complex(ext):
     """Delete the diagonals {top_i, bottom_k}, i < k, of every permuted matrix.
 
     The one place where the admissible order is decided: the family is
-    ordered by :func:`find_admissible_order` (NotOrderableError with the
-    witness cycle as ``facets`` if it has no order), every matrix is
-    permuted by :func:`pi_star`, and the same ordered, permuted family gives
-    the variable order.  The resulting edge set is exactly the complement
+    ordered by :func:`find_admissible_order` (which raises NotOrderableError
+    with the witness cycle as ``facets`` if it has no order), every matrix
+    is permuted by :func:`pi_star`, and the same ordered, permuted family
+    gives the variable order.  The resulting edge set is exactly the complement
     of the lead terms of the Groebner route, and its restriction to every
     extended facet is chordal.  No diagonal degenerates to a square: the
     variable order has checked that every permutation is admissible.
     """
-    decision = find_admissible_order(ext.matrices)
-    if isinstance(decision, OrderCycle):
-        raise NotOrderableError(
-            "the matrix family admits no admissible order", decision.facets
-        )
-    images = tuple(pi_star(m) for m in decision.matrices)
+    matrices = find_admissible_order(ext.matrices)
+    images = tuple(pi_star(m) for m in matrices)
     gbar = ext.skeleton_bar
-    order = variable_order(decision.matrices, images, gbar.vertices)
+    order = variable_order(matrices, images, gbar.vertices)
     deleted = set()
-    for m, image in zip(decision.matrices, images):
+    for m, image in zip(matrices, images):
         cols = m.columns()
         pc = [cols[p] for p in image]
         for i in range(len(pc)):

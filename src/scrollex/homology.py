@@ -301,13 +301,6 @@ class BettiTable:
     def is_two_linear(self):
         return all(j <= i + 2 for (i, j) in self.graded)
 
-    def top(self):
-        """The lexicographically last entry, or None for the zero ideal."""
-        if not self.graded:
-            return None
-        key = max(self.graded)
-        return key, self.graded[key]
-
 
 def betti_table(g, field=QQ, max_vertices=20):
     """Full Betti table of the non-edge ideal of ``g`` via the subset sweep.
@@ -386,13 +379,13 @@ def p2_monomial(g, cap=DEFAULT_CYCLE_CAP):
     return P2Result(len(cycles[0]) - 3, len(cycles))
 
 
-def p2_from_table(table, d=2):
-    """Maximal p such that beta_{i, i+d+j} vanishes for all i <= p-1, j >= 1."""
-    bad = [i for (i, j) in table.graded if j > i + d]
+def p2_from_table(table):
+    """Maximal p such that beta_{i, i+2+j} vanishes for all i <= p-1, j >= 1."""
+    bad = [i for (i, j) in table.graded if j > i + 2]
     if not bad:
         return P2Result(INFINITE, 0)
     p = min(bad)
-    return P2Result(p, table.entry(p, p + d + 1))
+    return P2Result(p, table.entry(p, p + 3))
 
 
 def cycle_betti_table(n, s=0):

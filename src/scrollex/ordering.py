@@ -11,8 +11,6 @@ digraph is acyclic, and a directed cycle is the witness of impossibility.
 
 from __future__ import annotations
 
-from .graphs import frozen_record
-
 
 class NotOrderableError(RuntimeError):
     """The matrix family admits no admissible order.
@@ -25,34 +23,18 @@ class NotOrderableError(RuntimeError):
         self.facets = facets
 
 
-@frozen_record
-class OrderFound:
-    matrices: tuple
-
-    @property
-    def facets(self):
-        return tuple(m.facet for m in self.matrices)
-
-
-@frozen_record
-class OrderCycle:
-    matrices: tuple
-
-    @property
-    def facets(self):
-        return tuple(m.facet for m in self.matrices)
-
-
 def find_admissible_order(matrices):
-    """Order the family so every arc target precedes its source, or witness a cycle.
+    """The family ordered so every arc target precedes its source.
 
     There is an arc (i, j) when matrix i's top-left entry lies in matrix
     j's second row.  Emission is chain-following: a matrix becomes ready
     once all matrices whose second row contains its head are placed; among
     ready matrices the most recently enabled goes first, seeds and
-    simultaneous enables by input rank.  Returns :class:`OrderFound` (the
-    order satisfies the first admissibility condition at every position)
-    or :class:`OrderCycle`.
+    simultaneous enables by input rank.  Returns the ordered matrices as a
+    tuple (the order satisfies the first admissibility condition at every
+    position).  Raises :class:`NotOrderableError` if the digraph has a
+    directed cycle; its ``facets`` are the facets of the cycle's matrices,
+    starting from the one first in the input.
     """
     matrices = tuple(matrices)
     k = len(matrices)
@@ -82,7 +64,7 @@ def find_admissible_order(matrices):
                 newly.append(w)
         frontier = sorted(newly) + frontier
     if len(order) == k:
-        return OrderFound(tuple(matrices[i] for i in order))
+        return tuple(matrices[i] for i in order)
     # every remaining matrix keeps an arc into the remaining set: walk until
     # a repeat and cut out the directed cycle
     rem = {i for i in range(k) if not placed[i]}
@@ -98,7 +80,10 @@ def find_admissible_order(matrices):
         walk.append(nxt)
     lo = cyc.index(min(cyc))
     cyc = cyc[lo:] + cyc[:lo]
-    return OrderCycle(tuple(matrices[i] for i in cyc))
+    raise NotOrderableError(
+        "the matrix family admits no admissible order",
+        tuple(matrices[i].facet for i in cyc),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scrollex import fixtures, parse_instance
+from scrollex import fixtures
+from scrollex.instance import parse_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

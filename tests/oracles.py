@@ -6,16 +6,20 @@ No oracle calls the kernel it checks: homology ranks come from
 ``oracle_rank`` below, not from the library's ``rank`` kernel;
 ``binomial_class_betti`` works from the matrices and the extended skeleton
 alone, with its own sparse rank and nothing from ``scrollex.homology``; and
-``scan_is_groebner`` divides by its own scans (it shares only the system
-preparation and the S-polynomial with the library).
+``scan_is_groebner`` orients the minors, builds S-polynomials on multisets
+and divides by its own scans, on variable names throughout (it shares only
+the record types ``Binomial`` and ``GroebnerCheck`` with the library).
 
 Three judges of the paper's ordering data live here as well, because only
 tests use them: ``check_admissible_order``, the literal two-branch
 admissibility test that ``find_admissible_order`` is checked against;
 ``identity_permutation``, the second admissible permutation the theorem
 tests quantify over besides pi*; and ``diagonal_deletions``, the matrix
-diagonals under any given permutations, which with ``identity_route``
-stands in for ``initial_complex`` when the permutations are not pi*.
+diagonals under any given permutations, which with ``diagonal_route``
+stands in for ``initial_complex``: under identity permutations in
+``identity_route``, and under pi* in ``bfs_replacement_length``, so that
+no oracle calls ``initial_complex``.  ``orderable`` turns the
+``NotOrderableError`` of ``find_admissible_order`` into a boolean for tests.
 
 The graph helpers ``induced`` and ``canonical_cycle`` live here as well,
 since only the oracles and tests build induced subgraphs or canonicalize
@@ -24,21 +28,13 @@ cycles by hand.
 
 from collections import Counter, deque
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from scrollex import (
-    QQ,
-    Graph,
-    GraphError,
-    GroebnerCheck,
-    find_admissible_order,
-    initial_complex,
-    monomial,
-    s_polynomial,
-    variable_order,
-)
-from scrollex.groebner import prepare_system
-from scrollex.homology import BettiTable
+from scrollex.graphs import Graph, GraphError
+from scrollex.homology import QQ, BettiTable
+from scrollex.ordering import NotOrderableError, find_admissible_order, pi_star, variable_order
+from scrollex.groebner import Binomial, GroebnerCheck
 from scrollex.bounds import virtual_edges
 
 
@@ -94,16 +90,31 @@ def diagonal_deletions(ext, matrices, images):
     return frozenset(out)
 
 
+def orderable(matrices):
+    """Whether ``find_admissible_order`` orders the family instead of raising."""
+    try:
+        find_admissible_order(matrices)
+    except NotOrderableError:
+        return False
+    return True
+
+
+def diagonal_route(ext, permutation):
+    """The variable order and the deleted diagonals when every matrix of the
+    ordered family is permuted by ``permutation(m)``."""
+    matrices = find_admissible_order(ext.matrices)
+    images = [permutation(m) for m in matrices]
+    order = variable_order(matrices, images, ext.skeleton_bar.vertices)
+    return order, diagonal_deletions(ext, matrices, images)
+
+
 def identity_route(ext):
     """The variable order and the deleted diagonals under identity permutations.
 
     The counterpart of ``initial_complex(ext)``'s ``order`` and ``deleted``,
     which use pi*.
     """
-    decision = find_admissible_order(ext.matrices)
-    identity = [identity_permutation(m) for m in decision.matrices]
-    order = variable_order(decision.matrices, identity, ext.skeleton_bar.vertices)
-    return order, diagonal_deletions(ext, decision.matrices, identity)
+    return diagonal_route(ext, identity_permutation)
 
 
 def induced(g, w):
@@ -274,8 +285,8 @@ def bfs_replacement_length(ext, cycle, e):
     facet of ``e``, excluding every vertex that keeps an edge to the rest of
     the cycle.  Returns the path length, or None when no detour exists.
     """
-    g = ext.base.skeleton
-    h = initial_complex(ext).graph
+    g, gbar = ext.base.skeleton, ext.skeleton_bar
+    h = Graph(gbar.vertices, gbar.edges - diagonal_route(ext, pi_star)[1])
     e = g.edge_key(*e)
     m, _block = virtual_matrix(ext, e)
     fbar = ext.facet_bar[m.facet]
@@ -543,6 +554,11 @@ def binomial_class_betti(ext, mono, p=32003):
     return out
 
 
+def _canonical(m, order):
+    """Monomial ``m`` with its variables sorted from the largest down."""
+    return tuple(sorted(m, key=order.rank.__getitem__))
+
+
 def _lex_greater(order, a, b):
     """Whether monomial a is lex-larger than b: at the first difference of
     their sorted rank sequences a has the smaller rank, or b is a proper
@@ -572,6 +588,33 @@ def _quotient(b, a):
     return tuple(rem)
 
 
+def oriented_system(system, order):
+    """The NF monomials from the lex-largest down, and the minors as
+    Binomials in system order, each lead chosen by :func:`_lex_greater`."""
+    key = cmp_to_key(lambda a, b: -1 if _lex_greater(order, a, b) else 1)
+    nf = sorted((_canonical(m, order) for m in system.nf), key=key)
+    binomials = []
+    for _facet, minors in system.minors:
+        for pair in minors:
+            a, b = (_canonical(m, order) for m in pair)
+            if a == b:
+                raise ValueError(f"minor {pair} has equal monomials")
+            binomials.append(Binomial(a, b) if _lex_greater(order, a, b) else Binomial(b, a))
+    return nf, binomials
+
+
+def scan_s_polynomial(f, g, order):
+    """(lcm / lead f) * f - (lcm / lead g) * g for two Binomials, with the
+    lcm of the leads taken on multisets; zero terms dropped."""
+    lcm = Counter(f.lead) | Counter(g.lead)
+    terms = Counter()
+    for b, sign in ((f, 1), (g, -1)):
+        cofactor = lcm - Counter(b.lead)
+        t = _canonical(tuple((cofactor + Counter(b.trail)).elements()), order)
+        terms[t] += sign * b.trail_coeff
+    return {t: c for t, c in terms.items() if c}
+
+
 def scan_normal_form(terms, nf_monomials, binomials, order):
     """Division by linear scans: the lead term by a pairwise lex scan, then
     the first NF monomial, else the first binomial in list order whose lead
@@ -588,7 +631,7 @@ def scan_normal_form(terms, nf_monomials, binomials, order):
             continue
         for b in binomials:
             if _divides(b.lead, m):
-                t = monomial(_quotient(m, b.lead) + b.trail, order)
+                t = _canonical(_quotient(m, b.lead) + b.trail, order)
                 nc = work.get(t, 0) - c * b.trail_coeff
                 if nc:
                     work[t] = nc
@@ -603,20 +646,20 @@ def scan_normal_form(terms, nf_monomials, binomials, order):
 def scan_is_groebner(system, order):
     """The Buchberger check with :func:`scan_normal_form`, visiting the
     monomial x binomial pairs and then the binomial pairs in system order."""
-    nf, binomials = prepare_system(system, order)
+    nf, binomials = oriented_system(system, order)
     for mono in nf:
         for b in binomials:
             if not set(mono) & set(b.lead):
                 continue
             # lcm(mono, lead) / lead, as multisets
             cofactor = tuple((Counter(mono) - Counter(b.lead)).elements())
-            t = monomial(cofactor + b.trail, order)
+            t = _canonical(cofactor + b.trail, order)
             rem = scan_normal_form({t: -b.trail_coeff}, nf, binomials, order)
             if rem:
                 return GroebnerCheck(False, (mono, b), rem)
     for f, g in combinations(binomials, 2):
         if set(f.lead) & set(g.lead):
-            rem = scan_normal_form(s_polynomial(f, g, order), nf, binomials, order)
+            rem = scan_normal_form(scan_s_polynomial(f, g, order), nf, binomials, order)
             if rem:
                 return GroebnerCheck(False, (f, g), rem)
     return GroebnerCheck(True)

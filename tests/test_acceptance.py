@@ -14,38 +14,29 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from scrollex import (
-    FieldSpec,
-    Graph,
+from scrollex import fixtures
+from scrollex.graphs import Graph, is_chordal
+from scrollex.homology import (
     INFINITE,
-    NotApplicable,
     QQ,
-    OrderFound,
+    FieldSpec,
     betti_table,
-    buchberger_is_groebner,
     cycle_betti_table,
-    find_admissible_order,
-    generator_system,
-    initial_complex,
-    is_chordal,
-    lead_deletions,
     p2_from_table,
     p2_monomial,
-    p2_report,
-    parse_instance,
-    toricity_gate,
-    virtual_minimal_cycles,
 )
-from scrollex import fixtures
-from scrollex.bounds import Interval
-from scrollex.extension import GeneratorSystem
-from scrollex.ordering import VarOrder
+from scrollex.extension import GeneratorSystem, generator_system, toricity_gate
+from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order
+from scrollex.groebner import buchberger_is_groebner, initial_complex, lead_deletions
+from scrollex.bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
+from scrollex.instance import parse_instance
 from oracles import (
     bfs_replacement_length,
     check_admissible_order,
     expand_cycle,
     homology_witness,
     identity_route,
+    orderable,
 )
 
 
@@ -87,7 +78,7 @@ def test_criterion_1_p2_oracle_equivalence(tables):
     t0 = time.time()
     for g, table in tables:
         census = p2_monomial(g)
-        sweep = p2_from_table(table, 2)
+        sweep = p2_from_table(table)
         assert census.p2 == sweep.p2, g.edges
         assert census.witness_count == sweep.witness_count, g.edges
         if census.p2 is not INFINITE:
@@ -117,7 +108,7 @@ def test_criterion_3_polygon_closed_form():
             sweep = betti_table(cyc)
             closed = cycle_betti_table(n, s)
             assert sweep.graded == closed.graded, (n, s)
-            assert p2_from_table(sweep, 2).p2 == nn - 3
+            assert p2_from_table(sweep).p2 == nn - 3
             assert sweep.entry(nn - 3, nn) == 1
             checked += 1
     dt = time.time() - t0
@@ -160,8 +151,7 @@ def test_criterion_5_random_extensions_groebner(random_extensions):
     assert len(random_extensions) >= 20
     for ext in random_extensions:
         assert len(ext.skeleton_bar.vertices) <= 12
-        decision = find_admissible_order(ext.matrices)
-        assert isinstance(decision, OrderFound)
+        assert orderable(ext.matrices)
         system = generator_system(ext)
         ic = initial_complex(ext)
         for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
@@ -200,7 +190,7 @@ def test_criterion_7_admissible_orders(
         if not 1 <= len(mats) <= 5:
             continue
         oracle = any(check_admissible_order(p) for p in permutations(mats))
-        assert isinstance(find_admissible_order(mats), OrderFound) == oracle
+        assert orderable(mats) == oracle
         checked += 1
     # families of at most three matrices are always orderable
     small = 0
@@ -211,18 +201,18 @@ def test_criterion_7_admissible_orders(
         ext, _ = parse_instance(doc)
         if len(ext.matrices) > 3:
             continue
-        assert isinstance(find_admissible_order(ext.matrices), OrderFound)
+        assert orderable(ext.matrices)
         small += 1
     # chordal-restricted families are always orderable
     for s in range(10):
         ext, _ = parse_instance(fixtures.chordal_instance(s))
-        assert isinstance(find_admissible_order(ext.matrices), OrderFound)
+        assert orderable(ext.matrices)
     # the ring example: four-cycle witness; reoriented: the expected order
-    witness = find_admissible_order(triangle_ring.matrices)
-    assert witness.facets == tuple(m.facet for m in triangle_ring.matrices)
+    with pytest.raises(NotOrderableError) as witness:
+        find_admissible_order(triangle_ring.matrices)
+    assert witness.value.facets == tuple(m.facet for m in triangle_ring.matrices)
     mats = triangle_ring_reoriented.matrices
-    found = find_admissible_order(mats)
-    assert found.matrices == (mats[0], mats[3], mats[2], mats[1])
+    assert find_admissible_order(mats) == (mats[0], mats[3], mats[2], mats[1])
     print(
         f"\nACCEPTANCE 7 PASS: decision == brute force on {checked} families, "
         f"{small} small families orderable, 10 chordal families orderable, "

@@ -3,26 +3,19 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from scrollex import (
-    CliqueComplex,
-    FieldSpec,
-    Graph,
-    INFINITE,
+from scrollex import fixtures
+from scrollex.graphs import CliqueComplex, Graph, chordless_cycles
+from scrollex.homology import INFINITE, QQ, FieldSpec, cycle_betti_table, p2_monomial
+from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
+from scrollex.groebner import initial_complex
+from scrollex.bounds import (
+    Interval,
     NotApplicable,
-    QQ,
-    chordless_cycles,
-    cycle_betti_table,
-    fixtures,
-    initial_complex,
-    p2_monomial,
     p2_report,
-    parse_instance,
-    validate_extension,
     virtual_edges,
     virtual_minimal_cycles,
 )
-from scrollex.bounds import Interval
-from scrollex.extension import ScrollBlock, ScrollMatrix
+from scrollex.instance import parse_instance
 from oracles import (
     bfs_replacement_length,
     binomial_class,

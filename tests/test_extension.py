@@ -3,10 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from scrollex import (
-    CliqueComplex,
+from scrollex.graphs import CliqueComplex, Graph
+from scrollex.extension import (
     ExtensionError,
-    Graph,
     ScrollBlock,
     ScrollMatrix,
     generator_system,
@@ -19,8 +18,8 @@ from scrollex import (
 def test_bruns_assembly(bruns):
     assert len(bruns.matrices) == 2
     m1, m2 = bruns.matrices
-    assert m1.top_row() == ("a", "z") and m1.bottom_row() == ("z", "c")
-    assert m2.top_row() == ("e", "w", "x") and m2.bottom_row() == ("w", "x", "d")
+    assert m1.columns() == (("a", "z"), ("z", "c"))
+    assert m2.columns() == (("e", "w"), ("w", "x"), ("x", "d"))
     assert bruns.facet_bar[frozenset("abc")] == frozenset("abcz")
     assert bruns.facet_bar[frozenset("de")] == frozenset("dewx")
     assert bruns.facet_bar[frozenset("ae")] == frozenset("ae")
@@ -115,7 +114,7 @@ def test_empty_first_block_with_second_block_is_valid():
         ],
     )
     (m,) = ext.matrices
-    assert m.top_row() == ("a", "u") and m.bottom_row() == ("b", "c")
+    assert m.columns() == (("a", "b"), ("u", "c"))
 
 
 def test_bruns_minors(bruns):

@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scrollex.graphs
-from scrollex import (
-    INFINITE,
+from scrollex.graphs import (
     CliqueComplex,
     CycleCapExceeded,
     Graph,
     GraphError,
-    P2Result,
     chordless_cycles,
     is_chordal,
     maximal_cliques,
-    p2_monomial,
     proper_edges,
 )
+from scrollex.homology import INFINITE, P2Result, p2_monomial
 from oracles import brute_chordless_cycles, brute_maximal_cliques, canonical_cycle, induced
 
 BRUNS_VERTICES = "abcde"

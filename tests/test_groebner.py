@@ -2,36 +2,34 @@ import random
 
 import pytest
 
-from scrollex import (
-    Binomial,
-    Graph,
+from scrollex import fixtures
+from scrollex.graphs import CliqueComplex, Graph, is_chordal
+from scrollex.extension import GeneratorSystem, generator_system, validate_extension
+from scrollex.ordering import (
     NotOrderableError,
     VarOrder,
-    buchberger_is_groebner,
     find_admissible_order,
-    generator_system,
-    initial_complex,
-    is_chordal,
-    lead_deletions,
-    lex_compare,
-    monomial,
-    normal_form,
-    orient_minor,
-    parse_instance,
     pi_star,
-    s_polynomial,
-    validate_extension,
     variable_order,
 )
-from scrollex import fixtures
-from scrollex.extension import GeneratorSystem
-from scrollex.graphs import CliqueComplex
-from scrollex.groebner import LeadTieError
+from scrollex.groebner import (
+    Binomial,
+    LeadTieError,
+    SquareLeadError,
+    _s_terms,
+    buchberger_is_groebner,
+    initial_complex,
+    lead_deletions,
+    normal_form,
+    prepare_system,
+)
+from scrollex.instance import parse_instance
 from oracles import (
     diagonal_deletions,
     identity_permutation,
     identity_route,
     induced,
+    oriented_system,
     scan_is_groebner,
 )
 
@@ -48,40 +46,41 @@ def generic_scroll_system(n):
     return GeneratorSystem((), ((frozenset(xs + ys), minors),)), order, xs, ys
 
 
-def test_lex_compare_examples():
-    order = VarOrder(["x1", "x2", "y1", "y2"])
-    a = monomial(("x1", "y2"), order)
-    b = monomial(("x2", "y1"), order)
-    assert lex_compare(order, a, b) == 1
-    assert lex_compare(order, a, a) == 0
-    order2 = VarOrder(["a", "z", "c"])
-    assert lex_compare(order2, ("z", "z"), ("a", "c")) == -1
+def test_prepare_system_encodes_and_orients():
+    # a > z > c: the minor's lead ac is the smaller rank tuple (0, 2)
+    system = GeneratorSystem((("c", "a"),), ((frozenset("acz"), ((("z", "z"), ("a", "c")),)),))
+    assert prepare_system(system, VarOrder("azc")) == ([(0, 2)], [((0, 2), (1, 1))])
     with pytest.raises(ValueError):
-        lex_compare(order2, ("a",), ("q",))
-
-
-def test_lex_degree_behaviour():
-    order = VarOrder(["x", "y", "z"])
-    assert lex_compare(order, ("x",), ("y", "y", "y")) == 1  # pure lex
-    assert lex_compare(order, ("x", "y"), ("x",)) == 1  # a proper multiple wins
-
-
-def test_orient_minor():
-    order = VarOrder(["a", "z", "c"])
-    b = orient_minor((("z", "z"), ("a", "c")), order)
-    assert b.lead == ("a", "c") and b.trail == ("z", "z")
+        prepare_system(system, VarOrder("az"))
+    tie = GeneratorSystem((), ((frozenset("ac"), ((("a", "c"), ("c", "a")),)),))
     with pytest.raises(LeadTieError):
-        orient_minor((("a", "c"), ("c", "a")), order)
+        prepare_system(tie, VarOrder("ac"))
 
 
-def test_s_polynomial_shared_head_case():
-    order = VarOrder(["x1", "x2", "x3", "y1", "y2", "y3"])
-    f = Binomial(("x1", "y2"), ("x2", "y1"))
-    g = Binomial(("x1", "y3"), ("x3", "y1"))
-    s = s_polynomial(f, g, order)
-    assert s == {("x2", "y1", "y3"): -1, ("x3", "y1", "y2"): 1}
-    assert s_polynomial(f, f, order) == {}
-    assert all(len(m) <= 3 for m in s)
+def test_lead_deletions_rejects_a_square_lead():
+    # z > a > c makes z^2 the lead of z^2 - ac
+    system = GeneratorSystem((), ((frozenset("acz"), ((("z", "z"), ("a", "c")),)),))
+    with pytest.raises(SquareLeadError):
+        lead_deletions(system, VarOrder("zac"))
+    assert lead_deletions(system, VarOrder("azc")) == {frozenset("ac")}
+
+
+def test_prepare_system_matches_oracle_orientation(corpus):
+    rng = random.Random(11)
+    for ext in corpus:
+        system = generator_system(ext)
+        order = initial_complex(ext).order
+        shuffled = list(order.variables)
+        rng.shuffle(shuffled)
+        for var_order in (order, VarOrder(reversed(order.variables)), VarOrder(shuffled)):
+            nf, binomials = prepare_system(system, var_order)
+
+            def names(m):
+                return tuple(var_order.variables[r] for r in m)
+
+            oracle_nf, oracle_binomials = oriented_system(system, var_order)
+            assert [names(m) for m in nf] == oracle_nf
+            assert [Binomial(names(u), names(t)) for u, t in binomials] == oracle_binomials
 
 
 def test_normal_form_examples():
@@ -133,12 +132,12 @@ def test_buchberger_failure_case():
 
 
 def test_bruns_system_is_groebner(bruns):
-    decision = find_admissible_order(bruns.matrices)
+    matrices = find_admissible_order(bruns.matrices)
     for images in (
-        [identity_permutation(m) for m in decision.matrices],
-        [pi_star(m) for m in decision.matrices],
+        [identity_permutation(m) for m in matrices],
+        [pi_star(m) for m in matrices],
     ):
-        order = variable_order(decision.matrices, images, bruns.skeleton_bar.vertices)
+        order = variable_order(matrices, images, bruns.skeleton_bar.vertices)
         system = generator_system(bruns)
         assert buchberger_is_groebner(system, order).ok
 
@@ -169,18 +168,18 @@ def test_initial_complex_unextended():
 def test_initial_complex_unorderable_carries_witness(triangle_ring):
     with pytest.raises(NotOrderableError) as err:
         initial_complex(triangle_ring)
-    assert err.value.facets == find_admissible_order(triangle_ring.matrices).facets
+    assert err.value.facets == tuple(m.facet for m in triangle_ring.matrices)
 
 
 def test_initial_complex_order_is_the_pi_star_order(corpus):
     for ext in corpus:
-        decision = find_admissible_order(ext.matrices)
-        images = [pi_star(m) for m in decision.matrices]
+        matrices = find_admissible_order(ext.matrices)
+        images = [pi_star(m) for m in matrices]
         ic = initial_complex(ext)
         assert ic.order.variables == variable_order(
-            decision.matrices, images, ext.skeleton_bar.vertices
+            matrices, images, ext.skeleton_bar.vertices
         ).variables
-        assert ic.deleted == diagonal_deletions(ext, decision.matrices, images)
+        assert ic.deleted == diagonal_deletions(ext, matrices, images)
 
 
 def test_initial_complex_partition(corpus):
@@ -208,17 +207,15 @@ def test_lead_route_equals_diagonal_route(corpus):
 
 
 def test_spair_degree_bound(bruns):
-    decision = find_admissible_order(bruns.matrices)
-    images = [pi_star(m) for m in decision.matrices]
-    order = variable_order(decision.matrices, images, bruns.skeleton_bar.vertices)
-    from scrollex.groebner import prepare_system
-
+    matrices = find_admissible_order(bruns.matrices)
+    images = [pi_star(m) for m in matrices]
+    order = variable_order(matrices, images, bruns.skeleton_bar.vertices)
     _nf, binomials = prepare_system(generator_system(bruns), order)
-    for i, f in enumerate(binomials):
-        for g in binomials[i + 1 :]:
-            if not set(f.lead) & set(g.lead):
+    for i, (fl, ft) in enumerate(binomials):
+        for gl, gt in binomials[i + 1 :]:
+            if not set(fl) & set(gl):
                 continue
-            s = s_polynomial(f, g, order)
+            s = _s_terms((0, fl, ft, -1), (1, gl, gt, -1))
             assert all(len(m) <= 3 for m in s)
 
 
@@ -245,9 +242,9 @@ def test_buchberger_matches_scanning_oracle(corpus):
     rng = random.Random(7)
     checked = failed = 0
     for ext in corpus:
-        decision = find_admissible_order(ext.matrices)
-        images = [pi_star(m) for m in decision.matrices]
-        order = variable_order(decision.matrices, images, ext.skeleton_bar.vertices)
+        matrices = find_admissible_order(ext.matrices)
+        images = [pi_star(m) for m in matrices]
+        order = variable_order(matrices, images, ext.skeleton_bar.vertices)
         for system, var_order in mutated_systems(generator_system(ext), order, rng):
             check = buchberger_is_groebner(system, var_order)
             assert check == scan_is_groebner(system, var_order)
@@ -263,9 +260,9 @@ def test_buchberger_matches_scanning_oracle_cycle_extension():
     # swaps the diagonals of every scroll matrix and stays a Groebner basis;
     # the shuffled orders give failing pairs.
     ext = parse_instance(fixtures.cycle_extension_instance(8, [3] * 7 + [0]))[0]
-    decision = find_admissible_order(ext.matrices)
-    images = [pi_star(m) for m in decision.matrices]
-    order = variable_order(decision.matrices, images, ext.skeleton_bar.vertices)
+    matrices = find_admissible_order(ext.matrices)
+    images = [pi_star(m) for m in matrices]
+    order = variable_order(matrices, images, ext.skeleton_bar.vertices)
     system = generator_system(ext)
     orders = [order, VarOrder(reversed(order.variables))]
     rng = random.Random(7)

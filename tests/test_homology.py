@@ -6,24 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from scrollex import (
+from scrollex import homology
+from scrollex.graphs import CliqueComplex, Graph, is_chordal
+from scrollex.homology import (
     INFINITE,
     QQ,
-    CliqueComplex,
+    BettiTable,
     FieldSpec,
-    Graph,
     GuardExceeded,
     betti_table,
     clique_homology,
     cycle_betti_table,
-    generator_system,
-    is_chordal,
     p2_from_table,
     p2_monomial,
-    validate_extension,
+    rank,
 )
-from scrollex import homology
-from scrollex.homology import BettiTable, rank
+from scrollex.extension import generator_system, validate_extension
 from oracles import brute_betti_table, oracle_rank, reduced_homology_rank
 
 
@@ -335,7 +333,7 @@ def test_euler_characteristic_consistency():
 
 
 def test_p2_monomial_examples():
-    assert p2_monomial(C4) == p2_from_table(betti_table(C4), 2)
+    assert p2_monomial(C4) == p2_from_table(betti_table(C4))
     assert p2_monomial(C4).p2 == 1 and p2_monomial(C4).witness_count == 1
     c5 = cycle_graph(5)
     assert p2_monomial(c5).p2 == 2 and p2_monomial(c5).witness_count == 1
@@ -345,9 +343,9 @@ def test_p2_monomial_examples():
 
 
 def test_p2_from_table_examples():
-    assert p2_from_table(betti_table(C4), 2).p2 == 1
-    assert p2_from_table(betti_table(HEX), 2).p2 == 3
-    assert p2_from_table(BettiTable({}), 2).p2 is INFINITE
+    assert p2_from_table(betti_table(C4)).p2 == 1
+    assert p2_from_table(betti_table(HEX)).p2 == 3
+    assert p2_from_table(BettiTable({})).p2 is INFINITE
 
 
 def test_two_linear_iff_chordal():
@@ -382,5 +380,5 @@ def test_cycle_closed_form_matches_sweep():
 @given(st.integers(min_value=4, max_value=7), st.integers(min_value=0, max_value=2))
 def test_cycle_table_top_entry(n, s):
     t = cycle_betti_table(n, s)
-    assert t.top() == ((n + s - 3, n + s), 1)
-    assert p2_from_table(t, 2).p2 == n + s - 3
+    assert max(t.graded.items()) == ((n + s - 3, n + s), 1)
+    assert p2_from_table(t).p2 == n + s - 3

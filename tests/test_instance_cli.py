@@ -8,15 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrollex import (
-    InstanceError,
-    chordless_cycles,
-    parse_instance,
-    virtual_minimal_cycles,
-)
 from scrollex import cli
+from scrollex.graphs import chordless_cycles
+from scrollex.bounds import virtual_minimal_cycles
+from scrollex.instance import InstanceError, instance_digest, parse_instance
 from scrollex.cli import main
-from scrollex.instance import instance_digest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

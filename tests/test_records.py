@@ -9,11 +9,12 @@ import json
 
 import pytest
 
-from scrollex import INFINITE, QQ, FieldSpec, Interval, NotApplicable, ScrollBlock
 from scrollex import cli
 from scrollex.graphs import frozen_record
+from scrollex.homology import INFINITE, QQ, FieldSpec
+from scrollex.extension import ScrollBlock
 from scrollex.groebner import Binomial, GroebnerCheck
-from scrollex.ordering import OrderCycle, OrderFound
+from scrollex.bounds import Interval, NotApplicable
 
 
 @pytest.mark.parametrize(
@@ -38,9 +39,18 @@ def test_equality_is_by_class_and_fields():
     assert Binomial(("a",), ("b",)) == Binomial(lead=("a",), trail=("b",), trail_coeff=-1)
     assert Binomial(("a",), ("b",)) != Binomial(("a",), ("b",), 1)
     assert Interval(1, 2) == Interval(1, 2) and Interval(1, 2) != Interval(2, 1)
+
+    @frozen_record
+    class Found:
+        matrices: tuple
+
+    @frozen_record
+    class Cycle:
+        matrices: tuple
+
     # same field names and values, different classes
-    assert OrderFound(()) != OrderCycle(())
-    assert OrderFound(()) != ((),)
+    assert Found(()) != Cycle(())
+    assert Found(()) != ((),)
 
 
 def test_hash_is_the_hash_of_the_field_tuple():
