@@ -40,7 +40,7 @@ import sys
 from . import __version__
 from .bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
 from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, GraphError, chordless_cycles
-from .groebner import initial_complex, lead_deletions, buchberger_is_groebner
+from .groebner import buchberger_is_groebner, initial_complex, lead_deletions, prepare_system
 from .homology import (
     FieldSpec,
     GuardExceeded,
@@ -134,9 +134,9 @@ def cmd_groebner(ext, digest, args):
         witness = [sorted(f) for f in e.facets]
         payload = {"not_applicable": "no admissible order", "witness": witness}
         return _envelope("groebner", digest, payload), 2
-    system = generator_system(ext)
-    check = buchberger_is_groebner(system, ic.order)
-    groebner_route = lead_deletions(system, ic.order)
+    encoded = prepare_system(generator_system(ext), ic.order)
+    check = buchberger_is_groebner(encoded, ic.order)
+    groebner_route = lead_deletions(encoded, ic.order)
     payload = {
         "groebner_basis": check.ok,
         "variable_order": list(ic.order.variables),

@@ -155,18 +155,19 @@ def prepare_system(system, order):
     return nf, binomials
 
 
-def buchberger_is_groebner(system, order):
-    """Whether the generator system is a lex Groebner basis of its ideal.
+def buchberger_is_groebner(encoded, order):
+    """Whether a generator system is a lex Groebner basis of its ideal.
 
-    Checks that every S-polynomial of a pair with non-coprime leads reduces
-    to zero; pairs with coprime leads are skipped (first Buchberger
-    criterion), as are pairs of plain monomials.  A monomial generator m
-    enters as the binomial m + 0.  Pairs come from an index of binomial
-    positions by lead variable, in the order of a scan over all pairs.  A
-    failure reports the pair (a monomial as its variables, a minor as a
-    :class:`Binomial`) and the remainder in variable names.
+    ``encoded`` is the system as :func:`prepare_system` encodes it under
+    ``order``.  Checks that every S-polynomial of a pair with non-coprime
+    leads reduces to zero; pairs with coprime leads are skipped (first
+    Buchberger criterion), as are pairs of plain monomials.  A monomial
+    generator m enters as the binomial m + 0.  Pairs come from an index of
+    binomial positions by lead variable, in the order of a scan over all
+    pairs.  A failure reports the pair (a monomial as its variables, a
+    minor as a :class:`Binomial`) and the remainder in variable names.
     """
-    nf, binomials = prepare_system(system, order)
+    nf, binomials = encoded
     coded = [(i, m, (), 0) for i, m in enumerate(nf)]
     coded += [(i, lead, trail, -1) for i, (lead, trail) in enumerate(binomials, len(nf))]
     nf_set = set(nf)
@@ -186,16 +187,16 @@ def buchberger_is_groebner(system, order):
     return GroebnerCheck(True)
 
 
-def lead_deletions(system, order):
+def lead_deletions(encoded, order):
     """Edges named by the lead terms of the oriented minors (Groebner route).
 
-    Returned as unordered pairs.  Raises :class:`SquareLeadError` if any
-    lead is a square: the initial ideal would not be squarefree, which
-    admissible data never produces.
+    ``encoded`` is the system as :func:`prepare_system` encodes it under
+    ``order``; the edges are returned as unordered pairs.  Raises
+    :class:`SquareLeadError` if any lead is a square: the initial ideal
+    would not be squarefree, which admissible data never produces.
     """
-    _nf, binomials = prepare_system(system, order)
     out = set()
-    for lead, _trail in binomials:
+    for lead, _trail in encoded[1]:
         u, w = _names(lead, order)
         if u == w:
             raise SquareLeadError(f"square lead {u}^2")

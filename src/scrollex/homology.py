@@ -16,7 +16,6 @@ floating point.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .graphs import DEFAULT_CYCLE_CAP, _cycle_search, frozen_record
 
@@ -286,14 +285,10 @@ def clique_homology(g, field=QQ):
 
 @frozen_record
 class BettiTable:
-    """Graded (and optionally multigraded) Betti numbers; zero entries omitted.
-
-    ``graded`` maps (homological index i, internal degree j) to a rank;
-    ``multigraded`` maps (i, vertex subset) to a rank.
-    """
+    """Graded Betti numbers: ``graded`` maps (homological index i, internal
+    degree j) to a rank; zero entries are omitted."""
 
     graded: dict
-    multigraded: dict | None = None
 
     def entry(self, i, j):
         return self.graded.get((i, j), 0)
@@ -302,54 +297,58 @@ class BettiTable:
         return all(j <= i + 2 for (i, j) in self.graded)
 
 
-def betti_table(g, field=QQ, max_vertices=20):
-    """Full Betti table of the non-edge ideal of ``g`` via the subset sweep.
+def _hochster_sweep(g, char):
+    """``(graded, h)``: the graded table, and in ``h[s]`` the reduced Betti
+    numbers of the clique complex on the subset s, a bitmask over ranks.
 
-    Sums the multigraded values over all vertex subsets, sizes ascending,
-    each size in lexicographic rank order.  Subsets are bitmasks over vertex
-    ranks, and each one reuses what the sweep found for a smaller subset: a
-    subset with a dominated vertex v has the homology of the subset without
-    v, and a disconnected subset (an isolated vertex is a component) sums
-    its components' homology plus one H~_0 rank per extra component.  Only
-    a connected subset with no dominated vertex goes to the rank kernel,
-    once per distinct core.  Refuses (rather than degrades) when the vertex
-    count exceeds ``max_vertices``.
+    Every proper subset of s is a smaller int, so it is swept first.  A
+    vertex v of s whose link ``nbr[v] & s`` is acyclic is deleted: its star
+    is a cone, so h[s] = h[s ^ bit(v)] by Mayer-Vietoris.  A dominated
+    vertex's link is a cone; an isolated vertex's is empty, h[0] = {-1: 1}.
+    Otherwise a disconnected s sums its components' homology plus one H~_0
+    rank per extra component; a connected s goes to the rank kernel, once
+    per distinct core.  Equal results share one interned dict.
     """
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise GuardExceeded(
-            f"{n} vertices exceed the subset-sweep guard ({max_vertices})"
-        )
     nbr = _adjacency_masks(g)
-    bits = [1 << i for i in range(n)]
-    # h[s]: reduced Betti numbers of the clique complex on the subset s.
-    # Subsets with equal homology share one interned dict.
-    h = [{}] * (1 << n)
+    h = [{}] * (1 << len(nbr))
     h[0] = {-1: 1}
     interned = {}
     cores = {}
     graded = {}
-    multigraded = {}
-    for k in range(2, n + 1):
-        for sigma, combo in zip(combinations(g.vertices, k), combinations(bits, k)):
-            s = sum(combo)
-            v = _dominated(s, nbr)
-            if v >= 0:
-                h[s] = hs = h[s ^ bits[v]]
+    for s in range(3, len(h)):
+        if not s & (s - 1):
+            continue  # a point is acyclic
+        rest = s
+        while rest:
+            low = rest & -rest
+            if not h[nbr[low.bit_length() - 1] & s]:
+                h[s] = hs = h[s ^ low]
+                break
+            rest ^= low
+        else:
+            parts = _components(s, nbr)
+            if len(parts) > 1:
+                hs = _disjoint_union([h[c] for c in parts])
             else:
-                parts = _components(s, nbr)
-                if len(parts) > 1:
-                    hs = _disjoint_union([h[c] for c in parts])
-                else:
-                    hs = _core_homology(s, nbr, field.char, cores)
-                h[s] = hs = interned.setdefault(tuple(sorted(hs.items())), hs)
+                hs = _core_homology(s, nbr, char, cores)
+            h[s] = hs = interned.setdefault(tuple(sorted(hs.items())), hs)
+        if hs:
+            k = s.bit_count()
             for d, r in hs.items():
                 i = k - d - 2
-                if i < 0:
-                    continue
-                multigraded[(i, frozenset(sigma))] = r
                 graded[(i, k)] = graded.get((i, k), 0) + r
-    return BettiTable(graded, multigraded)
+    return graded, h
+
+
+def betti_table(g, field=QQ, max_vertices=20):
+    """Full Betti table of the non-edge ideal of ``g``: Hochster's formula,
+    summed over all vertex subsets by :func:`_hochster_sweep`.  Refuses
+    (rather than degrades) when the vertex count exceeds ``max_vertices``.
+    """
+    n = len(g.vertices)
+    if n > max_vertices:
+        raise GuardExceeded(f"{n} vertices exceed the subset-sweep guard ({max_vertices})")
+    return BettiTable(_hochster_sweep(g, field.char)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,4 +407,4 @@ def cycle_betti_table(n, s=0):
             raise ArithmeticError("closed form did not divide exactly")
         graded[(i - 1, i + 1)] = num // den
     graded[(nn - 3, nn)] = 1
-    return BettiTable(graded, None)
+    return BettiTable(graded)

@@ -23,16 +23,18 @@ no oracle calls ``initial_complex``.  ``orderable`` turns the
 
 The graph helpers ``induced`` and ``canonical_cycle`` live here as well,
 since only the oracles and tests build induced subgraphs or canonicalize
-cycles by hand.
+cycles by hand, and so does ``sweep_betti_table``: not an oracle, but the
+library's subset sweep with its multigraded entries rebuilt, for the tests
+that hold it against ``brute_betti_table`` subset by subset.
 """
 
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from scrollex.graphs import Graph, GraphError
-from scrollex.homology import QQ, BettiTable
+from scrollex.homology import QQ, _hochster_sweep
 from scrollex.ordering import NotOrderableError, find_admissible_order, pi_star, variable_order
 from scrollex.groebner import Binomial, GroebnerCheck
 from scrollex.bounds import virtual_edges
@@ -387,13 +389,35 @@ def reduced_homology_rank(faces, d, field=QQ):
     return reduced_homology_ranks(faces, field).get(d, 0)
 
 
+Betti = namedtuple("Betti", "graded multigraded")
+Betti.__doc__ = """A Betti table with its multigraded entries: ``graded`` maps
+(i, j) and ``multigraded`` maps (i, vertex subset) to a nonzero rank."""
+
+
+def sweep_betti_table(g, field):
+    """The library's subset sweep as a :class:`Betti`.
+
+    Not an oracle: the multigraded entries are rebuilt from the per-subset
+    homology list of ``homology._hochster_sweep``, so that tests can hold
+    every subset's value, not just the graded sums, against
+    :func:`brute_betti_table`.
+    """
+    graded, h = _hochster_sweep(g, field.char)
+    multigraded = {}
+    for s in range(1, len(h)):
+        sigma = frozenset(v for i, v in enumerate(g.vertices) if s >> i & 1)
+        for d, r in h[s].items():
+            multigraded[(len(sigma) - d - 2, sigma)] = r
+    return Betti(graded, multigraded)
+
+
 def brute_betti_table(g, field):
     """Hochster's formula summed naively over every vertex subset.
 
     Each subset's clique complex is listed by testing every sub-subset for
     being a clique, and its reduced homology comes from the generic
-    face-list ``reduced_homology_ranks``: no dominated vertices, no
-    components, no memo.
+    face-list ``reduced_homology_ranks``: no vertex deletions, no
+    components, no memo.  Returns a :class:`Betti`.
     """
     graded = {}
     multigraded = {}
@@ -409,7 +433,7 @@ def brute_betti_table(g, field):
                 i = k - d - 2
                 multigraded[(i, frozenset(sigma))] = h
                 graded[(i, k)] = graded.get((i, k), 0) + h
-    return BettiTable(graded, multigraded)
+    return Betti(graded, multigraded)
 
 
 def sparse_rank_mod(columns, p):

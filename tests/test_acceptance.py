@@ -27,7 +27,7 @@ from scrollex.homology import (
 )
 from scrollex.extension import GeneratorSystem, generator_system, toricity_gate
 from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order
-from scrollex.groebner import buchberger_is_groebner, initial_complex, lead_deletions
+from scrollex.groebner import buchberger_is_groebner, initial_complex, lead_deletions, prepare_system
 from scrollex.bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
 from scrollex.instance import parse_instance
 from oracles import (
@@ -127,8 +127,9 @@ def test_criterion_4_generic_scroll_basis():
             for j in range(i + 1, n)
         )
         system = GeneratorSystem((), ((frozenset(xs + ys), minors),))
-        assert buchberger_is_groebner(system, order).ok
-        leads = lead_deletions(system, order)
+        encoded = prepare_system(system, order)
+        assert buchberger_is_groebner(encoded, order).ok
+        leads = lead_deletions(encoded, order)
         assert leads == {
             frozenset((xs[i], ys[j])) for i in range(n) for j in range(i + 1, n)
         }
@@ -155,8 +156,9 @@ def test_criterion_5_random_extensions_groebner(random_extensions):
         system = generator_system(ext)
         ic = initial_complex(ext)
         for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
-            assert buchberger_is_groebner(system, order).ok
-            assert lead_deletions(system, order) == {frozenset(e) for e in deleted}
+            encoded = prepare_system(system, order)
+            assert buchberger_is_groebner(encoded, order).ok
+            assert lead_deletions(encoded, order) == {frozenset(e) for e in deleted}
     print(
         f"\nACCEPTANCE 5 PASS: Buchberger + route agreement on "
         f"{len(random_extensions)} random extensions x two permutations"

@@ -22,7 +22,13 @@ from scrollex.homology import (
     rank,
 )
 from scrollex.extension import generator_system, validate_extension
-from oracles import brute_betti_table, oracle_rank, reduced_homology_rank
+from oracles import (
+    brute_betti_table,
+    induced,
+    oracle_rank,
+    reduced_homology_rank,
+    sweep_betti_table,
+)
 
 
 def cycle_graph(n, names=None):
@@ -206,12 +212,12 @@ def test_clique_homology_matches_generic_path():
 
 
 def test_hochster_examples():
-    assert betti_table(C4).multigraded == {
+    assert sweep_betti_table(C4, QQ).multigraded == {
         (0, frozenset("ac")): 1,
         (0, frozenset("bd")): 1,
         (1, frozenset("abcd")): 1,
     }
-    assert betti_table(K3).multigraded == {}
+    assert sweep_betti_table(K3, QQ).multigraded == {}
 
 
 def test_stanley_reisner_generators():
@@ -244,19 +250,18 @@ def test_betti_table_guard():
 
 
 def test_betti_table_multigraded_sums_to_graded():
-    t = betti_table(cycle_graph(5))
+    t = sweep_betti_table(cycle_graph(5), QQ)
     sums = {}
     for (i, sigma), r in t.multigraded.items():
         sums[(i, len(sigma))] = sums.get((i, len(sigma)), 0) + r
-    assert sums == t.graded
+    assert sums == t.graded == betti_table(cycle_graph(5)).graded
 
 
 def test_betti_table_cold_and_warm_core_cache():
     # cores are memoized per sweep, so every call starts cold; the module
     # keeps no process-global cache that a first call could warm
-    first = betti_table(HEX)
-    second = betti_table(HEX)
-    assert first.graded == second.graded and first.multigraded == second.multigraded
+    assert betti_table(HEX) == betti_table(HEX)
+    assert sweep_betti_table(HEX, QQ) == sweep_betti_table(HEX, QQ)
     assert not [
         name
         for name, value in vars(homology).items()
@@ -274,8 +279,8 @@ def test_betti_table_matches_brute_force_on_atlas(field):
         g = Graph(
             [f"v{i}" for i in a.nodes()], [(f"v{u}", f"v{w}") for u, w in a.edges()]
         )
-        fast, slow = betti_table(g, field), brute_betti_table(g, field)
-        assert fast.graded == slow.graded, sorted(a.edges())
+        fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
+        assert betti_table(g, field).graded == fast.graded == slow.graded, sorted(a.edges())
         assert fast.multigraded == slow.multigraded, sorted(a.edges())
         checked += 1
     assert checked == 209
@@ -290,9 +295,81 @@ def test_betti_table_matches_brute_force_on_atlas(field):
 def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field):
     for seed in (None, 7):
         g = disjoint_union(*parts, seed=seed)
-        fast, slow = betti_table(g, field), brute_betti_table(g, field)
-        assert fast.graded == slow.graded
+        fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
+        assert betti_table(g, field).graded == fast.graded == slow.graded
         assert fast.multigraded == slow.multigraded
+
+
+def record_calls(monkeypatch, name):
+    """The argument tuples of every later call to ``homology.<name>``."""
+    seen = []
+    fn = getattr(homology, name)
+
+    def recorded(*args):
+        seen.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(homology, name, recorded)
+    return seen
+
+
+def gnp(n, p, seed):
+    """A seeded G(n, p) on v0..v{n-1}."""
+    rng = random.Random(seed)
+    verts = [f"v{i}" for i in range(n)]
+    return Graph(verts, [(u, w) for u, w in combinations(verts, 2) if rng.random() < p])
+
+
+# connected, no dominated vertex, and H~_1 of rank 3; the link of v4 is the
+# path v1 - v2 - v7 - v3: acyclic, but not a cone
+ACYCLIC_LINK = Graph(
+    [f"v{i}" for i in range(8)],
+    [
+        (e[:2], e[2:])
+        for e in "v0v1 v0v3 v0v5 v0v6 v1v2 v1v4 v1v6 v2v4 v2v5 v2v7 v3v4 v3v7 v4v7 v5v6 v6v7".split()
+    ],
+)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(2)], ids=repr)
+def test_sweep_deletes_a_vertex_whose_link_is_acyclic_but_not_a_cone(field, monkeypatch):
+    g, full = ACYCLIC_LINK, (1 << 8) - 1
+    nbr = homology._adjacency_masks(g)
+    assert homology._dominated(full, nbr) == -1
+    assert homology._components(full, nbr) == [full]
+    link = induced(g, ["v1", "v2", "v3", "v7"])
+    assert nbr[4] == 0b10001110
+    assert clique_homology(link, field) == {}
+    assert max(len(link.adj[v]) for v in link.vertices) < 3  # no apex: not a cone
+    assert clique_homology(g, field) == {1: 3}
+    cores = record_calls(monkeypatch, "_core_homology")
+    _graded, h = homology._hochster_sweep(g, field.char)
+    assert full not in [args[0] for args in cores]  # v4 is deleted instead
+    assert h[full] is h[full ^ (1 << 4)] == {1: 3}
+    fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
+    assert fast.multigraded == slow.multigraded
+    assert betti_table(g, field).graded == fast.graded == slow.graded
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3)], ids=repr)
+def test_betti_table_matches_brute_force_on_random_graphs(field):
+    # a fixed fuzz budget: nine seeded graphs on 7-9 vertices, sparse to dense
+    for seed in range(9):
+        g = gnp(7 + seed % 3, (0.3, 0.5, 0.7)[seed // 3], seed)
+        fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
+        assert fast.multigraded == slow.multigraded, sorted(g.edges)
+        assert betti_table(g, field).graded == fast.graded == slow.graded, sorted(g.edges)
+
+
+def test_betti_table_kernel_work_is_pinned(monkeypatch):
+    # deterministic work counters on one dense graph: the connected subsets
+    # that no acyclic link reduces, and the boundary maps the kernel ranks
+    cores = record_calls(monkeypatch, "_core_homology")
+    ranks = record_calls(monkeypatch, "rank")
+    g = gnp(12, 0.7, 0)
+    assert len(g.edges) == 41
+    betti_table(g)
+    assert (len(cores), len(ranks)) == (156, 200)
 
 
 def test_field_independence_on_cycles():
