@@ -39,20 +39,18 @@ import sys
 
 from . import __version__
 from .bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
-from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, GraphError, chordless_cycles
+from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, chordless_cycles
 from .groebner import buchberger_is_groebner, initial_complex, lead_deletions, prepare_system
 from .homology import (
     FieldSpec,
-    GuardExceeded,
     INFINITE,
     QQ,
     betti_table,
     cycle_betti_table,
     p2_from_table,
 )
-from .instance import InstanceError, instance_digest, parse_instance
+from .instance import instance_digest, parse_instance
 from .ordering import NotOrderableError, find_admissible_order
-from .extension import ExtensionError
 
 
 def _json_default(x):
@@ -286,9 +284,6 @@ def main(argv=None):
     except CycleCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
-    except (InstanceError, GraphError, ExtensionError, GuardExceeded) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

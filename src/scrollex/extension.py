@@ -40,22 +40,21 @@ class ScrollBlock:
         object.__setattr__(self, "y", tuple(self.y))
 
 
+@frozen_record
 class ScrollMatrix:
     """The two-row matrix of one extended facet."""
 
-    __slots__ = ("facet", "x0", "blocks")
+    facet: frozenset
+    x0: str
+    blocks: tuple
 
-    def __init__(self, facet, x0, blocks):
-        object.__setattr__(self, "facet", frozenset(facet))
-        object.__setattr__(self, "x0", x0)
+    def __post_init__(self):
+        object.__setattr__(self, "facet", frozenset(self.facet))
         object.__setattr__(
             self,
             "blocks",
-            tuple(b if isinstance(b, ScrollBlock) else ScrollBlock(*b) for b in blocks),
+            tuple(b if isinstance(b, ScrollBlock) else ScrollBlock(*b) for b in self.blocks),
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScrollMatrix is immutable")
 
     def columns(self):
         """All columns as (top, bottom) pairs, first column included."""
@@ -90,24 +89,39 @@ class ScrollMatrix:
         return f"ScrollMatrix({{{fac}}}, x0={self.x0}, {len(self.blocks)} blocks)"
 
 
+@frozen_record
 class Extension:
     """A clique complex together with validated scroll matrices on some facets.
 
     Built through :func:`validate_extension`.  Exposes the extended facets
-    (facet plus its new variables) and the 1-skeleton of the extended complex,
-    whose edge set is the union of all pairs inside each extended facet.
+    (``facet_bar``: facet plus its new variables) and the 1-skeleton of the
+    extended complex (``skeleton_bar``), whose edge set is the union of all
+    pairs inside each extended facet.
     """
 
-    __slots__ = ("base", "matrices", "facet_bar", "skeleton_bar")
+    base: CliqueComplex
+    matrices: tuple
 
-    def __init__(self, base, matrices, facet_bar, skeleton_bar):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "matrices", tuple(matrices))
+    def __post_init__(self):
+        base = self.base
+        matrices = tuple(self.matrices)
+        facet_bar = {}
+        for f in base.facet_sets():
+            facet_bar[f] = f
+        for m in matrices:
+            facet_bar[m.facet] = m.facet | set(m.y_vertices())
+
+        vertices = list(base.skeleton.vertices)
+        for m in matrices:
+            vertices.extend(m.y_vertices())
+        edges = set(base.skeleton.edges)
+        rank = {v: i for i, v in enumerate(vertices)}
+        for fb in facet_bar.values():
+            for u, w in combinations(sorted(fb, key=rank.get), 2):
+                edges.add((u, w))
+        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "facet_bar", facet_bar)
-        object.__setattr__(self, "skeleton_bar", skeleton_bar)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Extension is immutable")
+        object.__setattr__(self, "skeleton_bar", Graph(vertices, edges))
 
     def __repr__(self):
         return (
@@ -178,22 +192,7 @@ def validate_extension(base, matrices):
                     )
                 all_y[v] = (mi, bi)
 
-    facet_bar = {}
-    for f in base.facet_sets():
-        facet_bar[f] = f
-    for m in matrices:
-        facet_bar[m.facet] = m.facet | set(m.y_vertices())
-
-    vertices = list(base.skeleton.vertices)
-    for m in matrices:
-        vertices.extend(m.y_vertices())
-    edges = set(base.skeleton.edges)
-    rank = {v: i for i, v in enumerate(vertices)}
-    for fb in facet_bar.values():
-        for u, w in combinations(sorted(fb, key=rank.get), 2):
-            edges.add((u, w))
-    skeleton_bar = Graph(vertices, edges)
-    return Extension(base, matrices, facet_bar, skeleton_bar)
+    return Extension(base, matrices)
 
 
 # ---------------------------------------------------------------------------

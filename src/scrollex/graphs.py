@@ -1,5 +1,7 @@
 """Finite undirected graphs, clique complexes, chordality, chordless cycles,
-and :func:`frozen_record`, the decorator behind every report type.
+and :func:`frozen_record`, the decorator behind every immutable type: the
+reports, and ``Graph``, ``CliqueComplex``, ``ScrollMatrix``, ``Extension``
+and ``VarOrder`` too.
 
 Every structure in this package is deterministic: a vertex keeps the position
 it had in the input ("rank"), and every sort key, tie-break and output order
@@ -28,8 +30,9 @@ def frozen_record(cls):
 
     A field's class attribute is its default; fields with defaults come
     last.  Adds ``__init__`` (which then calls ``__post_init__``, if any; it
-    may normalise a field with ``object.__setattr__``), ``__eq__`` (same
-    class, equal fields), ``__hash__`` (of the field tuple), ``__repr__``
+    may normalise a field or set a derived attribute, one outside equality,
+    hash and repr, with ``object.__setattr__``), ``__eq__`` (same class,
+    equal fields), ``__hash__`` (of the field tuple), ``__repr__``
     unless the class has one, and a ``__setattr__``/``__delattr__`` that
     raises AttributeError.  No source is generated, so a record costs next
     to nothing to define.  Fields are set with ``object.__setattr__`` and
@@ -103,21 +106,24 @@ def frozen_record(cls):
     return cls
 
 
+@frozen_record
 class Graph:
     """Undirected graph over named vertices with a fixed vertex enumeration.
 
     Edges are stored canonically: each pair sorted by vertex rank, duplicate
-    edges collapsed.  Instances are immutable and hashable.
+    edges collapsed.  ``rank`` (vertex -> position) and ``adj`` (vertex ->
+    neighbour set) are derived from the two fields.
 
     >>> g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     >>> sorted(g.edges)
     [('a', 'b'), ('a', 'c'), ('b', 'c')]
     """
 
-    __slots__ = ("vertices", "edges", "rank", "adj")
+    vertices: tuple
+    edges: frozenset
 
-    def __init__(self, vertices, edges):
-        vs = tuple(vertices)
+    def __post_init__(self):
+        vs = tuple(self.vertices)
         rank = {}
         for k, v in enumerate(vs):
             if not v:
@@ -126,7 +132,7 @@ class Graph:
                 raise GraphError(f"duplicate vertex name {v!r}")
             rank[v] = k
         canon = set()
-        for e in edges:
+        for e in self.edges:
             u, w = e
             if u == w:
                 raise GraphError(f"loop edge at {u!r}")
@@ -137,15 +143,10 @@ class Graph:
         for u, w in canon:
             adj[u].add(w)
             adj[w].add(u)
-        self.vertices = vs
-        self.edges = frozenset(canon)
-        self.rank = rank
-        self.adj = adj
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "adj"):
-            raise AttributeError("Graph is immutable")
-        object.__setattr__(self, name, value)
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", frozenset(canon))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "adj", adj)
 
     def edge_key(self, u, w):
         """The canonical (rank-sorted) form of the pair {u, w}."""
@@ -154,16 +155,6 @@ class Graph:
     def has_edge(self, u, w):
         return w in self.adj.get(u, ())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
@@ -171,25 +162,33 @@ class Graph:
 def maximal_cliques(g):
     """All maximal cliques, each sorted by rank, listed lexicographically.
 
-    Bron-Kerbosch with a deterministic pivot choice.  Each call owns its
-    ``p`` and ``x`` and moves a visited vertex from one to the other in place.
+    Bron-Kerbosch with a deterministic pivot choice, on an explicit stack so
+    that no clique size meets the recursion limit.  A frame is (r, p, x, the
+    candidates left); it owns its ``p`` and ``x`` and moves each visited
+    vertex from one to the other in place.
     """
     rank = g.rank
     adj = g.adj
     out = []
 
-    def expand(r, p, x):
-        if not p and not x:
-            out.append(tuple(sorted(r, key=rank.get)))
-            return
+    def frame(r, p, x):
         pivot = max(p | x, key=lambda v: (len(adj[v] & p), -rank[v]))
-        for v in sorted(p - adj[pivot], key=rank.get):
-            expand(r | {v}, p & adj[v], x & adj[v])
+        return r, p, x, iter(sorted(p - adj[pivot], key=rank.get))
+
+    stack = [frame(set(), set(g.vertices), set())] if g.vertices else []
+    while stack:
+        r, p, x, todo = stack[-1]
+        for v in todo:
+            rv, pv, xv = r | {v}, p & adj[v], x & adj[v]
             p.discard(v)
             x.add(v)
-
-    if g.vertices:
-        expand(set(), set(g.vertices), set())
+            if pv or xv:
+                stack.append(frame(rv, pv, xv))
+            else:
+                out.append(tuple(sorted(rv, key=rank.get)))
+            break
+        else:
+            stack.pop()
     out.sort(key=lambda c: tuple(rank[v] for v in c))
     return tuple(out)
 
@@ -348,26 +347,29 @@ def _cycle_search(g, allowed, facets, cap, what, shortest=False):
     return tuple(tuple([vs[i] for i in c]) for c in found)
 
 
+@frozen_record
 class CliqueComplex:
     """A graph together with its facet family (the maximal cliques).
 
     The faces of the complex are exactly the cliques of ``skeleton``; the
     facet list is therefore determined by the graph.  An explicit facet list
-    may be supplied for validation and is rejected if it differs.
-    ``edge_facets`` maps each canonical edge to the indices of its facets.
+    may be supplied for validation and is rejected if it differs; either way
+    ``facets`` ends up as the maximal cliques.  ``edge_facets`` maps each
+    canonical edge to the indices of its facets.
     """
 
-    __slots__ = ("skeleton", "facets", "edge_facets")
+    skeleton: Graph
+    facets: tuple = None
 
-    def __init__(self, skeleton, facets=None):
+    def __post_init__(self):
+        skeleton = self.skeleton
         cliques = maximal_cliques(skeleton)
-        if facets is not None:
-            given = sorted(frozenset(f) for f in facets)
+        if self.facets is not None:
+            given = sorted(frozenset(f) for f in self.facets)
             if given != sorted(frozenset(c) for c in cliques):
                 raise GraphError(
                     "declared facets do not match the maximal cliques of the skeleton"
                 )
-        object.__setattr__(self, "skeleton", skeleton)
         object.__setattr__(self, "facets", cliques)
         edge_facets = {}
         for idx, f in enumerate(cliques):
@@ -378,9 +380,6 @@ class CliqueComplex:
             "edge_facets",
             {e: tuple(ix) for e, ix in edge_facets.items()},
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CliqueComplex is immutable")
 
     def facets_of_edge(self, u, w):
         """Indices (into ``facets``) of the facets containing the edge {u, w}."""

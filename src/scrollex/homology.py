@@ -159,35 +159,6 @@ def _adjacency_masks(g):
     return [sum(1 << rank[w] for w in g.adj[v]) for v in g.vertices]
 
 
-def _dominated(s, nbr):
-    """The first vertex of ``s`` (by rank) that is dominated in ``s``, or -1.
-
-    v is dominated by a neighbour u when ``nbr[v] & s & ~bit(u)`` is a subset
-    of ``nbr[u]``.  Deleting v is then a strong collapse: the clique complex
-    keeps its homotopy type.  Chordal graphs collapse to a point this way.
-    An isolated vertex is never dominated.
-
-    >>> path = [0b010, 0b101, 0b010]  # 0 - 1 - 2
-    >>> _dominated(0b111, path), _dominated(0b101, path)
-    (0, -1)
-    >>> _dominated(0b1111, [0b1010, 0b0101, 0b1010, 0b0101])  # a 4-cycle
-    -1
-    """
-    rest = s
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        nv = nbr[v] & s
-        others = nv
-        while others:
-            ubit = others & -others
-            if nv & ~nbr[ubit.bit_length() - 1] == ubit:
-                return v
-            others ^= ubit
-        rest ^= low
-    return -1
-
-
 def _components(s, nbr):
     """Connected components of the subgraph induced on ``s``, as bitmasks."""
     out = []
@@ -214,10 +185,11 @@ def _disjoint_union(parts):
 
 
 def _core_homology(s, nbr, char, cores):
-    """Reduced Betti numbers of the clique complex on the connected core ``s``.
+    """Reduced Betti numbers of the clique complex on the nonempty subset
+    ``s``, a bitmask over ranks.
 
-    Memoized in ``cores`` under ``(m, edges)``: the core relabelled 0..m-1
-    by rank.
+    Memoized in ``cores`` under ``(m, edges)``: the subset relabelled
+    0..m-1 by rank.
     """
     verts = list(_bits(s))
     pos = {v: i for i, v in enumerate(verts)}
@@ -256,26 +228,12 @@ def _core_homology(s, nbr, char, cores):
 def clique_homology(g, field=QQ):
     """All nonzero reduced Betti numbers of the clique complex of ``g``.
 
-    Returns a dict dimension -> rank.  The empty graph has H~_{-1} of rank 1.
-    Dominated vertices are deleted first; each remaining component is a
-    point or a core that goes to the rank kernel.
+    Returns a dict dimension -> rank.  The empty graph has H~_{-1} of rank 1;
+    any other graph goes to the rank kernel whole.
     """
-    n = len(g.vertices)
-    if n == 0:
+    if not g.vertices:
         return {-1: 1}
-    nbr = _adjacency_masks(g)
-    s = (1 << n) - 1
-    v = _dominated(s, nbr)
-    while v >= 0:
-        s ^= 1 << v
-        v = _dominated(s, nbr)
-    cores = {}
-    return _disjoint_union(
-        [
-            _core_homology(c, nbr, field.char, cores) if c & (c - 1) else {}
-            for c in _components(s, nbr)
-        ]
-    )
+    return _core_homology((1 << len(g.vertices)) - 1, _adjacency_masks(g), field.char, {})
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def parse_instance(document):
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise InstanceError("", f"invalid JSON: {e}") from None
     _check_keys(document, {"vertices", "edges", "facets", "extensions"}, "")
     _expect("vertices" in document, "/vertices", "missing")

@@ -11,6 +11,8 @@ digraph is acyclic, and a directed cycle is the witness of impossibility.
 
 from __future__ import annotations
 
+from .graphs import frozen_record
+
 
 class NotOrderableError(RuntimeError):
     """The matrix family admits no admissible order.
@@ -129,21 +131,19 @@ def pi_star(m):
 # ---------------------------------------------------------------------------
 
 
+@frozen_record
 class VarOrder:
     """A total order on variables; position 0 is the largest variable."""
 
-    __slots__ = ("variables", "rank")
+    variables: tuple
 
-    def __init__(self, variables):
-        object.__setattr__(self, "variables", tuple(variables))
+    def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(
             self, "rank", {v: i for i, v in enumerate(self.variables)}
         )
         if len(self.rank) != len(self.variables):
             raise ValueError("repeated variable in order")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VarOrder is immutable")
 
     def greater(self, a, b):
         return self.rank[a] < self.rank[b]

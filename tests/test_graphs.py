@@ -1,4 +1,6 @@
 import doctest
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,18 @@ def test_maximal_cliques_examples():
     assert maximal_cliques(c4) == (
         ("a", "b"), ("a", "d"), ("b", "c"), ("c", "d"),
     )
+
+
+def test_maximal_cliques_does_not_recurse_per_clique_vertex():
+    names = [f"v{i}" for i in range(300)]
+    k300 = Graph(names, combinations(names, 2))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        cliques = maximal_cliques(k300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == (tuple(names),)
 
 
 def test_maximal_cliques_bruns_matches_oracle():

@@ -146,6 +146,15 @@ def test_parse_instance_fuzz_raises_only_instance_error(doc):
     assert outcomes[0] == outcomes[1]
 
 
+DEEP = "[" * 200000 + "]" * 200000
+
+
+def test_parse_instance_rejects_deeply_nested_json():
+    with pytest.raises(InstanceError) as e:
+        parse_instance(DEEP)
+    assert e.value.path == "" and e.value.message.startswith("invalid JSON")
+
+
 def test_digest_independent_of_edge_order():
     doc1 = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
     doc2 = {"vertices": ["a", "b", "c"], "edges": [["c", "b"], ["b", "a"]]}
@@ -177,6 +186,13 @@ def test_cli_invalid_instance(tmp_path, capsys):
 def test_cli_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 1 and "error" in err
+
+
+def test_cli_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run(capsys, "validate", str(deep))
+    assert code == 1 and out == "" and "invalid JSON" in err and "internal" not in err
 
 
 def raise_runtime_error(ext, digest, args):

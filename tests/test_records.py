@@ -1,20 +1,26 @@
 """The frozen records: immutability, equality, hashing, repr, validation.
 
-Every report type is built by ``graphs.frozen_record``; these tests pin the
+Every immutable type is built by ``graphs.frozen_record``; these tests pin the
 behaviour the rest of the package relies on, including how ``cli._emit``
 serialises the two records that appear in JSON reports.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from scrollex import cli
-from scrollex.graphs import frozen_record
+from scrollex.graphs import CliqueComplex, Graph, frozen_record
 from scrollex.homology import INFINITE, QQ, FieldSpec
-from scrollex.extension import ScrollBlock
+from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.groebner import Binomial, GroebnerCheck
 from scrollex.bounds import Interval, NotApplicable
+from scrollex.instance import parse_instance
+from scrollex.ordering import VarOrder
+
+TRIANGLE = Graph("abc", ["ab", "bc", "ca"])
+MATRIX = ScrollMatrix(frozenset("abc"), "a", [ScrollBlock("b", ("u",))])
 
 
 @pytest.mark.parametrize(
@@ -24,6 +30,12 @@ from scrollex.bounds import Interval, NotApplicable
         (FieldSpec(3), "char"),
         (ScrollBlock("x", ["y"]), "y"),
         (GroebnerCheck(True), "pair"),
+        (TRIANGLE, "edges"),
+        (TRIANGLE, "adj"),
+        (CliqueComplex(TRIANGLE), "facets"),
+        (MATRIX, "blocks"),
+        (validate_extension(CliqueComplex(TRIANGLE), [MATRIX]), "skeleton_bar"),
+        (VarOrder("abc"), "rank"),
     ],
 )
 def test_fields_cannot_be_assigned_or_deleted(record, name):
@@ -58,6 +70,20 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(FieldSpec(32003)) == hash((32003,))
     assert hash(ScrollBlock("x", ["y", "z"])) == hash(("x", ("y", "z")))
     assert len({FieldSpec(2), FieldSpec(2), QQ}) == 2
+    path = Graph("abc", ["cb", "ab"])
+    assert hash(path) == hash((("a", "b", "c"), frozenset({("a", "b"), ("b", "c")})))
+
+
+def test_parsing_one_document_twice_gives_equal_extensions():
+    text = (Path(__file__).parent / "fixtures" / "bruns.json").read_text()
+    (first, _), (second, _) = parse_instance(text), parse_instance(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+
+
+def test_scroll_matrices_compare_by_fields():
+    assert ScrollMatrix("abc", "a", [("b", ["u"])]) == MATRIX
+    assert ScrollMatrix("abc", "b", [("c", ["u"])]) != MATRIX
 
 
 def test_repr():
