@@ -1,12 +1,13 @@
 """Buchberger verification of the generator system, initial complexes.
 
 The generator system under scrutiny is tiny by design: quadratic squarefree
-monomials (the non-edges) plus quadratic binomials (the matrix minors).
-Polynomials never grow past a handful of degree-(<=3) terms.  Under a lex
-variable order, :func:`prepare_system` encodes every generator once as the
-sorted tuple of its variables' ranks (rank 0 is the largest variable); the
-Buchberger check reduces through dicts keyed by those tuples, and variable
-names come back only in what it reports.
+monomials (the non-edges) plus quadratic binomials lead - trail (the matrix
+minors).  Under a lex variable order, :func:`prepare_system` encodes every
+generator once as the sorted tuple of its variables' ranks (rank 0 is the
+largest variable).  An S-polynomial has at most two terms of degree <= 3,
+and division by the generators is linear, so the Buchberger check reduces
+each monomial once, through a memo shared by every S-pair; variable names
+come back only in what it reports.
 """
 
 from __future__ import annotations
@@ -34,15 +35,10 @@ class Binomial:
     trail_coeff: int = -1
 
 
-def _times(m, lead, trail):
-    """``lcm(m, lead) / lead * trail`` on rank tuples, sorted."""
-    rest = list(m)
-    for r in lead:
-        if r in rest:
-            rest.remove(r)
-    rest += trail
-    rest.sort()
-    return tuple(rest)
+def _times(q, trail):
+    """The monomial ``q * trail`` for a rank ``q`` and a sorted pair ``trail``."""
+    a, b = trail
+    return (q, a, b) if q <= a else (a, q, b) if q <= b else (a, b, q)
 
 
 def _names(m, order):
@@ -52,70 +48,78 @@ def _names(m, order):
 def _generator(f, order):
     """An encoded generator as reported: a monomial's variables, or a Binomial."""
     _i, lead, trail, c = f
-    if not c:
-        return _names(lead, order)
-    return Binomial(_names(lead, order), _names(trail, order))
+    return Binomial(_names(lead, order), _names(trail, order)) if c else _names(lead, order)
 
 
 def _s_terms(f, g):
-    """The S-polynomial of two encoded binomials, on rank tuples, zero terms dropped.
+    """The S-polynomial of two encoded generators whose leads share a rank.
 
-    A binomial is ``(position, lead, trail, trail_coeff)``.  With ranks
-    x1..x3 = 0..2 and y1..y3 = 3..5, the minors x1*y2 - x2*y1 and
-    x1*y3 - x3*y1 share the head x1:
+    A generator is ``(position, lead, trail, trail_coeff)``: a monomial has
+    trail ``()`` and coefficient 0, a binomial ``lead - trail`` has -1, and
+    ``g`` is a binomial.  Zero terms are dropped.  With ranks x1..x3 = 0..2
+    and y1..y3 = 3..5, the minors x1*y2 - x2*y1 and x1*y3 - x3*y1 share x1:
 
     >>> f, g = (0, (0, 4), (1, 3), -1), (1, (0, 5), (2, 3), -1)
-    >>> _s_terms(f, g)
-    {(1, 3, 5): -1, (2, 3, 4): 1}
-    >>> _s_terms(f, f)
-    {}
+    >>> _s_terms(f, g), _s_terms(f, f), _s_terms((2, (3, 4), (), 0), f)
+    ({(1, 3, 5): -1, (2, 3, 4): 1}, {}, {(1, 3, 3): 1})
     """
-    (_i, fl, ft, fc), (_j, gl, gt, gc) = f, g
-    terms = {}
-    for t, c in ((_times(gl, fl, ft), fc), (_times(fl, gl, gt), -gc)):
-        terms[t] = terms.get(t, 0) + c
-    return {t: c for t, c in terms.items() if c}
+    (_i, fl, ft, fc), (_j, gl, gt, _gc) = f, g
+    if fl == gl:
+        t, u = ft, gt
+    else:  # lcm(fl, gl) / gl is the rank of fl that gl lacks, and vice versa
+        t = fc and _times(gl[1] if gl[0] in fl else gl[0], ft)
+        u = _times(fl[1] if fl[0] in gl else fl[0], gt)
+    if not fc:
+        return {u: 1}
+    return {t: -1, u: 1} if t != u else {}
 
 
-def normal_form(terms, nf, leads):
+def normal_form(terms, nf, leads, memo=None):
     """Remainder of the division algorithm against the prepared system.
 
-    Monomials are sorted tuples of ``order.rank`` values.  ``nf`` is the set
-    of monomial generators; ``leads`` maps a binomial lead to ``(position,
-    lead, trail, trail_coeff)`` of the first binomial in system order with
-    that lead.  Every generator is quadratic, so a term is divisible by one
-    exactly when one of its rank pairs is that generator.  The terms share
-    one degree, so the lex-largest term is the smallest rank tuple.
+    Monomials are sorted tuples of ``order.rank`` values; the terms have
+    degree 2 or 3, as S-polynomials of quadratic generators do.  ``nf`` is
+    the set of monomial generators; ``leads`` maps a binomial lead to
+    ``(position, lead, trail, -1)`` of the first binomial with that lead.
+    A generator divides a term exactly when it is one of the term's pairs.
 
-    Repeatedly top-reduces: the lead term is cancelled if one of its pairs
-    is a monomial generator, else rewritten by the earliest binomial whose
-    lead is one of its pairs, else moved to the remainder.  A rewrite gives
-    a strictly smaller term, so the loop terminates.
+    Division is linear and every binomial is ``lead - trail``, so the
+    remainder is the sum of ``c * R(m)`` over the terms ``c * m``, zeros
+    dropped: ``R(m)`` is zero if a monomial generator divides ``m``, else
+    ``R(t)`` if the earliest binomial whose lead is a pair of ``m``
+    rewrites it to ``t``, else ``m``.  ``memo`` maps each monomial of a
+    chain of rewrites to its R (``()`` for zero), so a memo shared by calls
+    with the same ``nf`` and ``leads`` rewrites each monomial once.  A
+    monomial that a monomial generator divides is never stored.
 
     With ranks a=0, b=1, u=2 and the generators ab and au - b^2:
 
-    >>> nf, leads = {(0, 1)}, {(0, 2): (0, (0, 2), (1, 1), -1)}
-    >>> normal_form({(0, 2, 2): 3, (1, 2, 2): 1}, nf, leads)
+    >>> nf, leads, memo = {(0, 1)}, {(0, 2): (0, (0, 2), (1, 1), -1)}, {}
+    >>> normal_form({(0, 2, 2): 3, (1, 2, 2): 1, (0, 1, 2): 5}, nf, leads, memo)
     {(1, 1, 2): 3, (1, 2, 2): 1}
+    >>> memo
+    {(0, 2, 2): (1, 1, 2), (1, 1, 2): (1, 1, 2), (1, 2, 2): (1, 2, 2)}
     """
-    work = dict(terms)
+    memo = {} if memo is None else memo
     remainder = {}
-    while work:
-        m = min(work)
-        c = work.pop(m)
-        pairs = list(combinations(m, 2))
-        if any(p in nf for p in pairs):
-            continue
-        hits = [leads[p] for p in pairs if p in leads]
-        if not hits:
-            remainder[m] = c
-            continue
-        _pos, lead, trail, coeff = min(hits)
-        t = _times(m, lead, trail)
-        work[t] = work.get(t, 0) - c * coeff
-        if not work[t]:
-            del work[t]
-    return remainder
+    for m, c in terms.items():
+        r = memo.get(m)
+        if r is None and nf.isdisjoint(combinations(m, 2)):
+            chain = []
+            while r is None:
+                chain.append(m)
+                hits = [leads[p] for p in combinations(m, 2) if p in leads]
+                if not hits:
+                    r = m
+                    break
+                _pos, lead, trail, _c = min(hits)
+                # a rewrite keeps the degree, 2 (m is the lead) or 3 (m / lead is one rank)
+                m = trail if m == lead else _times(sum(m) - lead[0] - lead[1], trail)
+                r = memo.get(m) if nf.isdisjoint(combinations(m, 2)) else ()
+            memo.update(dict.fromkeys(chain, r))
+        if r:
+            remainder[r] = remainder.get(r, 0) + c
+    return {r: c for r, c in sorted(remainder.items()) if c} if any(remainder.values()) else {}
 
 
 @frozen_record
@@ -164,7 +168,8 @@ def buchberger_is_groebner(encoded, order):
     Buchberger criterion), as are pairs of plain monomials.  A monomial
     generator m enters as the binomial m + 0.  Pairs come from an index of
     binomial positions by lead variable, in the order of a scan over all
-    pairs.  A failure reports the pair (a monomial as its variables, a
+    pairs, and each is reduced by one :func:`normal_form` call, all through
+    one memo.  A failure reports the pair (a monomial as its variables, a
     minor as a :class:`Binomial`) and the remainder in variable names.
     """
     nf, binomials = encoded
@@ -173,17 +178,17 @@ def buchberger_is_groebner(encoded, order):
     nf_set = set(nf)
     leads = {}
     by_var = {}  # lead variable rank -> ascending binomial positions
+    memo = {}  # monomial -> what it reduces to, shared by every S-pair
     for f in coded[len(nf) :]:
         leads.setdefault(f[1], f)
         for r in set(f[1]):
             by_var.setdefault(r, []).append(f[0])
     for f in coded:
         for j in sorted({j for r in f[1] for j in by_var.get(r, ()) if j > f[0]}):
-            rem = normal_form(_s_terms(f, coded[j]), nf_set, leads)
+            rem = normal_form(_s_terms(f, coded[j]), nf_set, leads, memo)
             if rem:
                 pair = (_generator(f, order), _generator(coded[j], order))
-                remainder = {_names(m, order): c for m, c in rem.items()}
-                return GroebnerCheck(False, pair, remainder)
+                return GroebnerCheck(False, pair, {_names(m, order): c for m, c in rem.items()})
     return GroebnerCheck(True)
 
 
@@ -195,13 +200,10 @@ def lead_deletions(encoded, order):
     :class:`SquareLeadError` if any lead is a square: the initial ideal
     would not be squarefree, which admissible data never produces.
     """
-    out = set()
     for lead, _trail in encoded[1]:
-        u, w = _names(lead, order)
-        if u == w:
-            raise SquareLeadError(f"square lead {u}^2")
-        out.add(frozenset((u, w)))
-    return frozenset(out)
+        if lead[0] == lead[1]:
+            raise SquareLeadError(f"square lead {order.variables[lead[0]]}^2")
+    return frozenset(frozenset(_names(lead, order)) for lead, _trail in encoded[1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +244,6 @@ def initial_complex(ext):
     for m, image in zip(matrices, images):
         cols = m.columns()
         pc = [cols[p] for p in image]
-        for i in range(len(pc)):
-            for k in range(i + 1, len(pc)):
-                deleted.add(gbar.edge_key(pc[i][0], pc[k][1]))
+        deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(pc, 2))
     graph = Graph(gbar.vertices, gbar.edges - deleted)
     return InitialComplex(graph, frozenset(deleted), order)

@@ -8,7 +8,7 @@ An instance is a JSON object with the fields
     extensions  list of {facet, x0, blocks:[{x, y:[...]}, ...]}
 
 Unknown fields are rejected.  Every error carries a JSON-pointer-style path
-into the document.
+into the document; its message leads with the path unless that is the root.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class InstanceError(ValueError):
     """Schema or semantic violation, located by a document path."""
 
     def __init__(self, path, message):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
         self.message = message
 

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scrollex import fixtures
+from scrollex import fixtures, groebner
 from scrollex.graphs import CliqueComplex, Graph, is_chordal
 from scrollex.extension import GeneratorSystem, generator_system, validate_extension
 from scrollex.ordering import (
@@ -276,4 +278,101 @@ def test_buchberger_matches_scanning_oracle_cycle_extension():
     checks = [buchberger_is_groebner(prepare_system(system, o), o) for o in orders]
     assert [c.ok for c in checks] == [True, True, False, False]
     for check, var_order in zip(checks, orders):
+        assert check == scan_is_groebner(system, var_order)
+
+
+def count_normal_form_calls(monkeypatch):
+    """A list that grows by one for every later call to ``groebner.normal_form``."""
+    calls = []
+    reduce = groebner.normal_form
+
+    def counted(*args):
+        calls.append(None)
+        return reduce(*args)
+
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    return calls
+
+
+def pi_star_system(doc):
+    ext = parse_instance(doc)[0]
+    return generator_system(ext), initial_complex(ext).order
+
+
+def test_spair_count_is_pinned(monkeypatch):
+    # one normal_form call per S-pair with non-coprime leads, so the traced
+    # groebner.normal_form.calls counts the S-pairs reduced
+    calls = count_normal_form_calls(monkeypatch)
+    system, order = pi_star_system(fixtures.cycle_extension_instance(8, [3] * 7 + [0]))
+    assert buchberger_is_groebner(prepare_system(system, order), order).ok
+    assert len(calls) == 1983
+    calls.clear()
+    system, order, _xs, _ys = generic_scroll_system(6)
+    assert buchberger_is_groebner(prepare_system(system, order), order).ok
+    assert len(calls) == 40
+
+
+def spair_terms(encoded):
+    """The monomial generators, the lead index and the S-terms of every pair
+    with non-coprime leads, as :func:`buchberger_is_groebner` builds them."""
+    nf, binomials = encoded
+    coded = [(i, m, (), 0) for i, m in enumerate(nf)]
+    coded += [(i, lead, trail, -1) for i, (lead, trail) in enumerate(binomials, len(nf))]
+    leads = {}
+    for f in coded[len(nf) :]:
+        leads.setdefault(f[1], f)
+    terms = [_s_terms(f, g) for f, g in combinations(coded, 2) if g[3] and set(f[1]) & set(g[1])]
+    return set(nf), leads, terms
+
+
+def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
+    rng = random.Random(3)
+    reduced = nonzero = reused = 0
+    for ext in (random_extensions[3], cycle_extensions[0]):
+        order = initial_complex(ext).order
+        for system, var_order in mutated_systems(generator_system(ext), order, rng):
+            nf, leads, terms = spair_terms(prepare_system(system, var_order))
+            memo = {}
+            for t in terms:
+                reused += any(m in memo for m in t)
+                rem = normal_form(t, nf, leads, memo)
+                assert rem == normal_form(t, nf, leads, {})
+                reduced += 1
+                nonzero += bool(rem)
+    # failing systems contribute nonzero remainders, and the memo is reused
+    assert reduced > 5000 and nonzero > 100 and reused > 300
+
+
+@pytest.mark.parametrize(
+    "nf, minors, remainder",
+    [
+        # ab - cd and ab - ce leave ce - cd, which cd - ce reduces to zero
+        ((), [("ab", "cd"), ("ab", "ce"), ("cd", "ce")], None),
+        ((), [("ab", "cd"), ("ab", "ce")], {("c", "d"): -1, ("c", "e"): 1}),
+        # the monomial ab and the binomial ab - cd leave cd
+        (("ab",), [("ab", "cd"), ("ce", "de")], {("c", "d"): 1}),
+    ],
+)
+def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
+    order = VarOrder("abcde")
+    pairs = tuple((tuple(u), tuple(t)) for u, t in minors)
+    system = GeneratorSystem(tuple(tuple(m) for m in nf), ((frozenset("abcde"), pairs),))
+    encoded = prepare_system(system, order)
+    _nf, _leads, terms = spair_terms(encoded)
+    assert any(t and all(len(m) == 2 for m in t) for t in terms)
+    check = buchberger_is_groebner(encoded, order)
+    assert check == scan_is_groebner(system, order)
+    assert check.remainder == remainder
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_buchberger_matches_scanning_oracle_fuzz(seed):
+    # random extensions under their pi* order, which is a Groebner order, and
+    # under a shuffled order, which mostly is not
+    system, order = pi_star_system(fixtures.random_extension_instance(seed))
+    shuffled = list(order.variables)
+    random.Random(seed).shuffle(shuffled)
+    for var_order in (order, VarOrder(shuffled)):
+        check = buchberger_is_groebner(prepare_system(system, var_order), var_order)
         assert check == scan_is_groebner(system, var_order)

@@ -183,6 +183,20 @@ def test_cli_invalid_instance(tmp_path, capsys):
     assert code == 1 and out == "" and "/vertices/1" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("nope", "error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+        ("[1]", "error: expected an object\n"),
+        ('{"vertices": ["a", "a"], "edges": []}', "error: /vertices/1: duplicate vertex 'a'\n"),
+    ],
+)
+def test_cli_error_names_the_path_unless_it_is_the_root(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run(capsys, "validate", str(bad)) == (1, "", line)
+
+
 def test_cli_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 1 and "error" in err
