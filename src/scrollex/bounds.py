@@ -43,6 +43,9 @@ class NotApplicable:
 
     reason: str
 
+    def to_json(self):
+        return {"not_applicable": self.reason}
+
 
 @frozen_record
 class Interval:
@@ -50,6 +53,9 @@ class Interval:
 
     lower: object
     upper: object
+
+    def to_json(self):
+        return {"lower": self.lower, "upper": self.upper}
 
 
 @frozen_record

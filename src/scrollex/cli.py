@@ -38,31 +38,17 @@ import json
 import sys
 
 from . import __version__
-from .bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
 from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, chordless_cycles
-from .groebner import buchberger_is_groebner, initial_complex, lead_deletions, prepare_system
-from .homology import (
-    FieldSpec,
-    INFINITE,
-    QQ,
-    betti_table,
-    cycle_betti_table,
-    p2_from_table,
-)
 from .instance import instance_digest, parse_instance
-from .ordering import NotOrderableError, find_admissible_order
 
 
 def _json_default(x):
-    if x is INFINITE:
-        return "infinity"
-    if isinstance(x, NotApplicable):
-        return {"not_applicable": x.reason}
-    if isinstance(x, Interval):
-        return {"lower": x.lower, "upper": x.upper}
     if isinstance(x, frozenset):
         return sorted(x)
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+    to_json = getattr(x, "to_json", None)
+    if to_json is None:
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+    return to_json()
 
 
 def _emit(report):
@@ -81,12 +67,6 @@ def _envelope(command, digest, payload):
     doc = {"command": command, "version": __version__, "instance_digest": digest}
     doc.update(payload)
     return doc
-
-
-def _parse_field(text):
-    if text == "q":
-        return QQ
-    return FieldSpec(int(text))
 
 
 def _cycle_payload(vc, gbar_rank):
@@ -114,6 +94,8 @@ def cmd_validate(ext, digest, args):
 
 
 def cmd_order(ext, digest, args):
+    from .ordering import NotOrderableError, find_admissible_order
+
     try:
         matrices = find_admissible_order(ext.matrices)
     except NotOrderableError as e:
@@ -125,6 +107,8 @@ def cmd_order(ext, digest, args):
 
 def cmd_groebner(ext, digest, args):
     from .extension import generator_system
+    from .groebner import buchberger_is_groebner, initial_complex, lead_deletions, prepare_system
+    from .ordering import NotOrderableError
 
     try:
         ic = initial_complex(ext)
@@ -150,6 +134,8 @@ def cmd_cycles(ext, digest, args):
         cycles = chordless_cycles(g, cap=args.cap)
         payload = {"kind": "minimal", "cycles": [list(c) for c in cycles]}
     else:
+        from .bounds import virtual_minimal_cycles
+
         vcs = virtual_minimal_cycles(ext, cap=args.cap)
         payload = {
             "kind": "virtual",
@@ -159,10 +145,15 @@ def cmd_cycles(ext, digest, args):
 
 
 def cmd_betti(ext, digest, args):
-    field = _parse_field(args.field)
+    from .homology import QQ, FieldSpec, betti_table, p2_from_table
+
+    field = QQ if args.field == "q" else FieldSpec(int(args.field))
     if args.ideal == "gamma":
         graph = ext.base.skeleton
     else:
+        from .groebner import initial_complex
+        from .ordering import NotOrderableError
+
         try:
             graph = initial_complex(ext).graph
         except NotOrderableError:
@@ -181,6 +172,8 @@ def cmd_betti(ext, digest, args):
 
 
 def cmd_p2(ext, digest, args):
+    from .bounds import Interval, NotApplicable, p2_report
+
     report = p2_report(ext)
     rank = ext.base.skeleton.rank
     if args.mode in ("lower", "upper"):
@@ -214,6 +207,8 @@ def cmd_p2(ext, digest, args):
 
 
 def cmd_poligon(args):
+    from .homology import cycle_betti_table
+
     table = cycle_betti_table(args.n, args.s)
     params = {"n": args.n, "s": args.s}
     digest = hashlib.sha256(

@@ -162,35 +162,52 @@ class Graph:
 def maximal_cliques(g):
     """All maximal cliques, each sorted by rank, listed lexicographically.
 
-    Bron-Kerbosch with a deterministic pivot choice, on an explicit stack so
-    that no clique size meets the recursion limit.  A frame is (r, p, x, the
-    candidates left); it owns its ``p`` and ``x`` and moves each visited
-    vertex from one to the other in place.
+    Bron-Kerbosch with a deterministic pivot choice (most neighbours in
+    ``p``, ties to the lowest rank), on an explicit stack so that no clique
+    size meets the recursion limit.  Vertex sets are int bitmasks over
+    ranks, so scoring a pivot is one ``&`` and a popcount.  A frame is
+    [r, p, x, the candidates left]; it owns its ``p`` and ``x`` and moves
+    each visited vertex from one to the other.
     """
-    rank = g.rank
-    adj = g.adj
+    nbr = _adjacency_masks(g)
     out = []
 
     def frame(r, p, x):
-        pivot = max(p | x, key=lambda v: (len(adj[v] & p), -rank[v]))
-        return r, p, x, iter(sorted(p - adj[pivot], key=rank.get))
+        pivot = max(_bits(p | x), key=lambda v: ((nbr[v] & p).bit_count(), -v))
+        return [r, p, x, p & ~nbr[pivot]]
 
-    stack = [frame(set(), set(g.vertices), set())] if g.vertices else []
+    stack = [frame(0, (1 << len(nbr)) - 1, 0)] if nbr else []
     while stack:
-        r, p, x, todo = stack[-1]
-        for v in todo:
-            rv, pv, xv = r | {v}, p & adj[v], x & adj[v]
-            p.discard(v)
-            x.add(v)
-            if pv or xv:
-                stack.append(frame(rv, pv, xv))
-            else:
-                out.append(tuple(sorted(rv, key=rank.get)))
-            break
-        else:
+        top = stack[-1]
+        r, p, x, todo = top
+        if not todo:
             stack.pop()
-    out.sort(key=lambda c: tuple(rank[v] for v in c))
-    return tuple(out)
+            continue
+        bit = todo & -todo
+        v = bit.bit_length() - 1
+        top[1], top[2], top[3] = p ^ bit, x | bit, todo ^ bit
+        pv, xv = p & nbr[v], x & nbr[v]
+        if pv or xv:
+            stack.append(frame(r | bit, pv, xv))
+        else:
+            out.append(tuple(_bits(r | bit)))
+    out.sort()
+    vs = g.vertices
+    return tuple(tuple([vs[i] for i in c]) for c in out)
+
+
+def _adjacency_masks(g):
+    """``nbr[i]`` is the neighbourhood of the vertex of rank i, as a bitmask."""
+    rank = g.rank
+    return [sum(1 << rank[w] for w in g.adj[v]) for v in g.vertices]
+
+
+def _bits(s):
+    """Indices of the set bits of ``s``, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
 
 
 def is_chordal(g):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import DEFAULT_CYCLE_CAP, _cycle_search, frozen_record
+from .graphs import DEFAULT_CYCLE_CAP, _adjacency_masks, _bits, _cycle_search, frozen_record
 
 
 class GuardExceeded(ValueError):
@@ -35,6 +35,9 @@ class _Infinite:
         return cls._instance
 
     def __repr__(self):
+        return "infinity"
+
+    def to_json(self):
         return "infinity"
 
 
@@ -145,20 +148,6 @@ def _boundary_rank(faces_k, faces_km1, char):
     return rank(columns, char)
 
 
-def _bits(s):
-    """Indices of the set bits of ``s``, lowest first."""
-    while s:
-        low = s & -s
-        yield low.bit_length() - 1
-        s ^= low
-
-
-def _adjacency_masks(g):
-    """``nbr[i]`` is the neighbourhood of the vertex of rank i, as a bitmask."""
-    rank = g.rank
-    return [sum(1 << rank[w] for w in g.adj[v]) for v in g.vertices]
-
-
 def _components(s, nbr):
     """Connected components of the subgraph induced on ``s``, as bitmasks."""
     out = []
@@ -223,17 +212,6 @@ def _core_homology(s, nbr, char, cores):
             out[k - 1] = h
     cores[key] = out
     return out
-
-
-def clique_homology(g, field=QQ):
-    """All nonzero reduced Betti numbers of the clique complex of ``g``.
-
-    Returns a dict dimension -> rank.  The empty graph has H~_{-1} of rank 1;
-    any other graph goes to the rank kernel whole.
-    """
-    if not g.vertices:
-        return {-1: 1}
-    return _core_homology((1 << len(g.vertices)) - 1, _adjacency_masks(g), field.char, {})
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ The graph helpers ``induced`` and ``canonical_cycle`` live here as well,
 since only the oracles and tests build induced subgraphs or canonicalize
 cycles by hand, and so does ``sweep_betti_table``: not an oracle, but the
 library's subset sweep with its multigraded entries rebuilt, for the tests
-that hold it against ``brute_betti_table`` subset by subset.
+that hold it against ``brute_betti_table`` subset by subset.  Likewise
+``clique_homology``, the library's core kernel run on a whole clique
+complex with no reduction first.
 """
 
 from collections import Counter, deque, namedtuple
@@ -33,8 +35,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from scrollex.graphs import Graph, GraphError
-from scrollex.homology import QQ, _hochster_sweep
+from scrollex.graphs import Graph, GraphError, _adjacency_masks
+from scrollex.homology import QQ, _core_homology, _hochster_sweep
 from scrollex.ordering import NotOrderableError, find_admissible_order, pi_star, variable_order
 from scrollex.groebner import Binomial, GroebnerCheck
 from scrollex.bounds import virtual_edges
@@ -409,6 +411,19 @@ def sweep_betti_table(g, field):
         for d, r in h[s].items():
             multigraded[(len(sigma) - d - 2, sigma)] = r
     return Betti(graded, multigraded)
+
+
+def clique_homology(g, field=QQ):
+    """All nonzero reduced Betti numbers of the clique complex of ``g``.
+
+    Not an oracle: the whole graph goes to ``homology._core_homology``, the
+    rank kernel the subset sweep uses per core, with no vertex deleted
+    first.  Returns a dict dimension -> rank; the empty graph has H~_{-1} of
+    rank 1.
+    """
+    if not g.vertices:
+        return {-1: 1}
+    return _core_homology((1 << len(g.vertices)) - 1, _adjacency_masks(g), field.char, {})
 
 
 def brute_betti_table(g, field):

@@ -15,7 +15,6 @@ from scrollex.homology import (
     FieldSpec,
     GuardExceeded,
     betti_table,
-    clique_homology,
     cycle_betti_table,
     p2_from_table,
     p2_monomial,
@@ -24,6 +23,7 @@ from scrollex.homology import (
 from scrollex.extension import generator_system, validate_extension
 from oracles import (
     brute_betti_table,
+    clique_homology,
     induced,
     oracle_rank,
     reduced_homology_rank,

@@ -398,21 +398,62 @@ def test_cli_betti_guard(capsys):
     assert code == 1 and "guard" in err
 
 
-def test_cli_import_footprint():
-    """``import scrollex.cli`` loads every compute layer and nothing it does not need.
+BASE_LAYERS = {"scrollex", "scrollex.cli", "scrollex.graphs", "scrollex.extension", "scrollex.instance"}
+# a CLI call (none: a bare ``import scrollex.cli``) and the scrollex modules
+# a fresh interpreter has loaded when it ends
+FOOTPRINTS = [
+    ([], BASE_LAYERS),
+    (["groebner", path("bruns")], BASE_LAYERS | {"scrollex.groebner", "scrollex.ordering"}),
+    (["betti", path("chordal3"), "--ideal", "gamma"], BASE_LAYERS | {"scrollex.homology"}),
+    (
+        ["betti", path("bruns"), "--ideal", "initial"],
+        BASE_LAYERS | {"scrollex.homology", "scrollex.groebner", "scrollex.ordering"},
+    ),
+    (
+        ["p2", path("bruns")],
+        BASE_LAYERS | {"scrollex.homology", "scrollex.groebner", "scrollex.ordering", "scrollex.bounds"},
+    ),
+]
+PROBE = """import sys
+import scrollex.cli
+code = scrollex.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stderr.write(repr(sorted(sys.modules)))
+sys.exit(code)
+"""
 
-    A fresh interpreter per CLI call pays for every module imported here.
-    The compute modules must stay loaded: the benchmark's tracer wraps only
-    modules present in ``sys.modules`` when it installs.
+
+def test_cli_import_footprint(capsys):
+    """Each subcommand loads only the compute layers it runs.
+
+    A fresh interpreter per CLI call compiles every module it imports, so
+    ``scrollex.cli`` imports a compute layer inside the handlers that run
+    it.  One fresh interpreter per call reports its ``sys.modules``; its
+    stdout and exit code must equal those of the same call in process.
+    ``chordal3`` has an infinite p2, so ``betti`` writes "infinity" without
+    ``scrollex.bounds``.  None of these calls loads ``scrollex.fixtures``,
+    ``dataclasses`` or ``inspect``.
     """
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import scrollex.cli; import sys; print(sorted(sys.modules))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(ast.literal_eval(done.stdout))
-    assert not loaded & {"dataclasses", "inspect", "scrollex.fixtures"}
-    layers = {"scrollex.homology", "scrollex.groebner", "scrollex.ordering", "scrollex.bounds"}
-    assert layers <= loaded
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", PROBE, *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for argv, _ in FOOTPRINTS
+    ]
+    for (argv, layers), proc in zip(FOOTPRINTS, procs):
+        out, err = proc.communicate()
+        loaded = set(ast.literal_eval(err))
+        assert {m for m in loaded if m.split(".")[0] == "scrollex"} == layers, argv
+        assert not loaded & {"dataclasses", "inspect"}, argv
+        if argv:
+            assert (proc.returncode, out) == run(capsys, *argv)[:2], argv
+        if argv[:2] == ["betti", path("chordal3")]:
+            assert json.loads(out)["p2"] == "infinity"
 
 
 def test_cli_poligon(capsys):
