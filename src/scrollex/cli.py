@@ -13,7 +13,9 @@
 Reports are canonical JSON on stdout (sorted keys, exact integers, infinite
 values as the string "infinity"); diagnostics go to stderr.  Exit codes:
 0 success, 1 input or validation error (a Betti table over more vertices
-than --max-vertices is one), 2 method not applicable, 3 a cycle census
+than --max-vertices is one, and so is a usage error such as an unknown
+option, a missing argument or a value of the wrong type; argparse's message
+goes to stderr), 2 method not applicable, 3 a cycle census
 exceeded its cap, 4 internal error: any other exception, reported on one
 stderr line as "error: internal error: <Type>: <message>", never as a
 traceback.
@@ -147,7 +149,12 @@ def cmd_cycles(ext, digest, args):
 def cmd_betti(ext, digest, args):
     from .homology import QQ, FieldSpec, betti_table, p2_from_table
 
-    field = QQ if args.field == "q" else FieldSpec(int(args.field))
+    if args.field == "q":
+        field = QQ
+    elif args.field.isdecimal() and int(args.field):
+        field = FieldSpec(int(args.field))
+    else:
+        raise ValueError(f"--field must be q or a prime, got {args.field!r}")
     if args.ideal == "gamma":
         graph = ext.base.skeleton
     else:
@@ -223,8 +230,16 @@ def cmd_poligon(args):
     return _envelope("poligon", digest, payload), 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to exit 1 (an input error), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="scrollex", description=__doc__)
+    parser = _Parser(prog="scrollex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("validate", "order", "groebner"):

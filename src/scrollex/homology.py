@@ -6,6 +6,11 @@ multigraded entry at (i, sigma) is the dimension of H~_{|sigma|-i-2} of the
 clique complex induced on sigma, and the graded table sums those entries over
 subsets of equal size.
 
+The sweep builds each subset's homology from smaller ones by Mayer-Vietoris
+on a vertex's link and deletion (see :func:`_hochster_sweep`); only a subset
+where no vertex qualifies is split into components or sent to the rank
+kernel.
+
 All arithmetic is exact.  One kernel, :func:`rank`, ranks every boundary
 map over the rationals and over prime fields alike: it reduces sparse
 columns (a k-face's column holds k entries of +-1) on their last nonzero
@@ -233,17 +238,41 @@ class BettiTable:
         return all(j <= i + 2 for (i, j) in self.graded)
 
 
+def _link_deletion_sum(s, nbr, h):
+    """h[s] as ``b_e + a_{e-1}`` from the first vertex v of s whose link
+    homology a = h[nbr[v] & s] and deletion homology b = h[s - v] share no
+    degree, or None when no vertex of s has that property.
+    """
+    rest = s
+    while rest:
+        low = rest & -rest
+        a, b = h[nbr[low.bit_length() - 1] & s], h[s ^ low]
+        if a.keys().isdisjoint(b):
+            out = dict(b)
+            for e, r in a.items():
+                out[e + 1] = out.get(e + 1, 0) + r
+            return out
+        rest ^= low
+    return None
+
+
 def _hochster_sweep(g, char):
     """``(graded, h)``: the graded table, and in ``h[s]`` the reduced Betti
     numbers of the clique complex on the subset s, a bitmask over ranks.
 
-    Every proper subset of s is a smaller int, so it is swept first.  A
-    vertex v of s whose link ``nbr[v] & s`` is acyclic is deleted: its star
-    is a cone, so h[s] = h[s ^ bit(v)] by Mayer-Vietoris.  A dominated
-    vertex's link is a cone; an isolated vertex's is empty, h[0] = {-1: 1}.
-    Otherwise a disconnected s sums its components' homology plus one H~_0
-    rank per extra component; a connected s goes to the rank kernel, once
-    per distinct core.  Equal results share one interned dict.
+    Every proper subset of s is a smaller int, so it is swept first.  For
+    a vertex v of s, the complex on s is the complex on the deletion
+    s - v with the star of v, a cone, glued on along the complex on the
+    link ``nbr[v] & s``.  Both are smaller ints, so their homology a and b
+    is known.  When a and b share no degree, every connecting map of the
+    reduced Mayer-Vietoris sequence is zero and h[s]_e = b_e + a_{e-1}, over
+    any field.  An acyclic link (a == {}) reuses b as it is, so that case
+    is looked for first; a dominated vertex's link is a cone.  An isolated
+    vertex's link is empty, h[0] = {-1: 1}, and adds one to H~_0.  Only
+    when no vertex qualifies does a disconnected s sum its components'
+    homology plus one H~_0 rank per extra component, and a connected s go
+    to the rank kernel, once per distinct core.  Equal results share one
+    interned dict.
     """
     nbr = _adjacency_masks(g)
     h = [{}] * (1 << len(nbr))
@@ -262,11 +291,13 @@ def _hochster_sweep(g, char):
                 break
             rest ^= low
         else:
-            parts = _components(s, nbr)
-            if len(parts) > 1:
-                hs = _disjoint_union([h[c] for c in parts])
-            else:
-                hs = _core_homology(s, nbr, char, cores)
+            hs = _link_deletion_sum(s, nbr, h)
+            if hs is None:
+                parts = _components(s, nbr)
+                if len(parts) > 1:
+                    hs = _disjoint_union([h[c] for c in parts])
+                else:
+                    hs = _core_homology(s, nbr, char, cores)
             h[s] = hs = interned.setdefault(tuple(sorted(hs.items())), hs)
         if hs:
             k = s.bit_count()

@@ -27,6 +27,7 @@ from oracles import (
     induced,
     oracle_rank,
     reduced_homology_rank,
+    reduced_homology_ranks,
     sweep_betti_table,
 )
 
@@ -292,12 +293,23 @@ def test_betti_table_matches_brute_force_on_atlas(field):
     [(C4, C4), (C4, POINT, POINT), (cycle_graph(5), K3), (CROSS8, POINT)],
     ids=["C4+C4", "C4+2pts", "C5+K3", "cross8+pt"],
 )
-def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field):
+def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field, monkeypatch):
+    splits = record_calls(monkeypatch, "_components")
+    cores = record_calls(monkeypatch, "_core_homology")
     for seed in (None, 7):
         g = disjoint_union(*parts, seed=seed)
+        full = (1 << len(g.vertices)) - 1
+        splits.clear()
+        cores.clear()
         fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
         assert betti_table(g, field).graded == fast.graded == slow.graded
         assert fast.multigraded == slow.multigraded
+        if parts == (C4, C4):
+            # each link is two points and each deletion has H~_0, so no vertex
+            # of the full set qualifies: the components step settles it, once
+            # per sweep (sweep_betti_table and betti_table sweep once each)
+            assert [args[0] for args in splits].count(full) == 2
+            assert full not in [args[0] for args in cores]
 
 
 def record_calls(monkeypatch, name):
@@ -362,15 +374,58 @@ def test_betti_table_matches_brute_force_on_random_graphs(field):
         assert betti_table(g, field).graded == fast.graded == slow.graded, sorted(g.edges)
 
 
+def klein_bottle():
+    """The 4x4 grid Klein bottle: Z4 x Z4 with edges (i,j)-(i+1,j),
+    (i,j)-(i,j+1) and (i,j)-(i+1,j+1), the seam at i = 4 glued to (0, -j);
+    16 vertices, 48 edges, and its 32 triangles."""
+
+    def vertex(i, j):
+        if i == 4:
+            i, j = 0, -j
+        return f"k{i}{j % 4}"
+
+    triangles = [
+        frozenset(vertex(*p) for p in t)
+        for i in range(4)
+        for j in range(4)
+        for t in (((i, j), (i + 1, j), (i + 1, j + 1)), ((i, j), (i, j + 1), (i + 1, j + 1)))
+    ]
+    edges = {frozenset(e) for t in triangles for e in combinations(t, 2)}
+    return Graph(sorted(set().union(*triangles)), [tuple(e) for e in edges]), triangles
+
+
+KLEIN, KLEIN_TRIANGLES = klein_bottle()
+
+
 def test_betti_table_kernel_work_is_pinned(monkeypatch):
-    # deterministic work counters on one dense graph: the connected subsets
-    # that no acyclic link reduces, and the boundary maps the kernel ranks
+    # deterministic work counters: the subsets that neither the link/deletion
+    # rule nor the components step settles, and the boundary maps the kernel
+    # ranks.  On a dense random graph every subset has a vertex whose link
+    # and deletion share no homological degree; on the Klein bottle only the
+    # full set reaches the kernel, which ranks its two boundary maps
     cores = record_calls(monkeypatch, "_core_homology")
     ranks = record_calls(monkeypatch, "rank")
     g = gnp(12, 0.7, 0)
     assert len(g.edges) == 41
     betti_table(g)
-    assert (len(cores), len(ranks)) == (156, 200)
+    assert (len(cores), len(ranks)) == (0, 0)
+    betti_table(KLEIN)
+    assert (len(cores), len(ranks)) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "field, expected", [(QQ, {1: 1}), (FieldSpec(2), {1: 2, 2: 1})], ids=["QQ", "GF(2)"]
+)
+def test_sweep_reaches_the_kernel_on_the_klein_bottle(field, expected, monkeypatch):
+    g, full = KLEIN, (1 << 16) - 1
+    assert (len(g.vertices), len(g.edges)) == (16, 48)
+    # flag: the maximal cliques are exactly the triangles
+    assert sorted(map(sorted, CliqueComplex(g).facets)) == sorted(map(sorted, KLEIN_TRIANGLES))
+    cores = record_calls(monkeypatch, "_core_homology")
+    _graded, h = homology._hochster_sweep(g, field.char)
+    assert [args[0] for args in cores] == [full]
+    faces = downward_closure(KLEIN_TRIANGLES)
+    assert h[full] == expected == reduced_homology_ranks(faces, field)
 
 
 def test_field_independence_on_cycles():

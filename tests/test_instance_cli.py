@@ -487,6 +487,39 @@ def test_cli_field_characteristic_too_large(capsys):
     assert code == 1 and out == "" and "2^31" in err
 
 
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_cli_field_not_q_or_a_prime(capsys, value):
+    # 0 would be FieldSpec's code for the rationals; the CLI spells that q
+    code, out, err = run(capsys, "betti", path("bruns"), "--field", value)
+    assert (code, out, err) == (1, "", f"error: --field must be q or a prime, got '{value}'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["betti", "{bruns}", "--ideal", "x"], "argument --ideal: invalid choice: 'x'"),
+        (["validate"], "the following arguments are required: file"),
+        (["validate", "{bruns}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["betti", "{bruns}", "--max-vertices", "x"], "argument --max-vertices: invalid int value: 'x'"),
+    ],
+    ids=["bad-choice", "missing-file", "unknown-option", "bad-int"],
+)
+def test_cli_usage_error_exit1(capsys, argv, message):
+    # a usage error is an input error; exit 2 means "method not applicable"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(bruns=path("bruns")) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: scrollex")
+    assert f"error: {message}" in captured.err
+
+
+def test_cli_help_exit0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: scrollex")
+
+
 def test_long_bare_polygon_census(tmp_path, capsys):
     n = sys.getrecursionlimit() + 200
     names = [f"x{i}" for i in range(n)]
