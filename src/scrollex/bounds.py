@@ -26,14 +26,24 @@ bound is p2 of the initial complex.  Expanding every virtual edge through
 its first block upper-bounds p2 when the scroll ideals form a toric
 (forest) family; under the hypotheses checked in :func:`p2_report` the
 bounds meet and the value is exact.
+
+:func:`virtual_minimal_cycles` lists the whole family; :func:`p2_report`
+never does: its witnesses are minima and its edge hypotheses existence
+questions, so each comes from a walk that stops early.
 """
 
 from __future__ import annotations
 
-from .graphs import DEFAULT_CYCLE_CAP, _cycle_search, cycle_edges, frozen_record, is_chordal
-from .homology import INFINITE, p2_monomial
-from .ordering import NotOrderableError
-from .groebner import initial_complex
+from .graphs import (
+    DEFAULT_CYCLE_CAP,
+    INFINITE,
+    _cycle_search,
+    cycle_edges,
+    frozen_record,
+    is_chordal,
+    p2_monomial,
+)
+from .ordering import NotOrderableError, initial_complex
 from .extension import toricity_gate
 
 
@@ -145,13 +155,15 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     found = _cycle_search(
         g, vmap, ext.base.edge_facets, cap, "virtual cycle candidates",
     )
-    out = []
-    for cyc in found:
-        members = set(cyc)
-        classes = {e: _classify(e, members, vmap, g) for e in cycle_edges(cyc, g)}
-        expandable = all(ec.block in (None, 1) for ec in classes.values())
-        out.append(VirtualCycle(cyc, classes, expandable))
-    return tuple(out)
+    return tuple(_virtual_cycle(cyc, vmap, g) for cyc in found)
+
+
+def _virtual_cycle(cycle, vmap, g):
+    """``cycle`` with its edges classified; ``vmap`` as :func:`_virtual_edge_blocks`."""
+    members = set(cycle)
+    classes = {e: _classify(e, members, vmap, g) for e in cycle_edges(cycle, g)}
+    expandable = all(ec.block in (None, 1) for ec in classes.values())
+    return VirtualCycle(cycle, classes, expandable)
 
 
 def _expanded_length(vc):
@@ -197,26 +209,46 @@ class P2Report:
 
 
 def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
-    """Compute every p2 bound from one cycle census; see :class:`P2Report`.
+    """Compute every p2 bound by bounded walks; see :class:`P2Report`.
 
-    Chordal bases short-circuit to an infinite (linear) report.  The
-    exactness hypotheses: an admissible order exists, the toricity gate
-    passes, every virtual minimal cycle is expandable, and every virtual
-    edge's matrix satisfies |Y_1| = min_j |Y_j| >= 2 with no facet vertex
-    outside it, or |Y_1| = 1.
+    Chordal bases short-circuit to an infinite (linear) report.  No walk
+    lists the whole family of virtual minimal cycles.  The lower witness
+    walk prices a virtual edge at 2 and any other at 1, lower bounds of
+    their t, and extends no path past the least total length found so far.
+    The upper witness walk prices a virtual edge at 1 plus |Y_1| of its
+    matrix, and lets a virtual edge of a later block be a chord but not a
+    cycle edge.  Each keeps only the cycles that tie with its best so far,
+    and ``cap`` counts those; without virtual edges the lower witness is
+    the upper one too.  The exactness hypotheses: an admissible order
+    exists, the toricity gate passes, every virtual minimal cycle is
+    expandable, and every virtual edge on one has a matrix with
+    |Y_1| = min_j |Y_j| >= 2 and no facet vertex outside it, or |Y_1| = 1.
+    The last two fail only through a cycle with a flagged edge, so each is
+    one walk that stops at the first such cycle and walks nothing when no
+    edge is flagged.
     """
     gate = toricity_gate(ext)
-    if is_chordal(ext.base.skeleton):
+    g = ext.base.skeleton
+    if is_chordal(g):
         return P2Report(
             True, INFINITE, INFINITE, INFINITE, INFINITE,
             {"chordal_base": True}, None, None, gate,
         )
-    # not empty: a chordless cycle of the non-chordal base is virtual minimal
-    cycles = virtual_minimal_cycles(ext, cap=cap)
-    rank = ext.base.skeleton.rank
+    vmap = _virtual_edge_blocks(ext)
 
-    def ranks(vc):
-        return tuple(rank[v] for v in vc.cycle)
+    def walk(**mode):
+        facets = ext.base.edge_facets
+        return _cycle_search(g, vmap, facets, cap, "virtual minimal cycles kept", **mode)
+
+    classified = {}  # a cycle's classes, shared by the walks and their witnesses
+
+    def classify(cycle):
+        if cycle not in classified:
+            classified[cycle] = _virtual_cycle(cycle, vmap, g)
+        return classified[cycle]
+
+    def total_length(ranks):
+        return classify(tuple([g.vertices[i] for i in ranks])).total_length()
 
     try:
         initial = initial_complex(ext).graph
@@ -225,28 +257,29 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
         cert_value = sub_value = NotApplicable("no admissible order")
     else:
         orderable = True
-        low_wit = min(cycles, key=lambda vc: (vc.total_length(), len(vc.cycle), ranks(vc)))
+        # not empty: a chordless cycle of the non-chordal base is virtual minimal
+        lowest = walk(weight=dict.fromkeys(vmap, 2), cost=total_length)
+        low_wit = classify(lowest[0])
         sub_value = low_wit.total_length() - 3
         cert_value = p2_monomial(initial, cap=cap).p2
 
-    expandable = [vc for vc in cycles if vc.expandable]
-    up_wit = min(
-        expandable, key=lambda vc: (_expanded_length(vc), ranks(vc)), default=None
-    )
+    up_wit = None
     if not gate.ok:
-        up_value, up_wit = NotApplicable(f"toricity gate failed: {gate.reason}"), None
-    elif up_wit is None:
-        up_value = NotApplicable("no expandable virtual minimal cycle")
+        up_value = NotApplicable(f"toricity gate failed: {gate.reason}")
+    elif orderable and not vmap:  # nothing expands, so the lower witness is the upper one
+        up_wit, up_value = low_wit, sub_value
     else:
-        up_value = _expanded_length(up_wit) - 3
+        first_block = {e: 1 + len(m.blocks[0].y) if j == 1 else None for e, (m, j) in vmap.items()}
+        shortest = walk(weight=first_block)
+        if shortest:
+            rank = g.rank
+            up_wit = classify(min(shortest, key=lambda c: [rank[v] for v in c]))
+            up_value = _expanded_length(up_wit) - 3
+        else:
+            up_value = NotApplicable("no expandable virtual minimal cycle")
 
-    expandable_all = len(expandable) == len(cycles)
-    sizes_ok = all(
-        _sizes_fit(ec.matrix)
-        for vc in cycles
-        for ec in vc.edge_classes.values()
-        if ec.matrix
-    )
+    expandable_all = not walk(through={e for e, (_m, j) in vmap.items() if j > 1})
+    sizes_ok = not walk(through={e for e, (m, _j) in vmap.items() if not _sizes_fit(m)})
     hypotheses = {
         "chordal_base": False,
         "admissible_order": orderable,

@@ -109,8 +109,8 @@ def cmd_order(ext, digest, args):
 
 def cmd_groebner(ext, digest, args):
     from .extension import generator_system
-    from .groebner import buchberger_is_groebner, initial_complex, lead_deletions, prepare_system
-    from .ordering import NotOrderableError
+    from .groebner import buchberger_is_groebner, lead_deletions, prepare_system
+    from .ordering import NotOrderableError, initial_complex
 
     try:
         ic = initial_complex(ext)
@@ -158,8 +158,7 @@ def cmd_betti(ext, digest, args):
     if args.ideal == "gamma":
         graph = ext.base.skeleton
     else:
-        from .groebner import initial_complex
-        from .ordering import NotOrderableError
+        from .ordering import NotOrderableError, initial_complex
 
         try:
             graph = initial_complex(ext).graph

@@ -22,31 +22,11 @@ from __future__ import annotations
 
 import math
 
-from .graphs import DEFAULT_CYCLE_CAP, _adjacency_masks, _bits, _cycle_search, frozen_record
+from .graphs import INFINITE, P2Result, _adjacency_masks, _bits, frozen_record
 
 
 class GuardExceeded(ValueError):
     """A computation was refused because it exceeds its size guard."""
-
-
-class _Infinite:
-    """Explicit 'no finite value' marker for p-invariants (never a sentinel int)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "infinity"
-
-    def to_json(self):
-        return "infinity"
-
-
-INFINITE = _Infinite()
 
 
 def _is_prime(p):
@@ -319,30 +299,8 @@ def betti_table(g, field=QQ, max_vertices=20):
 
 
 # ---------------------------------------------------------------------------
-# p2 of monomial edge ideals
+# p2 read off a Betti table
 # ---------------------------------------------------------------------------
-
-
-@frozen_record
-class P2Result:
-    """p2 of a quadratic ideal plus the count of witnessing shortest cycles."""
-
-    p2: object  # int or INFINITE
-    witness_count: int
-
-
-def p2_monomial(g, cap=DEFAULT_CYCLE_CAP):
-    """p2 of the non-edge ideal of ``g``: shortest chordless cycle length - 3.
-
-    Infinite exactly when ``g`` is chordal; the witness count is the number
-    of chordless cycles of the shortest length.  The census keeps only the
-    cycles no longer than the shortest found so far, and ``cap`` counts
-    those alone.
-    """
-    cycles = _cycle_search(g, (), None, cap, "chordless cycles", shortest=True)
-    if not cycles:
-        return P2Result(INFINITE, 0)
-    return P2Result(len(cycles[0]) - 3, len(cycles))
 
 
 def p2_from_table(table):

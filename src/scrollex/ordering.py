@@ -1,4 +1,5 @@
-"""Admissible orders of scroll matrices, column permutations, variable orders.
+"""Admissible orders of scroll matrices, column permutations, variable orders,
+and the initial complex that they decide.
 
 A family of matrices is admissibly ordered when, at every position, the
 top-left entry of the matrix avoids the second rows of all later matrices
@@ -11,7 +12,9 @@ digraph is acyclic, and a directed cycle is the witness of impossibility.
 
 from __future__ import annotations
 
-from .graphs import frozen_record
+from itertools import combinations
+
+from .graphs import Graph, frozen_record
 
 
 class NotOrderableError(RuntimeError):
@@ -183,3 +186,46 @@ def variable_order(matrices, images, universe):
                     f"column ({top}, {bot}) of {m!r} is not top-heavy"
                 )
     return order
+
+
+# ---------------------------------------------------------------------------
+# the initial complex
+# ---------------------------------------------------------------------------
+
+
+@frozen_record
+class InitialComplex:
+    """The extended 1-skeleton minus the diagonal edges of every matrix.
+
+    ``order`` is the lex variable order under which the generator system
+    has these diagonals as its lead terms.
+    """
+
+    graph: Graph
+    deleted: frozenset
+    order: VarOrder
+
+
+def initial_complex(ext):
+    """Delete the diagonals {top_i, bottom_k}, i < k, of every permuted matrix.
+
+    The one place where the admissible order is decided: the family is
+    ordered by :func:`find_admissible_order` (which raises NotOrderableError
+    with the witness cycle as ``facets`` if it has no order), every matrix
+    is permuted by :func:`pi_star`, and the same ordered, permuted family
+    gives the variable order.  The resulting edge set is exactly the complement
+    of the lead terms of the Groebner route, and its restriction to every
+    extended facet is chordal.  No diagonal degenerates to a square: the
+    variable order has checked that every permutation is admissible.
+    """
+    matrices = find_admissible_order(ext.matrices)
+    images = tuple(pi_star(m) for m in matrices)
+    gbar = ext.skeleton_bar
+    order = variable_order(matrices, images, gbar.vertices)
+    deleted = set()
+    for m, image in zip(matrices, images):
+        cols = m.columns()
+        pc = [cols[p] for p in image]
+        deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(pc, 2))
+    graph = Graph(gbar.vertices, gbar.edges - deleted)
+    return InitialComplex(graph, frozenset(deleted), order)

@@ -28,6 +28,10 @@ library's subset sweep with its multigraded entries rebuilt, for the tests
 that hold it against ``brute_betti_table`` subset by subset.  Likewise
 ``clique_homology``, the library's core kernel run on a whole clique
 complex with no reduction first.
+
+``census_p2_report`` is the p2 report read off the whole census of virtual
+minimal cycles, as the library computed it before its bounded walks; it
+judges ``p2_report`` field by field.
 """
 
 from collections import Counter, deque, namedtuple
@@ -35,11 +39,26 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from scrollex.graphs import Graph, GraphError, _adjacency_masks
+from scrollex.graphs import INFINITE, Graph, GraphError, _adjacency_masks, is_chordal, p2_monomial
 from scrollex.homology import QQ, _core_homology, _hochster_sweep
-from scrollex.ordering import NotOrderableError, find_admissible_order, pi_star, variable_order
+from scrollex.ordering import (
+    NotOrderableError,
+    find_admissible_order,
+    initial_complex,
+    pi_star,
+    variable_order,
+)
 from scrollex.groebner import Binomial, GroebnerCheck
-from scrollex.bounds import virtual_edges
+from scrollex.extension import toricity_gate
+from scrollex.bounds import (
+    Interval,
+    NotApplicable,
+    P2Report,
+    _expanded_length,
+    _sizes_fit,
+    virtual_edges,
+    virtual_minimal_cycles,
+)
 
 
 def check_admissible_order(matrices):
@@ -232,6 +251,70 @@ def brute_virtual_cycles(ext):
             continue
         out.append(cyc)
     return tuple(out)
+
+
+def census_p2_report(ext, cap=10**6):
+    """:class:`P2Report` from the full census of virtual minimal cycles.
+
+    The lower witness is the least (total length, length, ranks) over the
+    whole family, the upper witness the least (expanded length, ranks) over
+    its expandable members, and the two edge hypotheses are read off every
+    cycle of the family.
+    """
+    gate = toricity_gate(ext)
+    if is_chordal(ext.base.skeleton):
+        return P2Report(
+            True, INFINITE, INFINITE, INFINITE, INFINITE,
+            {"chordal_base": True}, None, None, gate,
+        )
+    cycles = virtual_minimal_cycles(ext, cap=cap)
+    rank = ext.base.skeleton.rank
+
+    def ranks(vc):
+        return tuple(rank[v] for v in vc.cycle)
+
+    try:
+        initial = initial_complex(ext).graph
+    except NotOrderableError:
+        orderable, low_wit = False, None
+        cert_value = sub_value = NotApplicable("no admissible order")
+    else:
+        orderable = True
+        low_wit = min(cycles, key=lambda vc: (vc.total_length(), len(vc.cycle), ranks(vc)))
+        sub_value = low_wit.total_length() - 3
+        cert_value = p2_monomial(initial, cap=cap).p2
+
+    expandable = [vc for vc in cycles if vc.expandable]
+    up_wit = min(expandable, key=lambda vc: (_expanded_length(vc), ranks(vc)), default=None)
+    if not gate.ok:
+        up_value, up_wit = NotApplicable(f"toricity gate failed: {gate.reason}"), None
+    elif up_wit is None:
+        up_value = NotApplicable("no expandable virtual minimal cycle")
+    else:
+        up_value = _expanded_length(up_wit) - 3
+
+    expandable_all = len(expandable) == len(cycles)
+    sizes_ok = all(
+        _sizes_fit(ec.matrix)
+        for vc in cycles
+        for ec in vc.edge_classes.values()
+        if ec.matrix
+    )
+    hypotheses = {
+        "chordal_base": False,
+        "admissible_order": orderable,
+        "toric_gate": gate.ok,
+        "expandable_family_complete": expandable_all,
+        "block_sizes": sizes_ok,
+    }
+    if orderable and gate.ok and expandable_all and sizes_ok:
+        exact = up_value
+    else:
+        exact = Interval(cert_value, up_value)
+    return P2Report(
+        False, cert_value, sub_value, up_value, exact,
+        hypotheses, low_wit, up_wit, gate,
+    )
 
 
 def virtual_matrix(ext, e):

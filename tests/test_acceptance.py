@@ -15,19 +15,17 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from scrollex import fixtures
-from scrollex.graphs import Graph, is_chordal
+from scrollex.graphs import INFINITE, Graph, is_chordal, p2_monomial
 from scrollex.homology import (
-    INFINITE,
     QQ,
     FieldSpec,
     betti_table,
     cycle_betti_table,
     p2_from_table,
-    p2_monomial,
 )
 from scrollex.extension import GeneratorSystem, generator_system, toricity_gate
-from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order
-from scrollex.groebner import buchberger_is_groebner, initial_complex, lead_deletions, prepare_system
+from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order, initial_complex
+from scrollex.groebner import buchberger_is_groebner, lead_deletions, prepare_system
 from scrollex.bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
 from scrollex.instance import parse_instance
 from oracles import (

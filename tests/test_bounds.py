@@ -2,12 +2,13 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scrollex import fixtures
-from scrollex.graphs import CliqueComplex, Graph, chordless_cycles
-from scrollex.homology import INFINITE, QQ, FieldSpec, cycle_betti_table, p2_monomial
+from scrollex import bounds, fixtures, graphs
+from scrollex.graphs import INFINITE, CliqueComplex, Graph, chordless_cycles, p2_monomial
+from scrollex.homology import QQ, FieldSpec, cycle_betti_table
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
-from scrollex.groebner import initial_complex
+from scrollex.ordering import initial_complex
 from scrollex.bounds import (
     Interval,
     NotApplicable,
@@ -22,6 +23,7 @@ from oracles import (
     binomial_class_betti,
     brute_betti_table,
     brute_virtual_cycles,
+    census_p2_report,
     expand_cycle,
     homology_witness,
     identity_route,
@@ -366,3 +368,69 @@ def test_binomial_betti_pins_p2_where_substitution_overshoots(seed, sigma):
     rep = p2_report(ext)
     assert rep.lower == k and rep.lower_substitution == k + 1
     assert not rep.hypotheses["block_sizes"]
+
+
+def square_and_pentagon(blocks):
+    """A square a-b-c-d and a pentagon a-p-r-s-t meeting at a, with a
+    triangle p-q-r on the pentagon's edge {p, r}; one matrix on the triangle
+    with head p and the given blocks makes {p, r} virtual."""
+    edges = ["ab", "bc", "cd", "da", "ap", "pr", "rs", "st", "ta", "pq", "qr"]
+    doc = {
+        "vertices": list("abcdpqrst"),
+        "edges": [list(e) for e in edges],
+        "extensions": [{"facet": list("pqr"), "x0": "p", "blocks": blocks}],
+    }
+    return parse_instance(doc)[0]
+
+
+@pytest.mark.parametrize(
+    "blocks, broken",
+    [
+        # {p, r} ends the second block, so the pentagon is not expandable
+        ([{"x": "q", "y": ["u"]}, {"x": "r", "y": ["w"]}], "expandable_family_complete"),
+        # |Y_1| = 2 while q is a facet vertex outside the matrix
+        ([{"x": "r", "y": ["u", "w"]}], "block_sizes"),
+    ],
+)
+def test_edge_hypothesis_fails_only_through_a_longer_cycle(blocks, broken):
+    # the flagged edge {p, r} lies on the pentagon alone, and both witnesses
+    # are the square: only a walk through the flagged edge sees the failure
+    ext = square_and_pentagon(blocks)
+    assert [vc.cycle for vc in virtual_minimal_cycles(ext)] == [tuple("abcd"), tuple("aprst")]
+    rep = p2_report(ext)
+    assert rep == census_p2_report(ext)
+    assert rep.lower_witness.cycle == rep.upper_witness.cycle == tuple("abcd")
+    assert [k for k, ok in rep.hypotheses.items() if not ok] == ["chordal_base", broken]
+    assert rep.exact == Interval(1, 1)
+
+
+def test_p2_report_walks_keep_few_cycles(monkeypatch):
+    # a seeded G(50, 0.06): 2,016 virtual minimal cycles, of which the lower
+    # walk keeps the ten 4-holes, and p2 of the initial complex (the base
+    # itself) keeps them again; nothing is virtual, so the upper witness is
+    # the lower one and no hypothesis walk runs
+    rng = random.Random(4)
+    vs = [f"v{i}" for i in range(50)]
+    edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1 :] if rng.random() < 0.06]
+    ext = validate_extension(CliqueComplex(Graph(vs, edges)), [])
+    assert len(virtual_minimal_cycles(ext)) == 2016
+    search, kept = graphs._cycle_search, []
+
+    def counting(*args, **kwargs):
+        found = search(*args, **kwargs)
+        kept.append(len(found))
+        return found
+
+    monkeypatch.setattr(graphs, "_cycle_search", counting)
+    monkeypatch.setattr(bounds, "_cycle_search", counting)
+    rep = p2_report(ext)
+    assert kept == [10, 10, 0, 0]
+    assert rep.lower == rep.lower_substitution == rep.upper == rep.exact == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.booleans(), st.integers(8, 16))
+def test_p2_report_matches_census_oracle_fuzz(seed, require_orderable, max_total):
+    doc = fixtures.random_extension_instance(seed, require_orderable, max_total)
+    ext = parse_instance(doc)[0]
+    assert p2_report(ext) == census_p2_report(ext)

@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 import scrollex.graphs
 from scrollex.graphs import (
+    INFINITE,
     CliqueComplex,
     CycleCapExceeded,
     Graph,
     GraphError,
+    P2Result,
     chordless_cycles,
     is_chordal,
     maximal_cliques,
+    p2_monomial,
     proper_edges,
 )
-from scrollex.homology import INFINITE, P2Result, p2_monomial
 from oracles import brute_chordless_cycles, brute_maximal_cliques, canonical_cycle, induced
 
 BRUNS_VERTICES = "abcde"

@@ -11,6 +11,7 @@ from scrollex.ordering import (
     NotOrderableError,
     VarOrder,
     find_admissible_order,
+    initial_complex,
     pi_star,
     variable_order,
 )
@@ -20,7 +21,6 @@ from scrollex.groebner import (
     SquareLeadError,
     _s_terms,
     buchberger_is_groebner,
-    initial_complex,
     lead_deletions,
     normal_form,
     prepare_system,

@@ -8,8 +8,8 @@ from networkx.generators.atlas import graph_atlas_g
 
 from scrollex import homology
 from scrollex.graphs import CliqueComplex, Graph, is_chordal
+from scrollex.graphs import INFINITE, p2_monomial
 from scrollex.homology import (
-    INFINITE,
     QQ,
     BettiTable,
     FieldSpec,
@@ -17,7 +17,6 @@ from scrollex.homology import (
     betti_table,
     cycle_betti_table,
     p2_from_table,
-    p2_monomial,
     rank,
 )
 from scrollex.extension import generator_system, validate_extension

@@ -403,16 +403,18 @@ BASE_LAYERS = {"scrollex", "scrollex.cli", "scrollex.graphs", "scrollex.extensio
 # a fresh interpreter has loaded when it ends
 FOOTPRINTS = [
     ([], BASE_LAYERS),
+    (["order", path("bruns")], BASE_LAYERS | {"scrollex.ordering"}),
     (["groebner", path("bruns")], BASE_LAYERS | {"scrollex.groebner", "scrollex.ordering"}),
     (["betti", path("chordal3"), "--ideal", "gamma"], BASE_LAYERS | {"scrollex.homology"}),
     (
         ["betti", path("bruns"), "--ideal", "initial"],
-        BASE_LAYERS | {"scrollex.homology", "scrollex.groebner", "scrollex.ordering"},
+        BASE_LAYERS | {"scrollex.homology", "scrollex.ordering"},
     ),
     (
-        ["p2", path("bruns")],
-        BASE_LAYERS | {"scrollex.homology", "scrollex.groebner", "scrollex.ordering", "scrollex.bounds"},
+        ["cycles", path("bruns"), "--kind", "virtual"],
+        BASE_LAYERS | {"scrollex.bounds", "scrollex.ordering"},
     ),
+    (["p2", path("bruns")], BASE_LAYERS | {"scrollex.bounds", "scrollex.ordering"}),
 ]
 PROBE = """import sys
 import scrollex.cli

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from scrollex import cli
-from scrollex.graphs import CliqueComplex, Graph, frozen_record
-from scrollex.homology import INFINITE, QQ, FieldSpec
+from scrollex.graphs import INFINITE, CliqueComplex, Graph, frozen_record
+from scrollex.homology import QQ, FieldSpec
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.groebner import Binomial, GroebnerCheck
 from scrollex.bounds import Interval, NotApplicable
