@@ -108,8 +108,7 @@ def cmd_order(ext, digest, args):
 
 
 def cmd_groebner(ext, digest, args):
-    from .extension import generator_system
-    from .groebner import buchberger_is_groebner, lead_deletions, prepare_system
+    from .groebner import buchberger_is_groebner, encode_system, lead_deletions
     from .ordering import NotOrderableError, initial_complex
 
     try:
@@ -118,7 +117,7 @@ def cmd_groebner(ext, digest, args):
         witness = [sorted(f) for f in e.facets]
         payload = {"not_applicable": "no admissible order", "witness": witness}
         return _envelope("groebner", digest, payload), 2
-    encoded = prepare_system(generator_system(ext), ic.order)
+    encoded = encode_system(ext, ic.order)
     check = buchberger_is_groebner(encoded, ic.order)
     groebner_route = lead_deletions(encoded, ic.order)
     payload = {

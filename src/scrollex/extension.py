@@ -9,8 +9,9 @@ Y_j inserted along each block.  The matrix columns are
 
 where the entry under x0 is y_11, or x_1 when the first block carries no
 new variables.  The 2x2 minors of these matrices, together with the
-non-edges of the extended 1-skeleton, generate the binomial system the rest
-of the package analyses.
+non-edges of the extended 1-skeleton (``Extension.skeleton_bar``), generate
+the binomial ideal the rest of the package analyses;
+``groebner.encode_system`` builds them from the extension.
 """
 
 from __future__ import annotations
@@ -193,53 +194,6 @@ def validate_extension(base, matrices):
                 all_y[v] = (mi, bi)
 
     return Extension(base, matrices)
-
-
-# ---------------------------------------------------------------------------
-# generator system
-# ---------------------------------------------------------------------------
-
-
-@frozen_record
-class GeneratorSystem:
-    """Monomial and binomial generators of the extended ideal.
-
-    ``nf``: the non-edges of the extended 1-skeleton (canonical pairs).
-    ``minors``: per facet, the 2x2 minors as ordered pairs of monomials,
-    the column-order leading candidate first.  Monomials are sorted pairs of
-    variable names (a square like z*z appears as ("z", "z")).
-    """
-
-    nf: tuple
-    minors: tuple  # ((facet, ((mono, mono), ...)), ...) in input matrix order
-
-
-def matrix_minors(m):
-    """The 2x2 minors of one matrix: ((top_u*bot_v, top_v*bot_u)) for u < v."""
-    cols = m.columns()
-    out = []
-    for u, v in combinations(range(len(cols)), 2):
-        lead = tuple(sorted((cols[u][0], cols[v][1])))
-        trail = tuple(sorted((cols[v][0], cols[u][1])))
-        out.append((lead, trail))
-    return tuple(out)
-
-
-def generator_system(ext):
-    """NF (non-edges of the extended skeleton) plus every matrix's minors."""
-    g = ext.skeleton_bar
-    nf = tuple(
-        sorted(
-            (
-                (u, w)
-                for u, w in combinations(g.vertices, 2)
-                if not g.has_edge(u, w)
-            ),
-            key=lambda e: (g.rank[e[0]], g.rank[e[1]]),
-        )
-    )
-    minors = tuple((m.facet, matrix_minors(m)) for m in ext.matrices)
-    return GeneratorSystem(nf, minors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Buchberger verification of the generator system.
+"""Buchberger verification of an extension's binomial generators.
 
-The generator system under scrutiny is tiny by design: quadratic squarefree
-monomials (the non-edges) plus quadratic binomials lead - trail (the matrix
-minors).  Under a lex variable order, :func:`prepare_system` encodes every
-generator once as the sorted tuple of its variables' ranks (rank 0 is the
-largest variable).  An S-polynomial has at most two terms of degree <= 3,
+The generators under scrutiny are tiny by design: quadratic squarefree
+monomials (the non-edges of the extended 1-skeleton) plus quadratic
+binomials lead - trail (the 2x2 minors of the scroll matrices).  Under a
+lex variable order, :func:`encode_system` builds every generator straight
+from the extension as the sorted tuple of its variables' ranks (rank 0 is
+the largest variable).  An S-polynomial has at most two terms of degree <= 3,
 and division by the generators is linear, so the Buchberger check reduces
 each monomial once, through a memo shared by every S-pair; variable names
 come back only in what it reports.
@@ -15,10 +16,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graphs import frozen_record
-
-
-class LeadTieError(ValueError):
-    """A binomial's two monomials compare equal under the active order."""
 
 
 class SquareLeadError(ValueError):
@@ -130,38 +127,35 @@ class GroebnerCheck:
     remainder: dict | None = None
 
 
-def prepare_system(system, order):
-    """The generators on rank tuples: ``(nf, binomials)``.
+def encode_system(ext, order):
+    """The generators of an extension on rank tuples: ``(nf, binomials)``.
 
-    Every monomial becomes the sorted tuple of its variables' ranks under
-    ``order``.  ``nf`` lists the monomial generators, ascending; ``binomials``
-    lists one ``(lead, trail)`` per minor, in system order.  Every generator
-    is quadratic, so the lex-larger monomial of a minor is the smaller
-    tuple.  Raises ValueError for a variable the order does not rank and
-    :class:`LeadTieError` for a minor whose two monomials are equal.
+    Every monomial is the sorted tuple of its variables' ranks under
+    ``order``.  ``nf`` lists the non-edges of the extended 1-skeleton,
+    ascending.  ``binomials`` lists one ``(lead, trail)`` per 2x2 minor
+    top_u*bot_v - top_v*bot_u (u < v) of each matrix's columns, matrices in
+    input order.  Every generator is quadratic, so the lex-larger monomial
+    of a minor is the smaller tuple.  The two never tie: the tops of a
+    validated matrix are pairwise distinct, and no column's top is its
+    bottom.
     """
-
-    def encode(m):
-        try:
-            return tuple(sorted(order.rank[v] for v in m))
-        except KeyError as e:
-            raise ValueError(f"variable {e.args[0]!r} is not ranked") from None
-
-    nf = sorted(map(encode, system.nf))
+    g, rank = ext.skeleton_bar, order.rank
+    names = sorted(g.vertices, key=rank.__getitem__)
+    nf = [(rank[u], rank[w]) for u, w in combinations(names, 2) if w not in g.adj[u]]
     binomials = []
-    for _facet, minors in system.minors:
-        for pair in minors:
-            a, b = map(encode, pair)
-            if a == b:
-                raise LeadTieError(f"minor {pair} has equal monomials under the order")
+    for m in ext.matrices:
+        cols = [(rank[top], rank[bot]) for top, bot in m.columns()]
+        for (tu, bu), (tv, bv) in combinations(cols, 2):
+            a = (tu, bv) if tu <= bv else (bv, tu)
+            b = (tv, bu) if tv <= bu else (bu, tv)
             binomials.append((a, b) if a < b else (b, a))
     return nf, binomials
 
 
 def buchberger_is_groebner(encoded, order):
-    """Whether a generator system is a lex Groebner basis of its ideal.
+    """Whether the encoded generators are a lex Groebner basis of their ideal.
 
-    ``encoded`` is the system as :func:`prepare_system` encodes it under
+    ``encoded`` is the system as :func:`encode_system` encodes it under
     ``order``.  Checks that every S-polynomial of a pair with non-coprime
     leads reduces to zero; pairs with coprime leads are skipped (first
     Buchberger criterion), as are pairs of plain monomials.  A monomial
@@ -194,7 +188,7 @@ def buchberger_is_groebner(encoded, order):
 def lead_deletions(encoded, order):
     """Edges named by the lead terms of the oriented minors (Groebner route).
 
-    ``encoded`` is the system as :func:`prepare_system` encodes it under
+    ``encoded`` is the system as :func:`encode_system` encodes it under
     ``order``; the edges are returned as unordered pairs.  Raises
     :class:`SquareLeadError` if any lead is a square: the initial ideal
     would not be squarefree, which admissible data never produces.

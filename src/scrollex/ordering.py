@@ -197,8 +197,9 @@ def variable_order(matrices, images, universe):
 class InitialComplex:
     """The extended 1-skeleton minus the diagonal edges of every matrix.
 
-    ``order`` is the lex variable order under which the generator system
-    has these diagonals as its lead terms.
+    ``order`` is the lex variable order under which the matrix minors, as
+    ``groebner.encode_system`` orients them, have these diagonals as their
+    lead terms.
     """
 
     graph: Graph

@@ -8,7 +8,12 @@ No oracle calls the kernel it checks: homology ranks come from
 alone, with its own sparse rank and nothing from ``scrollex.homology``; and
 ``scan_is_groebner`` orients the minors, builds S-polynomials on multisets
 and divides by its own scans, on variable names throughout (it shares only
-the record types ``Binomial`` and ``GroebnerCheck`` with the library).
+the record types ``Binomial`` and ``GroebnerCheck`` with the library).  Its
+input is the name-level system that ``generator_system`` here builds from
+the extension on its own: the non-edges of the extended skeleton and each
+matrix's minors, never ``groebner.encode_system``.  ``rank_encoded`` maps a
+system oriented by ``oriented_system`` to rank tuples, for tests that hand
+the library's check a system no extension builds.
 
 Three judges of the paper's ordering data live here as well, because only
 tests use them: ``check_admissible_order``, the literal two-branch
@@ -674,6 +679,40 @@ def binomial_class_betti(ext, mono, p=32003):
         if h:
             out[j - 1] = h
     return out
+
+
+GeneratorSystem = namedtuple("GeneratorSystem", "nf minors")
+"""``nf``: monomial generators as pairs of names; ``minors``: per facet, its
+minors as pairs of monomials, ``((facet, ((mono, mono), ...)), ...)``."""
+
+
+def matrix_minors(m):
+    """The 2x2 minors of one matrix, (top_u*bot_v, top_v*bot_u) for u < v,
+    each monomial a sorted pair of names (a square like z*z is ("z", "z"))."""
+    cols = m.columns()
+    return tuple(
+        (tuple(sorted((cols[u][0], cols[v][1]))), tuple(sorted((cols[v][0], cols[u][1]))))
+        for u, v in combinations(range(len(cols)), 2)
+    )
+
+
+def generator_system(ext):
+    """The extension's generators on names: the non-edges of the extended
+    1-skeleton, and each matrix's facet and minors in input order."""
+    g = ext.skeleton_bar
+    nf = tuple((u, w) for u, w in combinations(g.vertices, 2) if not g.has_edge(u, w))
+    return GeneratorSystem(nf, tuple((m.facet, matrix_minors(m)) for m in ext.matrices))
+
+
+def rank_encoded(system, order):
+    """:func:`oriented_system` on rank tuples, as ``groebner.encode_system``
+    returns a system: ``(nf, [(lead, trail), ...])``."""
+    nf, binomials = oriented_system(system, order)
+
+    def ranks(m):
+        return tuple(order.rank[v] for v in m)
+
+    return [ranks(m) for m in nf], [(ranks(b.lead), ranks(b.trail)) for b in binomials]
 
 
 def _canonical(m, order):

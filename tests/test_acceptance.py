@@ -23,18 +23,20 @@ from scrollex.homology import (
     cycle_betti_table,
     p2_from_table,
 )
-from scrollex.extension import GeneratorSystem, generator_system, toricity_gate
+from scrollex.extension import toricity_gate
 from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order, initial_complex
-from scrollex.groebner import buchberger_is_groebner, lead_deletions, prepare_system
+from scrollex.groebner import buchberger_is_groebner, encode_system, lead_deletions
 from scrollex.bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
 from scrollex.instance import parse_instance
 from oracles import (
+    GeneratorSystem,
     bfs_replacement_length,
     check_admissible_order,
     expand_cycle,
     homology_witness,
     identity_route,
     orderable,
+    rank_encoded,
 )
 
 
@@ -125,7 +127,7 @@ def test_criterion_4_generic_scroll_basis():
             for j in range(i + 1, n)
         )
         system = GeneratorSystem((), ((frozenset(xs + ys), minors),))
-        encoded = prepare_system(system, order)
+        encoded = rank_encoded(system, order)
         assert buchberger_is_groebner(encoded, order).ok
         leads = lead_deletions(encoded, order)
         assert leads == {
@@ -151,10 +153,9 @@ def test_criterion_5_random_extensions_groebner(random_extensions):
     for ext in random_extensions:
         assert len(ext.skeleton_bar.vertices) <= 12
         assert orderable(ext.matrices)
-        system = generator_system(ext)
         ic = initial_complex(ext)
         for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
-            encoded = prepare_system(system, order)
+            encoded = encode_system(ext, order)
             assert buchberger_is_groebner(encoded, order).ok
             assert lead_deletions(encoded, order) == {frozenset(e) for e in deleted}
     print(

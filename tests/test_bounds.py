@@ -428,6 +428,18 @@ def test_p2_report_walks_keep_few_cycles(monkeypatch):
     assert rep.lower == rep.lower_substitution == rep.upper == rep.exact == 1
 
 
+@pytest.mark.xfail(
+    raises=graphs.CycleCapExceeded,
+    strict=True,
+    reason="the walks keep every cycle that ties with the best, so 784 tied 4-holes fill the cap",
+)
+def test_p2_report_tied_cycles_stay_under_the_cap():
+    # K_{8,8} has 784 induced 4-cycles and nothing else; p2 needs one of them
+    a, b = [f"a{i}" for i in range(8)], [f"b{i}" for i in range(8)]
+    ext = validate_extension(CliqueComplex(Graph(a + b, [(u, w) for u in a for w in b])), [])
+    assert p2_report(ext, cap=100).exact == 1
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.booleans(), st.integers(8, 16))
 def test_p2_report_matches_census_oracle_fuzz(seed, require_orderable, max_total):

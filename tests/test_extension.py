@@ -8,11 +8,35 @@ from scrollex.extension import (
     ExtensionError,
     ScrollBlock,
     ScrollMatrix,
-    generator_system,
-    matrix_minors,
     toricity_gate,
     validate_extension,
 )
+from scrollex.groebner import encode_system
+from scrollex.ordering import VarOrder
+
+
+def named_system(ext):
+    """``encode_system`` under the extended skeleton's vertex enumeration,
+    mapped back to names: the non-edges and the minors, in its order, every
+    monomial a sorted pair of names (a square like z*z is ("z", "z"))."""
+    order = VarOrder(ext.skeleton_bar.vertices)
+    nf, binomials = encode_system(ext, order)
+
+    def names(m):
+        return tuple(sorted(order.variables[r] for r in m))
+
+    return [names(m) for m in nf], [(names(lead), names(trail)) for lead, trail in binomials]
+
+
+def per_matrix(ext, minors):
+    """The minors cut into consecutive runs of c(c-1)/2, one per matrix of c
+    columns, as ``(matrix, run)`` in input order."""
+    out, start = [], 0
+    for m in ext.matrices:
+        c = len(m.columns())
+        out.append((m, minors[start : start + c * (c - 1) // 2]))
+        start += c * (c - 1) // 2
+    return out
 
 
 def test_bruns_assembly(bruns):
@@ -118,38 +142,41 @@ def test_empty_first_block_with_second_block_is_valid():
 
 
 def test_bruns_minors(bruns):
-    m1, m2 = bruns.matrices
-    assert matrix_minors(m1) == (((("a", "c"), ("z", "z"))),)
-    assert matrix_minors(m2) == (
+    # under a > b > c > d > e > z > w > x, the leads are ac, ex, de and dw
+    _nf, minors = named_system(bruns)
+    assert minors == [
+        (("a", "c"), ("z", "z")),
         (("e", "x"), ("w", "w")),
         (("d", "e"), ("w", "x")),
         (("d", "w"), ("x", "x")),
-    )
+    ]
 
 
 def test_minor_counts(corpus):
     for ext in corpus:
-        for m in ext.matrices:
-            c = len(m.columns())
-            assert len(matrix_minors(m)) == c * (c - 1) // 2
+        _nf, minors = named_system(ext)
+        columns = [len(m.columns()) for m in ext.matrices]
+        assert len(minors) == sum(c * (c - 1) // 2 for c in columns)
+        for m, run in per_matrix(ext, minors):
+            assert all(set(lead + trail) <= m.variables() for lead, trail in run)
 
 
 def test_generator_system_nf(bruns):
-    system = generator_system(bruns)
+    nf, _minors = named_system(bruns)
     gbar = bruns.skeleton_bar
-    for u, w in system.nf:
+    for u, w in nf:
         assert not gbar.has_edge(u, w)
     n = len(gbar.vertices)
-    assert len(system.nf) == n * (n - 1) // 2 - len(gbar.edges)
+    assert len(set(nf)) == len(nf) == n * (n - 1) // 2 - len(gbar.edges)
 
 
 def test_minors_stay_inside_their_facet_and_avoid_nf(corpus):
     for ext in corpus:
-        system = generator_system(ext)
-        nf = {frozenset(p) for p in system.nf}
-        for facet, minors in system.minors:
-            fb = ext.facet_bar[facet]
-            for lead, trail in minors:
+        nf, minors = named_system(ext)
+        nf = {frozenset(p) for p in nf}
+        for m, run in per_matrix(ext, minors):
+            fb = ext.facet_bar[m.facet]
+            for lead, trail in run:
                 assert set(lead) <= fb and set(trail) <= fb
                 for mono in (lead, trail):
                     if mono[0] != mono[1]:
@@ -191,23 +218,22 @@ def test_minor_monomial_exchange(corpus):
     # iff g*m2 does
     rng = random.Random(99)
     for ext in corpus:
-        system = generator_system(ext)
+        names_nf, minors = named_system(ext)
         nf = []
-        for u, w in system.nf:
+        for u, w in names_nf:
             req = {u: 1, w: 1} if u != w else {u: 2}
             nf.append(req)
         allvars = list(ext.skeleton_bar.vertices)
-        for _facet, minors in system.minors:
-            for lead, trail in minors:
-                for _ in range(6):
-                    gamma = {}
-                    for v in rng.sample(allvars, k=rng.randint(0, 3)):
-                        gamma[v] = gamma.get(v, 0) + 1
-                    def with_mono(mono):
-                        counts = dict(gamma)
-                        for v in mono:
-                            counts[v] = counts.get(v, 0) + 1
-                        return counts
-                    assert divisible_by_some_nf(
-                        with_mono(lead), nf
-                    ) == divisible_by_some_nf(with_mono(trail), nf)
+        for lead, trail in minors:
+            for _ in range(6):
+                gamma = {}
+                for v in rng.sample(allvars, k=rng.randint(0, 3)):
+                    gamma[v] = gamma.get(v, 0) + 1
+                def with_mono(mono):
+                    counts = dict(gamma)
+                    for v in mono:
+                        counts[v] = counts.get(v, 0) + 1
+                    return counts
+                assert divisible_by_some_nf(
+                    with_mono(lead), nf
+                ) == divisible_by_some_nf(with_mono(trail), nf)

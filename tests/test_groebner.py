@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from scrollex import fixtures, groebner
 from scrollex.graphs import CliqueComplex, Graph, is_chordal
-from scrollex.extension import GeneratorSystem, generator_system, validate_extension
+from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.ordering import (
     NotOrderableError,
     VarOrder,
@@ -17,21 +17,23 @@ from scrollex.ordering import (
 )
 from scrollex.groebner import (
     Binomial,
-    LeadTieError,
     SquareLeadError,
     _s_terms,
     buchberger_is_groebner,
+    encode_system,
     lead_deletions,
     normal_form,
-    prepare_system,
 )
 from scrollex.instance import parse_instance
 from oracles import (
+    GeneratorSystem,
     diagonal_deletions,
+    generator_system,
     identity_permutation,
     identity_route,
     induced,
     oriented_system,
+    rank_encoded,
     scan_is_groebner,
 )
 
@@ -48,27 +50,29 @@ def generic_scroll_system(n):
     return GeneratorSystem((), ((frozenset(xs + ys), minors),)), order, xs, ys
 
 
-def test_prepare_system_encodes_and_orients():
-    # a > z > c: the minor's lead ac is the smaller rank tuple (0, 2)
-    system = GeneratorSystem((("c", "a"),), ((frozenset("acz"), ((("z", "z"), ("a", "c")),)),))
-    assert prepare_system(system, VarOrder("azc")) == ([(0, 2)], [((0, 2), (1, 1))])
-    with pytest.raises(ValueError):
-        prepare_system(system, VarOrder("az"))
-    tie = GeneratorSystem((), ((frozenset("ac"), ((("a", "c"), ("c", "a")),)),))
-    with pytest.raises(LeadTieError):
-        prepare_system(tie, VarOrder("ac"))
+def test_encode_system_encodes_and_orients():
+    # triangle abc extended along ac by z, and the edge cd: the columns are
+    # (a, z), (z, c), so the one minor is ac - z^2; the non-edges are ad, bd, dz
+    base = CliqueComplex(Graph("abcd", ["ab", "bc", "ca", "cd"]))
+    ext = validate_extension(base, [ScrollMatrix("abc", "a", [ScrollBlock("c", "z")])])
+    # a > z > c > b > d: the minor's lead ac is the smaller rank tuple (0, 2)
+    assert encode_system(ext, VarOrder("azcbd")) == ([(0, 4), (1, 4), (3, 4)], [((0, 2), (1, 1))])
+    # z > a > c: the lead is z^2
+    assert encode_system(ext, VarOrder("zacbd")) == ([(0, 4), (1, 4), (3, 4)], [((0, 0), (1, 2))])
 
 
-def test_lead_deletions_rejects_a_square_lead():
-    # z > a > c makes z^2 the lead of z^2 - ac
-    system = GeneratorSystem((), ((frozenset("acz"), ((("z", "z"), ("a", "c")),)),))
+def test_lead_deletions_rejects_a_square_lead(bruns):
+    # z first makes z^2 the lead of z^2 - ac, a minor of bruns's triangle
+    order = initial_complex(bruns).order
+    foreign = VarOrder(("z",) + tuple(v for v in order.variables if v != "z"))
     with pytest.raises(SquareLeadError):
-        lead_deletions(prepare_system(system, VarOrder("zac")), VarOrder("zac"))
-    order = VarOrder("azc")
-    assert lead_deletions(prepare_system(system, order), order) == {frozenset("ac")}
+        lead_deletions(encode_system(bruns, foreign), foreign)
+    assert lead_deletions(encode_system(bruns, order), order) == {
+        frozenset(e) for e in initial_complex(bruns).deleted
+    }
 
 
-def test_prepare_system_matches_oracle_orientation(corpus):
+def test_encode_system_matches_oracle_orientation(corpus):
     rng = random.Random(11)
     for ext in corpus:
         system = generator_system(ext)
@@ -76,7 +80,7 @@ def test_prepare_system_matches_oracle_orientation(corpus):
         shuffled = list(order.variables)
         rng.shuffle(shuffled)
         for var_order in (order, VarOrder(reversed(order.variables)), VarOrder(shuffled)):
-            nf, binomials = prepare_system(system, var_order)
+            nf, binomials = encode_system(ext, var_order)
 
             def names(m):
                 return tuple(var_order.variables[r] for r in m)
@@ -101,7 +105,7 @@ def test_normal_form_examples():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generic_scroll_is_groebner(n):
     system, order, xs, ys = generic_scroll_system(n)
-    encoded = prepare_system(system, order)
+    encoded = rank_encoded(system, order)
     assert buchberger_is_groebner(encoded, order).ok
     leads = lead_deletions(encoded, order)
     assert leads == {
@@ -112,7 +116,7 @@ def test_generic_scroll_is_groebner(n):
 def test_generic_scroll_initial_graph_two_linear():
     # complement of the lead pairs: edge uv present unless uv is a lead
     system, order, xs, ys = generic_scroll_system(4)
-    leads = lead_deletions(prepare_system(system, order), order)
+    leads = lead_deletions(rank_encoded(system, order), order)
     verts = xs + ys
     edges = [
         (u, w)
@@ -130,7 +134,7 @@ def test_buchberger_failure_case():
         (),
         ((frozenset("xyzuvw"), ((("x", "y"), ("u", "v")), (("y", "z"), ("u", "w")))),),
     )
-    check = buchberger_is_groebner(prepare_system(system, order), order)
+    check = buchberger_is_groebner(rank_encoded(system, order), order)
     assert not check.ok
     assert check.remainder == {("x", "u", "w"): 1, ("z", "u", "v"): -1}
 
@@ -142,7 +146,7 @@ def test_bruns_system_is_groebner(bruns):
         [pi_star(m) for m in matrices],
     ):
         order = variable_order(matrices, images, bruns.skeleton_bar.vertices)
-        assert buchberger_is_groebner(prepare_system(generator_system(bruns), order), order).ok
+        assert buchberger_is_groebner(encode_system(bruns, order), order).ok
 
 
 def test_initial_complex_square_one_edge(square_one_edge):
@@ -203,10 +207,9 @@ def test_initial_complex_facet_restrictions_chordal(corpus):
 
 def test_lead_route_equals_diagonal_route(corpus):
     for ext in corpus:
-        system = generator_system(ext)
         ic = initial_complex(ext)
         for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
-            assert lead_deletions(prepare_system(system, order), order) == {
+            assert lead_deletions(encode_system(ext, order), order) == {
                 frozenset(e) for e in deleted
             }
 
@@ -215,7 +218,7 @@ def test_spair_degree_bound(bruns):
     matrices = find_admissible_order(bruns.matrices)
     images = [pi_star(m) for m in matrices]
     order = variable_order(matrices, images, bruns.skeleton_bar.vertices)
-    _nf, binomials = prepare_system(generator_system(bruns), order)
+    _nf, binomials = encode_system(bruns, order)
     for i, (fl, ft) in enumerate(binomials):
         for gl, gt in binomials[i + 1 :]:
             if not set(fl) & set(gl):
@@ -224,23 +227,28 @@ def test_spair_degree_bound(bruns):
             assert all(len(m) <= 3 for m in s)
 
 
-def mutated_systems(system, order, rng):
-    """The system itself, each system with one minor dropped, the system
-    with every other NF monomial dropped, and the system under the reversed
-    and under a shuffled variable order."""
-    yield system, order
-    for i, (facet, minors) in enumerate(system.minors):
-        for j in range(len(minors)):
-            kept = minors[:j] + minors[j + 1 :]
-            yield GeneratorSystem(
-                system.nf,
-                system.minors[:i] + ((facet, kept),) + system.minors[i + 1 :],
-            ), order
-    yield GeneratorSystem(system.nf[::2], system.minors), order
-    yield system, VarOrder(reversed(order.variables))
+def mutated_systems(ext, order, rng):
+    """The extension's name-level system, each system with one minor
+    dropped, the system with every other NF monomial dropped, and the system
+    under the reversed and under a shuffled variable order, as triples
+    ``(system, order, encoded)``.  The extension's own system is encoded by
+    ``encode_system``, a mutated one by ``rank_encoded``."""
+    system = generator_system(ext)
+    yield system, order, encode_system(ext, order)
+    mutations = [
+        GeneratorSystem(
+            system.nf,
+            system.minors[:i] + ((facet, minors[:j] + minors[j + 1 :]),) + system.minors[i + 1 :],
+        )
+        for i, (facet, minors) in enumerate(system.minors)
+        for j in range(len(minors))
+    ]
+    for mutated in mutations + [GeneratorSystem(system.nf[::2], system.minors)]:
+        yield mutated, order, rank_encoded(mutated, order)
     shuffled = list(order.variables)
     rng.shuffle(shuffled)
-    yield system, VarOrder(shuffled)
+    for var_order in (VarOrder(reversed(order.variables)), VarOrder(shuffled)):
+        yield system, var_order, encode_system(ext, var_order)
 
 
 def test_buchberger_matches_scanning_oracle(corpus):
@@ -250,8 +258,8 @@ def test_buchberger_matches_scanning_oracle(corpus):
         matrices = find_admissible_order(ext.matrices)
         images = [pi_star(m) for m in matrices]
         order = variable_order(matrices, images, ext.skeleton_bar.vertices)
-        for system, var_order in mutated_systems(generator_system(ext), order, rng):
-            check = buchberger_is_groebner(prepare_system(system, var_order), var_order)
+        for system, var_order, encoded in mutated_systems(ext, order, rng):
+            check = buchberger_is_groebner(encoded, var_order)
             assert check == scan_is_groebner(system, var_order)
             checked += 1
             failed += not check.ok
@@ -275,7 +283,7 @@ def test_buchberger_matches_scanning_oracle_cycle_extension():
         shuffled = list(order.variables)
         rng.shuffle(shuffled)
         orders.append(VarOrder(shuffled))
-    checks = [buchberger_is_groebner(prepare_system(system, o), o) for o in orders]
+    checks = [buchberger_is_groebner(encode_system(ext, o), o) for o in orders]
     assert [c.ok for c in checks] == [True, True, False, False]
     for check, var_order in zip(checks, orders):
         assert check == scan_is_groebner(system, var_order)
@@ -294,21 +302,21 @@ def count_normal_form_calls(monkeypatch):
     return calls
 
 
-def pi_star_system(doc):
+def pi_star_extension(doc):
     ext = parse_instance(doc)[0]
-    return generator_system(ext), initial_complex(ext).order
+    return ext, initial_complex(ext).order
 
 
 def test_spair_count_is_pinned(monkeypatch):
     # one normal_form call per S-pair with non-coprime leads, so the traced
     # groebner.normal_form.calls counts the S-pairs reduced
     calls = count_normal_form_calls(monkeypatch)
-    system, order = pi_star_system(fixtures.cycle_extension_instance(8, [3] * 7 + [0]))
-    assert buchberger_is_groebner(prepare_system(system, order), order).ok
+    ext, order = pi_star_extension(fixtures.cycle_extension_instance(8, [3] * 7 + [0]))
+    assert buchberger_is_groebner(encode_system(ext, order), order).ok
     assert len(calls) == 1983
     calls.clear()
     system, order, _xs, _ys = generic_scroll_system(6)
-    assert buchberger_is_groebner(prepare_system(system, order), order).ok
+    assert buchberger_is_groebner(rank_encoded(system, order), order).ok
     assert len(calls) == 40
 
 
@@ -330,8 +338,8 @@ def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
     reduced = nonzero = reused = 0
     for ext in (random_extensions[3], cycle_extensions[0]):
         order = initial_complex(ext).order
-        for system, var_order in mutated_systems(generator_system(ext), order, rng):
-            nf, leads, terms = spair_terms(prepare_system(system, var_order))
+        for _system, _var_order, encoded in mutated_systems(ext, order, rng):
+            nf, leads, terms = spair_terms(encoded)
             memo = {}
             for t in terms:
                 reused += any(m in memo for m in t)
@@ -357,7 +365,7 @@ def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
     order = VarOrder("abcde")
     pairs = tuple((tuple(u), tuple(t)) for u, t in minors)
     system = GeneratorSystem(tuple(tuple(m) for m in nf), ((frozenset("abcde"), pairs),))
-    encoded = prepare_system(system, order)
+    encoded = rank_encoded(system, order)
     _nf, _leads, terms = spair_terms(encoded)
     assert any(t and all(len(m) == 2 for m in t) for t in terms)
     check = buchberger_is_groebner(encoded, order)
@@ -370,9 +378,9 @@ def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
 def test_buchberger_matches_scanning_oracle_fuzz(seed):
     # random extensions under their pi* order, which is a Groebner order, and
     # under a shuffled order, which mostly is not
-    system, order = pi_star_system(fixtures.random_extension_instance(seed))
+    ext, order = pi_star_extension(fixtures.random_extension_instance(seed))
     shuffled = list(order.variables)
     random.Random(seed).shuffle(shuffled)
     for var_order in (order, VarOrder(shuffled)):
-        check = buchberger_is_groebner(prepare_system(system, var_order), var_order)
-        assert check == scan_is_groebner(system, var_order)
+        check = buchberger_is_groebner(encode_system(ext, var_order), var_order)
+        assert check == scan_is_groebner(generator_system(ext), var_order)

@@ -19,7 +19,9 @@ from scrollex.homology import (
     p2_from_table,
     rank,
 )
-from scrollex.extension import generator_system, validate_extension
+from scrollex.extension import validate_extension
+from scrollex.groebner import encode_system
+from scrollex.ordering import VarOrder
 from oracles import (
     brute_betti_table,
     clique_homology,
@@ -222,10 +224,12 @@ def test_hochster_examples():
 
 def test_stanley_reisner_generators():
     def nf(g):
-        return generator_system(validate_extension(CliqueComplex(g), [])).nf
+        order = VarOrder(g.vertices)
+        encoded, _minors = encode_system(validate_extension(CliqueComplex(g), []), order)
+        return [tuple(order.variables[r] for r in m) for m in encoded]
 
-    assert nf(K3) == ()
-    assert nf(C4) == (("a", "c"), ("b", "d"))
+    assert nf(K3) == []
+    assert nf(C4) == [("a", "c"), ("b", "d")]
     assert len(nf(HEX)) == 9
 
 
