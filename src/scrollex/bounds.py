@@ -24,8 +24,8 @@ value; it lower-bounds p2 of the binomial system only under the
 ``block_sizes`` hypothesis (observed, not proved).  The certified lower
 bound is p2 of the initial complex.  Expanding every virtual edge through
 its first block upper-bounds p2 when the scroll ideals form a toric
-(forest) family; under the hypotheses checked in :func:`p2_report` the
-bounds meet and the value is exact.
+(forest) family, which :func:`toricity_gate` tests; under the hypotheses
+checked in :func:`p2_report` the bounds meet and the value is exact.
 
 :func:`virtual_minimal_cycles` lists the whole family; :func:`p2_report`
 never does: its witnesses are minima and its edge hypotheses existence
@@ -34,17 +34,11 @@ questions, so each comes from a walk that stops early.
 
 from __future__ import annotations
 
-from .graphs import (
-    DEFAULT_CYCLE_CAP,
-    INFINITE,
-    _cycle_search,
-    cycle_edges,
-    frozen_record,
-    is_chordal,
-    p2_monomial,
-)
+from itertools import combinations
+
+from .cycles import _cycle_search, cycle_edges, is_chordal, p2_monomial
+from .graphs import DEFAULT_CYCLE_CAP, INFINITE, frozen_record
 from .ordering import NotOrderableError, initial_complex
-from .extension import toricity_gate
 
 
 @frozen_record
@@ -178,6 +172,62 @@ def _sizes_fit(m):
     y1 = len(m.blocks[0].y)
     ymin = min(len(b.y) for b in m.blocks)
     return y1 == 1 or (y1 == ymin >= 2 and m.gamma_vertices() == m.facet)
+
+
+@frozen_record
+class ToricityReport:
+    """Outcome of the variable-sharing forest test on the scroll matrices.
+
+    ``ok`` certifies the sufficient condition: matrices pairwise share at
+    most one variable and the sharing graph is a forest.  A failure means
+    only that the upper-bound machinery is not applicable here.
+    """
+
+    ok: bool
+    reason: str | None
+    components: tuple | None
+
+
+def toricity_gate(ext):
+    """Pass iff matrices pairwise share <= 1 variable and form a forest."""
+    mats = ext.matrices
+    var_sets = [m.variables() for m in mats]
+    edges = []
+    for i, j in combinations(range(len(mats)), 2):
+        shared = var_sets[i] & var_sets[j]
+        if len(shared) > 1:
+            return ToricityReport(
+                False,
+                f"matrices {i} and {j} share {len(shared)} variables "
+                f"({', '.join(sorted(shared))})",
+                None,
+            )
+        if shared:
+            edges.append((i, j))
+    # forest check: every connected component has |edges| = |nodes| - 1
+    parent = list(range(len(mats)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return ToricityReport(
+                False, "the variable-sharing graph contains a cycle", None
+            )
+        parent[ri] = rj
+    groups = {}
+    for i in range(len(mats)):
+        groups.setdefault(find(i), []).append(i)
+    components = tuple(
+        tuple(tuple(sorted(mats[i].facet)) for i in sorted(grp))
+        for _, grp in sorted(groups.items())
+    )
+    return ToricityReport(True, None, components)
 
 
 @frozen_record

@@ -10,15 +10,17 @@
     scrollex gen-chordal   --seed S [--vertices N]
     scrollex gen-cycle-ext --seed S [--length N]
 
-Reports are canonical JSON on stdout (sorted keys, exact integers, infinite
-values as the string "infinity"); diagnostics go to stderr.  Exit codes:
-0 success, 1 input or validation error (a Betti table over more vertices
-than --max-vertices is one, and so is a usage error such as an unknown
-option, a missing argument or a value of the wrong type; argparse's message
-goes to stderr), 2 method not applicable, 3 a cycle census
-exceeded its cap, 4 internal error: any other exception, reported on one
-stderr line as "error: internal error: <Type>: <message>", never as a
-traceback.
+An option takes its value as "--opt v" or "--opt=v", under its full name
+or a unique prefix, and the last repeat wins; "--" ends the options, and
+-h/--help prints this text.  Reports are canonical JSON on stdout (sorted
+keys, exact integers, infinite values as the string "infinity");
+diagnostics go to stderr.  Exit codes: 0 success, 1 input or validation
+error (a Betti table over more vertices than --max-vertices is one, and so
+is a usage error such as an unknown option, a missing argument or a value
+of the wrong type; the usage line and the message, in argparse's words, go
+to stderr), 2 method not applicable, 3 a cycle census exceeded its cap,
+4 internal error: any other exception, reported on one stderr line as
+"error: internal error: <Type>: <message>", never as a traceback.
 A cycle census has no limit on cycle length; only its cap on the number of
 cycles (--cap, default 10^6) stops it.
 
@@ -34,13 +36,12 @@ also when p2 is only boxed in an interval.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 
 from . import __version__
-from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded, chordless_cycles
+from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded
 from .instance import instance_digest, parse_instance
 
 
@@ -131,13 +132,15 @@ def cmd_groebner(ext, digest, args):
 
 def cmd_cycles(ext, digest, args):
     g = ext.base.skeleton
-    if args.kind == "minimal":
-        cycles = chordless_cycles(g, cap=args.cap)
+    if args["kind"] == "minimal":
+        from .cycles import chordless_cycles
+
+        cycles = chordless_cycles(g, cap=args["cap"])
         payload = {"kind": "minimal", "cycles": [list(c) for c in cycles]}
     else:
         from .bounds import virtual_minimal_cycles
 
-        vcs = virtual_minimal_cycles(ext, cap=args.cap)
+        vcs = virtual_minimal_cycles(ext, cap=args["cap"])
         payload = {
             "kind": "virtual",
             "cycles": [_cycle_payload(vc, g.rank) for vc in vcs],
@@ -148,13 +151,14 @@ def cmd_cycles(ext, digest, args):
 def cmd_betti(ext, digest, args):
     from .homology import QQ, FieldSpec, betti_table, p2_from_table
 
-    if args.field == "q":
+    name = args["field"]
+    if name == "q":
         field = QQ
-    elif args.field.isdecimal() and int(args.field):
-        field = FieldSpec(int(args.field))
+    elif name.isdecimal() and int(name):
+        field = FieldSpec(int(name))
     else:
-        raise ValueError(f"--field must be q or a prime, got {args.field!r}")
-    if args.ideal == "gamma":
+        raise ValueError(f"--field must be q or a prime, got {name!r}")
+    if args["ideal"] == "gamma":
         graph = ext.base.skeleton
     else:
         from .ordering import NotOrderableError, initial_complex
@@ -163,10 +167,10 @@ def cmd_betti(ext, digest, args):
             graph = initial_complex(ext).graph
         except NotOrderableError:
             return _envelope("betti", digest, {"not_applicable": "no admissible order"}), 2
-    table = betti_table(graph, field, max_vertices=args.max_vertices)
+    table = betti_table(graph, field, max_vertices=args["max_vertices"])
     p2 = p2_from_table(table)
     payload = {
-        "ideal": args.ideal,
+        "ideal": args["ideal"],
         "field": repr(field),
         "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
         "two_linear": table.is_two_linear(),
@@ -179,22 +183,23 @@ def cmd_betti(ext, digest, args):
 def cmd_p2(ext, digest, args):
     from .bounds import Interval, NotApplicable, p2_report
 
+    mode = args["mode"]
     report = p2_report(ext)
     rank = ext.base.skeleton.rank
-    if args.mode in ("lower", "upper"):
-        value = getattr(report, args.mode)
+    if mode in ("lower", "upper"):
+        value = getattr(report, mode)
         if isinstance(value, NotApplicable):
             return _envelope("p2", digest, {"not_applicable": value.reason}), 2
-        payload = {"mode": args.mode, args.mode: value}
-        if args.mode == "lower":
+        payload = {"mode": mode, mode: value}
+        if mode == "lower":
             payload["lower_substitution"] = report.lower_substitution
-        witness = getattr(report, f"{args.mode}_witness")
+        witness = getattr(report, f"{mode}_witness")
         if witness is not None:
             payload["witness"] = _cycle_payload(witness, rank)
         return _envelope("p2", digest, payload), 0
 
     payload = {
-        "mode": args.mode,
+        "mode": mode,
         "two_linear": report.two_linear,
         "lower": report.lower,
         "lower_substitution": report.lower_substitution,
@@ -207,78 +212,183 @@ def cmd_p2(ext, digest, args):
         payload["lower_witness"] = _cycle_payload(report.lower_witness, rank)
     if report.upper_witness is not None:
         payload["upper_witness"] = _cycle_payload(report.upper_witness, rank)
-    code = 2 if args.mode == "exact" and isinstance(report.exact, Interval) else 0
+    code = 2 if mode == "exact" and isinstance(report.exact, Interval) else 0
     return _envelope("p2", digest, payload), code
 
 
 def cmd_poligon(args):
     from .homology import cycle_betti_table
 
-    table = cycle_betti_table(args.n, args.s)
-    params = {"n": args.n, "s": args.s}
+    n, s = args["n"], args["s"]
+    table = cycle_betti_table(n, s)
+    params = {"n": n, "s": s}
     digest = hashlib.sha256(
         json.dumps(params, sort_keys=True).encode("utf-8")
     ).hexdigest()
     payload = {
-        "n": args.n,
-        "s": args.s,
+        "n": n,
+        "s": s,
         "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
-        "p2": args.n + args.s - 3,
+        "p2": n + s - 3,
     }
     return _envelope("poligon", digest, payload), 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit 1 (an input error), not 2."""
+# Each command's positionals as (name, type) and options as flag -> (type,
+# or the tuple of allowed values; default); a default of ... marks a
+# required option.
+_FILE = (("file", str),)
+_COMMANDS = {
+    "validate": (_FILE, {}),
+    "order": (_FILE, {}),
+    "groebner": (_FILE, {}),
+    "cycles": (
+        _FILE,
+        {"--kind": (("minimal", "virtual"), "minimal"), "--cap": (int, DEFAULT_CYCLE_CAP)},
+    ),
+    "betti": (
+        _FILE,
+        {
+            "--ideal": (("gamma", "initial"), "gamma"),
+            "--field": (str, "q"),
+            "--max-vertices": (int, 20),
+        },
+    ),
+    "p2": (_FILE, {"--mode": (("lower", "upper", "exact", "auto"), "auto")}),
+    "poligon": ((("n", int), ("s", int)), {}),
+    "gen-chordal": ((), {"--seed": (int, ...), "--vertices": (int, 6)}),
+    "gen-cycle-ext": ((), {"--seed": (int, ...), "--length": (int, None)}),
+}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+
+def _exit(prog, error=None):
+    """Print help and exit 0, or a usage error (an input error) and exit 1."""
+    if prog == "scrollex":
+        usage = f"scrollex {{{','.join(_COMMANDS)}}} ..."
+    else:  # the command's line of the synopsis above
+        lines = map(str.split, __doc__.splitlines())
+        usage = next(" ".join(words) for words in lines if words[:2] == prog.split())
+    if error is None:
+        sys.stdout.write(f"usage: {usage}\n\n{__doc__}")
+        raise SystemExit(0)
+    sys.stderr.write(f"usage: {usage}\n{prog}: error: {error}\n")
+    raise SystemExit(1)
+
+
+def _help(prog, value):
+    """``-h``/``--help`` prints help, unless a value is attached to it."""
+    if value is not None:
+        _exit(prog, f"argument -h/--help: ignored explicit argument {value!r}")
+    _exit(prog)
+
+
+def _read(arg, flags, prog):
+    """How argparse read ``arg``: None for a value, else (the flag it names in
+    full or by a unique prefix, None if unknown; the value attached after "=",
+    or None).  ``-h`` is ``--help``, and so are ``-hh`` and ``-h=h``;
+    ``-<digits>``, ``-.5`` and anything with a space in it are values."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] == "h":
+        extra = arg[2:].removeprefix("=").lstrip("h")
+        return "--help", extra or ("" if arg == "-h=" else None)
+    if arg[1] == "-":
+        name, eq, value = arg.partition("=")
+        matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        if len(matches) > 1:
+            _exit(prog, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    else:
+        whole, dot, frac = arg[1:].removesuffix("\n").partition(".")
+        if whole.isdecimal() and not dot or (not whole or whole.isdecimal()) and frac.isdecimal():
+            return None
+    return None if " " in arg else (None, None)
+
+
+def _convert(prog, name, value, kind):
+    """``value`` as ``kind``: a type, or the tuple of the allowed values."""
+    if not isinstance(kind, tuple):
+        try:
+            return kind(value)
+        except ValueError:
+            _exit(prog, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+    if value not in kind:
+        choices = ", ".join(map(repr, kind))
+        _exit(prog, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse(argv):
+    """The command and its fields, read from ``argv`` as argparse read them:
+    ``--opt v`` or ``--opt=v``, under the full name or a unique prefix, the
+    last repeat winning, and the first ``--`` ending the options.  Help exits
+    0 and a usage error exits 1."""
+    extras = []
+    for i, arg in enumerate(argv):  # before the command only -h/--help is known
+        read = None if arg == "--" else _read(arg, ("--help",), "scrollex")
+        if read is None:
+            break
+        if read[0]:
+            _help("scrollex", read[1])
+        extras.append(arg)
+    else:
+        _exit("scrollex", "the following arguments are required: command")
+    command, args = _convert("scrollex", "command", argv[i], tuple(_COMMANDS)), argv[i + 1 :]
+    prog, (positionals, options) = f"scrollex {command}", _COMMANDS[command]
+    # argparse reads every argument before it acts on any.  A "--" stands at
+    # ``end`` even when argv has none, so an option there lacks its value.
+    end = args.index("--") if "--" in args else len(args)
+    reads = [_read(a, ("--help", *options), prog) for a in args[:end]]
+    reads += ["--"] + [None] * len(args)
+    fields, given, pending = {"command": command}, {}, list(positionals)
+    k, taken = 0, -1  # taken: the index of the last value that filled a positional
+    while k < len(args):
+        arg, read = args[k], reads[k]
+        k += 1
+        if read == "--":  # argparse drops it only next to a value that fills a positional
+            if taken != k - 2 and not (pending and k < len(args)):
+                extras.append(arg)
+        elif read is None and pending:
+            name, kind = pending.pop(0)
+            fields[name], taken = _convert(prog, name, arg, kind), k - 1
+        elif read is None or read[0] is None:
+            extras.append(arg)
+        elif read[0] == "--help":
+            _help(prog, read[1])
+        else:
+            flag, value = read
+            if value is None:
+                if reads[k] is not None:
+                    _exit(prog, f"argument {flag}: expected one argument")
+                value, k = args[k], k + 1
+            given[flag] = _convert(prog, flag, value, options[flag][0])
+    missing = [name for name, _ in pending]
+    missing += [f for f, (_, default) in options.items() if default is ... and f not in given]
+    if missing:
+        _exit(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _exit("scrollex", f"unrecognized arguments: {' '.join(extras)}")
+    for flag, (_, default) in options.items():
+        fields[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return fields
 
 
 def main(argv=None):
-    parser = _Parser(prog="scrollex", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("validate", "order", "groebner"):
-        p = sub.add_parser(name)
-        p.add_argument("file")
-    p = sub.add_parser("cycles")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=("minimal", "virtual"), default="minimal")
-    p.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP)
-    p = sub.add_parser("betti")
-    p.add_argument("file")
-    p.add_argument("--ideal", choices=("gamma", "initial"), default="gamma")
-    p.add_argument("--field", default="q")
-    p.add_argument("--max-vertices", type=int, default=20)
-    p = sub.add_parser("p2")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("lower", "upper", "exact", "auto"), default="auto")
-    p = sub.add_parser("poligon")
-    p.add_argument("n", type=int)
-    p.add_argument("s", type=int)
-    p = sub.add_parser("gen-chordal")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vertices", type=int, default=6)
-    p = sub.add_parser("gen-cycle-ext")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--length", type=int, default=None)
-
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "poligon":
+        if args["command"] == "poligon":
             report, code = cmd_poligon(args)
-        elif args.command == "gen-chordal":
+        elif args["command"] == "gen-chordal":
             from .fixtures import chordal_instance
 
-            report, code = chordal_instance(args.seed, args.vertices), 0
-        elif args.command == "gen-cycle-ext":
+            report, code = chordal_instance(args["seed"], args["vertices"]), 0
+        elif args["command"] == "gen-cycle-ext":
             from .fixtures import random_cycle_extension_instance
 
-            report, code = random_cycle_extension_instance(args.seed, args.length), 0
+            report, code = random_cycle_extension_instance(args["seed"], args["length"]), 0
         else:
-            ext, digest = _load(args.file)
+            ext, digest = _load(args["file"])
             handler = {
                 "validate": cmd_validate,
                 "order": cmd_order,
@@ -286,7 +396,7 @@ def main(argv=None):
                 "cycles": cmd_cycles,
                 "betti": cmd_betti,
                 "p2": cmd_p2,
-            }[args.command]
+            }[args["command"]]
             report, code = handler(ext, digest, args)
         _emit(report)
     except CycleCapExceeded as e:

@@ -1,0 +1,225 @@
+"""The one cycle engine: chordality, chordless cycles, p2 of a graph's
+non-edge ideal from its shortest chordless cycles, and the walk behind them
+and behind the virtual minimal cycles of :mod:`scrollex.bounds`.
+
+Only ``scrollex cycles`` and ``scrollex p2`` run it, so it lives apart from
+:mod:`scrollex.graphs`, which every command loads to parse its input.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+from .graphs import DEFAULT_CYCLE_CAP, INFINITE, CycleCapExceeded, P2Result
+
+
+def is_chordal(g):
+    """True iff every cycle of length > 3 has a chord.
+
+    Runs maximum-cardinality search (highest weight first, ties to the
+    lowest rank, picked from a bucket queue by weight) and verifies the
+    resulting order is a perfect elimination order.  Agrees with
+    ``chordless_cycles(g) == ()``.
+
+    >>> from scrollex.graphs import Graph
+    >>> is_chordal(Graph("abcd", ["ab", "bc", "cd", "da"]))
+    False
+    """
+    n = len(g.vertices)
+    if n == 0:
+        return True
+    rank = g.rank
+    adj = g.adj
+    weight = dict.fromkeys(g.vertices, 0)
+    # buckets[w] is a heap of the ranks of vertices that reached weight w; an
+    # entry is stale once its vertex is numbered or has moved up a bucket
+    buckets = [list(range(n))] + [[] for _ in range(n)]
+    top = 0
+    visit = []
+    numbered = set()
+    while len(visit) < n:
+        heap = buckets[top]
+        while heap:
+            v = g.vertices[heapq.heappop(heap)]
+            if v not in numbered and weight[v] == top:
+                break
+        else:
+            top -= 1
+            continue
+        visit.append(v)
+        numbered.add(v)
+        for u in adj[v]:
+            if u not in numbered:
+                weight[u] += 1
+                heapq.heappush(buckets[weight[u]], rank[u])
+                top = max(top, weight[u])
+    # visit[0] is eliminated last; elim[v] = position in elimination order
+    elim = {v: n - 1 - i for i, v in enumerate(visit)}
+    for v in g.vertices:
+        later = [u for u in adj[v] if elim[u] > elim[v]]
+        if later:
+            m = min(later, key=lambda u: elim[u])
+            if not (set(later) - {m}) <= adj[m]:
+                return False
+    return True
+
+
+def cycle_edges(cycle, g):
+    """The edge set of a cycle as canonical pairs, in traversal order."""
+    k = len(cycle)
+    return tuple(g.edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k))
+
+
+def chordless_cycles(g, cap=DEFAULT_CYCLE_CAP):
+    """All chordless cycles of length >= 4, canonical, sorted by (length, rank).
+
+    A cycle C qualifies iff the subgraph induced on V(C) is exactly C.
+    Aborts with :class:`CycleCapExceeded` past ``cap`` emitted cycles.
+    """
+    return _cycle_search(g, (), None, cap, "chordless cycles")
+
+
+def p2_monomial(g, cap=DEFAULT_CYCLE_CAP):
+    """p2 of the non-edge ideal of ``g``: shortest chordless cycle length - 3.
+
+    Infinite exactly when ``g`` is chordal; the witness count is the number
+    of chordless cycles of the shortest length.  The census keeps only the
+    cycles no longer than the shortest found so far, and ``cap`` counts
+    those alone.
+    """
+    cycles = _cycle_search(g, (), None, cap, "chordless cycles", weight={})
+    if not cycles:
+        return P2Result(INFINITE, 0)
+    return P2Result(len(cycles[0]) - 3, len(cycles))
+
+
+def _cycle_search(g, allowed, facets, cap, what, weight=None, cost=None, through=None):
+    """Canonical cycles of length >= 4 whose chords all lie in ``allowed``.
+
+    Runs on vertex ranks.  ``block[i]`` is the bitmask of i and of its
+    neighbours joined by a forbidden chord (one not in ``allowed``).  With
+    ``facets`` (canonical edge -> facet indices) every edge carries a bitmask
+    of its facets, and no two cycle edges may share a facet.  One
+    explicit-stack walk per start pair (v0, v1): every other vertex outranks
+    v0 and the cycle closes on a neighbour of v0 that outranks v1.  The path
+    interior (all but v0 and the last vertex), the facets its edges use and
+    the sum of their weights are running values, set on push and undone on
+    pop, so each test is one ``&`` or one addition.  A walk stops at a
+    vertex whose edge to v0 is a forbidden chord.
+
+    Every cycle is kept unless a mode says otherwise:
+
+    * ``weight`` (canonical edge -> int >= 1; 1 when absent, None for an
+      edge that may be a chord but never a cycle edge) keeps the cycles of
+      least cost only.  A cycle's cost is the sum of its edges' weights, or
+      ``cost`` of its rank tuple when given, which must not be below that
+      sum.  A path is not extended when, with the two edges it needs at
+      least to close, it would cost more than the least cost kept so far.
+      ``weight={}`` keeps the shortest cycles.
+    * ``through`` (a set of canonical edges) keeps the first cycle with an
+      edge in the set and stops there; with an empty set it walks nothing.
+      No walk starts above the lower end of every edge in the set, since
+      its cycles could not reach one.
+
+    Names are mapped back for the kept cycles only.  Sorted by (length,
+    rank); :class:`CycleCapExceeded` past ``cap`` kept cycles, counted as
+    ``what``.
+    """
+    if cap < 0:
+        raise ValueError(f"cycle cap must be nonnegative, got {cap}")
+    if through is not None and not through:
+        return ()
+    rank = g.rank
+    n = len(g.vertices)
+    nbrs = [[] for _ in range(n)]
+    block = [1 << i for i in range(n)]
+    fm = [{} for _ in range(n)] if facets else [[0] * n] * n  # fm[i][j]: facets of {i, j}
+    # wm[i][j]: the weight of {i, j}; with ``through``, 1 on its edges, else 0
+    weighted = bool(weight or through)
+    wm = [{} for _ in range(n)] if weighted else [[0 if weight is None else 1] * n] * n
+    for e in g.edges:
+        u, w = e
+        a, b = rank[u], rank[w]
+        if e not in allowed:
+            block[a] |= 1 << b
+            block[b] |= 1 << a
+        if facets:
+            m = 0
+            for f in facets[e]:
+                m |= 1 << f
+            fm[a][b] = fm[b][a] = m
+        if weighted:
+            x = (1 if e in through else 0) if through else weight.get(e, 1)
+            if x is None:
+                continue  # a chord, never a cycle edge
+            wm[a][b] = wm[b][a] = x
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    for ns in nbrs:
+        ns.sort()
+    last_start = max(min(rank[u], rank[w]) for u, w in through) if through else n
+    least = weight is not None
+    bound = limit = 1 << 62  # the least cost kept so far; a path may reach ``limit``
+    found = []
+    vs = g.vertices
+    for r0, ns in enumerate(nbrs[: last_start + 1]):
+        higher = [j for j in ns if j > r0]
+        if len(higher) < 2:
+            continue  # nothing outranks the top higher neighbour, so its walk cannot close
+        near0 = set(ns)
+        forb0 = {j for j in ns if block[r0] >> j & 1}
+        f0, w0 = fm[r0], wm[r0]
+        for r1 in higher[:-1]:
+            path, inner, used, c = [r0, r1], 0, f0[r1], w0[r1]
+            # one frame per path vertex past v0: its unvisited neighbours, the
+            # facet mask of its incoming edge and the path's cost before that
+            # edge, undone on pop
+            stack = [(iter(nbrs[r1]), f0[r1], 0)]
+            while stack:
+                last = path[-1]
+                fl, wl = fm[last], wm[last]
+                for u in stack[-1][0]:
+                    if u <= r0 or block[u] & inner:
+                        continue  # on the path, or a forbidden chord to its interior
+                    ef = fl[u]
+                    if used & ef:
+                        continue  # two cycle edges would share a facet
+                    if u in near0:
+                        if (
+                            len(path) >= 3
+                            and u > r1
+                            and not (used | ef) & fm[u][r0]
+                            and (total := c + wl[u] + wm[u][r0]) <= bound
+                        ):
+                            cyc = (*path, u)
+                            if through:
+                                if total:
+                                    return (tuple([vs[i] for i in cyc]),)
+                            else:
+                                if cost is not None:
+                                    total = cost(cyc)
+                                if least and total < bound:
+                                    bound, limit = total, total - 2
+                                    found.clear()
+                                if total <= bound:
+                                    found.append(cyc)
+                                    if len(found) > cap:
+                                        raise CycleCapExceeded(f"more than {cap} {what}")
+                        if u in forb0:
+                            continue  # extending would leave the chord {u, v0}
+                    if c + wl[u] > limit:
+                        continue  # two more edges at least would close it past the bound
+                    path.append(u)
+                    inner |= 1 << last
+                    used |= ef
+                    stack.append((iter(nbrs[u]), ef, c))
+                    c += wl[u]
+                    break
+                else:
+                    _it, ef, c = stack.pop()
+                    used ^= ef
+                    path.pop()
+                    inner ^= 1 << path[-1]  # the new last vertex leaves the interior
+                    # (popping v1 sets v0's bit, but that ends the walk)
+    found.sort(key=lambda c: (len(c), c))
+    return tuple(tuple([vs[i] for i in c]) for c in found)

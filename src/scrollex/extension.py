@@ -195,63 +195,3 @@ def validate_extension(base, matrices):
 
     return Extension(base, matrices)
 
-
-# ---------------------------------------------------------------------------
-# toricity gate
-# ---------------------------------------------------------------------------
-
-
-@frozen_record
-class ToricityReport:
-    """Outcome of the variable-sharing forest test on the scroll matrices.
-
-    ``ok`` certifies the sufficient condition: matrices pairwise share at
-    most one variable and the sharing graph is a forest.  A failure means
-    only that the upper-bound machinery is not applicable here.
-    """
-
-    ok: bool
-    reason: str | None
-    components: tuple | None
-
-
-def toricity_gate(ext):
-    """Pass iff matrices pairwise share <= 1 variable and form a forest."""
-    mats = ext.matrices
-    var_sets = [m.variables() for m in mats]
-    edges = []
-    for i, j in combinations(range(len(mats)), 2):
-        shared = var_sets[i] & var_sets[j]
-        if len(shared) > 1:
-            return ToricityReport(
-                False,
-                f"matrices {i} and {j} share {len(shared)} variables "
-                f"({', '.join(sorted(shared))})",
-                None,
-            )
-        if shared:
-            edges.append((i, j))
-    # forest check: every connected component has |edges| = |nodes| - 1
-    parent = list(range(len(mats)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return ToricityReport(
-                False, "the variable-sharing graph contains a cycle", None
-            )
-        parent[ri] = rj
-    groups = {}
-    for i in range(len(mats)):
-        groups.setdefault(find(i), []).append(i)
-    components = tuple(
-        tuple(tuple(sorted(mats[i].facet)) for i in sorted(grp))
-        for _, grp in sorted(groups.items())
-    )
-    return ToricityReport(True, None, components)

@@ -36,15 +36,19 @@ complex with no reduction first.
 
 ``census_p2_report`` is the p2 report read off the whole census of virtual
 minimal cycles, as the library computed it before its bounded walks; it
-judges ``p2_report`` field by field.
+judges ``p2_report`` field by field.  ``argparse_args`` is the command line
+as ``argparse`` read it, before ``scrollex.cli`` parsed argv by hand.
 """
 
+import argparse
+import sys
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from scrollex.graphs import INFINITE, Graph, GraphError, _adjacency_masks, is_chordal, p2_monomial
+from scrollex.cycles import is_chordal, p2_monomial
+from scrollex.graphs import INFINITE, Graph, GraphError, _adjacency_masks
 from scrollex.homology import QQ, _core_homology, _hochster_sweep
 from scrollex.ordering import (
     NotOrderableError,
@@ -53,14 +57,15 @@ from scrollex.ordering import (
     pi_star,
     variable_order,
 )
+from scrollex.graphs import DEFAULT_CYCLE_CAP
 from scrollex.groebner import Binomial, GroebnerCheck
-from scrollex.extension import toricity_gate
 from scrollex.bounds import (
     Interval,
     NotApplicable,
     P2Report,
     _expanded_length,
     _sizes_fit,
+    toricity_gate,
     virtual_edges,
     virtual_minimal_cycles,
 )
@@ -824,3 +829,48 @@ def scan_is_groebner(system, order):
             if rem:
                 return GroebnerCheck(False, (f, g), rem)
     return GroebnerCheck(True)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to exit 1 (an input error), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def argparse_args(argv):
+    """The fields argparse parsed from ``argv`` as a dict, or the exit code
+    when it printed help (0) or a usage error (1) instead."""
+    parser = _Parser(prog="scrollex")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name in ("validate", "order", "groebner"):
+        p = sub.add_parser(name)
+        p.add_argument("file")
+    p = sub.add_parser("cycles")
+    p.add_argument("file")
+    p.add_argument("--kind", choices=("minimal", "virtual"), default="minimal")
+    p.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP)
+    p = sub.add_parser("betti")
+    p.add_argument("file")
+    p.add_argument("--ideal", choices=("gamma", "initial"), default="gamma")
+    p.add_argument("--field", default="q")
+    p.add_argument("--max-vertices", type=int, default=20)
+    p = sub.add_parser("p2")
+    p.add_argument("file")
+    p.add_argument("--mode", choices=("lower", "upper", "exact", "auto"), default="auto")
+    p = sub.add_parser("poligon")
+    p.add_argument("n", type=int)
+    p.add_argument("s", type=int)
+    p = sub.add_parser("gen-chordal")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--vertices", type=int, default=6)
+    p = sub.add_parser("gen-cycle-ext")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--length", type=int, default=None)
+
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as e:
+        return e.code

@@ -15,7 +15,8 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from scrollex import fixtures
-from scrollex.graphs import INFINITE, Graph, is_chordal, p2_monomial
+from scrollex.graphs import INFINITE, Graph
+from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.homology import (
     QQ,
     FieldSpec,
@@ -23,10 +24,15 @@ from scrollex.homology import (
     cycle_betti_table,
     p2_from_table,
 )
-from scrollex.extension import toricity_gate
 from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order, initial_complex
 from scrollex.groebner import buchberger_is_groebner, encode_system, lead_deletions
-from scrollex.bounds import Interval, NotApplicable, p2_report, virtual_minimal_cycles
+from scrollex.bounds import (
+    Interval,
+    NotApplicable,
+    p2_report,
+    toricity_gate,
+    virtual_minimal_cycles,
+)
 from scrollex.instance import parse_instance
 from oracles import (
     GeneratorSystem,

@@ -4,8 +4,9 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrollex import bounds, fixtures, graphs
-from scrollex.graphs import INFINITE, CliqueComplex, Graph, chordless_cycles, p2_monomial
+from scrollex import bounds, cycles, fixtures, graphs
+from scrollex.graphs import INFINITE, CliqueComplex, Graph
+from scrollex.cycles import chordless_cycles, p2_monomial
 from scrollex.homology import QQ, FieldSpec, cycle_betti_table
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.ordering import initial_complex
@@ -414,14 +415,14 @@ def test_p2_report_walks_keep_few_cycles(monkeypatch):
     edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1 :] if rng.random() < 0.06]
     ext = validate_extension(CliqueComplex(Graph(vs, edges)), [])
     assert len(virtual_minimal_cycles(ext)) == 2016
-    search, kept = graphs._cycle_search, []
+    search, kept = cycles._cycle_search, []
 
     def counting(*args, **kwargs):
         found = search(*args, **kwargs)
         kept.append(len(found))
         return found
 
-    monkeypatch.setattr(graphs, "_cycle_search", counting)
+    monkeypatch.setattr(cycles, "_cycle_search", counting)
     monkeypatch.setattr(bounds, "_cycle_search", counting)
     rep = p2_report(ext)
     assert kept == [10, 10, 0, 0]

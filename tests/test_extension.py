@@ -8,9 +8,9 @@ from scrollex.extension import (
     ExtensionError,
     ScrollBlock,
     ScrollMatrix,
-    toricity_gate,
     validate_extension,
 )
+from scrollex.bounds import toricity_gate
 from scrollex.groebner import encode_system
 from scrollex.ordering import VarOrder
 

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scrollex.cycles
 import scrollex.graphs
 from scrollex.graphs import (
     INFINITE,
@@ -15,12 +16,10 @@ from scrollex.graphs import (
     Graph,
     GraphError,
     P2Result,
-    chordless_cycles,
-    is_chordal,
     maximal_cliques,
-    p2_monomial,
     proper_edges,
 )
+from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
 from oracles import brute_chordless_cycles, brute_maximal_cliques, canonical_cycle, induced
 
 BRUNS_VERTICES = "abcde"
@@ -32,8 +31,9 @@ def bruns_graph():
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(scrollex.graphs)
-    assert failures == 0
+    for module in (scrollex.graphs, scrollex.cycles):
+        failures, _ = doctest.testmod(module)
+        assert failures == 0, module.__name__
 
 
 def test_build_graph_triangle():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import fixtures, groebner
-from scrollex.graphs import CliqueComplex, Graph, is_chordal
+from scrollex.graphs import CliqueComplex, Graph
+from scrollex.cycles import is_chordal
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.ordering import (
     NotOrderableError,

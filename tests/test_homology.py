@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from scrollex import homology
-from scrollex.graphs import CliqueComplex, Graph, is_chordal
-from scrollex.graphs import INFINITE, p2_monomial
+from scrollex.graphs import INFINITE, CliqueComplex, Graph
+from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.homology import (
     QQ,
     BettiTable,

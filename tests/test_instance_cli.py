@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import cli
-from scrollex.graphs import chordless_cycles
+from scrollex.cycles import chordless_cycles
 from scrollex.bounds import virtual_minimal_cycles
 from scrollex.instance import InstanceError, instance_digest, parse_instance
 from scrollex.cli import main
+from oracles import argparse_args
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -403,6 +404,8 @@ BASE_LAYERS = {"scrollex", "scrollex.cli", "scrollex.graphs", "scrollex.extensio
 # a fresh interpreter has loaded when it ends
 FOOTPRINTS = [
     ([], BASE_LAYERS),
+    (["validate", path("bruns")], BASE_LAYERS),
+    (["cycles", path("bruns"), "--kind", "minimal"], BASE_LAYERS | {"scrollex.cycles"}),
     (["order", path("bruns")], BASE_LAYERS | {"scrollex.ordering"}),
     (["groebner", path("bruns")], BASE_LAYERS | {"scrollex.groebner", "scrollex.ordering"}),
     (["betti", path("chordal3"), "--ideal", "gamma"], BASE_LAYERS | {"scrollex.homology"}),
@@ -412,9 +415,12 @@ FOOTPRINTS = [
     ),
     (
         ["cycles", path("bruns"), "--kind", "virtual"],
-        BASE_LAYERS | {"scrollex.bounds", "scrollex.ordering"},
+        BASE_LAYERS | {"scrollex.bounds", "scrollex.cycles", "scrollex.ordering"},
     ),
-    (["p2", path("bruns")], BASE_LAYERS | {"scrollex.bounds", "scrollex.ordering"}),
+    (
+        ["p2", path("bruns")],
+        BASE_LAYERS | {"scrollex.bounds", "scrollex.cycles", "scrollex.ordering"},
+    ),
 ]
 PROBE = """import sys
 import scrollex.cli
@@ -432,8 +438,9 @@ def test_cli_import_footprint(capsys):
     it.  One fresh interpreter per call reports its ``sys.modules``; its
     stdout and exit code must equal those of the same call in process.
     ``chordal3`` has an infinite p2, so ``betti`` writes "infinity" without
-    ``scrollex.bounds``.  None of these calls loads ``scrollex.fixtures``,
-    ``dataclasses`` or ``inspect``.
+    ``scrollex.bounds``.  Only ``cycles`` and ``p2`` load the cycle engine,
+    ``scrollex.cycles``.  None of these calls loads ``scrollex.fixtures``,
+    ``dataclasses``, ``inspect``, ``argparse`` or ``gettext``.
     """
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -451,7 +458,7 @@ def test_cli_import_footprint(capsys):
         out, err = proc.communicate()
         loaded = set(ast.literal_eval(err))
         assert {m for m in loaded if m.split(".")[0] == "scrollex"} == layers, argv
-        assert not loaded & {"dataclasses", "inspect"}, argv
+        assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}, argv
         if argv:
             assert (proc.returncode, out) == run(capsys, *argv)[:2], argv
         if argv[:2] == ["betti", path("chordal3")]:
@@ -503,8 +510,22 @@ def test_cli_field_not_q_or_a_prime(capsys, value):
         (["validate"], "the following arguments are required: file"),
         (["validate", "{bruns}", "--bogus"], "unrecognized arguments: --bogus"),
         (["betti", "{bruns}", "--max-vertices", "x"], "argument --max-vertices: invalid int value: 'x'"),
+        (
+            ["betti", "{bruns}", "--ideal=x"],
+            "argument --ideal: invalid choice: 'x' (choose from 'gamma', 'initial')",
+        ),
+        (["gen-chordal"], "the following arguments are required: --seed"),
+        (["validate", "a", "b"], "unrecognized arguments: b"),
     ],
-    ids=["bad-choice", "missing-file", "unknown-option", "bad-int"],
+    ids=[
+        "bad-choice",
+        "missing-file",
+        "unknown-option",
+        "bad-int",
+        "attached-bad-choice",
+        "missing-seed",
+        "extra-file",
+    ],
 )
 def test_cli_usage_error_exit1(capsys, argv, message):
     # a usage error is an input error; exit 2 means "method not applicable"
@@ -516,10 +537,86 @@ def test_cli_usage_error_exit1(capsys, argv, message):
     assert f"error: {message}" in captured.err
 
 
-def test_cli_help_exit0(capsys):
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["betti", "--help"]], ids=["long", "short", "betti"]
+)
+def test_cli_help_exit0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: scrollex")
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: scrollex {' '.join(argv[:-1])}")
+    if len(argv) == 1:
+        lines = cli.__doc__.splitlines()
+        synopsis = [line.split() for line in lines if line.startswith("    scrollex ")]
+        assert len(synopsis) == 9
+        assert all(words[1] in out.splitlines()[0] for words in synopsis)
+        for words in synopsis:  # a command's usage line is its synopsis line
+            with pytest.raises(SystemExit):
+                main([words[1], "-h"])
+            assert capsys.readouterr().out.startswith(f"usage: {' '.join(words)}\n")
+
+
+# argv -> what argparse made of it; ``{f}`` is a file name
+PARSER_TABLE = [
+    ["validate", "{f}"],
+    ["order", "{f}"],
+    ["groebner", "{f}"],
+    ["cycles", "{f}"],
+    ["betti", "{f}"],
+    ["p2", "{f}"],
+    ["poligon", "4", "2"],
+    ["gen-chordal", "--seed", "5"],
+    ["gen-cycle-ext", "--seed", "9"],
+    ["cycles", "{f}", "--kind", "virtual", "--cap", "7"],
+    ["cycles", "{f}", "--kind=virtual", "--cap=7"],
+    ["betti", "{f}", "--ideal", "initial", "--field", "7", "--max-vertices", "9"],
+    ["betti", "{f}", "--ideal=initial", "--field=7", "--max-vertices=9"],
+    ["p2", "{f}", "--mode", "exact"],
+    ["p2", "{f}", "--mode=lower"],
+    ["gen-chordal", "--seed", "1", "--vertices", "8"],
+    ["gen-chordal", "--seed=1", "--vertices=8"],
+    ["gen-cycle-ext", "--seed", "2", "--length", "6"],
+    ["gen-cycle-ext", "--length=6", "--seed=2"],
+    ["p2", "{f}", "--mode", "upper", "--mode=lower"],
+    ["gen-chordal", "--seed", "3", "--seed", "4"],
+    ["betti", "{f}", "--max", "5"],
+    ["betti", "{f}", "--ide", "initial"],
+    ["betti", "{f}", "--m", "5"],
+    ["cycles", "{f}", "--cap", "-1"],
+    ["poligon", "-3", "1"],
+    ["validate", "--", "{f}"],
+    ["validate", "{f}", "--"],
+    ["gen-chordal", "--seed", "1", "--"],
+    ["validate"],
+    ["poligon", "4"],
+    ["validate", "a", "b"],
+    ["poligon", "1", "2", "3"],
+    ["gen-chordal"],
+    ["gen-cycle-ext", "--length", "6"],
+    ["validate", "{f}", "--bogus"],
+    ["betti", "{f}", "--ideal", "x"],
+    ["betti", "{f}", "--ideal=x"],
+    ["betti", "{f}", "--max-vertices", "x"],
+    ["poligon", "x", "1"],
+    ["betti", "{f}", "--field"],
+    ["betti", "{f}", "--=5"],
+    ["nope", "{f}"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["betti", "-h"],
+    ["betti", "{f}", "--max-vertices", "x", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_TABLE, ids=lambda argv: " ".join(argv) or "no-args")
+def test_cli_parser_matches_argparse_oracle(capsys, argv):
+    argv = [a.format(f=path("bruns")) for a in argv]
+    try:
+        fields = cli._parse(argv)
+    except SystemExit as e:
+        fields = e.code
+    assert fields == argparse_args(argv)
 
 
 def test_long_bare_polygon_census(tmp_path, capsys):
