@@ -36,13 +36,12 @@ also when p2 is only boxed in an interval.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 
 from . import __version__
 from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded
-from .instance import instance_digest, parse_instance
+from .instance import instance_digest, parse_instance, sha256
 
 
 def _json_default(x):
@@ -54,9 +53,64 @@ def _json_default(x):
     return to_json()
 
 
+_quote = json.encoder.encode_basestring_ascii
+_is_str = str.__instancecheck__  # isinstance(v, str), callable from map
+
+
+def _text(x, pad):
+    """The text ``json.dumps(x, sort_keys=True, indent=2, default=_json_default)``
+    gives ``x``, when the line ``x`` starts on begins with ``pad``: a newline
+    and that line's indent.  With an indent ``json`` runs its pure-Python
+    encoder; this builds the same text from C joins.  It covers what reports
+    hold: str, int, bool and None, lists and tuples, dicts with str keys,
+    and whatever ``_json_default`` turns into those.
+
+    >>> print(_text({"b": [1, (True, None)], "a": frozenset("yx"), "c": []}, "\\n"))
+    {
+      "a": [
+        "x",
+        "y"
+      ],
+      "b": [
+        1,
+        [
+          true,
+          null
+        ]
+      ],
+      "c": []
+    }
+    """
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        if all(map(_is_str, x)):
+            items = map(_quote, x)
+        else:
+            items = [_text(v, inner) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_quote(k)}: {_text(v, inner)}" for k, v in sorted(x.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    return _text(_json_default(x), pad)
+
+
 def _emit(report):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
-    sys.stdout.write(text + "\n")
+    print(_text(report, "\n"))
 
 
 def _load(path):
@@ -222,9 +276,7 @@ def cmd_poligon(args):
     n, s = args["n"], args["s"]
     table = cycle_betti_table(n, s)
     params = {"n": n, "s": s}
-    digest = hashlib.sha256(
-        json.dumps(params, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    digest = sha256(json.dumps(params, sort_keys=True).encode("utf-8")).hexdigest()
     payload = {
         "n": n,
         "s": s,

@@ -115,11 +115,11 @@ class Extension:
         vertices = list(base.skeleton.vertices)
         for m in matrices:
             vertices.extend(m.y_vertices())
+        # a base facet is a clique of the base: only extended facets add edges
         edges = set(base.skeleton.edges)
         rank = {v: i for i, v in enumerate(vertices)}
-        for fb in facet_bar.values():
-            for u, w in combinations(sorted(fb, key=rank.get), 2):
-                edges.add((u, w))
+        for m in matrices:
+            edges.update(combinations(sorted(facet_bar[m.facet], key=rank.get), 2))
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "facet_bar", facet_bar)
         object.__setattr__(self, "skeleton_bar", Graph(vertices, edges))

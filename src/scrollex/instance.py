@@ -13,8 +13,17 @@ into the document; its message leads with the path unless that is the root.
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+# The interpreter's built-in sha256, which hashlib itself falls back to:
+# loading OpenSSL's _hashlib takes milliseconds in every process.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .extension import ExtensionError, ScrollBlock, ScrollMatrix, validate_extension
 from .graphs import CliqueComplex, Graph, GraphError
@@ -175,4 +184,4 @@ def canonical_document(ext):
 def instance_digest(canonical):
     """sha256 over the canonical serialization of the instance document."""
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()

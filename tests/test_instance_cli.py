@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import cli
+from scrollex.bounds import Interval, NotApplicable, virtual_minimal_cycles
 from scrollex.cycles import chordless_cycles
-from scrollex.bounds import virtual_minimal_cycles
+from scrollex.graphs import INFINITE
 from scrollex.instance import InstanceError, instance_digest, parse_instance
 from scrollex.cli import main
 from oracles import argparse_args
@@ -422,6 +426,7 @@ FOOTPRINTS = [
         BASE_LAYERS | {"scrollex.bounds", "scrollex.cycles", "scrollex.ordering"},
     ),
 ]
+HASHLIB = {"hashlib", "_hashlib"}
 PROBE = """import sys
 import scrollex.cli
 code = scrollex.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
@@ -440,10 +445,22 @@ def test_cli_import_footprint(capsys):
     ``chordal3`` has an infinite p2, so ``betti`` writes "infinity" without
     ``scrollex.bounds``.  Only ``cycles`` and ``p2`` load the cycle engine,
     ``scrollex.cycles``.  None of these calls loads ``scrollex.fixtures``,
-    ``dataclasses``, ``inspect``, ``argparse`` or ``gettext``.
+    ``dataclasses``, ``inspect``, ``argparse`` or ``gettext``.  Where the
+    interpreter has its built-in sha256 (``_sha2`` or ``_sha256``), none
+    loads ``hashlib`` or OpenSSL's ``_hashlib`` beyond what a bare
+    interpreter in the same environment loads.
     """
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.stderr.write(repr(sorted(sys.modules)))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    bare_hashlib = HASHLIB & set(ast.literal_eval(bare.stderr))
+    builtin_sha = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", PROBE, *argv],
@@ -459,6 +476,8 @@ def test_cli_import_footprint(capsys):
         loaded = set(ast.literal_eval(err))
         assert {m for m in loaded if m.split(".")[0] == "scrollex"} == layers, argv
         assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}, argv
+        if builtin_sha:
+            assert loaded & HASHLIB <= bare_hashlib, argv
         if argv:
             assert (proc.returncode, out) == run(capsys, *argv)[:2], argv
         if argv[:2] == ["betti", path("chordal3")]:
@@ -488,6 +507,56 @@ def test_cli_infinite_serialization(tmp_path, capsys):
     code, out, _ = run(capsys, "p2", str(f))
     body = json.loads(out)
     assert code == 0 and body["exact"] == "infinity" and body["two_linear"]
+
+
+def test_instance_digest_hashlib_fallback():
+    """Without the built-in ``_sha2`` and ``_sha256``, ``scrollex.instance``
+    hashes with ``hashlib.sha256``, and the digest is the same."""
+    probe = f"""import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib, json
+from scrollex import instance
+assert instance.sha256 is hashlib.sha256, instance.sha256
+_, canonical = instance.parse_instance(open({path("bruns")!r}).read())
+blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
+assert instance.instance_digest(canonical) == hashlib.sha256(blob).hexdigest()
+print(instance.instance_digest(canonical))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    _, canonical = parse_instance((FIXTURES / "bruns.json").read_text())
+    assert proc.stdout == instance_digest(canonical) + "\n"
+
+
+TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028\U0001f600') | st.characters(), max_size=6)
+REPORT_VALUES = st.recursive(
+    st.one_of(
+        TEXT,
+        st.integers() | st.sampled_from([-(2**64) - 1, -1, 0, 2**64, 2**100]),
+        st.booleans(),
+        st.none(),
+        st.frozensets(TEXT, max_size=3),
+        st.just(INFINITE),
+        st.builds(NotApplicable, TEXT),
+        st.builds(Interval, st.integers(), st.integers() | st.just(INFINITE)),
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(REPORT_VALUES)
+def test_emit_matches_json_dumps(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(value)
+    expected = json.dumps(value, sort_keys=True, indent=2, default=cli._json_default)
+    assert out.getvalue() == expected + "\n"
 
 
 def test_cli_field_characteristic_too_large(capsys):
