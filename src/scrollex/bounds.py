@@ -91,16 +91,9 @@ class VirtualCycle:
         return sum(ec.t for ec in self.edge_classes.values())
 
 
-def virtual_edges(ext):
-    """Base edges absent from the initial complex: {x0, x_j} with Y_j nonempty.
-
-    Independent of the column permutation choice.
-    """
-    return frozenset(_virtual_edge_blocks(ext))
-
-
 def _virtual_edge_blocks(ext):
-    """Each virtual edge mapped to (its matrix, the 1-based index of its block)."""
+    """Each virtual edge, a base edge {x0, x_j} with Y_j nonempty, mapped to
+    (its matrix, the 1-based index of its block)."""
     g = ext.base.skeleton
     return {
         g.edge_key(m.x0, b.x): (m, j)
@@ -146,9 +139,7 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     """
     g = ext.base.skeleton
     vmap = _virtual_edge_blocks(ext)
-    found = _cycle_search(
-        g, vmap, ext.base.edge_facets, cap, "virtual cycle candidates",
-    )
+    found = _cycle_search(g, vmap, cap, "virtual cycle candidates")
     return tuple(_virtual_cycle(cyc, vmap, g) for cyc in found)
 
 
@@ -287,8 +278,7 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
     vmap = _virtual_edge_blocks(ext)
 
     def walk(**mode):
-        facets = ext.base.edge_facets
-        return _cycle_search(g, vmap, facets, cap, "virtual minimal cycles kept", **mode)
+        return _cycle_search(g, vmap, cap, "virtual minimal cycles kept", **mode)
 
     classified = {}  # a cycle's classes, shared by the walks and their witnesses
 

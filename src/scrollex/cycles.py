@@ -76,7 +76,7 @@ def chordless_cycles(g, cap=DEFAULT_CYCLE_CAP):
     A cycle C qualifies iff the subgraph induced on V(C) is exactly C.
     Aborts with :class:`CycleCapExceeded` past ``cap`` emitted cycles.
     """
-    return _cycle_search(g, (), None, cap, "chordless cycles")
+    return _cycle_search(g, (), cap, "chordless cycles")
 
 
 def p2_monomial(g, cap=DEFAULT_CYCLE_CAP):
@@ -87,25 +87,27 @@ def p2_monomial(g, cap=DEFAULT_CYCLE_CAP):
     cycles no longer than the shortest found so far, and ``cap`` counts
     those alone.
     """
-    cycles = _cycle_search(g, (), None, cap, "chordless cycles", weight={})
+    cycles = _cycle_search(g, (), cap, "chordless cycles", weight={})
     if not cycles:
         return P2Result(INFINITE, 0)
     return P2Result(len(cycles[0]) - 3, len(cycles))
 
 
-def _cycle_search(g, allowed, facets, cap, what, weight=None, cost=None, through=None):
-    """Canonical cycles of length >= 4 whose chords all lie in ``allowed``.
+def _cycle_search(g, allowed, cap, what, weight=None, cost=None, through=None):
+    """Canonical cycles of length >= 4 whose chords all lie in ``allowed``,
+    no two of whose edges lie in a common facet.
 
     Runs on vertex ranks.  ``block[i]`` is the bitmask of i and of its
-    neighbours joined by a forbidden chord (one not in ``allowed``).  With
-    ``facets`` (canonical edge -> facet indices) every edge carries a bitmask
-    of its facets, and no two cycle edges may share a facet.  One
+    neighbours joined by a forbidden chord (one not in ``allowed``), and
+    ``chord[i]`` that of its neighbours joined by an allowed one.  One
     explicit-stack walk per start pair (v0, v1): every other vertex outranks
     v0 and the cycle closes on a neighbour of v0 that outranks v1.  The path
-    interior (all but v0 and the last vertex), the facets its edges use and
-    the sum of their weights are running values, set on push and undone on
-    pop, so each test is one ``&`` or one addition.  A walk stops at a
-    vertex whose edge to v0 is a forbidden chord.
+    interior (all but v0 and the last vertex) and the sum of its edges'
+    weights are running values, set on push and undone on pop, so each test
+    is one ``&`` or one addition.  A walk stops at a vertex whose edge to v0
+    is a forbidden chord.  Two edges share a facet iff their end points form
+    a clique, which takes a chord; so a new or closing edge at u is held
+    against the path's edges only when u has an allowed chord to the path.
 
     Every cycle is kept unless a mode says otherwise:
 
@@ -133,21 +135,19 @@ def _cycle_search(g, allowed, facets, cap, what, weight=None, cost=None, through
     n = len(g.vertices)
     nbrs = [[] for _ in range(n)]
     block = [1 << i for i in range(n)]
-    fm = [{} for _ in range(n)] if facets else [[0] * n] * n  # fm[i][j]: facets of {i, j}
+    chord = [0] * n
     # wm[i][j]: the weight of {i, j}; with ``through``, 1 on its edges, else 0
     weighted = bool(weight or through)
     wm = [{} for _ in range(n)] if weighted else [[0 if weight is None else 1] * n] * n
     for e in g.edges:
         u, w = e
         a, b = rank[u], rank[w]
-        if e not in allowed:
+        if e in allowed:
+            chord[a] |= 1 << b
+            chord[b] |= 1 << a
+        else:
             block[a] |= 1 << b
             block[b] |= 1 << a
-        if facets:
-            m = 0
-            for f in facets[e]:
-                m |= 1 << f
-            fm[a][b] = fm[b][a] = m
         if weighted:
             x = (1 if e in through else 0) if through else weight.get(e, 1)
             if x is None:
@@ -157,6 +157,13 @@ def _cycle_search(g, allowed, facets, cap, what, weight=None, cost=None, through
         nbrs[b].append(a)
     for ns in nbrs:
         ns.sort()
+    adj = [block[i] ^ 1 << i | chord[i] for i in range(n)]
+
+    def shares_facet(a, b, walk):
+        """True iff the edge {a, b} and an edge of ``walk`` form a clique."""
+        s = adj[a] & adj[b] | 1 << a | 1 << b
+        return any(s >> x & 1 and s >> y & 1 for x, y in zip(walk, walk[1:]))
+
     last_start = max(min(rank[u], rank[w]) for u, w in through) if through else n
     least = weight is not None
     bound = limit = 1 << 62  # the least cost kept so far; a path may reach ``limit``
@@ -168,27 +175,26 @@ def _cycle_search(g, allowed, facets, cap, what, weight=None, cost=None, through
             continue  # nothing outranks the top higher neighbour, so its walk cannot close
         near0 = set(ns)
         forb0 = {j for j in ns if block[r0] >> j & 1}
-        f0, w0 = fm[r0], wm[r0]
+        w0, out0 = wm[r0], 1 << r0  # out0: v0, the chord end off the interior
         for r1 in higher[:-1]:
-            path, inner, used, c = [r0, r1], 0, f0[r1], w0[r1]
-            # one frame per path vertex past v0: its unvisited neighbours, the
-            # facet mask of its incoming edge and the path's cost before that
-            # edge, undone on pop
-            stack = [(iter(nbrs[r1]), f0[r1], 0)]
+            path, inner, c = [r0, r1], 0, w0[r1]
+            # one frame per path vertex past v0: its unvisited neighbours and
+            # the path's cost before its incoming edge, undone on pop
+            stack = [(iter(nbrs[r1]), 0)]
             while stack:
                 last = path[-1]
-                fl, wl = fm[last], wm[last]
+                wl = wm[last]
                 for u in stack[-1][0]:
                     if u <= r0 or block[u] & inner:
                         continue  # on the path, or a forbidden chord to its interior
-                    ef = fl[u]
-                    if used & ef:
+                    if chord[u] & (inner | out0) and shares_facet(last, u, path):
                         continue  # two cycle edges would share a facet
                     if u in near0:
                         if (
                             len(path) >= 3
                             and u > r1
-                            and not (used | ef) & fm[u][r0]
+                            and not (chord[u] & inner | chord[last] & out0
+                                     and shares_facet(u, r0, (*path, u)))
                             and (total := c + wl[u] + wm[u][r0]) <= bound
                         ):
                             cyc = (*path, u)
@@ -211,13 +217,11 @@ def _cycle_search(g, allowed, facets, cap, what, weight=None, cost=None, through
                         continue  # two more edges at least would close it past the bound
                     path.append(u)
                     inner |= 1 << last
-                    used |= ef
-                    stack.append((iter(nbrs[u]), ef, c))
+                    stack.append((iter(nbrs[u]), c))
                     c += wl[u]
                     break
                 else:
-                    _it, ef, c = stack.pop()
-                    used ^= ef
+                    _it, c = stack.pop()
                     path.pop()
                     inner ^= 1 << path[-1]  # the new last vertex leaves the interior
                     # (popping v1 sets v0's bit, but that ends the walk)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import CliqueComplex, Graph, frozen_record, proper_edges
+from .graphs import CliqueComplex, Graph, _adjacency_masks, _is_facet, frozen_record, proper_edges
 
 
 class ExtensionError(ValueError):
@@ -94,10 +94,9 @@ class ScrollMatrix:
 class Extension:
     """A clique complex together with validated scroll matrices on some facets.
 
-    Built through :func:`validate_extension`.  Exposes the extended facets
-    (``facet_bar``: facet plus its new variables) and the 1-skeleton of the
-    extended complex (``skeleton_bar``), whose edge set is the union of all
-    pairs inside each extended facet.
+    Built through :func:`validate_extension`.  Exposes the 1-skeleton of the
+    extended complex (``skeleton_bar``): the base edges plus every pair
+    inside an extended facet (a matrix's facet with its new variables).
     """
 
     base: CliqueComplex
@@ -106,12 +105,6 @@ class Extension:
     def __post_init__(self):
         base = self.base
         matrices = tuple(self.matrices)
-        facet_bar = {}
-        for f in base.facet_sets():
-            facet_bar[f] = f
-        for m in matrices:
-            facet_bar[m.facet] = m.facet | set(m.y_vertices())
-
         vertices = list(base.skeleton.vertices)
         for m in matrices:
             vertices.extend(m.y_vertices())
@@ -119,9 +112,8 @@ class Extension:
         edges = set(base.skeleton.edges)
         rank = {v: i for i, v in enumerate(vertices)}
         for m in matrices:
-            edges.update(combinations(sorted(facet_bar[m.facet], key=rank.get), 2))
+            edges.update(combinations(sorted(m.facet | set(m.y_vertices()), key=rank.get), 2))
         object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "facet_bar", facet_bar)
         object.__setattr__(self, "skeleton_bar", Graph(vertices, edges))
 
     def __repr__(self):
@@ -138,18 +130,20 @@ def validate_extension(base, matrices):
     Raises :class:`ExtensionError` on: an {x0, x_j} pair that is not a proper
     edge, new variables colliding with the base or with each other, an empty
     block past the first, x0 or a block vertex outside the facet, duplicate
-    or unknown facets.
+    or unknown facets.  A matrix's facet is tested on adjacency masks, and
+    the facets are never listed: a nonempty set of base vertices is a facet
+    iff the vertices joined or equal to all of its members are its members.
     """
     if not isinstance(base, CliqueComplex):
         base = CliqueComplex(base)
     matrices = tuple(matrices)
-    facet_set = set(base.facet_sets())
+    g = base.skeleton
+    nbr, rank = _adjacency_masks(g), g.rank
     proper = proper_edges(base)
-    base_vertices = set(base.skeleton.vertices)
     seen_facets = set()
     all_y = {}
     for mi, m in enumerate(matrices):
-        if m.facet not in facet_set:
+        if not m.facet <= rank.keys() or not _is_facet(sum(1 << rank[v] for v in m.facet), nbr):
             raise ExtensionError(
                 f"{sorted(m.facet)} is not a facet of the base complex", mi
             )
@@ -177,13 +171,12 @@ def validate_extension(base, matrices):
                 raise ExtensionError(
                     "only the first block may have no new variables", mi, bi
                 )
-            edge = base.skeleton.edge_key(m.x0, b.x)
-            if edge not in base.skeleton.edges or edge not in proper:
+            if g.edge_key(m.x0, b.x) not in proper:
                 raise ExtensionError(
                     f"{{{m.x0}, {b.x}}} is not a proper edge of its facet", mi, bi
                 )
             for v in b.y:
-                if v in base_vertices:
+                if v in rank:
                     raise ExtensionError(
                         f"new variable {v!r} collides with a base vertex", mi, bi
                     )

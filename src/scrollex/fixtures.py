@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, CliqueComplex, maximal_cliques, proper_edges
-from .ordering import NotOrderableError, find_admissible_order
 from .instance import parse_instance
 
 
@@ -41,20 +40,6 @@ def cycle_extension_instance(n, sizes):
 # ---------------------------------------------------------------------------
 # seeded generators
 # ---------------------------------------------------------------------------
-
-
-def random_connected_graph(rng, n, p=0.45):
-    """A random connected graph on v0..v{n-1}: a random spanning tree plus noise."""
-    names = [f"v{i}" for i in range(n)]
-    edges = set()
-    for i in range(1, n):
-        j = rng.randrange(i)
-        edges.add((names[j], names[i]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.add((names[i], names[j]))
-    return Graph(names, sorted(edges))
 
 
 def random_chordal_graph(rng, n):
@@ -114,32 +99,6 @@ def attach_random_matrices(g, rng, max_new=7, max_matrices=4):
             continue
         extensions.append({"facet": sorted(fset), "x0": x0, "blocks": blocks})
     return extensions
-
-
-def random_extension_instance(seed, require_orderable=True, max_total=12):
-    """A seeded random valid extension with at most ``max_total`` variables."""
-    rng = random.Random(seed)
-    for _ in range(400):
-        n = rng.randint(4, 7)
-        g = random_connected_graph(rng, n)
-        extensions = attach_random_matrices(
-            g, rng, max_new=max_total - n, max_matrices=4
-        )
-        if not extensions:
-            continue
-        doc = {
-            "vertices": list(g.vertices),
-            "edges": [list(e) for e in sorted(g.edges)],
-            "extensions": extensions,
-        }
-        try:
-            ext, _ = parse_instance(doc)
-            if require_orderable:
-                find_admissible_order(ext.matrices)
-        except (ValueError, NotOrderableError):
-            continue
-        return doc
-    raise RuntimeError(f"no valid instance found for seed {seed}")
 
 
 def chordal_instance(seed, n=6):

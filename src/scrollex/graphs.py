@@ -12,8 +12,6 @@ outputs, byte for byte.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 DEFAULT_CYCLE_CAP = 10**6
 
 
@@ -242,19 +240,17 @@ class P2Result:
 class CliqueComplex:
     """A graph together with its facet family (the maximal cliques).
 
-    The faces of the complex are exactly the cliques of ``skeleton``; the
-    facet list is therefore determined by the graph.  An explicit facet list
-    may be supplied for validation and is rejected if it differs; either way
-    ``facets`` ends up as the maximal cliques.  ``edge_facets`` maps each
-    canonical edge to the indices of its facets.
+    The faces of the complex are exactly the cliques of ``skeleton``, so the
+    facets are determined by the graph and every facet question is one of
+    adjacency (:func:`proper_edges`, :func:`_is_facet`).  ``facets`` lists
+    them for the output; a declared list is rejected if it differs.
     """
 
     skeleton: Graph
     facets: tuple = None
 
     def __post_init__(self):
-        skeleton = self.skeleton
-        cliques = maximal_cliques(skeleton)
+        cliques = maximal_cliques(self.skeleton)
         if self.facets is not None:
             given = sorted(frozenset(f) for f in self.facets)
             if given != sorted(frozenset(c) for c in cliques):
@@ -262,29 +258,27 @@ class CliqueComplex:
                     "declared facets do not match the maximal cliques of the skeleton"
                 )
         object.__setattr__(self, "facets", cliques)
-        edge_facets = {}
-        for idx, f in enumerate(cliques):
-            for u, w in combinations(f, 2):
-                edge_facets.setdefault(skeleton.edge_key(u, w), []).append(idx)
-        object.__setattr__(
-            self,
-            "edge_facets",
-            {e: tuple(ix) for e, ix in edge_facets.items()},
-        )
-
-    def facets_of_edge(self, u, w):
-        """Indices (into ``facets``) of the facets containing the edge {u, w}."""
-        return self.edge_facets.get(self.skeleton.edge_key(u, w), ())
-
-    def facet_sets(self):
-        return tuple(frozenset(f) for f in self.facets)
 
     def __repr__(self):
         return f"CliqueComplex({len(self.skeleton.vertices)} vertices, {len(self.facets)} facets)"
 
 
+def _is_facet(s, nbr):
+    """True iff the vertex bitmask ``s`` is a facet (a maximal clique) of the
+    graph with adjacency masks ``nbr``: the vertices joined or equal to all
+    of its members, of which there is one at least, are its members."""
+    common = -1
+    for i in _bits(s):
+        common &= nbr[i] | 1 << i
+    return common == s
+
+
 def proper_edges(cx):
-    """Edges of the skeleton contained in exactly one facet."""
+    """Edges of the skeleton contained in exactly one facet: the edges that,
+    with the common neighbours of their end points, form a facet."""
+    g = cx.skeleton
+    nbr, rank = _adjacency_masks(g), g.rank
     return frozenset(
-        e for e in cx.skeleton.edges if len(cx.facets_of_edge(*e)) == 1
+        (u, w) for u, w in g.edges
+        if _is_facet(nbr[rank[u]] & nbr[rank[w]] | 1 << rank[u] | 1 << rank[w], nbr)
     )

@@ -118,8 +118,6 @@ def parse_instance(document):
     exts_doc = document.get("extensions", [])
     _expect(isinstance(exts_doc, list), "/extensions", "expected a list")
     matrices = []
-    base_names = set(vertices)
-    y_names = set()
     for i, ex in enumerate(exts_doc):
         _check_keys(ex, {"facet", "x0", "blocks"}, f"/extensions/{i}")
         for field in ("facet", "x0", "blocks"):
@@ -138,13 +136,6 @@ def parse_instance(document):
             _expect(isinstance(b["x"], str), f"/extensions/{i}/blocks/{j}/x",
                     "expected a string")
             ys = _string_list(b["y"], f"/extensions/{i}/blocks/{j}/y")
-            for v in ys:
-                if v in base_names or v in y_names:
-                    raise InstanceError(
-                        f"/extensions/{i}/blocks/{j}",
-                        f"new variable {v!r} collides with an existing name",
-                    )
-                y_names.add(v)
             blocks.append(ScrollBlock(b["x"], tuple(ys)))
         matrices.append(ScrollMatrix(facet, x0, blocks))
 

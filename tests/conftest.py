@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from scrollex import fixtures
+from oracles import random_extension_instance
 from scrollex.instance import parse_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -72,7 +73,7 @@ def random_extensions():
     docs = []
     seed = 0
     while len(docs) < 20:
-        docs.append(fixtures.random_extension_instance(seed))
+        docs.append(random_extension_instance(seed))
         seed += 1
     return [load(d) for d in docs]
 

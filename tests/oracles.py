@@ -36,11 +36,15 @@ complex with no reduction first.
 
 ``census_p2_report`` is the p2 report read off the whole census of virtual
 minimal cycles, as the library computed it before its bounded walks; it
-judges ``p2_report`` field by field.  ``argparse_args`` is the command line
+judges ``p2_report`` field by field.  ``random_extension_instance`` (with
+its ``random_connected_graph``) draws the seeded instances that the test
+corpus, the fuzz tests and ``sweep_p2.py`` run on, and ``virtual_edges``
+lists an extension's virtual edges; only tests use either.  ``argparse_args`` is the command line
 as ``argparse`` read it, before ``scrollex.cli`` parsed argv by hand.
 """
 
 import argparse
+import random
 import sys
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
@@ -48,6 +52,7 @@ from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from scrollex.cycles import is_chordal, p2_monomial
+from scrollex.fixtures import attach_random_matrices
 from scrollex.graphs import INFINITE, Graph, GraphError, _adjacency_masks
 from scrollex.homology import QQ, _core_homology, _hochster_sweep
 from scrollex.ordering import (
@@ -59,6 +64,7 @@ from scrollex.ordering import (
 )
 from scrollex.graphs import DEFAULT_CYCLE_CAP
 from scrollex.groebner import Binomial, GroebnerCheck
+from scrollex.instance import parse_instance
 from scrollex.bounds import (
     Interval,
     NotApplicable,
@@ -66,7 +72,6 @@ from scrollex.bounds import (
     _expanded_length,
     _sizes_fit,
     toricity_gate,
-    virtual_edges,
     virtual_minimal_cycles,
 )
 
@@ -237,10 +242,33 @@ def brute_all_cycles(g):
     return sorted(out, key=lambda c: (len(c), tuple(g.rank[v] for v in c)))
 
 
+def virtual_edges(ext):
+    """Base edges absent from the initial complex: {x0, x_j} with Y_j nonempty.
+
+    Independent of the column permutation choice.
+    """
+    g = ext.base.skeleton
+    return frozenset(g.edge_key(m.x0, b.x) for m in ext.matrices for b in m.blocks if b.y)
+
+
+def extended_facets(ext):
+    """The facets of the extended complex, in the base's facet order: a
+    facet that carries a matrix joined to the matrix's new variables."""
+    bar = {m.facet: m.facet | set(m.y_vertices()) for m in ext.matrices}
+    return [bar.get(f, f) for f in map(frozenset, ext.base.facets)]
+
+
 def brute_virtual_cycles(ext):
-    """Virtual minimal cycles straight from the definition, via brute_all_cycles."""
+    """Virtual minimal cycles straight from the definition, via brute_all_cycles.
+
+    Two cycle edges share a facet when one of ``ext.base.facets`` holds both.
+    """
     g = ext.base.skeleton
     virt = virtual_edges(ext)
+    edge_facets = {}  # canonical edge -> the indices of the facets holding it
+    for k, f in enumerate(ext.base.facets):
+        for u, w in combinations(f, 2):
+            edge_facets.setdefault(g.edge_key(u, w), set()).add(k)
     out = []
     for cyc in brute_all_cycles(g):
         r = len(cyc)
@@ -252,7 +280,7 @@ def brute_virtual_cycles(ext):
         ]
         if any(c not in virt for c in chords):
             continue
-        facet_sets = [frozenset(ext.base.facets_of_edge(*e)) for e in edges]
+        facet_sets = [edge_facets.get(e, frozenset()) for e in edges]
         if any(
             facet_sets[i] & facet_sets[j]
             for i in range(len(facet_sets))
@@ -327,6 +355,45 @@ def census_p2_report(ext, cap=10**6):
     )
 
 
+def random_connected_graph(rng, n, p=0.45):
+    """A random connected graph on v0..v{n-1}: a random spanning tree plus noise."""
+    names = [f"v{i}" for i in range(n)]
+    edges = set()
+    for i in range(1, n):
+        j = rng.randrange(i)
+        edges.add((names[j], names[i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.add((names[i], names[j]))
+    return Graph(names, sorted(edges))
+
+
+def random_extension_instance(seed, require_orderable=True, max_total=12):
+    """A seeded random valid extension with at most ``max_total`` variables."""
+    rng = random.Random(seed)
+    for _ in range(400):
+        n = rng.randint(4, 7)
+        g = random_connected_graph(rng, n)
+        extensions = attach_random_matrices(
+            g, rng, max_new=max_total - n, max_matrices=4
+        )
+        if not extensions:
+            continue
+        doc = {
+            "vertices": list(g.vertices),
+            "edges": [list(e) for e in sorted(g.edges)],
+            "extensions": extensions,
+        }
+        try:
+            ext, _ = parse_instance(doc)
+            if require_orderable:
+                find_admissible_order(ext.matrices)
+        except (ValueError, NotOrderableError):
+            continue
+        return doc
+    raise RuntimeError(f"no valid instance found for seed {seed}")
+
 def virtual_matrix(ext, e):
     """(matrix, 1-based block index) of the virtual edge ``e``, or None."""
     key = ext.base.skeleton.edge_key
@@ -386,7 +453,7 @@ def bfs_replacement_length(ext, cycle, e):
     h = Graph(gbar.vertices, gbar.edges - diagonal_route(ext, pi_star)[1])
     e = g.edge_key(*e)
     m, _block = virtual_matrix(ext, e)
-    fbar = ext.facet_bar[m.facet]
+    fbar = m.facet | set(m.y_vertices())
     others = set(cycle) - set(e)
     allowed = {
         v

@@ -2,12 +2,12 @@
 
     python tests/sweep_p2.py
 
-The sweep set is 812 reports: ``random_extension_instance`` seeds 0-399,
-each with and without ``require_orderable``, and the cycle extensions
-``random_cycle_extension_instance`` 0-11.  Every report is compared with
-``oracles.census_p2_report`` field by field; the script prints how the
-reports fall into chordal, exact and interval cases, the hypotheses that
-fail where the interval collapses, and every mismatch.  It exits 1 on any
+The sweep set is 812 reports: ``oracles.random_extension_instance`` seeds
+0-399, each with and without ``require_orderable``, and the cycle extensions
+``fixtures.random_cycle_extension_instance`` 0-11.  Every report is
+compared with ``oracles.census_p2_report`` field by field; the script prints
+how the reports fall into chordal, exact and interval cases, the hypotheses
+that fail where the interval collapses, and every mismatch.  It exits 1 on any
 mismatch.  All work runs under ``__main__``, since ``--doctest-modules``
 imports every file under ``tests/``.
 """
@@ -18,11 +18,12 @@ from pathlib import Path
 
 
 def sweep_set():
+    from oracles import random_extension_instance
     from scrollex import fixtures
 
     for seed in range(400):
         for require_orderable in (True, False):
-            yield f"random {seed} {require_orderable}", fixtures.random_extension_instance(
+            yield f"random {seed} {require_orderable}", random_extension_instance(
                 seed, require_orderable
             )
     for seed in range(12):

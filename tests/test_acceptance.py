@@ -42,6 +42,7 @@ from oracles import (
     homology_witness,
     identity_route,
     orderable,
+    random_extension_instance,
     rank_encoded,
 )
 
@@ -203,7 +204,7 @@ def test_criterion_7_admissible_orders(
     small = 0
     seed = 1000
     while small < 15:
-        doc = fixtures.random_extension_instance(seed, require_orderable=False)
+        doc = random_extension_instance(seed, require_orderable=False)
         seed += 1
         ext, _ = parse_instance(doc)
         if len(ext.matrices) > 3:

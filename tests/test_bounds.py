@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import bounds, cycles, fixtures, graphs
-from scrollex.graphs import INFINITE, CliqueComplex, Graph
+from scrollex.graphs import INFINITE, CliqueComplex, Graph, proper_edges
 from scrollex.cycles import chordless_cycles, p2_monomial
 from scrollex.homology import QQ, FieldSpec, cycle_betti_table
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
@@ -14,7 +14,6 @@ from scrollex.bounds import (
     Interval,
     NotApplicable,
     p2_report,
-    virtual_edges,
     virtual_minimal_cycles,
 )
 from scrollex.instance import parse_instance
@@ -23,12 +22,15 @@ from oracles import (
     binomial_class,
     binomial_class_betti,
     brute_betti_table,
+    brute_maximal_cliques,
     brute_virtual_cycles,
     census_p2_report,
     expand_cycle,
     homology_witness,
     identity_route,
     induced,
+    random_extension_instance,
+    virtual_edges,
 )
 
 
@@ -67,12 +69,36 @@ def test_virtual_cycle_census_matches_bruteforce_on_shuffled_ranks():
     # vertices listed in a seeded random order so that ranks follow no name
     # order
     for seed in range(100, 350):
-        doc = fixtures.random_extension_instance(seed, require_orderable=False)
+        doc = random_extension_instance(seed, require_orderable=False)
         vertices = list(doc["vertices"])
         random.Random(seed).shuffle(vertices)
         ext, _ = parse_instance(dict(doc, vertices=vertices))
         got = tuple(vc.cycle for vc in virtual_minimal_cycles(ext))
         assert got == brute_virtual_cycles(ext), seed
+
+
+SMALL_GRAPHS = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SMALL_GRAPHS, st.integers(0, 10**6))
+def test_facet_questions_match_the_maximal_cliques(graph, seed):
+    # the library asks its facet questions of adjacency; here they are read
+    # off every maximal clique, on a graph with at most 7 vertices (one drawn
+    # flag per vertex pair) and the matrices attached to it
+    n, flags = graph
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [e for e, keep in zip(combinations(vs, 2), flags) if keep])
+    cliques = brute_maximal_cliques(g)
+    once = {e for e in g.edges if sum(set(e) <= c for c in cliques) == 1}
+    assert proper_edges(CliqueComplex(g)) == once
+    extensions = fixtures.attach_random_matrices(g, random.Random(seed))
+    doc = {"vertices": vs, "edges": [list(e) for e in g.edges], "extensions": extensions}
+    ext, _ = parse_instance(doc)
+    got = tuple(vc.cycle for vc in virtual_minimal_cycles(ext))
+    assert got == brute_virtual_cycles(ext)
 
 
 def test_census_empty_for_chordal_base():
@@ -279,8 +305,6 @@ def test_report_not_orderable(triangle_ring):
 
 
 def test_report_lower_bounds_at_most_upper(corpus):
-    from scrollex.fixtures import random_extension_instance
-
     seed54, _ = parse_instance(random_extension_instance(54, require_orderable=False))
     rep = p2_report(seed54)
     # the two lower bounds are not ordered against each other
@@ -361,7 +385,7 @@ def test_binomial_betti_pins_p2_where_substitution_overshoots(seed, sigma):
     # beta_{k,k+3}(B) = 1 in the class of sigma, so p2(B) <= k; the certified
     # lower bound gives p2(B) >= k, and the replacement-length value k + 1
     # (block_sizes fails) is no lower bound here
-    ext, _ = parse_instance(fixtures.random_extension_instance(seed, require_orderable=False))
+    ext, _ = parse_instance(random_extension_instance(seed, require_orderable=False))
     sigma = sigma.split()
     k = len(sigma) - 3
     betti = binomial_class_betti(ext, sigma)
@@ -444,6 +468,6 @@ def test_p2_report_tied_cycles_stay_under_the_cap():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.booleans(), st.integers(8, 16))
 def test_p2_report_matches_census_oracle_fuzz(seed, require_orderable, max_total):
-    doc = fixtures.random_extension_instance(seed, require_orderable, max_total)
+    doc = random_extension_instance(seed, require_orderable, max_total)
     ext = parse_instance(doc)[0]
     assert p2_report(ext) == census_p2_report(ext)

@@ -13,6 +13,7 @@ from scrollex.extension import (
 from scrollex.bounds import toricity_gate
 from scrollex.groebner import encode_system
 from scrollex.ordering import VarOrder
+from oracles import extended_facets
 
 
 def named_system(ext):
@@ -44,21 +45,21 @@ def test_bruns_assembly(bruns):
     m1, m2 = bruns.matrices
     assert m1.columns() == (("a", "z"), ("z", "c"))
     assert m2.columns() == (("e", "w"), ("w", "x"), ("x", "d"))
-    assert bruns.facet_bar[frozenset("abc")] == frozenset("abcz")
-    assert bruns.facet_bar[frozenset("de")] == frozenset("dewx")
-    assert bruns.facet_bar[frozenset("ae")] == frozenset("ae")
+    assert m1.facet | set(m1.y_vertices()) == frozenset("abcz")
+    assert m2.facet | set(m2.y_vertices()) == frozenset("dewx")
+    assert {frozenset("abcz"), frozenset("dewx"), frozenset("ae")} <= set(extended_facets(bruns))
 
 
 def test_extended_skeleton_is_complete_on_each_extended_facet(corpus):
     for ext in corpus:
-        for fb in ext.facet_bar.values():
+        for fb in extended_facets(ext):
             for u, w in combinations(sorted(fb), 2):
                 assert ext.skeleton_bar.has_edge(u, w)
 
 
 def test_extended_edge_count_matches_pairwise_scan(corpus):
     for ext in corpus:
-        bars = list(ext.facet_bar.values())
+        bars = extended_facets(ext)
         expected = {
             ext.skeleton_bar.edge_key(u, w)
             for fb in bars
@@ -119,10 +120,12 @@ def test_block_shape_errors():
         validate_extension(
             base, [ScrollMatrix(frozenset("abc"), "d", [ScrollBlock("b", ("u",))])]
         )
-    with pytest.raises(ExtensionError, match="not a facet"):
-        validate_extension(
-            base, [ScrollMatrix(frozenset("abd"), "a", [ScrollBlock("b", ("u",))])]
-        )
+    # not a clique; a clique inside the triangle abc; empty; an unknown vertex
+    for facet in ("abd", "ab", "", "abq"):
+        with pytest.raises(ExtensionError, match="not a facet"):
+            validate_extension(
+                base, [ScrollMatrix(frozenset(facet), "a", [ScrollBlock("b", ("u",))])]
+            )
 
 
 def test_empty_first_block_with_second_block_is_valid():
@@ -175,7 +178,7 @@ def test_minors_stay_inside_their_facet_and_avoid_nf(corpus):
         nf, minors = named_system(ext)
         nf = {frozenset(p) for p in nf}
         for m, run in per_matrix(ext, minors):
-            fb = ext.facet_bar[m.facet]
+            fb = m.facet | set(m.y_vertices())
             for lead, trail in run:
                 assert set(lead) <= fb and set(trail) <= fb
                 for mono in (lead, trail):

@@ -173,6 +173,10 @@ def test_proper_edges_examples():
         Graph("abcd", ["ab", "ac", "bc", "bd", "cd"])
     )  # triangles abc and bcd share bc
     assert proper_edges(two) == two.skeleton.edges - {("b", "c")}
+    # the complement of four disjoint triangles: every edge lies in three facets
+    vs = [f"v{i}" for i in range(12)]
+    moon_moser = Graph(vs, [(vs[i], vs[j]) for i in range(12) for j in range(i) if i // 3 != j // 3])
+    assert proper_edges(CliqueComplex(moon_moser)) == frozenset()
 
 
 def test_facet_override_must_match():

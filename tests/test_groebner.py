@@ -29,11 +29,13 @@ from scrollex.instance import parse_instance
 from oracles import (
     GeneratorSystem,
     diagonal_deletions,
+    extended_facets,
     generator_system,
     identity_permutation,
     identity_route,
     induced,
     oriented_system,
+    random_extension_instance,
     rank_encoded,
     scan_is_groebner,
 )
@@ -202,7 +204,7 @@ def test_initial_complex_facet_restrictions_chordal(corpus):
         gbar = ext.skeleton_bar
         _order, deleted = identity_route(ext)
         for graph in (initial_complex(ext).graph, Graph(gbar.vertices, gbar.edges - deleted)):
-            for fb in ext.facet_bar.values():
+            for fb in extended_facets(ext):
                 assert is_chordal(induced(graph, fb))
 
 
@@ -379,7 +381,7 @@ def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
 def test_buchberger_matches_scanning_oracle_fuzz(seed):
     # random extensions under their pi* order, which is a Groebner order, and
     # under a shuffled order, which mostly is not
-    ext, order = pi_star_extension(fixtures.random_extension_instance(seed))
+    ext, order = pi_star_extension(random_extension_instance(seed))
     shuffled = list(order.variables)
     random.Random(seed).shuffle(shuffled)
     for var_order in (order, VarOrder(shuffled)):

@@ -51,20 +51,25 @@ def test_duplicate_vertex_pointer():
 
 
 def test_y_collision_pointer():
-    doc = {
-        "vertices": ["a", "b", "c"],
-        "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
-        "extensions": [
-            {
-                "facet": ["a", "b", "c"],
-                "x0": "a",
-                "blocks": [{"x": "b", "y": ["u"]}, {"x": "c", "y": ["u"]}],
-            }
-        ],
-    }
-    with pytest.raises(InstanceError) as err:
-        parse_instance(doc)
-    assert err.value.path == "/extensions/0/blocks/1"
+    # a new variable used twice, then one named like a base vertex
+    for ys, pointer, message in (
+        (["u"], "/extensions/0/blocks/1", "new variable 'u' used twice"),
+        (["a"], "/extensions/0/blocks/0", "new variable 'a' collides with a base vertex"),
+    ):
+        doc = {
+            "vertices": ["a", "b", "c"],
+            "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+            "extensions": [
+                {
+                    "facet": ["a", "b", "c"],
+                    "x0": "a",
+                    "blocks": [{"x": "b", "y": ys}, {"x": "c", "y": ["u"]}],
+                }
+            ],
+        }
+        with pytest.raises(InstanceError) as err:
+            parse_instance(doc)
+        assert (err.value.path, err.value.message) == (pointer, message)
 
 
 def test_unknown_field_rejected():
@@ -84,6 +89,31 @@ def test_non_proper_edge_pointer():
     with pytest.raises(InstanceError) as err:
         parse_instance(doc)
     assert err.value.path == "/extensions/0/blocks/0"
+
+
+@pytest.mark.parametrize(
+    "facet", [["a", "b"], [], ["a", "b", "q"]], ids=["inside-a-triangle", "empty", "unknown-vertex"]
+)
+def test_cli_rejects_a_matrix_on_a_non_facet(tmp_path, capsys, facet):
+    doc = {
+        "vertices": ["a", "b", "c"],
+        "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+        "extensions": [{"facet": facet, "x0": "a", "blocks": [{"x": "b", "y": ["u"]}]}],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    line = f"error: /extensions/0: {sorted(facet)} is not a facet of the base complex\n"
+    assert run(capsys, "validate", str(bad)) == (1, "", line)
+
+
+def test_cli_validate_moon_moser(tmp_path, capsys):
+    # the complement of four disjoint triangles has 3^4 maximal cliques, one
+    # vertex from each triangle
+    vs = [f"v{i}" for i in range(12)]
+    edges = [[vs[i], vs[j]] for i in range(12) for j in range(i + 1, 12) if i // 3 != j // 3]
+    (tmp_path / "mm.json").write_text(json.dumps({"vertices": vs, "edges": edges}))
+    code, out, _ = run(capsys, "validate", str(tmp_path / "mm.json"))
+    assert code == 0 and json.loads(out)["facets"] == 81
 
 
 def test_facet_override_checked():
