@@ -20,7 +20,9 @@ is a usage error such as an unknown option, a missing argument or a value
 of the wrong type; the usage line and the message, in argparse's words, go
 to stderr), 2 method not applicable, 3 a cycle census exceeded its cap,
 4 internal error: any other exception, reported on one stderr line as
-"error: internal error: <Type>: <message>", never as a traceback.
+"error: internal error: <Type>: <message>", never as a traceback.  A
+report that cannot be written to stdout (a full disk, a closed pipe) also
+exits 1, with one "error: <message>" line on stderr.
 A cycle census has no limit on cycle length; only its cap on the number of
 cycles (--cap, default 10^6) stops it.
 
@@ -37,6 +39,7 @@ also when p2 is only boxed in an interval.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from . import __version__
@@ -109,8 +112,8 @@ def _text(x, pad):
     return _text(_json_default(x), pad)
 
 
-def _emit(report):
-    print(_text(report, "\n"))
+def _emit(report, flush=False):
+    print(_text(report, "\n"), flush=flush)
 
 
 def _load(path):
@@ -313,7 +316,7 @@ _COMMANDS = {
 }
 
 
-def _exit(prog, error=None):
+def _usage(prog, error=None):
     """Print help and exit 0, or a usage error (an input error) and exit 1."""
     if prog == "scrollex":
         usage = f"scrollex {{{','.join(_COMMANDS)}}} ..."
@@ -330,8 +333,8 @@ def _exit(prog, error=None):
 def _help(prog, value):
     """``-h``/``--help`` prints help, unless a value is attached to it."""
     if value is not None:
-        _exit(prog, f"argument -h/--help: ignored explicit argument {value!r}")
-    _exit(prog)
+        _usage(prog, f"argument -h/--help: ignored explicit argument {value!r}")
+    _usage(prog)
 
 
 def _read(arg, flags, prog):
@@ -348,7 +351,7 @@ def _read(arg, flags, prog):
         name, eq, value = arg.partition("=")
         matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
         if len(matches) > 1:
-            _exit(prog, f"ambiguous option: {arg} could match {', '.join(matches)}")
+            _usage(prog, f"ambiguous option: {arg} could match {', '.join(matches)}")
         if matches:
             return matches[0], value if eq else None
     else:
@@ -364,10 +367,10 @@ def _convert(prog, name, value, kind):
         try:
             return kind(value)
         except ValueError:
-            _exit(prog, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            _usage(prog, f"argument {name}: invalid {kind.__name__} value: {value!r}")
     if value not in kind:
         choices = ", ".join(map(repr, kind))
-        _exit(prog, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        _usage(prog, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
     return value
 
 
@@ -385,7 +388,7 @@ def _parse(argv):
             _help("scrollex", read[1])
         extras.append(arg)
     else:
-        _exit("scrollex", "the following arguments are required: command")
+        _usage("scrollex", "the following arguments are required: command")
     command, args = _convert("scrollex", "command", argv[i], tuple(_COMMANDS)), argv[i + 1 :]
     prog, (positionals, options) = f"scrollex {command}", _COMMANDS[command]
     # argparse reads every argument before it acts on any.  A "--" stands at
@@ -412,21 +415,28 @@ def _parse(argv):
             flag, value = read
             if value is None:
                 if reads[k] is not None:
-                    _exit(prog, f"argument {flag}: expected one argument")
+                    _usage(prog, f"argument {flag}: expected one argument")
                 value, k = args[k], k + 1
             given[flag] = _convert(prog, flag, value, options[flag][0])
     missing = [name for name, _ in pending]
     missing += [f for f, (_, default) in options.items() if default is ... and f not in given]
     if missing:
-        _exit(prog, f"the following arguments are required: {', '.join(missing)}")
+        _usage(prog, f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        _exit("scrollex", f"unrecognized arguments: {' '.join(extras)}")
+        _usage("scrollex", f"unrecognized arguments: {' '.join(extras)}")
     for flag, (_, default) in options.items():
         fields[flag[2:].replace("-", "_")] = given.get(flag, default)
     return fields
 
 
 def main(argv=None):
+    """Run one CLI call.  ``main(argv)`` returns its exit code.  ``main()`` is
+    the process entry: it reads ``sys.argv`` and ends the process with the
+    code through ``os._exit``, skipping the interpreter's teardown, once the
+    report is flushed.  That flush sits inside the error mapping, so a
+    failed write exits 1 on one stderr line, and the unwritten rest of the
+    report is dropped.  Help and usage errors raise ``SystemExit`` either way.
+    """
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args["command"] == "poligon":
@@ -450,18 +460,22 @@ def main(argv=None):
                 "p2": cmd_p2,
             }[args["command"]]
             report, code = handler(ext, digest, args)
-        _emit(report)
+        _emit(report, flush=argv is None)
     except CycleCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")
-        return 3
+        code = 3
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return 1
+        code = 1
     except Exception as e:
         message = " ".join(str(e).split())
         sys.stderr.write(f"error: internal error: {type(e).__name__}: {message}\n")
-        return 4
-    return code
+        code = 4
+    if argv is not None:
+        return code
+    if sys.stderr is not None:  # None when the process started without fd 2
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

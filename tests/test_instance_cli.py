@@ -457,6 +457,8 @@ FOOTPRINTS = [
     ),
 ]
 HASHLIB = {"hashlib", "_hashlib"}
+# The probe passes argv to ``main``: called without argv, ``main`` ends the
+# process through ``os._exit`` and never returns to write ``sys.modules``.
 PROBE = """import sys
 import scrollex.cli
 code = scrollex.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
@@ -512,6 +514,109 @@ def test_cli_import_footprint(capsys):
             assert (proc.returncode, out) == run(capsys, *argv)[:2], argv
         if argv[:2] == ["betti", path("chordal3")]:
             assert json.loads(out)["p2"] == "infinity"
+
+
+CLI = "import sys; from scrollex.cli import main; sys.exit(main())"
+# A -c prefix that swaps the validate handler for one that raises.
+RAISING_VALIDATE = """from scrollex import cli
+def raising(ext, digest, args):
+    raise RuntimeError("kernel\\nfailed")
+cli.cmd_validate = raising
+"""
+
+
+def child_env(unbuffered):
+    """The environment of a CLI child: ``src`` on its path, and stdout
+    unbuffered or block-buffered (as when stdout is a file or a pipe)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def bare_polygon(tmp_path, n):
+    """A bare n-gon instance file; ``p2`` on a 300-gon prints about 84 KB."""
+    names = [f"x{i + 1}" for i in range(n)]
+    doc = {"vertices": names, "edges": [[names[i - 1], v] for i, v in enumerate(names)]}
+    f = tmp_path / f"bare{n}.json"
+    f.write_text(json.dumps({**doc, "extensions": []}))
+    return str(f)
+
+
+def test_cli_process_entry_matches_main(tmp_path, capsys, monkeypatch):
+    """``main()``, the process entry, ends the process through ``os._exit``
+    once stdout is flushed.  Through it, each call's stdout bytes, stderr and
+    exit code equal those of ``main(argv)`` in process, with stdout buffered
+    or not: exit 0, 1 (a missing file, an unknown option), 2, 3 and 4 (a
+    raising handler), and a report larger than a 64 KiB pipe buffer."""
+    calls = [
+        ("", ["p2", path("bruns")]),
+        ("", ["validate", str(tmp_path / "missing.json")]),
+        ("", ["validate", path("bruns"), "--bogus"]),
+        ("", ["groebner", path("triangle_ring")]),
+        ("", ["cycles", path("bruns"), "--cap", "0"]),
+        (RAISING_VALIDATE, ["validate", path("bruns")]),
+        ("", ["p2", bare_polygon(tmp_path, 300)]),
+    ]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", prefix + CLI, *argv],
+            env=child_env(unbuffered),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        for unbuffered in (False, True)
+        for prefix, argv in calls
+    ]
+    expected = []
+    for prefix, argv in calls:
+        with monkeypatch.context() as m:
+            if prefix:
+                m.setattr(cli, "cmd_validate", raise_runtime_error)
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        out, err = capsys.readouterr()
+        expected.append((code, out.encode(), err.encode()))
+    assert [e[0] for e in expected] == [0, 1, 1, 2, 3, 4, 0]
+    assert len(expected[-1][1]) > 64 * 1024
+    for proc, want in zip(procs, expected * 2):
+        out, err = proc.communicate()
+        assert (proc.returncode, out, err) == want, proc.args
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_full_stdout_exit1():
+    """A report that only fails when buffered stdout is flushed exits 1 with
+    one error line, not Python's "Exception ignored" lines and exit 120."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI, "p2", path("bruns")],
+            env=child_env(unbuffered=False),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_broken_pipe_exit1(tmp_path, unbuffered):
+    """A reader that closes the pipe after the first bytes of a report larger
+    than the pipe buffer: exit 1 with one error line and no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CLI, "p2", bare_polygon(tmp_path, 300)],
+        env=child_env(unbuffered),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_cli_poligon(capsys):
