@@ -112,8 +112,8 @@ def _text(x, pad):
     return _text(_json_default(x), pad)
 
 
-def _emit(report, flush=False):
-    print(_text(report, "\n"), flush=flush)
+def _emit(report):
+    print(_text(report, "\n"), flush=True)
 
 
 def _load(path):
@@ -432,10 +432,10 @@ def _parse(argv):
 def main(argv=None):
     """Run one CLI call.  ``main(argv)`` returns its exit code.  ``main()`` is
     the process entry: it reads ``sys.argv`` and ends the process with the
-    code through ``os._exit``, skipping the interpreter's teardown, once the
-    report is flushed.  That flush sits inside the error mapping, so a
-    failed write exits 1 on one stderr line, and the unwritten rest of the
-    report is dropped.  Help and usage errors raise ``SystemExit`` either way.
+    code through ``os._exit``, skipping the interpreter's teardown.  Either
+    way the report is flushed inside the error mapping, so a failed write
+    exits 1 on one stderr line, and the unwritten rest of the report is
+    dropped.  Help and usage errors raise ``SystemExit`` either way.
     """
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
@@ -460,7 +460,7 @@ def main(argv=None):
                 "p2": cmd_p2,
             }[args["command"]]
             report, code = handler(ext, digest, args)
-        _emit(report, flush=argv is None)
+        _emit(report)
     except CycleCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")
         code = 3
