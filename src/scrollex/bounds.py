@@ -335,3 +335,52 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
         False, cert_value, sub_value, up_value, exact,
         hypotheses, low_wit, up_wit, gate,
     )
+
+
+def _cycle_payload(vc, gbar_rank):
+    """The report form of the virtual cycle ``vc``, edges sorted by rank."""
+    ecs = []
+    for e in sorted(vc.edge_classes, key=lambda e: (gbar_rank[e[0]], gbar_rank[e[1]])):
+        ec = vc.edge_classes[e]
+        entry = {"edge": list(e), "kind": ec.kind, "t": ec.t}
+        if ec.eta is not None:
+            entry["eta"] = ec.eta
+        if ec.jls is not None:
+            entry["blocks"] = list(ec.jls)
+        ecs.append(entry)
+    return {"cycle": list(vc.cycle), "edges": ecs, "expandable": vc.expandable}
+
+
+def cmd_p2(ext, args):
+    """``scrollex p2``: (payload, exit code); 2 when the mode's value is not
+    applicable, or, in exact mode, only an interval."""
+    mode = args["mode"]
+    report = p2_report(ext)
+    rank = ext.base.skeleton.rank
+    if mode in ("lower", "upper"):
+        value = getattr(report, mode)
+        if isinstance(value, NotApplicable):
+            return {"not_applicable": value.reason}, 2
+        payload = {"mode": mode, mode: value}
+        if mode == "lower":
+            payload["lower_substitution"] = report.lower_substitution
+        witness = getattr(report, f"{mode}_witness")
+        if witness is not None:
+            payload["witness"] = _cycle_payload(witness, rank)
+        return payload, 0
+
+    payload = {
+        "mode": mode,
+        "two_linear": report.two_linear,
+        "lower": report.lower,
+        "lower_substitution": report.lower_substitution,
+        "upper": report.upper,
+        "exact": report.exact,
+        "hypotheses": report.hypotheses,
+        "toricity": {"ok": report.toricity.ok, "reason": report.toricity.reason},
+    }
+    if report.lower_witness is not None:
+        payload["lower_witness"] = _cycle_payload(report.lower_witness, rank)
+    if report.upper_witness is not None:
+        payload["upper_witness"] = _cycle_payload(report.upper_witness, rank)
+    return payload, 2 if mode == "exact" and isinstance(report.exact, Interval) else 0

@@ -38,6 +38,7 @@ also when p2 is only boxed in an interval.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import sys
@@ -129,20 +130,9 @@ def _envelope(command, digest, payload):
     return doc
 
 
-def _cycle_payload(vc, gbar_rank):
-    ecs = []
-    for e in sorted(vc.edge_classes, key=lambda e: (gbar_rank[e[0]], gbar_rank[e[1]])):
-        ec = vc.edge_classes[e]
-        entry = {"edge": list(e), "kind": ec.kind, "t": ec.t}
-        if ec.eta is not None:
-            entry["eta"] = ec.eta
-        if ec.jls is not None:
-            entry["blocks"] = list(ec.jls)
-        ecs.append(entry)
-    return {"cycle": list(vc.cycle), "edges": ecs, "expandable": vc.expandable}
-
-
-def cmd_validate(ext, digest, args):
+def cmd_validate(ext, args):
+    """``scrollex validate``: (payload, exit code).  Every other command's
+    handler, ``cmd_<command>``, lives in the module named in ``_HANDLERS``."""
     payload = {
         "valid": True,
         "vertices": len(ext.skeleton_bar.vertices),
@@ -150,143 +140,12 @@ def cmd_validate(ext, digest, args):
         "facets": len(ext.base.facets),
         "matrices": len(ext.matrices),
     }
-    return _envelope("validate", digest, payload), 0
+    return payload, 0
 
 
-def cmd_order(ext, digest, args):
-    from .ordering import NotOrderableError, find_admissible_order
-
-    try:
-        matrices = find_admissible_order(ext.matrices)
-    except NotOrderableError as e:
-        payload = {"orderable": False, "witness": [sorted(f) for f in e.facets]}
-    else:
-        payload = {"orderable": True, "order": [sorted(m.facet) for m in matrices]}
-    return _envelope("order", digest, payload), 0
-
-
-def cmd_groebner(ext, digest, args):
-    from .groebner import buchberger_is_groebner, encode_system, lead_deletions
-    from .ordering import NotOrderableError, initial_complex
-
-    try:
-        ic = initial_complex(ext)
-    except NotOrderableError as e:
-        witness = [sorted(f) for f in e.facets]
-        payload = {"not_applicable": "no admissible order", "witness": witness}
-        return _envelope("groebner", digest, payload), 2
-    encoded = encode_system(ext, ic.order)
-    check = buchberger_is_groebner(encoded, ic.order)
-    groebner_route = lead_deletions(encoded, ic.order)
-    payload = {
-        "groebner_basis": check.ok,
-        "variable_order": list(ic.order.variables),
-        "deletions": [list(e) for e in sorted(ic.deleted)],
-        "routes_agree": groebner_route == {frozenset(e) for e in ic.deleted},
-    }
-    return _envelope("groebner", digest, payload), 0
-
-
-def cmd_cycles(ext, digest, args):
-    g = ext.base.skeleton
-    if args["kind"] == "minimal":
-        from .cycles import chordless_cycles
-
-        cycles = chordless_cycles(g, cap=args["cap"])
-        payload = {"kind": "minimal", "cycles": [list(c) for c in cycles]}
-    else:
-        from .bounds import virtual_minimal_cycles
-
-        vcs = virtual_minimal_cycles(ext, cap=args["cap"])
-        payload = {
-            "kind": "virtual",
-            "cycles": [_cycle_payload(vc, g.rank) for vc in vcs],
-        }
-    return _envelope("cycles", digest, payload), 0
-
-
-def cmd_betti(ext, digest, args):
-    from .homology import QQ, FieldSpec, betti_table, p2_from_table
-
-    name = args["field"]
-    if name == "q":
-        field = QQ
-    elif name.isdecimal() and int(name):
-        field = FieldSpec(int(name))
-    else:
-        raise ValueError(f"--field must be q or a prime, got {name!r}")
-    if args["ideal"] == "gamma":
-        graph = ext.base.skeleton
-    else:
-        from .ordering import NotOrderableError, initial_complex
-
-        try:
-            graph = initial_complex(ext).graph
-        except NotOrderableError:
-            return _envelope("betti", digest, {"not_applicable": "no admissible order"}), 2
-    table = betti_table(graph, field, max_vertices=args["max_vertices"])
-    p2 = p2_from_table(table)
-    payload = {
-        "ideal": args["ideal"],
-        "field": repr(field),
-        "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
-        "two_linear": table.is_two_linear(),
-        "p2": p2.p2,
-        "witnesses": p2.witness_count,
-    }
-    return _envelope("betti", digest, payload), 0
-
-
-def cmd_p2(ext, digest, args):
-    from .bounds import Interval, NotApplicable, p2_report
-
-    mode = args["mode"]
-    report = p2_report(ext)
-    rank = ext.base.skeleton.rank
-    if mode in ("lower", "upper"):
-        value = getattr(report, mode)
-        if isinstance(value, NotApplicable):
-            return _envelope("p2", digest, {"not_applicable": value.reason}), 2
-        payload = {"mode": mode, mode: value}
-        if mode == "lower":
-            payload["lower_substitution"] = report.lower_substitution
-        witness = getattr(report, f"{mode}_witness")
-        if witness is not None:
-            payload["witness"] = _cycle_payload(witness, rank)
-        return _envelope("p2", digest, payload), 0
-
-    payload = {
-        "mode": mode,
-        "two_linear": report.two_linear,
-        "lower": report.lower,
-        "lower_substitution": report.lower_substitution,
-        "upper": report.upper,
-        "exact": report.exact,
-        "hypotheses": report.hypotheses,
-        "toricity": {"ok": report.toricity.ok, "reason": report.toricity.reason},
-    }
-    if report.lower_witness is not None:
-        payload["lower_witness"] = _cycle_payload(report.lower_witness, rank)
-    if report.upper_witness is not None:
-        payload["upper_witness"] = _cycle_payload(report.upper_witness, rank)
-    code = 2 if mode == "exact" and isinstance(report.exact, Interval) else 0
-    return _envelope("p2", digest, payload), code
-
-
-def cmd_poligon(args):
-    from .homology import cycle_betti_table
-
-    n, s = args["n"], args["s"]
-    table = cycle_betti_table(n, s)
-    params = {"n": n, "s": s}
-    digest = sha256(json.dumps(params, sort_keys=True).encode("utf-8")).hexdigest()
-    payload = {
-        "n": n,
-        "s": s,
-        "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
-        "p2": n + s - 3,
-    }
-    return _envelope("poligon", digest, payload), 0
+# The module of each handler but validate's, imported when its command runs.
+_HANDLERS = dict(order="ordering", groebner="groebner", cycles="cycles", p2="bounds",
+                 betti="homology", poligon="homology")
 
 
 # Each command's positionals as (name, type) and options as flag -> (type,
@@ -324,7 +183,7 @@ def _usage(prog, error=None):
         lines = map(str.split, __doc__.splitlines())
         usage = next(" ".join(words) for words in lines if words[:2] == prog.split())
     if error is None:
-        sys.stdout.write(f"usage: {usage}\n\n{__doc__}")
+        print(f"usage: {usage}\n\n{__doc__}", end="", flush=True)
         raise SystemExit(0)
     sys.stderr.write(f"usage: {usage}\n{prog}: error: {error}\n")
     raise SystemExit(1)
@@ -433,33 +292,34 @@ def main(argv=None):
     """Run one CLI call.  ``main(argv)`` returns its exit code.  ``main()`` is
     the process entry: it reads ``sys.argv`` and ends the process with the
     code through ``os._exit``, skipping the interpreter's teardown.  Either
-    way the report is flushed inside the error mapping, so a failed write
-    exits 1 on one stderr line, and the unwritten rest of the report is
-    dropped.  Help and usage errors raise ``SystemExit`` either way.
+    way the report, and help too, is flushed inside the error mapping, so a
+    failed write exits 1 on one stderr line, and the unwritten rest of the
+    report is dropped.  Help and usage errors raise ``SystemExit`` either way.
     """
-    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args["command"] == "poligon":
-            report, code = cmd_poligon(args)
-        elif args["command"] == "gen-chordal":
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        command = args["command"]
+        if command == "gen-chordal":
             from .fixtures import chordal_instance
 
             report, code = chordal_instance(args["seed"], args["vertices"]), 0
-        elif args["command"] == "gen-cycle-ext":
+        elif command == "gen-cycle-ext":
             from .fixtures import random_cycle_extension_instance
 
             report, code = random_cycle_extension_instance(args["seed"], args["length"]), 0
         else:
-            ext, digest = _load(args["file"])
-            handler = {
-                "validate": cmd_validate,
-                "order": cmd_order,
-                "groebner": cmd_groebner,
-                "cycles": cmd_cycles,
-                "betti": cmd_betti,
-                "p2": cmd_p2,
-            }[args["command"]]
-            report, code = handler(ext, digest, args)
+            if command == "poligon":
+                params = json.dumps({"n": args["n"], "s": args["s"]}, sort_keys=True)
+                ext, digest = None, sha256(params.encode("utf-8")).hexdigest()
+            else:
+                ext, digest = _load(args["file"])
+            if command == "validate":
+                handler = cmd_validate
+            else:
+                module = importlib.import_module(f".{_HANDLERS[command]}", __package__)
+                handler = getattr(module, f"cmd_{command}")
+            payload, code = handler(ext, args)
+            report = _envelope(command, digest, payload)
         _emit(report)
     except CycleCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")

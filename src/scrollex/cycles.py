@@ -227,3 +227,16 @@ def _cycle_search(g, allowed, cap, what, weight=None, cost=None, through=None):
                     # (popping v1 sets v0's bit, but that ends the walk)
     found.sort(key=lambda c: (len(c), c))
     return tuple(tuple([vs[i] for i in c]) for c in found)
+
+
+def cmd_cycles(ext, args):
+    """``scrollex cycles``: (payload, exit code).  ``--kind virtual`` runs
+    :mod:`scrollex.bounds`, imported only then."""
+    if args["kind"] == "minimal":
+        cycles = chordless_cycles(ext.base.skeleton, cap=args["cap"])
+        return {"kind": "minimal", "cycles": [list(c) for c in cycles]}, 0
+    from .bounds import _cycle_payload, virtual_minimal_cycles
+
+    rank = ext.base.skeleton.rank
+    vcs = virtual_minimal_cycles(ext, cap=args["cap"])
+    return {"kind": "virtual", "cycles": [_cycle_payload(vc, rank) for vc in vcs]}, 0

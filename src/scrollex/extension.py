@@ -16,9 +16,7 @@ the binomial ideal the rest of the package analyses;
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .graphs import CliqueComplex, Graph, _adjacency_masks, _is_facet, frozen_record, proper_edges
+from .graphs import CliqueComplex, Extension, _adjacency_masks, _is_facet, frozen_record
 
 
 class ExtensionError(ValueError):
@@ -90,40 +88,6 @@ class ScrollMatrix:
         return f"ScrollMatrix({{{fac}}}, x0={self.x0}, {len(self.blocks)} blocks)"
 
 
-@frozen_record
-class Extension:
-    """A clique complex together with validated scroll matrices on some facets.
-
-    Built through :func:`validate_extension`.  Exposes the 1-skeleton of the
-    extended complex (``skeleton_bar``): the base edges plus every pair
-    inside an extended facet (a matrix's facet with its new variables).
-    """
-
-    base: CliqueComplex
-    matrices: tuple
-
-    def __post_init__(self):
-        base = self.base
-        matrices = tuple(self.matrices)
-        vertices = list(base.skeleton.vertices)
-        for m in matrices:
-            vertices.extend(m.y_vertices())
-        # a base facet is a clique of the base: only extended facets add edges
-        edges = set(base.skeleton.edges)
-        rank = {v: i for i, v in enumerate(vertices)}
-        for m in matrices:
-            edges.update(combinations(sorted(m.facet | set(m.y_vertices()), key=rank.get), 2))
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "skeleton_bar", Graph(vertices, edges))
-
-    def __repr__(self):
-        return (
-            f"Extension({len(self.base.skeleton.vertices)} base vertices, "
-            f"{len(self.matrices)} matrices, "
-            f"{len(self.skeleton_bar.vertices)} total vertices)"
-        )
-
-
 def validate_extension(base, matrices):
     """Check every invariant of the scroll data and assemble the Extension.
 
@@ -133,13 +97,14 @@ def validate_extension(base, matrices):
     or unknown facets.  A matrix's facet is tested on adjacency masks, and
     the facets are never listed: a nonempty set of base vertices is a facet
     iff the vertices joined or equal to all of its members are its members.
+    An edge is proper iff it and its end points' common neighbours form a
+    facet, so each block's {x0, x} is one such test.
     """
     if not isinstance(base, CliqueComplex):
         base = CliqueComplex(base)
     matrices = tuple(matrices)
     g = base.skeleton
     nbr, rank = _adjacency_masks(g), g.rank
-    proper = proper_edges(base)
     seen_facets = set()
     all_y = {}
     for mi, m in enumerate(matrices):
@@ -171,7 +136,8 @@ def validate_extension(base, matrices):
                 raise ExtensionError(
                     "only the first block may have no new variables", mi, bi
                 )
-            if g.edge_key(m.x0, b.x) not in proper:
+            r0, rx = rank[m.x0], rank[b.x]
+            if not _is_facet(nbr[r0] & nbr[rx] | 1 << r0 | 1 << rx, nbr):
                 raise ExtensionError(
                     f"{{{m.x0}, {b.x}}} is not a proper edge of its facet", mi, bi
                 )

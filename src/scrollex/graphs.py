@@ -1,4 +1,6 @@
-"""Finite undirected graphs, clique complexes, the records a cycle census
+"""Finite undirected graphs, clique complexes, ``Extension`` (a complex with
+its scroll matrices, which :mod:`scrollex.extension` defines and validates
+and only an instance with matrices loads), the records a cycle census
 reports in (``P2Result``, ``INFINITE``, ``CycleCapExceeded``; the census
 itself is :mod:`scrollex.cycles`), and :func:`frozen_record`, the decorator
 behind every immutable type: the reports, and ``Graph``, ``CliqueComplex``,
@@ -11,6 +13,8 @@ outputs, byte for byte.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 DEFAULT_CYCLE_CAP = 10**6
 
@@ -242,8 +246,8 @@ class CliqueComplex:
 
     The faces of the complex are exactly the cliques of ``skeleton``, so the
     facets are determined by the graph and every facet question is one of
-    adjacency (:func:`proper_edges`, :func:`_is_facet`).  ``facets`` lists
-    them for the output; a declared list is rejected if it differs.
+    adjacency (:func:`_is_facet`).  ``facets`` lists them for the output; a
+    declared list is rejected if it differs.
     """
 
     skeleton: Graph
@@ -273,12 +277,40 @@ def _is_facet(s, nbr):
     return common == s
 
 
-def proper_edges(cx):
-    """Edges of the skeleton contained in exactly one facet: the edges that,
-    with the common neighbours of their end points, form a facet."""
-    g = cx.skeleton
-    nbr, rank = _adjacency_masks(g), g.rank
-    return frozenset(
-        (u, w) for u, w in g.edges
-        if _is_facet(nbr[rank[u]] & nbr[rank[w]] | 1 << rank[u] | 1 << rank[w], nbr)
-    )
+@frozen_record
+class Extension:
+    """A clique complex together with validated scroll matrices on some facets.
+
+    Built through :func:`scrollex.extension.validate_extension`, or directly
+    when there are no matrices.  Exposes the 1-skeleton of the extended
+    complex (``skeleton_bar``): the base edges plus every pair inside an
+    extended facet (a matrix's facet with its new variables); without
+    matrices it is the base skeleton itself.
+    """
+
+    base: CliqueComplex
+    matrices: tuple
+
+    def __post_init__(self):
+        base = self.base
+        matrices = tuple(self.matrices)
+        bar = base.skeleton
+        if matrices:
+            vertices = list(bar.vertices)
+            for m in matrices:
+                vertices.extend(m.y_vertices())
+            # a base facet is a clique of the base: only extended facets add edges
+            edges = set(bar.edges)
+            rank = {v: i for i, v in enumerate(vertices)}
+            for m in matrices:
+                edges.update(combinations(sorted(m.facet | set(m.y_vertices()), key=rank.get), 2))
+            bar = Graph(vertices, edges)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "skeleton_bar", bar)
+
+    def __repr__(self):
+        return (
+            f"Extension({len(self.base.skeleton.vertices)} base vertices, "
+            f"{len(self.matrices)} matrices, "
+            f"{len(self.skeleton_bar.vertices)} total vertices)"
+        )

@@ -16,6 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graphs import frozen_record
+from .ordering import NotOrderableError, initial_complex
 
 
 class SquareLeadError(ValueError):
@@ -197,3 +198,21 @@ def lead_deletions(encoded, order):
         if lead[0] == lead[1]:
             raise SquareLeadError(f"square lead {order.variables[lead[0]]}^2")
     return frozenset(frozenset(_names(lead, order)) for lead, _trail in encoded[1])
+
+
+def cmd_groebner(ext, args):
+    """``scrollex groebner``: (payload, exit code); 2 without an admissible order."""
+    try:
+        ic = initial_complex(ext)
+    except NotOrderableError as e:
+        return {"not_applicable": "no admissible order", "witness": [sorted(f) for f in e.facets]}, 2
+    encoded = encode_system(ext, ic.order)
+    check = buchberger_is_groebner(encoded, ic.order)
+    groebner_route = lead_deletions(encoded, ic.order)
+    payload = {
+        "groebner_basis": check.ok,
+        "variable_order": list(ic.order.variables),
+        "deletions": [list(e) for e in sorted(ic.deleted)],
+        "routes_agree": groebner_route == {frozenset(e) for e in ic.deleted},
+    }
+    return payload, 0

@@ -8,21 +8,15 @@ subsets of equal size.
 
 The sweep builds each subset's homology from smaller ones by Mayer-Vietoris
 on a vertex's link and deletion (see :func:`_hochster_sweep`); only a subset
-where no vertex qualifies is split into components or sent to the rank
-kernel.
-
-All arithmetic is exact.  One kernel, :func:`rank`, ranks every boundary
-map over the rationals and over prime fields alike: it reduces sparse
-columns (a k-face's column holds k entries of +-1) on their last nonzero
-row, in the integers over QQ and modulo p over GF(p).  Nothing here is
-floating point.
+where no vertex qualifies is split into components or sent to the exact
+rank kernel, both in :mod:`scrollex.kernel`.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
 
-from .graphs import INFINITE, P2Result, _adjacency_masks, _bits, frozen_record
+from .graphs import INFINITE, P2Result, _adjacency_masks, frozen_record
 
 
 class GuardExceeded(ValueError):
@@ -55,148 +49,6 @@ class FieldSpec:
 
 
 QQ = FieldSpec(0)
-
-
-# ---------------------------------------------------------------------------
-# exact rank kernel
-# ---------------------------------------------------------------------------
-
-
-def rank(columns, char):
-    """Rank of an integer matrix over QQ (``char`` 0) or GF(``char``).
-
-    The matrix is given by its columns, each a sparse dict row -> int.  Each
-    column in turn is reduced by its last nonzero row against the pivot
-    columns stored so far, and stored as the pivot of that row when no pivot
-    is there yet; the rank is the number of stored pivots.  Over GF(p) a
-    pivot is scaled to a leading 1 when it is stored, so a column with
-    entry b loses b times it: one inverse per pivot, not per step.  Over QQ,
-    with pivot entry a, the column loses b/a times the pivot when a divides
-    b (every +-1 pivot).  Otherwise it becomes a'*col - b'*piv with
-    (a', b') = (a, b) / gcd(a, b), divided by its content: a' is nonzero,
-    so the span is kept, and the arithmetic stays exact in the integers.
-
-    >>> rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {1: 1}], 0)
-    2
-    >>> rank([{0: 2}, {0: 1, 1: 1}], 2)
-    1
-    """
-    pivots = {}
-    for col in columns:
-        v = {i: y for i, x in col.items() if (y := x % char if char else x)}
-        while v:
-            low = max(v)
-            piv = pivots.get(low)
-            if piv is None:
-                if char and v[low] != 1:
-                    inv = pow(v[low], -1, char)
-                    v = {i: x * inv % char for i, x in v.items()}
-                pivots[low] = v
-                break
-            a, b = piv[low], v[low]
-            scale = 1
-            if char:
-                f = b
-            elif b % a == 0:
-                f = b // a
-            else:
-                g = math.gcd(a, b)
-                scale, f = a // g, b // g
-                v = {i: x * scale for i, x in v.items()}
-            for i, x in piv.items():
-                y = v.get(i, 0) - f * x
-                if char:
-                    y %= char
-                if y:
-                    v[i] = y
-                else:
-                    del v[i]
-            if scale != 1 and v:
-                g = math.gcd(*v.values())
-                if g > 1:
-                    v = {i: x // g for i, x in v.items()}
-    return len(pivots)
-
-
-# ---------------------------------------------------------------------------
-# clique-complex homology
-# ---------------------------------------------------------------------------
-
-
-def _boundary_rank(faces_k, faces_km1, char):
-    """Rank of the boundary map from k-faces to (k-1)-faces (both nonempty)."""
-    index = {f: i for i, f in enumerate(faces_km1)}
-    columns = [
-        {index[face[:pos] + face[pos + 1 :]]: (-1) ** pos for pos in range(len(face))}
-        for face in faces_k
-    ]
-    return rank(columns, char)
-
-
-def _components(s, nbr):
-    """Connected components of the subgraph induced on ``s``, as bitmasks."""
-    out = []
-    while s:
-        comp = frontier = s & -s
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= nbr[v]
-            frontier = reach & s & ~comp
-            comp |= frontier
-        out.append(comp)
-        s ^= comp
-    return out
-
-
-def _disjoint_union(parts):
-    """Reduced Betti numbers of a disjoint union of nonempty complexes."""
-    out = {0: len(parts) - 1} if len(parts) > 1 else {}
-    for h in parts:
-        for d, r in h.items():
-            out[d] = out.get(d, 0) + r
-    return out
-
-
-def _core_homology(s, nbr, char, cores):
-    """Reduced Betti numbers of the clique complex on the nonempty subset
-    ``s``, a bitmask over ranks.
-
-    Memoized in ``cores`` under ``(m, edges)``: the subset relabelled
-    0..m-1 by rank.
-    """
-    verts = list(_bits(s))
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = tuple(
-        (i, pos[w]) for i, v in enumerate(verts) for w in _bits(nbr[v] & s) if w > v
-    )
-    key = (len(verts), edges)
-    hit = cores.get(key)
-    if hit is not None:
-        return hit
-    # faces (cliques) grouped by size, each group in lexicographic order
-    by_size = {}
-
-    def grow(clique, cand):
-        by_size.setdefault(len(clique), []).append(clique)
-        for u in _bits(cand):
-            grow(clique + (u,), cand & nbr[u] & -(2 << u))
-
-    grow((), s)
-    top = max(by_size)
-    # r[k] = rank of the boundary map from faces of size k to faces of size
-    # k-1; r[1] = 1 is the augmentation onto the empty face
-    r = [0, 1]
-    for k in range(2, top + 1):
-        r.append(_boundary_rank(by_size[k], by_size[k - 1], char))
-    r.append(0)
-    out = {}
-    for k in range(1, top + 1):
-        h = len(by_size[k]) - r[k] - r[k + 1]
-        if h:
-            out[k - 1] = h
-    cores[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +103,9 @@ def _hochster_sweep(g, char):
     vertex's link is empty, h[0] = {-1: 1}, and adds one to H~_0.  Only
     when no vertex qualifies does a disconnected s sum its components'
     homology plus one H~_0 rank per extra component, and a connected s go
-    to the rank kernel, once per distinct core.  Equal results share one
-    interned dict.
+    to the rank kernel, once per distinct core; :mod:`scrollex.kernel`,
+    which does both, is imported then.  Equal results share one interned
+    dict.
     """
     nbr = _adjacency_masks(g)
     h = [{}] * (1 << len(nbr))
@@ -273,11 +126,13 @@ def _hochster_sweep(g, char):
         else:
             hs = _link_deletion_sum(s, nbr, h)
             if hs is None:
-                parts = _components(s, nbr)
+                from . import kernel
+
+                parts = kernel._components(s, nbr)
                 if len(parts) > 1:
-                    hs = _disjoint_union([h[c] for c in parts])
+                    hs = kernel._disjoint_union([h[c] for c in parts])
                 else:
-                    hs = _core_homology(s, nbr, char, cores)
+                    hs = kernel._core_homology(s, nbr, char, cores)
             h[s] = hs = interned.setdefault(tuple(sorted(hs.items())), hs)
         if hs:
             k = s.bit_count()
@@ -333,3 +188,47 @@ def cycle_betti_table(n, s=0):
         graded[(i - 1, i + 1)] = num // den
     graded[(nn - 3, nn)] = 1
     return BettiTable(graded)
+
+
+def cmd_betti(ext, args):
+    """``scrollex betti``: (payload, exit code)."""
+    name = args["field"]
+    if name == "q":
+        field = QQ
+    elif name.isdecimal() and int(name):
+        field = FieldSpec(int(name))
+    else:
+        raise ValueError(f"--field must be q or a prime, got {name!r}")
+    if args["ideal"] == "gamma":
+        graph = ext.base.skeleton
+    else:
+        from .ordering import NotOrderableError, initial_complex
+
+        try:
+            graph = initial_complex(ext).graph
+        except NotOrderableError:
+            return {"not_applicable": "no admissible order"}, 2
+    table = betti_table(graph, field, max_vertices=args["max_vertices"])
+    p2 = p2_from_table(table)
+    payload = {
+        "ideal": args["ideal"],
+        "field": repr(field),
+        "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
+        "two_linear": table.is_two_linear(),
+        "p2": p2.p2,
+        "witnesses": p2.witness_count,
+    }
+    return payload, 0
+
+
+def cmd_poligon(ext, args):
+    """``scrollex poligon``, which reads no file (``ext`` is None)."""
+    n, s = args["n"], args["s"]
+    table = cycle_betti_table(n, s)
+    payload = {
+        "n": n,
+        "s": s,
+        "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
+        "p2": n + s - 3,
+    }
+    return payload, 0

@@ -25,8 +25,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .extension import ExtensionError, ScrollBlock, ScrollMatrix, validate_extension
-from .graphs import CliqueComplex, Graph, GraphError
+from .graphs import CliqueComplex, Extension, Graph, GraphError
 
 
 class InstanceError(ValueError):
@@ -60,7 +59,8 @@ def _string_list(value, path):
 def parse_instance(document):
     """Parse and fully validate an instance; returns (Extension, canonical dict).
 
-    ``document`` may be a JSON string or an already-decoded object.
+    ``document`` may be a JSON string or an already-decoded object.  Only an
+    instance with extensions loads :mod:`scrollex.extension`.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -117,6 +117,8 @@ def parse_instance(document):
 
     exts_doc = document.get("extensions", [])
     _expect(isinstance(exts_doc, list), "/extensions", "expected a list")
+    if exts_doc:
+        from .extension import ExtensionError, ScrollBlock, ScrollMatrix, validate_extension
     matrices = []
     for i, ex in enumerate(exts_doc):
         _check_keys(ex, {"facet", "x0", "blocks"}, f"/extensions/{i}")
@@ -139,15 +141,18 @@ def parse_instance(document):
             blocks.append(ScrollBlock(b["x"], tuple(ys)))
         matrices.append(ScrollMatrix(facet, x0, blocks))
 
-    try:
-        ext = validate_extension(cx, matrices)
-    except ExtensionError as e:
-        path = "/extensions"
-        if e.matrix_index is not None:
-            path += f"/{e.matrix_index}"
-            if e.block_index is not None:
-                path += f"/blocks/{e.block_index}"
-        raise InstanceError(path, str(e)) from None
+    if not exts_doc:
+        ext = Extension(cx, ())
+    else:
+        try:
+            ext = validate_extension(cx, matrices)
+        except ExtensionError as e:
+            path = "/extensions"
+            if e.matrix_index is not None:
+                path += f"/{e.matrix_index}"
+                if e.block_index is not None:
+                    path += f"/blocks/{e.block_index}"
+            raise InstanceError(path, str(e)) from None
 
     canonical = canonical_document(ext)
     return ext, canonical

@@ -230,3 +230,12 @@ def initial_complex(ext):
         deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(pc, 2))
     graph = Graph(gbar.vertices, gbar.edges - deleted)
     return InitialComplex(graph, frozenset(deleted), order)
+
+
+def cmd_order(ext, args):
+    """``scrollex order``: (payload, exit code)."""
+    try:
+        matrices = find_admissible_order(ext.matrices)
+    except NotOrderableError as e:
+        return {"orderable": False, "witness": [sorted(f) for f in e.facets]}, 0
+    return {"orderable": True, "order": [sorted(m.facet) for m in matrices]}, 0

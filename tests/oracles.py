@@ -54,7 +54,8 @@ from itertools import combinations, permutations
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.fixtures import attach_random_matrices
 from scrollex.graphs import INFINITE, Graph, GraphError, _adjacency_masks
-from scrollex.homology import QQ, _core_homology, _hochster_sweep
+from scrollex.homology import QQ, _hochster_sweep
+from scrollex.kernel import _core_homology
 from scrollex.ordering import (
     NotOrderableError,
     find_admissible_order,
@@ -576,7 +577,7 @@ def sweep_betti_table(g, field):
 def clique_homology(g, field=QQ):
     """All nonzero reduced Betti numbers of the clique complex of ``g``.
 
-    Not an oracle: the whole graph goes to ``homology._core_homology``, the
+    Not an oracle: the whole graph goes to ``kernel._core_homology``, the
     rank kernel the subset sweep uses per core, with no vertex deleted
     first.  Returns a dict dimension -> rank; the empty graph has H~_{-1} of
     rank 1.

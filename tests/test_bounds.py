@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import bounds, cycles, fixtures, graphs
-from scrollex.graphs import INFINITE, CliqueComplex, Graph, proper_edges
+from scrollex.graphs import INFINITE, CliqueComplex, Graph
+from scrollex.fixtures import proper_edges
 from scrollex.cycles import chordless_cycles, p2_monomial
 from scrollex.homology import QQ, FieldSpec, cycle_betti_table
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension

@@ -17,8 +17,8 @@ from scrollex.graphs import (
     GraphError,
     P2Result,
     maximal_cliques,
-    proper_edges,
 )
+from scrollex.fixtures import proper_edges
 from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
 from oracles import brute_chordless_cycles, brute_maximal_cliques, canonical_cycle, induced
 

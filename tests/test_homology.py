@@ -1,12 +1,18 @@
+import ast
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from scrollex import homology
+from scrollex import homology, kernel
 from scrollex.graphs import INFINITE, CliqueComplex, Graph
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.homology import (
@@ -17,8 +23,8 @@ from scrollex.homology import (
     betti_table,
     cycle_betti_table,
     p2_from_table,
-    rank,
 )
+from scrollex.kernel import rank
 from scrollex.extension import validate_extension
 from scrollex.groebner import encode_system
 from scrollex.ordering import VarOrder
@@ -316,15 +322,15 @@ def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field, monkey
 
 
 def record_calls(monkeypatch, name):
-    """The argument tuples of every later call to ``homology.<name>``."""
+    """The argument tuples of every later call to ``kernel.<name>``."""
     seen = []
-    fn = getattr(homology, name)
+    fn = getattr(kernel, name)
 
     def recorded(*args):
         seen.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(homology, name, recorded)
+    monkeypatch.setattr(kernel, name, recorded)
     return seen
 
 
@@ -352,7 +358,7 @@ def test_sweep_deletes_a_vertex_whose_link_is_acyclic_but_not_a_cone(field, monk
     nbr = homology._adjacency_masks(g)
     # no vertex v has a neighbour u with N(v) - {u} inside N(u): no vertex is dominated
     assert not any(g.adj[v] - {u} <= g.adj[u] for v in g.vertices for u in g.adj[v])
-    assert homology._components(full, nbr) == [full]
+    assert kernel._components(full, nbr) == [full]
     link = induced(g, ["v1", "v2", "v3", "v7"])
     assert nbr[4] == 0b10001110
     assert clique_homology(link, field) == {}
@@ -429,6 +435,43 @@ def test_sweep_reaches_the_kernel_on_the_klein_bottle(field, expected, monkeypat
     assert [args[0] for args in cores] == [full]
     faces = downward_closure(KLEIN_TRIANGLES)
     assert h[full] == expected == reduced_homology_ranks(faces, field)
+
+
+# Runs one CLI call in a fresh interpreter and writes its scrollex modules to stderr.
+FRESH_CALL = """import sys
+import scrollex.cli
+code = scrollex.cli.main(sys.argv[1:])
+sys.stderr.write(repr(sorted(m for m in sys.modules if m.split(".")[0] == "scrollex")))
+sys.exit(code)
+"""
+
+
+def test_klein_bottle_loads_the_kernel_in_a_fresh_interpreter(tmp_path):
+    """The sweep imports ``scrollex.kernel`` only when a subset needs it: a
+    fresh ``scrollex betti`` on the Klein bottle loads it, and its table is
+    the one computed in process, over QQ and GF(2)."""
+    f = tmp_path / "klein.json"
+    f.write_text(json.dumps({"vertices": list(KLEIN.vertices), "edges": [list(e) for e in KLEIN.edges]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).resolve().parents[1])}
+    fields = [QQ, FieldSpec(2)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", FRESH_CALL, "betti", str(f), "--field", str(field.char or "q")],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for field in fields
+    ]
+    for field, proc in zip(fields, procs):
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        assert "scrollex.kernel" in ast.literal_eval(err)
+        doc = json.loads(out)
+        assert doc["field"] == repr(field)
+        table = betti_table(KLEIN, field)
+        assert doc["entries"] == [[i, j, r] for (i, j), r in sorted(table.graded.items())]
 
 
 def test_field_independence_on_cycles():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrollex import cli
+from scrollex import cli, homology
 from scrollex.bounds import Interval, NotApplicable, virtual_minimal_cycles
 from scrollex.cycles import chordless_cycles
 from scrollex.graphs import INFINITE
@@ -244,11 +244,11 @@ def test_cli_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert code == 1 and out == "" and "invalid JSON" in err and "internal" not in err
 
 
-def raise_runtime_error(ext, digest, args):
+def raise_runtime_error(ext, args):
     raise RuntimeError("kernel\nfailed")
 
 
-def return_unserializable(ext, digest, args):
+def return_unserializable(ext, args):
     return {"x": object()}, 0
 
 
@@ -261,7 +261,7 @@ def return_unserializable(ext, digest, args):
     ids=["handler-raises", "report-unserializable"],
 )
 def test_cli_internal_error_exit4(monkeypatch, capsys, handler, line):
-    monkeypatch.setattr(cli, "cmd_betti", handler)
+    monkeypatch.setattr(homology, "cmd_betti", handler)
     code, out, err = run(capsys, "betti", path("bruns"))
     assert code == 4 and out == ""
     assert err == f"error: internal error: {line}\n"
@@ -433,29 +433,38 @@ def test_cli_betti_guard(capsys):
     assert code == 1 and "guard" in err
 
 
-BASE_LAYERS = {"scrollex", "scrollex.cli", "scrollex.graphs", "scrollex.extension", "scrollex.instance"}
+BASE_LAYERS = {"scrollex", "scrollex.cli", "scrollex.graphs", "scrollex.instance"}
+# the fixtures below have scroll matrices, so parsing them loads the extension layer
+EXT_LAYERS = BASE_LAYERS | {"scrollex.extension"}
+P2_LAYERS = {"scrollex.bounds", "scrollex.cycles", "scrollex.ordering"}
 # a CLI call (none: a bare ``import scrollex.cli``) and the scrollex modules
 # a fresh interpreter has loaded when it ends
 FOOTPRINTS = [
     ([], BASE_LAYERS),
-    (["validate", path("bruns")], BASE_LAYERS),
-    (["cycles", path("bruns"), "--kind", "minimal"], BASE_LAYERS | {"scrollex.cycles"}),
-    (["order", path("bruns")], BASE_LAYERS | {"scrollex.ordering"}),
-    (["groebner", path("bruns")], BASE_LAYERS | {"scrollex.groebner", "scrollex.ordering"}),
-    (["betti", path("chordal3"), "--ideal", "gamma"], BASE_LAYERS | {"scrollex.homology"}),
+    (["validate", path("bruns")], EXT_LAYERS),
+    (["cycles", path("bruns"), "--kind", "minimal"], EXT_LAYERS | {"scrollex.cycles"}),
+    (["order", path("bruns")], EXT_LAYERS | {"scrollex.ordering"}),
+    (["groebner", path("bruns")], EXT_LAYERS | {"scrollex.groebner", "scrollex.ordering"}),
+    (["betti", path("chordal3"), "--ideal", "gamma"], EXT_LAYERS | {"scrollex.homology"}),
     (
         ["betti", path("bruns"), "--ideal", "initial"],
-        BASE_LAYERS | {"scrollex.homology", "scrollex.ordering"},
+        EXT_LAYERS | {"scrollex.homology", "scrollex.ordering"},
     ),
-    (
-        ["cycles", path("bruns"), "--kind", "virtual"],
-        BASE_LAYERS | {"scrollex.bounds", "scrollex.cycles", "scrollex.ordering"},
-    ),
-    (
-        ["p2", path("bruns")],
-        BASE_LAYERS | {"scrollex.bounds", "scrollex.cycles", "scrollex.ordering"},
-    ),
+    (["cycles", path("bruns"), "--kind", "virtual"], EXT_LAYERS | P2_LAYERS),
+    (["p2", path("bruns")], EXT_LAYERS | P2_LAYERS),
 ]
+
+
+def bare_footprints(bare):
+    """FOOTPRINTS rows for ``bare``, an instance file with no scroll matrices:
+    no call on it loads the extension layer."""
+    return [
+        (["validate", bare], BASE_LAYERS),
+        (["betti", bare], BASE_LAYERS | {"scrollex.homology"}),
+        (["cycles", bare], BASE_LAYERS | {"scrollex.cycles"}),
+        (["cycles", bare, "--kind", "virtual"], BASE_LAYERS | P2_LAYERS),
+        (["p2", bare], BASE_LAYERS | P2_LAYERS),
+    ]
 HASHLIB = {"hashlib", "_hashlib"}
 # The probe passes argv to ``main``: called without argv, ``main`` ends the
 # process through ``os._exit`` and never returns to write ``sys.modules``.
@@ -467,16 +476,20 @@ sys.exit(code)
 """
 
 
-def test_cli_import_footprint(capsys):
+def test_cli_import_footprint(tmp_path, capsys):
     """Each subcommand loads only the compute layers it runs.
 
     A fresh interpreter per CLI call compiles every module it imports, so
-    ``scrollex.cli`` imports a compute layer inside the handlers that run
-    it.  One fresh interpreter per call reports its ``sys.modules``; its
-    stdout and exit code must equal those of the same call in process.
-    ``chordal3`` has an infinite p2, so ``betti`` writes "infinity" without
-    ``scrollex.bounds``.  Only ``cycles`` and ``p2`` load the cycle engine,
-    ``scrollex.cycles``.  None of these calls loads ``scrollex.fixtures``,
+    ``main`` imports the module that holds a command's handler only when it
+    runs that command, and the instance parser imports
+    ``scrollex.extension`` only for an instance with scroll matrices: on a
+    bare polygon, ``betti`` loads ``scrollex.homology`` and nothing else
+    beyond ``import scrollex.cli``.  One fresh interpreter per call reports
+    its ``sys.modules``; its stdout and exit code must equal those of the
+    same call in process.  ``chordal3`` has an infinite p2, so ``betti``
+    writes "infinity" without ``scrollex.bounds``.  Only ``cycles`` and
+    ``p2`` load the cycle engine, ``scrollex.cycles``, and no call on these
+    graphs loads the Hochster fallback kernel, ``scrollex.kernel``.  None of these calls loads ``scrollex.fixtures``,
     ``dataclasses``, ``inspect``, ``argparse`` or ``gettext``.  Where the
     interpreter has its built-in sha256 (``_sha2`` or ``_sha256``), none
     loads ``hashlib`` or OpenSSL's ``_hashlib`` beyond what a bare
@@ -493,6 +506,7 @@ def test_cli_import_footprint(capsys):
     )
     bare_hashlib = HASHLIB & set(ast.literal_eval(bare.stderr))
     builtin_sha = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+    footprints = FOOTPRINTS + bare_footprints(bare_polygon(tmp_path, 8))
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", PROBE, *argv],
@@ -501,9 +515,9 @@ def test_cli_import_footprint(capsys):
             stderr=subprocess.PIPE,
             text=True,
         )
-        for argv, _ in FOOTPRINTS
+        for argv, _ in footprints
     ]
-    for (argv, layers), proc in zip(FOOTPRINTS, procs):
+    for (argv, layers), proc in zip(footprints, procs):
         out, err = proc.communicate()
         loaded = set(ast.literal_eval(err))
         assert {m for m in loaded if m.split(".")[0] == "scrollex"} == layers, argv
@@ -519,7 +533,7 @@ def test_cli_import_footprint(capsys):
 CLI = "import sys; from scrollex.cli import main; sys.exit(main())"
 # A -c prefix that swaps the validate handler for one that raises.
 RAISING_VALIDATE = """from scrollex import cli
-def raising(ext, digest, args):
+def raising(ext, args):
     raise RuntimeError("kernel\\nfailed")
 cli.cmd_validate = raising
 """
@@ -594,6 +608,23 @@ def test_cli_full_stdout_exit1():
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-c", CLI, "p2", path("bruns")],
+            env=child_env(unbuffered=False),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["-h"], ["p2", "--help"]], ids=["scrollex", "command"])
+def test_cli_help_full_stdout_exit1(argv):
+    """Help is flushed inside the error mapping too: help that cannot be
+    written to buffered stdout exits 1 with one error line, not exit 120
+    with "Exception ignored" lines at interpreter shutdown."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI, *argv],
             env=child_env(unbuffered=False),
             stdout=full,
             stderr=subprocess.PIPE,
