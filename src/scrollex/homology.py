@@ -146,10 +146,22 @@ def betti_table(g, field=QQ, max_vertices=20):
     """Full Betti table of the non-edge ideal of ``g``: Hochster's formula,
     summed over all vertex subsets by :func:`_hochster_sweep`.  Refuses
     (rather than degrades) when the vertex count exceeds ``max_vertices``.
+    After that guard, a cycle on n >= 4 vertices (every degree 2, and one
+    walk meets every vertex) is not swept: its table is
+    :func:`cycle_betti_table`, over every field, since each induced
+    subcomplex of a cycle is the cycle or a disjoint union of paths.
     """
     n = len(g.vertices)
     if n > max_vertices:
         raise GuardExceeded(f"{n} vertices exceed the subset-sweep guard ({max_vertices})")
+    adj = g.adj
+    if n >= 4 and all(len(w) == 2 for w in adj.values()):
+        v, seen = g.vertices[0], set()
+        while v not in seen:  # a walk, not rank order: new variables rank last
+            seen.add(v)
+            v = next(iter(adj[v] - seen), v)
+        if len(seen) == n:
+            return cycle_betti_table(n)
     return BettiTable(_hochster_sweep(g, field.char)[0])
 
 

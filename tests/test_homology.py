@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from scrollex import homology, kernel
+from scrollex import fixtures, homology, kernel
 from scrollex.graphs import INFINITE, CliqueComplex, Graph
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.homology import (
@@ -27,7 +27,8 @@ from scrollex.homology import (
 from scrollex.kernel import rank
 from scrollex.extension import validate_extension
 from scrollex.groebner import encode_system
-from scrollex.ordering import VarOrder
+from scrollex.instance import parse_instance
+from scrollex.ordering import VarOrder, initial_complex
 from oracles import (
     brute_betti_table,
     clique_homology,
@@ -321,16 +322,16 @@ def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field, monkey
             assert full not in [args[0] for args in cores]
 
 
-def record_calls(monkeypatch, name):
-    """The argument tuples of every later call to ``kernel.<name>``."""
+def record_calls(monkeypatch, name, module=kernel):
+    """The argument tuples of every later call to ``module.<name>``."""
     seen = []
-    fn = getattr(kernel, name)
+    fn = getattr(module, name)
 
     def recorded(*args):
         seen.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(kernel, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return seen
 
 
@@ -475,11 +476,12 @@ def test_klein_bottle_loads_the_kernel_in_a_fresh_interpreter(tmp_path):
 
 
 def test_field_independence_on_cycles():
+    # the sweep, not betti_table, which reads a cycle's table from the closed form
     for n in range(4, 8):
         g = cycle_graph(n)
-        t0 = betti_table(g, QQ)
+        t0 = sweep_betti_table(g, QQ)
         for p in (2, 3):
-            assert betti_table(g, FieldSpec(p)).graded == t0.graded
+            assert sweep_betti_table(g, FieldSpec(p)).graded == t0.graded
 
 
 def test_euler_characteristic_consistency():
@@ -552,7 +554,51 @@ def test_cycle_betti_closed_form():
 
 def test_cycle_closed_form_matches_sweep():
     for n, s in [(4, 0), (5, 0), (4, 1), (6, 1)]:
-        assert cycle_betti_table(n, s).graded == betti_table(cycle_graph(n + s)).graded
+        assert cycle_betti_table(n, s).graded == homology._hochster_sweep(cycle_graph(n + s), 0)[0]
+
+
+FIELDS = [QQ, FieldSpec(2), FieldSpec(32003)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_betti_table_reads_a_cycle_from_the_closed_form(field, monkeypatch):
+    sweeps = record_calls(monkeypatch, "_hochster_sweep", homology)
+    rng = random.Random(11)
+    for n in range(4, 10):
+        g = cycle_graph(n)
+        scrambled = Graph(rng.sample(g.vertices, n), g.edges)
+        assert betti_table(g, field) == betti_table(scrambled, field) == cycle_betti_table(n)
+    # the initial complex of an extended pentagon lists its new variables
+    # after the base vertices, so its rank order does not follow the cycle
+    ext, _ = parse_instance(fixtures.cycle_extension_instance(5, [2, 0, 1, 0, 0]))
+    g = initial_complex(ext).graph
+    assert len(g.vertices) == 8
+    assert not all(g.has_edge(u, w) for u, w in zip(g.vertices, g.vertices[1:]))
+    assert betti_table(g, field) == cycle_betti_table(5, 3)
+    assert sweeps == []
+    # the size guard still runs first
+    with pytest.raises(GuardExceeded):
+        betti_table(cycle_graph(8), field, max_vertices=7)
+
+
+C5 = cycle_graph(5)
+NOT_CYCLES = {
+    # 2-regular with as many edges as vertices, but disconnected
+    "C4+C4": disjoint_union(C4, C4),
+    "C5+chord": Graph(C5.vertices, C5.edges | {("x0", "x2")}),
+    "C5+pendant": Graph(C5.vertices + ("p",), C5.edges | {("x0", "p")}),
+    "P5": Graph(C5.vertices, C5.edges - {("x0", "x4")}),
+    "K3": K3,
+}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("name", NOT_CYCLES)
+def test_betti_table_sweeps_every_other_graph(name, field, monkeypatch):
+    g = NOT_CYCLES[name]
+    sweeps = record_calls(monkeypatch, "_hochster_sweep", homology)
+    assert betti_table(g, field).graded == brute_betti_table(g, field).graded
+    assert sweeps == [(g, field.char)]
 
 
 @settings(max_examples=25, deadline=None)
