@@ -176,7 +176,6 @@ class ToricityReport:
 
     ok: bool
     reason: str | None
-    components: tuple | None
 
 
 def toricity_gate(ext):
@@ -191,7 +190,6 @@ def toricity_gate(ext):
                 False,
                 f"matrices {i} and {j} share {len(shared)} variables "
                 f"({', '.join(sorted(shared))})",
-                None,
             )
         if shared:
             edges.append((i, j))
@@ -207,18 +205,9 @@ def toricity_gate(ext):
     for i, j in edges:
         ri, rj = find(i), find(j)
         if ri == rj:
-            return ToricityReport(
-                False, "the variable-sharing graph contains a cycle", None
-            )
+            return ToricityReport(False, "the variable-sharing graph contains a cycle")
         parent[ri] = rj
-    groups = {}
-    for i in range(len(mats)):
-        groups.setdefault(find(i), []).append(i)
-    components = tuple(
-        tuple(tuple(sorted(mats[i].facet)) for i in sorted(grp))
-        for _, grp in sorted(groups.items())
-    )
-    return ToricityReport(True, None, components)
+    return ToricityReport(True, None)
 
 
 @frozen_record
@@ -249,7 +238,7 @@ class P2Report:
     toricity: object = None
 
 
-def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
+def p2_report(ext):
     """Compute every p2 bound by bounded walks; see :class:`P2Report`.
 
     Chordal bases short-circuit to an infinite (linear) report.  No walk
@@ -258,11 +247,13 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
     their t, and extends no path past the least total length found so far.
     The upper witness walk prices a virtual edge at 1 plus |Y_1| of its
     matrix, and lets a virtual edge of a later block be a chord but not a
-    cycle edge.  Each keeps only the cycles that tie with its best so far,
-    and ``cap`` counts those; without virtual edges the lower witness is
-    the upper one too.  The exactness hypotheses: an admissible order
-    exists, the toricity gate passes, every virtual minimal cycle is
-    expandable, and every virtual edge on one has a matrix with
+    cycle edge.  Each keeps one least cycle, under (total length, length,
+    ranks) and (expanded length, ranks), and a tie count, so neither has a
+    cap; the lower walk classifies each cycle it prices and keeps none of
+    those classes.  Without virtual edges the lower witness is the upper
+    one too.  The exactness hypotheses: an admissible order exists, the
+    toricity gate passes, every virtual minimal cycle is expandable, and
+    every virtual edge on one has a matrix with
     |Y_1| = min_j |Y_j| >= 2 and no facet vertex outside it, or |Y_1| = 1.
     The last two fail only through a cycle with a flagged edge, so each is
     one walk that stops at the first such cycle and walks nothing when no
@@ -278,17 +269,11 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
     vmap = _virtual_edge_blocks(ext)
 
     def walk(**mode):
-        return _cycle_search(g, vmap, cap, "virtual minimal cycles kept", **mode)
+        return _cycle_search(g, vmap, **mode)
 
-    classified = {}  # a cycle's classes, shared by the walks and their witnesses
-
-    def classify(cycle):
-        if cycle not in classified:
-            classified[cycle] = _virtual_cycle(cycle, vmap, g)
-        return classified[cycle]
-
-    def total_length(ranks):
-        return classify(tuple([g.vertices[i] for i in ranks])).total_length()
+    def lower_key(ranks):
+        vc = _virtual_cycle(tuple([g.vertices[i] for i in ranks]), vmap, g)
+        return vc.total_length(), len(ranks), ranks
 
     try:
         initial = initial_complex(ext).graph
@@ -298,10 +283,10 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
     else:
         orderable = True
         # not empty: a chordless cycle of the non-chordal base is virtual minimal
-        lowest = walk(weight=dict.fromkeys(vmap, 2), cost=total_length)
-        low_wit = classify(lowest[0])
+        lowest, _ties = walk(weight=dict.fromkeys(vmap, 2), cost=lower_key)
+        low_wit = _virtual_cycle(lowest, vmap, g)
         sub_value = low_wit.total_length() - 3
-        cert_value = p2_monomial(initial, cap=cap).p2
+        cert_value = p2_monomial(initial).p2
 
     up_wit = None
     if not gate.ok:
@@ -310,10 +295,9 @@ def p2_report(ext, cap=DEFAULT_CYCLE_CAP):
         up_wit, up_value = low_wit, sub_value
     else:
         first_block = {e: 1 + len(m.blocks[0].y) if j == 1 else None for e, (m, j) in vmap.items()}
-        shortest = walk(weight=first_block)
+        shortest, _ties = walk(weight=first_block)
         if shortest:
-            rank = g.rank
-            up_wit = classify(min(shortest, key=lambda c: [rank[v] for v in c]))
+            up_wit = _virtual_cycle(shortest, vmap, g)
             up_value = _expanded_length(up_wit) - 3
         else:
             up_value = NotApplicable("no expandable virtual minimal cycle")

@@ -18,13 +18,14 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 input or validation
 error (a Betti table over more vertices than --max-vertices is one, and so
 is a usage error such as an unknown option, a missing argument or a value
 of the wrong type; the usage line and the message, in argparse's words, go
-to stderr), 2 method not applicable, 3 a cycle census exceeded its cap,
+to stderr), 2 method not applicable, 3 a "cycles" listing exceeded its cap,
 4 internal error: any other exception, reported on one stderr line as
 "error: internal error: <Type>: <message>", never as a traceback.  A
 report that cannot be written to stdout (a full disk, a closed pipe) also
 exits 1, with one "error: <message>" line on stderr.
-A cycle census has no limit on cycle length; only its cap on the number of
-cycles (--cap, default 10^6) stops it.
+A cycle listing has no limit on cycle length; only its cap on the number of
+cycles (--cap, default 10^6) stops it.  p2 lists no cycles and has no cap:
+each of its walks keeps at most one cycle.
 
 Every p2 mode reads one report.  "lower" is p2 of the initial complex, a
 certified lower bound; "lower_substitution" is the replacement-length value

@@ -79,21 +79,18 @@ def chordless_cycles(g, cap=DEFAULT_CYCLE_CAP):
     return _cycle_search(g, (), cap, "chordless cycles")
 
 
-def p2_monomial(g, cap=DEFAULT_CYCLE_CAP):
+def p2_monomial(g):
     """p2 of the non-edge ideal of ``g``: shortest chordless cycle length - 3.
 
     Infinite exactly when ``g`` is chordal; the witness count is the number
-    of chordless cycles of the shortest length.  The census keeps only the
-    cycles no longer than the shortest found so far, and ``cap`` counts
-    those alone.
+    of chordless cycles of the shortest length, counted by a walk that
+    keeps one shortest cycle and no list.
     """
-    cycles = _cycle_search(g, (), cap, "chordless cycles", weight={})
-    if not cycles:
-        return P2Result(INFINITE, 0)
-    return P2Result(len(cycles[0]) - 3, len(cycles))
+    cycle, ties = _cycle_search(g, (), weight={})
+    return P2Result(len(cycle) - 3, ties) if cycle else P2Result(INFINITE, 0)
 
 
-def _cycle_search(g, allowed, cap, what, weight=None, cost=None, through=None):
+def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, through=None):
     """Canonical cycles of length >= 4 whose chords all lie in ``allowed``,
     no two of whose edges lie in a common facet.
 
@@ -109,25 +106,27 @@ def _cycle_search(g, allowed, cap, what, weight=None, cost=None, through=None):
     a clique, which takes a chord; so a new or closing edge at u is held
     against the path's edges only when u has an allowed chord to the path.
 
-    Every cycle is kept unless a mode says otherwise:
+    By default every cycle is listed, sorted by (length, rank), and past
+    ``cap`` of them :class:`CycleCapExceeded` names them as ``what``.  Two
+    modes keep at most one cycle instead:
 
     * ``weight`` (canonical edge -> int >= 1; 1 when absent, None for an
-      edge that may be a chord but never a cycle edge) keeps the cycles of
-      least cost only.  A cycle's cost is the sum of its edges' weights, or
-      ``cost`` of its rank tuple when given, which must not be below that
-      sum.  A path is not extended when, with the two edges it needs at
-      least to close, it would cost more than the least cost kept so far.
-      ``weight={}`` keeps the shortest cycles.
-    * ``through`` (a set of canonical edges) keeps the first cycle with an
-      edge in the set and stops there; with an empty set it walks nothing.
-      No walk starts above the lower end of every edge in the set, since
-      its cycles could not reach one.
+      edge that may be a chord but never a cycle edge) returns (the least
+      cycle, the number of cycles of least cost), or (None, 0).  A cycle's
+      key is (its cost, its rank tuple), where the cost is the sum of its
+      edges' weights; ``cost`` of the rank tuple, when given, is the key
+      instead: a tuple that starts with the cost, which must not be below
+      that sum, and ends with the rank tuple.  A path is not extended when,
+      with the two edges it needs at least to close, it would cost more
+      than the least cost so far.  ``weight={}`` finds the shortest cycles.
+    * ``through`` (a set of canonical edges) returns the first cycle with an
+      edge in the set, as a 1-tuple, or (); with an empty set it walks
+      nothing.  No walk starts above the lower end of every edge in the set,
+      since its cycles could not reach one.
 
-    Names are mapped back for the kept cycles only.  Sorted by (length,
-    rank); :class:`CycleCapExceeded` past ``cap`` kept cycles, counted as
-    ``what``.
+    Names are mapped back for the returned cycles only.
     """
-    if cap < 0:
+    if cap is not None and cap < 0:
         raise ValueError(f"cycle cap must be nonnegative, got {cap}")
     if through is not None and not through:
         return ()
@@ -166,8 +165,8 @@ def _cycle_search(g, allowed, cap, what, weight=None, cost=None, through=None):
 
     last_start = max(min(rank[u], rank[w]) for u, w in through) if through else n
     least = weight is not None
-    bound = limit = 1 << 62  # the least cost kept so far; a path may reach ``limit``
-    found = []
+    bound = limit = 1 << 62  # the least cost so far; a path may reach ``limit``
+    found, best, ties = [], None, 0  # best: the least key so far, ties: cycles at its cost
     vs = g.vertices
     for r0, ns in enumerate(nbrs[: last_start + 1]):
         higher = [j for j in ns if j > r0]
@@ -201,16 +200,16 @@ def _cycle_search(g, allowed, cap, what, weight=None, cost=None, through=None):
                             if through:
                                 if total:
                                     return (tuple([vs[i] for i in cyc]),)
+                            elif least:
+                                key = (total, cyc) if cost is None else cost(cyc)
+                                if key[0] < bound:
+                                    bound, limit, best, ties = key[0], key[0] - 2, key, 0
+                                if key[0] == bound:
+                                    best, ties = min(best, key), ties + 1
                             else:
-                                if cost is not None:
-                                    total = cost(cyc)
-                                if least and total < bound:
-                                    bound, limit = total, total - 2
-                                    found.clear()
-                                if total <= bound:
-                                    found.append(cyc)
-                                    if len(found) > cap:
-                                        raise CycleCapExceeded(f"more than {cap} {what}")
+                                found.append(cyc)
+                                if len(found) > cap:
+                                    raise CycleCapExceeded(f"more than {cap} {what}")
                         if u in forb0:
                             continue  # extending would leave the chord {u, v0}
                     if c + wl[u] > limit:
@@ -225,6 +224,8 @@ def _cycle_search(g, allowed, cap, what, weight=None, cost=None, through=None):
                     path.pop()
                     inner ^= 1 << path[-1]  # the new last vertex leaves the interior
                     # (popping v1 sets v0's bit, but that ends the walk)
+    if least:
+        return (tuple([vs[i] for i in best[-1]]) if best else None), ties
     found.sort(key=lambda c: (len(c), c))
     return tuple(tuple([vs[i] for i in c]) for c in found)
 

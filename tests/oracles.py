@@ -321,7 +321,7 @@ def census_p2_report(ext, cap=10**6):
         orderable = True
         low_wit = min(cycles, key=lambda vc: (vc.total_length(), len(vc.cycle), ranks(vc)))
         sub_value = low_wit.total_length() - 3
-        cert_value = p2_monomial(initial, cap=cap).p2
+        cert_value = p2_monomial(initial).p2
 
     expandable = [vc for vc in cycles if vc.expandable]
     up_wit = min(expandable, key=lambda vc: (_expanded_length(vc), ranks(vc)), default=None)

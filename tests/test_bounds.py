@@ -4,13 +4,13 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrollex import bounds, cycles, fixtures, graphs
-from scrollex.graphs import INFINITE, CliqueComplex, Graph
+from scrollex import bounds, cycles, fixtures
+from scrollex.graphs import INFINITE, CliqueComplex, Graph, P2Result
 from scrollex.fixtures import proper_edges
-from scrollex.cycles import chordless_cycles, p2_monomial
-from scrollex.homology import QQ, FieldSpec, cycle_betti_table
+from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
+from scrollex.homology import QQ, BettiTable, FieldSpec, betti_table, cycle_betti_table, p2_from_table
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
-from scrollex.ordering import initial_complex
+from scrollex.ordering import NotOrderableError, initial_complex
 from scrollex.bounds import (
     Interval,
     NotApplicable,
@@ -432,9 +432,9 @@ def test_edge_hypothesis_fails_only_through_a_longer_cycle(blocks, broken):
 
 def test_p2_report_walks_keep_few_cycles(monkeypatch):
     # a seeded G(50, 0.06): 2,016 virtual minimal cycles, of which the lower
-    # walk keeps the ten 4-holes, and p2 of the initial complex (the base
-    # itself) keeps them again; nothing is virtual, so the upper witness is
-    # the lower one and no hypothesis walk runs
+    # walk counts the ten tied 4-holes, and p2 of the initial complex (the
+    # base itself) counts them again; nothing is virtual, so the upper
+    # witness is the lower one and the hypothesis walks find no cycle
     rng = random.Random(4)
     vs = [f"v{i}" for i in range(50)]
     edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1 :] if rng.random() < 0.06]
@@ -444,26 +444,62 @@ def test_p2_report_walks_keep_few_cycles(monkeypatch):
 
     def counting(*args, **kwargs):
         found = search(*args, **kwargs)
-        kept.append(len(found))
+        kept.append(found[1] if kwargs.get("weight") is not None else found)
         return found
 
     monkeypatch.setattr(cycles, "_cycle_search", counting)
     monkeypatch.setattr(bounds, "_cycle_search", counting)
     rep = p2_report(ext)
-    assert kept == [10, 10, 0, 0]
+    assert kept == [10, 10, (), ()]
     assert rep.lower == rep.lower_substitution == rep.upper == rep.exact == 1
 
 
-@pytest.mark.xfail(
-    raises=graphs.CycleCapExceeded,
-    strict=True,
-    reason="the walks keep every cycle that ties with the best, so 784 tied 4-holes fill the cap",
-)
 def test_p2_report_tied_cycles_stay_under_the_cap():
     # K_{8,8} has 784 induced 4-cycles and nothing else; p2 needs one of them
     a, b = [f"a{i}" for i in range(8)], [f"b{i}" for i in range(8)]
     ext = validate_extension(CliqueComplex(Graph(a + b, [(u, w) for u in a for w in b])), [])
-    assert p2_report(ext, cap=100).exact == 1
+    assert p2_report(ext).exact == 1
+    assert p2_monomial(ext.base.skeleton) == P2Result(1, 784)  # 8 choose 2, squared
+
+
+def closed_diamond_chain(k):
+    """k diamonds a_{i-1} b_i c_i a_i, with b_i c_i an edge, closed by the
+    path a_k p q a_0: 2^k chordless cycles, all of length 2k + 3."""
+    edges = [("a_k", "p"), ("p", "q"), ("q", "a0")]
+    for i in range(1, k + 1):
+        lo, hi = f"a{i - 1}", f"a{i}" if i < k else "a_k"
+        edges += [(lo, f"b{i}"), (lo, f"c{i}"), (f"b{i}", f"c{i}"), (f"b{i}", hi), (f"c{i}", hi)]
+    return validate_extension(CliqueComplex(Graph(sorted({v for e in edges for v in e}), edges)), [])
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_tied_holes_are_counted_not_kept(k):
+    ext = closed_diamond_chain(k)
+    assert p2_monomial(ext.base.skeleton) == P2Result(2 * k, 2**k)
+    assert p2_report(ext).exact == 2 * k
+
+
+# small extensions: a base on 4-7 vertices with matrices, 6-8 variables in all
+small_extensions = st.builds(
+    random_extension_instance, st.integers(0, 10**6), st.booleans(), st.integers(6, 8)
+).map(lambda doc: parse_instance(doc)[0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_extensions)
+def test_small_extensions_match_brute_betti(ext):
+    base = ext.base.skeleton
+    try:
+        graphs = [base, initial_complex(ext).graph]
+    except NotOrderableError:
+        graphs = [base]
+    for field in (FieldSpec(2), QQ):
+        for g in graphs:
+            brute = brute_betti_table(g, field).graded
+            assert betti_table(g, field).graded == brute
+    if len(graphs) == 2 and not is_chordal(base):
+        # ``brute`` is now the initial complex's table over QQ
+        assert p2_report(ext).lower == p2_from_table(BettiTable(brute)).p2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

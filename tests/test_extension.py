@@ -188,8 +188,7 @@ def test_minors_stay_inside_their_facet_and_avoid_nf(corpus):
 
 def test_toricity_bruns(bruns):
     report = toricity_gate(bruns)
-    assert report.ok
-    assert report.components == ((("a", "b", "c"),), (("d", "e"),))
+    assert report.ok and report.reason is None
 
 
 def test_toricity_shared_two_variables():
