@@ -248,16 +248,16 @@ def p2_report(ext):
     The upper witness walk prices a virtual edge at 1 plus |Y_1| of its
     matrix, and lets a virtual edge of a later block be a chord but not a
     cycle edge.  Each keeps one least cycle, under (total length, length,
-    ranks) and (expanded length, ranks), and a tie count, so neither has a
-    cap; the lower walk classifies each cycle it prices and keeps none of
-    those classes.  Without virtual edges the lower witness is the upper
-    one too.  The exactness hypotheses: an admissible order exists, the
-    toricity gate passes, every virtual minimal cycle is expandable, and
-    every virtual edge on one has a matrix with
-    |Y_1| = min_j |Y_j| >= 2 and no facet vertex outside it, or |Y_1| = 1.
-    The last two fail only through a cycle with a flagged edge, so each is
-    one walk that stops at the first such cycle and walks nothing when no
-    edge is flagged.
+    ranks) and (expanded length, ranks), so neither has a cap; the lower
+    walk classifies each cycle it prices, ties too, and keeps none.  With
+    no virtual edge, no matrix: the initial complex is the base, every t is
+    1, and its shortest-hole walk gives all three bounds.  The exactness
+    hypotheses: an admissible order exists, the toricity gate passes, every
+    virtual minimal cycle is expandable, and every virtual edge on one has
+    a matrix with |Y_1| = min_j |Y_j| >= 2 and no facet vertex outside it,
+    or |Y_1| = 1.  The last two fail only through a cycle with a flagged
+    edge, so each is one walk that stops at the first such cycle and walks
+    nothing when no edge is flagged.
     """
     gate = toricity_gate(ext)
     g = ext.base.skeleton
@@ -276,26 +276,26 @@ def p2_report(ext):
         return vc.total_length(), len(ranks), ranks
 
     try:
-        initial = initial_complex(ext).graph
+        initial = initial_complex(ext).graph if vmap else g
     except NotOrderableError:
         orderable, low_wit = False, None
         cert_value = sub_value = NotApplicable("no admissible order")
     else:
         orderable = True
         # not empty: a chordless cycle of the non-chordal base is virtual minimal
-        lowest, _ties = walk(weight=dict.fromkeys(vmap, 2), cost=lower_key)
+        lowest = walk(weight=dict.fromkeys(vmap, 2), cost=lower_key if vmap else None)
         low_wit = _virtual_cycle(lowest, vmap, g)
         sub_value = low_wit.total_length() - 3
-        cert_value = p2_monomial(initial).p2
+        cert_value = p2_monomial(initial) if vmap else sub_value
 
     up_wit = None
     if not gate.ok:
         up_value = NotApplicable(f"toricity gate failed: {gate.reason}")
-    elif orderable and not vmap:  # nothing expands, so the lower witness is the upper one
+    elif not vmap:  # nothing expands, so the lower witness is the upper one
         up_wit, up_value = low_wit, sub_value
     else:
         first_block = {e: 1 + len(m.blocks[0].y) if j == 1 else None for e, (m, j) in vmap.items()}
-        shortest, _ties = walk(weight=first_block)
+        shortest = walk(weight=first_block)
         if shortest:
             up_wit = _virtual_cycle(shortest, vmap, g)
             up_value = _expanded_length(up_wit) - 3

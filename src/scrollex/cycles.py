@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 
-from .graphs import DEFAULT_CYCLE_CAP, INFINITE, CycleCapExceeded, P2Result
+from .graphs import DEFAULT_CYCLE_CAP, INFINITE, CycleCapExceeded
 
 
 def is_chordal(g):
@@ -82,12 +82,12 @@ def chordless_cycles(g, cap=DEFAULT_CYCLE_CAP):
 def p2_monomial(g):
     """p2 of the non-edge ideal of ``g``: shortest chordless cycle length - 3.
 
-    Infinite exactly when ``g`` is chordal; the witness count is the number
-    of chordless cycles of the shortest length, counted by a walk that
-    keeps one shortest cycle and no list.
+    Infinite exactly when ``g`` is chordal.  The walk stops at the first
+    shortest cycle; the number of them is beta_{p,p+3} of the Betti table
+    (:func:`scrollex.homology.p2_from_table`).
     """
-    cycle, ties = _cycle_search(g, (), weight={})
-    return P2Result(len(cycle) - 3, ties) if cycle else P2Result(INFINITE, 0)
+    cycle = _cycle_search(g, (), weight={})
+    return len(cycle) - 3 if cycle else INFINITE
 
 
 def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, through=None):
@@ -111,14 +111,14 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
     modes keep at most one cycle instead:
 
     * ``weight`` (canonical edge -> int >= 1; 1 when absent, None for an
-      edge that may be a chord but never a cycle edge) returns (the least
-      cycle, the number of cycles of least cost), or (None, 0).  A cycle's
-      key is (its cost, its rank tuple), where the cost is the sum of its
-      edges' weights; ``cost`` of the rank tuple, when given, is the key
-      instead: a tuple that starts with the cost, which must not be below
-      that sum, and ends with the rank tuple.  A path is not extended when,
-      with the two edges it needs at least to close, it would cost more
-      than the least cost so far.  ``weight={}`` finds the shortest cycles.
+      edge that may be a chord but never a cycle edge) returns the least
+      cycle by (cost, ranks), the cost being its edges' weight sum, or None.
+      Cycles are met in rank order, so only one cheaper than the least so
+      far may close, and a path is extended only if it could close cheaper
+      with the two edges it needs at least.  ``cost`` of the rank tuple, if
+      given, is the key instead: a tuple starting with the cost (not below
+      that sum) and ending with the ranks; a tie at that cost closes too.
+      ``weight={}`` finds the shortest cycles.
     * ``through`` (a set of canonical edges) returns the first cycle with an
       edge in the set, as a 1-tuple, or (); with an empty set it walks
       nothing.  No walk starts above the lower end of every edge in the set,
@@ -165,8 +165,8 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
 
     last_start = max(min(rank[u], rank[w]) for u, w in through) if through else n
     least = weight is not None
-    bound = limit = 1 << 62  # the least cost so far; a path may reach ``limit``
-    found, best, ties = [], None, 0  # best: the least key so far, ties: cycles at its cost
+    bound = limit = 1 << 62  # a cycle may close at cost ``bound``, a path reach ``limit``
+    found, best = [], None  # best: the least key so far
     vs = g.vertices
     for r0, ns in enumerate(nbrs[: last_start + 1]):
         higher = [j for j in ns if j > r0]
@@ -202,10 +202,10 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
                                     return (tuple([vs[i] for i in cyc]),)
                             elif least:
                                 key = (total, cyc) if cost is None else cost(cyc)
-                                if key[0] < bound:
-                                    bound, limit, best, ties = key[0], key[0] - 2, key, 0
-                                if key[0] == bound:
-                                    best, ties = min(best, key), ties + 1
+                                if best is None or key < best:
+                                    # without ``cost`` a later tie is never less
+                                    best, bound = key, key[0] - (cost is None)
+                                    limit = bound - 2
                             else:
                                 found.append(cyc)
                                 if len(found) > cap:
@@ -225,7 +225,7 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
                     inner ^= 1 << path[-1]  # the new last vertex leaves the interior
                     # (popping v1 sets v0's bit, but that ends the walk)
     if least:
-        return (tuple([vs[i] for i in best[-1]]) if best else None), ties
+        return tuple([vs[i] for i in best[-1]]) if best else None
     found.sort(key=lambda c: (len(c), c))
     return tuple(tuple([vs[i] for i in c]) for c in found)
 

@@ -1,7 +1,7 @@
 """Finite undirected graphs, clique complexes, ``Extension`` (a complex with
 its scroll matrices, which :mod:`scrollex.extension` defines and validates
-and only an instance with matrices loads), the records a cycle census
-reports in (``P2Result``, ``INFINITE``, ``CycleCapExceeded``; the census
+and only an instance with matrices loads), ``INFINITE`` (the p2 of a
+chordal graph) and ``CycleCapExceeded`` (a census past its cap; the census
 itself is :mod:`scrollex.cycles`), and :func:`frozen_record`, the decorator
 behind every immutable type: the reports, and ``Graph``, ``CliqueComplex``,
 ``ScrollMatrix``, ``Extension`` and ``VarOrder`` too.
@@ -154,9 +154,6 @@ class Graph:
         """The canonical (rank-sorted) form of the pair {u, w}."""
         return (u, w) if self.rank[u] < self.rank[w] else (w, u)
 
-    def has_edge(self, u, w):
-        return w in self.adj.get(u, ())
-
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
@@ -230,14 +227,6 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
-
-
-@frozen_record
-class P2Result:
-    """p2 of a quadratic ideal plus the count of witnessing shortest cycles."""
-
-    p2: object  # int or INFINITE
-    witness_count: int
 
 
 @frozen_record

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import INFINITE, P2Result, _adjacency_masks, frozen_record
+from .graphs import INFINITE, _adjacency_masks, frozen_record
 
 
 class GuardExceeded(ValueError):
@@ -168,6 +168,14 @@ def betti_table(g, field=QQ, max_vertices=20):
 # ---------------------------------------------------------------------------
 # p2 read off a Betti table
 # ---------------------------------------------------------------------------
+
+
+@frozen_record
+class P2Result:
+    """p2 of a Betti table and beta_{p,p+3}, for a flag complex its shortest holes."""
+
+    p2: object  # int or INFINITE
+    witness_count: int
 
 
 def p2_from_table(table):

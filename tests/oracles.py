@@ -188,7 +188,7 @@ def brute_maximal_cliques(g):
     cliques = []
     for r in range(1, len(verts) + 1):
         for s in combinations(verts, r):
-            if all(g.has_edge(u, w) for u, w in combinations(s, 2)):
+            if all(w in g.adj[u] for u, w in combinations(s, 2)):
                 cliques.append(set(s))
     maximal = [
         c for c in cliques if not any(c < d for d in cliques)
@@ -237,7 +237,7 @@ def brute_all_cycles(g):
             for rest in permutations(s[1:]):
                 walk = (first,) + rest
                 if all(
-                    g.has_edge(walk[i], walk[(i + 1) % r]) for i in range(r)
+                    walk[(i + 1) % r] in g.adj[walk[i]] for i in range(r)
                 ):
                     out.add(canonical_cycle(walk, g.rank))
     return sorted(out, key=lambda c: (len(c), tuple(g.rank[v] for v in c)))
@@ -277,7 +277,7 @@ def brute_virtual_cycles(ext):
         chords = [
             g.edge_key(u, w)
             for u, w in combinations(cyc, 2)
-            if g.has_edge(u, w) and g.edge_key(u, w) not in edges
+            if w in g.adj[u] and g.edge_key(u, w) not in edges
         ]
         if any(c not in virt for c in chords):
             continue
@@ -321,7 +321,7 @@ def census_p2_report(ext, cap=10**6):
         orderable = True
         low_wit = min(cycles, key=lambda vc: (vc.total_length(), len(vc.cycle), ranks(vc)))
         sub_value = low_wit.total_length() - 3
-        cert_value = p2_monomial(initial).p2
+        cert_value = p2_monomial(initial)
 
     expandable = [vc for vc in cycles if vc.expandable]
     up_wit = min(expandable, key=lambda vc: (_expanded_length(vc), ranks(vc)), default=None)
@@ -439,7 +439,7 @@ def homology_witness(cycle_bar, ext, field=QQ):
     faces = [()]
     for f in faces:  # the list grows: every clique extended by later vertices
         start = vs.index(f[-1]) + 1 if f else 0
-        faces.extend(f + (v,) for v in vs[start:] if all(g.has_edge(u, v) for u in f))
+        faces.extend(f + (v,) for v in vs[start:] if all(v in g.adj[u] for u in f))
     return reduced_homology_rank(faces, 1, field)
 
 
@@ -459,7 +459,7 @@ def bfs_replacement_length(ext, cycle, e):
     allowed = {
         v
         for v in fbar
-        if v in e or not any(h.has_edge(v, w) for w in others)
+        if v in e or not any(w in h.adj[v] for w in others)
     }
     start, goal = e
     dist = {start: 0}
@@ -603,7 +603,7 @@ def brute_betti_table(g, field):
                 f
                 for r in range(k + 1)
                 for f in combinations(sigma, r)
-                if all(g.has_edge(u, w) for u, w in combinations(f, 2))
+                if all(w in g.adj[u] for u, w in combinations(f, 2))
             ]
             for d, h in reduced_homology_ranks(faces, field).items():
                 i = k - d - 2
@@ -643,7 +643,7 @@ def _binomial_generators(ext):
     idx = {v: i for i, v in enumerate(g.vertices)}
     n = len(idx)
     nonedges = [
-        (idx[u], idx[w]) for u, w in combinations(g.vertices, 2) if not g.has_edge(u, w)
+        (idx[u], idx[w]) for u, w in combinations(g.vertices, 2) if w not in g.adj[u]
     ]
 
     def expo(*vs):
@@ -773,7 +773,7 @@ def generator_system(ext):
     """The extension's generators on names: the non-edges of the extended
     1-skeleton, and each matrix's facet and minors in input order."""
     g = ext.skeleton_bar
-    nf = tuple((u, w) for u, w in combinations(g.vertices, 2) if not g.has_edge(u, w))
+    nf = tuple((u, w) for u, w in combinations(g.vertices, 2) if w not in g.adj[u])
     return GeneratorSystem(nf, tuple((m.facet, matrix_minors(m)) for m in ext.matrices))
 
 

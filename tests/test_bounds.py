@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import bounds, cycles, fixtures
-from scrollex.graphs import INFINITE, CliqueComplex, Graph, P2Result
+from scrollex.graphs import INFINITE, CliqueComplex, Graph
 from scrollex.fixtures import proper_edges
 from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
-from scrollex.homology import QQ, BettiTable, FieldSpec, betti_table, cycle_betti_table, p2_from_table
+from scrollex.homology import (
+    QQ,
+    BettiTable,
+    FieldSpec,
+    P2Result,
+    betti_table,
+    cycle_betti_table,
+    p2_from_table,
+)
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.ordering import NotOrderableError, initial_complex
 from scrollex.bounds import (
@@ -324,7 +332,7 @@ def test_substitution_lower_matches_initial_complex_p2_on_fixtures(
     bruns, square_one_edge, flap_square, cycle_extensions
 ):
     for ext in [bruns, square_one_edge, flap_square] + cycle_extensions:
-        cert = p2_monomial(initial_complex(ext).graph).p2
+        cert = p2_monomial(initial_complex(ext).graph)
         assert p2_report(ext).lower_substitution == cert
 
 
@@ -431,35 +439,41 @@ def test_edge_hypothesis_fails_only_through_a_longer_cycle(blocks, broken):
 
 
 def test_p2_report_walks_keep_few_cycles(monkeypatch):
-    # a seeded G(50, 0.06): 2,016 virtual minimal cycles, of which the lower
-    # walk counts the ten tied 4-holes, and p2 of the initial complex (the
-    # base itself) counts them again; nothing is virtual, so the upper
-    # witness is the lower one and the hypothesis walks find no cycle
+    # a seeded G(50, 0.06): 2,016 virtual minimal cycles, ten of them tied
+    # 4-holes.  Nothing is virtual, so the base is the initial complex: one
+    # shortest-hole walk gives the lower witness and p2, the upper witness
+    # is the lower one, and the hypothesis walks flag no edge to walk through
     rng = random.Random(4)
     vs = [f"v{i}" for i in range(50)]
     edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1 :] if rng.random() < 0.06]
     ext = validate_extension(CliqueComplex(Graph(vs, edges)), [])
     assert len(virtual_minimal_cycles(ext)) == 2016
+    holes = chordless_cycles(ext.base.skeleton)
+    assert [len(c) for c in holes].count(4) == 10
     search, kept = cycles._cycle_search, []
 
-    def counting(*args, **kwargs):
+    def recording(*args, **kwargs):
         found = search(*args, **kwargs)
-        kept.append(found[1] if kwargs.get("weight") is not None else found)
+        kept.append(found)
         return found
 
-    monkeypatch.setattr(cycles, "_cycle_search", counting)
-    monkeypatch.setattr(bounds, "_cycle_search", counting)
+    monkeypatch.setattr(cycles, "_cycle_search", recording)
+    monkeypatch.setattr(bounds, "_cycle_search", recording)
     rep = p2_report(ext)
-    assert kept == [10, 10, (), ()]
+    assert kept == [holes[0], (), ()]
     assert rep.lower == rep.lower_substitution == rep.upper == rep.exact == 1
+    assert rep.lower_witness.cycle == rep.upper_witness.cycle == holes[0]
 
 
-def test_p2_report_tied_cycles_stay_under_the_cap():
-    # K_{8,8} has 784 induced 4-cycles and nothing else; p2 needs one of them
+def test_p2_report_needs_one_of_the_tied_4_holes():
+    # K_{8,8} has 784 induced 4-cycles (8 choose 2, squared) and nothing
+    # else; p2 needs one of them
     a, b = [f"a{i}" for i in range(8)], [f"b{i}" for i in range(8)]
     ext = validate_extension(CliqueComplex(Graph(a + b, [(u, w) for u in a for w in b])), [])
-    assert p2_report(ext).exact == 1
-    assert p2_monomial(ext.base.skeleton) == P2Result(1, 784)  # 8 choose 2, squared
+    g = ext.base.skeleton
+    assert p2_report(ext).exact == p2_monomial(g) == 1
+    assert [len(c) for c in chordless_cycles(g)] == [4] * 784
+    assert p2_from_table(betti_table(g)) == P2Result(1, 784)
 
 
 def closed_diamond_chain(k):
@@ -475,7 +489,9 @@ def closed_diamond_chain(k):
 @pytest.mark.parametrize("k", range(4, 11))
 def test_tied_holes_are_counted_not_kept(k):
     ext = closed_diamond_chain(k)
-    assert p2_monomial(ext.base.skeleton) == P2Result(2 * k, 2**k)
+    g = ext.base.skeleton
+    assert p2_monomial(g) == 2 * k
+    assert [len(c) for c in chordless_cycles(g)] == [2 * k + 3] * 2**k
     assert p2_report(ext).exact == 2 * k
 
 
