@@ -107,14 +107,14 @@ _NONVIRTUAL = EdgeClass("nonvirtual", 1)  # shared: most cycle edges are not vir
 
 
 def _classify(e, members, vmap, g):
-    """EdgeClass of the canonical cycle edge ``e``; ``members`` is V(C)."""
+    """EdgeClass of the canonical cycle edge ``e``; ``members`` is V(C) as a rank bitmask."""
     if e not in vmap:
         return _NONVIRTUAL
     m, kblk = vmap[e]
-    ends = set(e)
+    off = members & ~(1 << g.rank[e[0]] | 1 << g.rank[e[1]])
 
     def isolated(x):  # no edge from x to the cycle outside e
-        return (g.adj[x] & members) <= ends
+        return not g.nbr[g.rank[x]] & off
 
     if any(isolated(x) for x in m.facet - m.gamma_vertices()):
         return EdgeClass("R1", 2, m, kblk)
@@ -145,7 +145,7 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
 
 def _virtual_cycle(cycle, vmap, g):
     """``cycle`` with its edges classified; ``vmap`` as :func:`_virtual_edge_blocks`."""
-    members = set(cycle)
+    members = sum(1 << g.rank[v] for v in cycle)
     classes = {e: _classify(e, members, vmap, g) for e in cycle_edges(cycle, g)}
     expandable = all(ec.block in (None, 1) for ec in classes.values())
     return VirtualCycle(cycle, classes, expandable)

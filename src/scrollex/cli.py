@@ -114,8 +114,23 @@ def _text(x, pad):
     return _text(_json_default(x), pad)
 
 
+def _write(text, end):
+    """Print ``text`` and ``end`` to stdout, flushed.  A failed write on a stream
+    with a file descriptor points fd 1 at ``os.devnull`` before it raises (the
+    idiom Python documents for EPIPE), so teardown cannot fail on the rest."""
+    try:
+        print(text, end=end, flush=True)
+    except OSError:
+        try:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # no file descriptor, as under pytest's capture
+        raise
+
+
 def _emit(report):
-    print(_text(report, "\n"), flush=True)
+    _write(_text(report, "\n"), "\n")
 
 
 def _load(path):
@@ -184,7 +199,7 @@ def _usage(prog, error=None):
         lines = map(str.split, __doc__.splitlines())
         usage = next(" ".join(words) for words in lines if words[:2] == prog.split())
     if error is None:
-        print(f"usage: {usage}\n\n{__doc__}", end="", flush=True)
+        _write(f"usage: {usage}\n\n{__doc__}", "")
         raise SystemExit(0)
     sys.stderr.write(f"usage: {usage}\n{prog}: error: {error}\n")
     raise SystemExit(1)

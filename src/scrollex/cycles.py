@@ -8,60 +8,35 @@ Only ``scrollex cycles`` and ``scrollex p2`` run it, so it lives apart from
 
 from __future__ import annotations
 
-import heapq
-
-from .graphs import DEFAULT_CYCLE_CAP, INFINITE, CycleCapExceeded
+from .graphs import DEFAULT_CYCLE_CAP, INFINITE, CycleCapExceeded, _bits
 
 
 def is_chordal(g):
     """True iff every cycle of length > 3 has a chord.
 
-    Runs maximum-cardinality search (highest weight first, ties to the
-    lowest rank, picked from a bucket queue by weight) and verifies the
-    resulting order is a perfect elimination order.  Agrees with
-    ``chordless_cycles(g) == ()``.
+    Greedy simplicial elimination on ``g.nbr`` (Dirac; Fulkerson and Gross):
+    a graph is chordal iff deleting a vertex whose live neighbours form a
+    clique, in any order, deletes every vertex.  Deleting a vertex can only
+    make its neighbours simplicial, so only they go back on the worklist.
+    Agrees with ``chordless_cycles(g) == ()``.
 
     >>> from scrollex.graphs import Graph
     >>> is_chordal(Graph("abcd", ["ab", "bc", "cd", "da"]))
     False
     """
-    n = len(g.vertices)
-    if n == 0:
-        return True
-    rank = g.rank
-    adj = g.adj
-    weight = dict.fromkeys(g.vertices, 0)
-    # buckets[w] is a heap of the ranks of vertices that reached weight w; an
-    # entry is stale once its vertex is numbered or has moved up a bucket
-    buckets = [list(range(n))] + [[] for _ in range(n)]
-    top = 0
-    visit = []
-    numbered = set()
-    while len(visit) < n:
-        heap = buckets[top]
-        while heap:
-            v = g.vertices[heapq.heappop(heap)]
-            if v not in numbered and weight[v] == top:
-                break
-        else:
-            top -= 1
-            continue
-        visit.append(v)
-        numbered.add(v)
-        for u in adj[v]:
-            if u not in numbered:
-                weight[u] += 1
-                heapq.heappush(buckets[weight[u]], rank[u])
-                top = max(top, weight[u])
-    # visit[0] is eliminated last; elim[v] = position in elimination order
-    elim = {v: n - 1 - i for i, v in enumerate(visit)}
-    for v in g.vertices:
-        later = [u for u in adj[v] if elim[u] > elim[v]]
-        if later:
-            m = min(later, key=lambda u: elim[u])
-            if not (set(later) - {m}) <= adj[m]:
-                return False
-    return True
+    nbr = g.nbr
+    live = queued = (1 << len(nbr)) - 1
+    todo = list(range(len(nbr)))
+    while todo:
+        v = todo.pop()
+        queued ^= 1 << v
+        ns = nbr[v] & live
+        if all(ns & ~nbr[u] == 1 << u for u in _bits(ns)):
+            live ^= 1 << v
+            fresh = ns & ~queued
+            queued |= fresh
+            todo.extend(_bits(fresh))
+    return not live
 
 
 def cycle_edges(cycle, g):
@@ -130,33 +105,26 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
         raise ValueError(f"cycle cap must be nonnegative, got {cap}")
     if through is not None and not through:
         return ()
-    rank = g.rank
-    n = len(g.vertices)
-    nbrs = [[] for _ in range(n)]
-    block = [1 << i for i in range(n)]
+    rank, adj = g.rank, g.nbr
+    n = len(adj)
     chord = [0] * n
+    for u, w in allowed:
+        a, b = rank[u], rank[w]
+        chord[a] |= 1 << b
+        chord[b] |= 1 << a
+    block = [adj[i] & ~chord[i] | 1 << i for i in range(n)]
+    nbrs = [list(_bits(m)) for m in adj]
     # wm[i][j]: the weight of {i, j}; with ``through``, 1 on its edges, else 0
     weighted = bool(weight or through)
     wm = [{} for _ in range(n)] if weighted else [[0 if weight is None else 1] * n] * n
-    for e in g.edges:
-        u, w = e
-        a, b = rank[u], rank[w]
-        if e in allowed:
-            chord[a] |= 1 << b
-            chord[b] |= 1 << a
+    for e in g.edges if weighted else ():
+        a, b = rank[e[0]], rank[e[1]]
+        x = (1 if e in through else 0) if through else weight.get(e, 1)
+        if x is None:  # a chord, never a cycle edge
+            nbrs[a].remove(b)
+            nbrs[b].remove(a)
         else:
-            block[a] |= 1 << b
-            block[b] |= 1 << a
-        if weighted:
-            x = (1 if e in through else 0) if through else weight.get(e, 1)
-            if x is None:
-                continue  # a chord, never a cycle edge
             wm[a][b] = wm[b][a] = x
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    for ns in nbrs:
-        ns.sort()
-    adj = [block[i] ^ 1 << i | chord[i] for i in range(n)]
 
     def shares_facet(a, b, walk):
         """True iff the edge {a, b} and an edge of ``walk`` form a clique."""

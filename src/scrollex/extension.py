@@ -16,7 +16,7 @@ the binomial ideal the rest of the package analyses;
 
 from __future__ import annotations
 
-from .graphs import CliqueComplex, Extension, _adjacency_masks, _is_facet, frozen_record
+from .graphs import CliqueComplex, Extension, _is_facet, frozen_record
 
 
 class ExtensionError(ValueError):
@@ -104,7 +104,7 @@ def validate_extension(base, matrices):
         base = CliqueComplex(base)
     matrices = tuple(matrices)
     g = base.skeleton
-    nbr, rank = _adjacency_masks(g), g.rank
+    nbr, rank = g.nbr, g.rank
     seen_facets = set()
     all_y = {}
     for mi, m in enumerate(matrices):

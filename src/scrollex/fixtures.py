@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, CliqueComplex, _adjacency_masks, _is_facet, maximal_cliques
+from .graphs import Graph, CliqueComplex, _is_facet, maximal_cliques
 from .instance import parse_instance
 
 
@@ -41,7 +41,7 @@ def proper_edges(cx):
     """Edges of the skeleton contained in exactly one facet: the edges that,
     with the common neighbours of their end points, form a facet."""
     g = cx.skeleton
-    nbr, rank = _adjacency_masks(g), g.rank
+    nbr, rank = g.nbr, g.rank
     return frozenset(
         (u, w) for u, w in g.edges
         if _is_facet(nbr[rank[u]] & nbr[rank[w]] | 1 << rank[u] | 1 << rank[w], nbr)

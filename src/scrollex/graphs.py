@@ -8,8 +8,9 @@ behind every immutable type: the reports, and ``Graph``, ``CliqueComplex``,
 
 Every structure in this package is deterministic: a vertex keeps the position
 it had in the input ("rank"), and every sort key, tie-break and output order
-is derived from that rank.  Identical inputs therefore produce identical
-outputs, byte for byte.
+is derived from that rank; so is ``Graph.nbr``, the one adjacency every graph
+algorithm reads (per vertex, its neighbours as a bitmask over ranks).
+Identical inputs therefore produce identical outputs, byte for byte.
 """
 
 from __future__ import annotations
@@ -113,12 +114,12 @@ class Graph:
     """Undirected graph over named vertices with a fixed vertex enumeration.
 
     Edges are stored canonically: each pair sorted by vertex rank, duplicate
-    edges collapsed.  ``rank`` (vertex -> position) and ``adj`` (vertex ->
-    neighbour set) are derived from the two fields.
+    edges collapsed.  ``rank`` (vertex -> position) and ``nbr`` (rank i -> its
+    neighbours' ranks as a bitmask) are derived from the two fields.
 
-    >>> g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    >>> sorted(g.edges)
-    [('a', 'b'), ('a', 'c'), ('b', 'c')]
+    >>> g = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a"), ("d", "c")])
+    >>> sorted(g.edges), g.nbr  # c, of rank 2, is joined to a, b and d: 0b1011 = 11
+    ([('a', 'b'), ('a', 'c'), ('b', 'c'), ('c', 'd')], (6, 5, 11, 4))
     """
 
     vertices: tuple
@@ -134,21 +135,21 @@ class Graph:
                 raise GraphError(f"duplicate vertex name {v!r}")
             rank[v] = k
         canon = set()
+        nbr = [0] * len(vs)
         for e in self.edges:
             u, w = e
             if u == w:
                 raise GraphError(f"loop edge at {u!r}")
             if u not in rank or w not in rank:
                 raise GraphError(f"edge endpoint not declared: ({u!r}, {w!r})")
-            canon.add((u, w) if rank[u] < rank[w] else (w, u))
-        adj = {v: set() for v in vs}
-        for u, w in canon:
-            adj[u].add(w)
-            adj[w].add(u)
+            a, b = rank[u], rank[w]
+            canon.add((u, w) if a < b else (w, u))
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", frozenset(canon))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "nbr", tuple(nbr))
 
     def edge_key(self, u, w):
         """The canonical (rank-sorted) form of the pair {u, w}."""
@@ -168,7 +169,7 @@ def maximal_cliques(g):
     [r, p, x, the candidates left]; it owns its ``p`` and ``x`` and moves
     each visited vertex from one to the other.
     """
-    nbr = _adjacency_masks(g)
+    nbr = g.nbr
     out = []
 
     def frame(r, p, x):
@@ -193,12 +194,6 @@ def maximal_cliques(g):
     out.sort()
     vs = g.vertices
     return tuple(tuple([vs[i] for i in c]) for c in out)
-
-
-def _adjacency_masks(g):
-    """``nbr[i]`` is the neighbourhood of the vertex of rank i, as a bitmask."""
-    rank = g.rank
-    return [sum(1 << rank[w] for w in g.adj[v]) for v in g.vertices]
 
 
 def _bits(s):
@@ -236,7 +231,7 @@ class CliqueComplex:
     The faces of the complex are exactly the cliques of ``skeleton``, so the
     facets are determined by the graph and every facet question is one of
     adjacency (:func:`_is_facet`).  ``facets`` lists them for the output; a
-    declared list is rejected if it differs.
+    declared list is rejected unless it lists them, each once, in any order.
     """
 
     skeleton: Graph
@@ -245,8 +240,7 @@ class CliqueComplex:
     def __post_init__(self):
         cliques = maximal_cliques(self.skeleton)
         if self.facets is not None:
-            given = sorted(frozenset(f) for f in self.facets)
-            if given != sorted(frozenset(c) for c in cliques):
+            if sorted(map(sorted, map(set, self.facets))) != sorted(map(sorted, cliques)):
                 raise GraphError(
                     "declared facets do not match the maximal cliques of the skeleton"
                 )

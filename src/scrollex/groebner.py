@@ -142,7 +142,8 @@ def encode_system(ext, order):
     """
     g, rank = ext.skeleton_bar, order.rank
     names = sorted(g.vertices, key=rank.__getitem__)
-    nf = [(rank[u], rank[w]) for u, w in combinations(names, 2) if w not in g.adj[u]]
+    nf = [(rank[u], rank[w]) for u, w in combinations(names, 2)
+          if g.edge_key(u, w) not in g.edges]
     binomials = []
     for m in ext.matrices:
         cols = [(rank[top], rank[bot]) for top, bot in m.columns()]

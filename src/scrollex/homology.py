@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import INFINITE, _adjacency_masks, frozen_record
+from .graphs import INFINITE, frozen_record
 
 
 class GuardExceeded(ValueError):
@@ -107,7 +107,7 @@ def _hochster_sweep(g, char):
     which does both, is imported then.  Equal results share one interned
     dict.
     """
-    nbr = _adjacency_masks(g)
+    nbr = g.nbr
     h = [{}] * (1 << len(nbr))
     h[0] = {-1: 1}
     interned = {}
@@ -154,13 +154,13 @@ def betti_table(g, field=QQ, max_vertices=20):
     n = len(g.vertices)
     if n > max_vertices:
         raise GuardExceeded(f"{n} vertices exceed the subset-sweep guard ({max_vertices})")
-    adj = g.adj
-    if n >= 4 and all(len(w) == 2 for w in adj.values()):
-        v, seen = g.vertices[0], set()
-        while v not in seen:  # a walk, not rank order: new variables rank last
-            seen.add(v)
-            v = next(iter(adj[v] - seen), v)
-        if len(seen) == n:
+    if n >= 4 and all(m.bit_count() == 2 for m in g.nbr):
+        seen = step = 1
+        while step:  # a walk, not rank order: new variables rank last
+            step = g.nbr[step.bit_length() - 1] & ~seen
+            step &= -step
+            seen |= step
+        if seen == (1 << n) - 1:
             return cycle_betti_table(n)
     return BettiTable(_hochster_sweep(g, field.char)[0])
 

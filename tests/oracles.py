@@ -28,11 +28,14 @@ no oracle calls ``initial_complex``.  ``orderable`` turns the
 
 The graph helpers ``induced`` and ``canonical_cycle`` live here as well,
 since only the oracles and tests build induced subgraphs or canonicalize
-cycles by hand, and so does ``sweep_betti_table``: not an oracle, but the
-library's subset sweep with its multigraded entries rebuilt, for the tests
-that hold it against ``brute_betti_table`` subset by subset.  Likewise
-``clique_homology``, the library's core kernel run on a whole clique
-complex with no reduction first.
+cycles by hand, and so does ``adjacency``: no oracle or test reads the
+library's adjacency bitmasks (``Graph.nbr``) to judge it, but builds its
+own map, vertex name -> neighbour set, from ``g.edges``.  So does
+``sweep_betti_table``: not an oracle, but the library's subset sweep with
+its multigraded entries rebuilt, for the tests that hold it against
+``brute_betti_table`` subset by subset.  Likewise ``clique_homology``, the
+library's core kernel run on a whole clique complex (on ``Graph.nbr``, as
+the sweep runs it) with no reduction first.
 
 ``census_p2_report`` is the p2 report read off the whole census of virtual
 minimal cycles, as the library computed it before its bounded walks; it
@@ -53,7 +56,7 @@ from itertools import combinations, permutations
 
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.fixtures import attach_random_matrices
-from scrollex.graphs import INFINITE, Graph, GraphError, _adjacency_masks
+from scrollex.graphs import INFINITE, Graph, GraphError
 from scrollex.homology import QQ, _hochster_sweep
 from scrollex.kernel import _core_homology
 from scrollex.ordering import (
@@ -156,6 +159,15 @@ def identity_route(ext):
     return diagonal_route(ext, identity_permutation)
 
 
+def adjacency(g):
+    """Vertex name -> the set of its neighbours' names, built from ``g.edges``."""
+    adj = {v: set() for v in g.vertices}
+    for u, w in g.edges:
+        adj[u].add(w)
+        adj[w].add(u)
+    return adj
+
+
 def induced(g, w):
     """Subgraph of ``g`` on the vertex set ``w`` with all edges inside ``w``."""
     w = set(w)
@@ -184,11 +196,11 @@ def canonical_cycle(seq, rank):
 
 def brute_maximal_cliques(g):
     """Maximal cliques by testing every vertex subset."""
-    verts = list(g.vertices)
+    verts, adj = list(g.vertices), adjacency(g)
     cliques = []
     for r in range(1, len(verts) + 1):
         for s in combinations(verts, r):
-            if all(w in g.adj[u] for u, w in combinations(s, 2)):
+            if all(w in adj[u] for u, w in combinations(s, 2)):
                 cliques.append(set(s))
     maximal = [
         c for c in cliques if not any(c < d for d in cliques)
@@ -204,14 +216,15 @@ def brute_chordless_cycles(g):
             sub = induced(g, s)
             if len(sub.edges) != r:
                 continue
-            if any(len(sub.adj[v]) != 2 for v in s):
+            sub_adj = adjacency(sub)
+            if any(len(sub_adj[v]) != 2 for v in s):
                 continue
             # connected 2-regular graph on r vertices with r edges = one cycle
             seen = {s[0]}
             stack = [s[0]]
             while stack:
                 u = stack.pop()
-                for w in sub.adj[u]:
+                for w in sub_adj[u]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -220,7 +233,7 @@ def brute_chordless_cycles(g):
             walk = [s[0]]
             prev = None
             while len(walk) < r:
-                nxt = [w for w in sub.adj[walk[-1]] if w != prev][0]
+                nxt = [w for w in sub_adj[walk[-1]] if w != prev][0]
                 prev = walk[-1]
                 walk.append(nxt)
             out.append(canonical_cycle(walk, g.rank))
@@ -230,14 +243,14 @@ def brute_chordless_cycles(g):
 
 def brute_all_cycles(g):
     """Every cycle of length >= 4, canonical, via Hamiltonian walks of subsets."""
-    out = set()
+    out, adj = set(), adjacency(g)
     for r in range(4, len(g.vertices) + 1):
         for s in combinations(g.vertices, r):
             first = s[0]
             for rest in permutations(s[1:]):
                 walk = (first,) + rest
                 if all(
-                    walk[(i + 1) % r] in g.adj[walk[i]] for i in range(r)
+                    walk[(i + 1) % r] in adj[walk[i]] for i in range(r)
                 ):
                     out.add(canonical_cycle(walk, g.rank))
     return sorted(out, key=lambda c: (len(c), tuple(g.rank[v] for v in c)))
@@ -265,7 +278,7 @@ def brute_virtual_cycles(ext):
     Two cycle edges share a facet when one of ``ext.base.facets`` holds both.
     """
     g = ext.base.skeleton
-    virt = virtual_edges(ext)
+    adj, virt = adjacency(g), virtual_edges(ext)
     edge_facets = {}  # canonical edge -> the indices of the facets holding it
     for k, f in enumerate(ext.base.facets):
         for u, w in combinations(f, 2):
@@ -277,7 +290,7 @@ def brute_virtual_cycles(ext):
         chords = [
             g.edge_key(u, w)
             for u, w in combinations(cyc, 2)
-            if w in g.adj[u] and g.edge_key(u, w) not in edges
+            if w in adj[u] and g.edge_key(u, w) not in edges
         ]
         if any(c not in virt for c in chords):
             continue
@@ -434,12 +447,11 @@ def expand_cycle(vc, ext):
 def homology_witness(cycle_bar, ext, field=QQ):
     """Rank of H~_1 of the extended clique complex restricted to the cycle's
     vertices, from the face list by :func:`reduced_homology_rank`."""
-    g = ext.skeleton_bar
-    vs = list(cycle_bar)
+    adj, vs = adjacency(ext.skeleton_bar), list(cycle_bar)
     faces = [()]
     for f in faces:  # the list grows: every clique extended by later vertices
         start = vs.index(f[-1]) + 1 if f else 0
-        faces.extend(f + (v,) for v in vs[start:] if all(v in g.adj[u] for u in f))
+        faces.extend(f + (v,) for v in vs[start:] if all(v in adj[u] for u in f))
     return reduced_homology_rank(faces, 1, field)
 
 
@@ -451,7 +463,7 @@ def bfs_replacement_length(ext, cycle, e):
     the cycle.  Returns the path length, or None when no detour exists.
     """
     g, gbar = ext.base.skeleton, ext.skeleton_bar
-    h = Graph(gbar.vertices, gbar.edges - diagonal_route(ext, pi_star)[1])
+    h_adj = adjacency(Graph(gbar.vertices, gbar.edges - diagonal_route(ext, pi_star)[1]))
     e = g.edge_key(*e)
     m, _block = virtual_matrix(ext, e)
     fbar = m.facet | set(m.y_vertices())
@@ -459,14 +471,14 @@ def bfs_replacement_length(ext, cycle, e):
     allowed = {
         v
         for v in fbar
-        if v in e or not any(w in h.adj[v] for w in others)
+        if v in e or not any(w in h_adj[v] for w in others)
     }
     start, goal = e
     dist = {start: 0}
     q = deque([start])
     while q:
         u = q.popleft()
-        for w in h.adj[u]:
+        for w in h_adj[u]:
             if w not in allowed or w in dist:
                 continue
             dist[w] = dist[u] + 1
@@ -584,7 +596,7 @@ def clique_homology(g, field=QQ):
     """
     if not g.vertices:
         return {-1: 1}
-    return _core_homology((1 << len(g.vertices)) - 1, _adjacency_masks(g), field.char, {})
+    return _core_homology((1 << len(g.vertices)) - 1, g.nbr, field.char, {})
 
 
 def brute_betti_table(g, field):
@@ -595,15 +607,14 @@ def brute_betti_table(g, field):
     face-list ``reduced_homology_ranks``: no vertex deletions, no
     components, no memo.  Returns a :class:`Betti`.
     """
-    graded = {}
-    multigraded = {}
+    graded, multigraded, adj = {}, {}, adjacency(g)
     for k in range(2, len(g.vertices) + 1):
         for sigma in combinations(g.vertices, k):
             faces = [
                 f
                 for r in range(k + 1)
                 for f in combinations(sigma, r)
-                if all(w in g.adj[u] for u, w in combinations(f, 2))
+                if all(w in adj[u] for u, w in combinations(f, 2))
             ]
             for d, h in reduced_homology_ranks(faces, field).items():
                 i = k - d - 2
@@ -640,10 +651,10 @@ def _binomial_generators(ext):
     the non-edges as index pairs, and each nonzero 2x2 minor
     top_u*bot_v - top_v*bot_u (u < v) as a pair of exponent tuples."""
     g = ext.skeleton_bar
-    idx = {v: i for i, v in enumerate(g.vertices)}
+    adj, idx = adjacency(g), {v: i for i, v in enumerate(g.vertices)}
     n = len(idx)
     nonedges = [
-        (idx[u], idx[w]) for u, w in combinations(g.vertices, 2) if w not in g.adj[u]
+        (idx[u], idx[w]) for u, w in combinations(g.vertices, 2) if w not in adj[u]
     ]
 
     def expo(*vs):
@@ -773,7 +784,8 @@ def generator_system(ext):
     """The extension's generators on names: the non-edges of the extended
     1-skeleton, and each matrix's facet and minors in input order."""
     g = ext.skeleton_bar
-    nf = tuple((u, w) for u, w in combinations(g.vertices, 2) if w not in g.adj[u])
+    adj = adjacency(g)
+    nf = tuple((u, w) for u, w in combinations(g.vertices, 2) if w not in adj[u])
     return GeneratorSystem(nf, tuple((m.facet, matrix_minors(m)) for m in ext.matrices))
 
 

@@ -4,8 +4,10 @@ import sys
 import time
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.generators.atlas import graph_atlas_g
 
 import scrollex.cycles
 import scrollex.graphs
@@ -17,9 +19,15 @@ from scrollex.graphs import (
     GraphError,
     maximal_cliques,
 )
-from scrollex.fixtures import proper_edges
+from scrollex.fixtures import proper_edges, random_chordal_graph
 from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
-from oracles import brute_chordless_cycles, brute_maximal_cliques, canonical_cycle, induced
+from oracles import (
+    adjacency,
+    brute_chordless_cycles,
+    brute_maximal_cliques,
+    canonical_cycle,
+    induced,
+)
 
 BRUNS_VERTICES = "abcde"
 BRUNS_EDGES = ["ab", "bc", "ac", "cd", "de", "ae"]
@@ -43,7 +51,8 @@ def test_build_graph_triangle():
 def test_build_graph_square():
     g = Graph("abcd", ["ab", "bc", "cd", "da"])
     assert len(g.edges) == 4
-    assert "a" in g.adj["d"] and "c" not in g.adj["a"]
+    assert "a" in adjacency(g)["d"] and "c" not in adjacency(g)["a"]
+    assert g.nbr == (0b1010, 0b0101, 0b1010, 0b0101)
 
 
 def test_build_graph_collapses_duplicates():
@@ -129,6 +138,45 @@ def test_is_chordal_long_path_and_polygon():
     assert not is_chordal(Graph(names, path + [(names[-1], names[0])]))
 
 
+def to_graph(h):
+    """The networkx graph ``h`` as a ``Graph`` on the names v0, v1, ..."""
+    return Graph([f"v{i}" for i in h.nodes], [(f"v{u}", f"v{w}") for u, w in h.edges])
+
+
+def test_is_chordal_matches_networkx():
+    """Every graph on at most 7 vertices, and random chordal graphs (each
+    vertex simplicial when added) under shuffled ranks, against networkx."""
+    for h in graph_atlas_g():
+        assert is_chordal(to_graph(h)) == nx.is_chordal(h), h.edges
+    rng = random.Random(7)
+    for n in range(1, 40, 3):
+        g = random_chordal_graph(rng, n)
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(g.vertices)
+        assert nx.is_chordal(h)
+        assert is_chordal(Graph(rng.sample(g.vertices, n), g.edges))
+
+
+def diamond_chain(k):
+    """Edges of k diamonds a_{i-1} b_i c_i a_i, each with its chord b_i c_i,
+    glued at their ends: a chordal graph on 3k + 1 vertices."""
+    edges = []
+    for i in range(1, k + 1):
+        lo, hi, b, c = f"a{i - 1}", f"a{i}", f"b{i}", f"c{i}"
+        edges += [(lo, b), (lo, c), (b, c), (b, hi), (c, hi)]
+    return edges
+
+
+def test_is_chordal_long_diamond_chain():
+    k = 2000
+    edges = diamond_chain(k)
+    names = sorted({v for e in edges for v in e})
+    assert is_chordal(Graph(names, edges))
+    # closed by the path a_k p q a_0, the chain has 2^k holes
+    closing = [(f"a{k}", "p"), ("p", "q"), ("q", "a0")]
+    assert not is_chordal(Graph(names + ["p", "q"], edges + closing))
+
+
 def test_chordless_cycles_examples():
     tree = Graph("abcd", ["ab", "bc", "bd"])
     assert chordless_cycles(tree) == ()
@@ -158,7 +206,7 @@ def test_induced_examples():
     path = induced(c4, "abc")
     assert path.edges == {("a", "b"), ("b", "c")}
     square = induced(bruns_graph(), "acde")
-    assert len(square.edges) == 4 and "d" not in square.adj["a"]
+    assert len(square.edges) == 4 and "d" not in adjacency(square)["a"]
     with pytest.raises(GraphError):
         induced(k3, {"a", "nope"})
 

@@ -28,6 +28,7 @@ from scrollex.groebner import (
 from scrollex.instance import parse_instance
 from oracles import (
     GeneratorSystem,
+    adjacency,
     diagonal_deletions,
     extended_facets,
     generator_system,
@@ -158,7 +159,7 @@ def test_initial_complex_square_one_edge(square_one_edge):
     # what is left of the extended square is a hexagon
     g = ic.graph
     assert len(g.edges) == 6
-    assert all(len(g.adj[v]) == 2 for v in g.vertices)
+    assert all(len(ns) == 2 for ns in adjacency(g).values())
 
 
 def test_initial_complex_bruns(bruns):

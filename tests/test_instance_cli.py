@@ -128,6 +128,22 @@ def test_facet_override_checked():
     assert err.value.path == "/facets"
 
 
+def test_declared_facets_in_any_order():
+    """Declared facets compare as sets in any order; a missing, extra or
+    repeated facet is still rejected."""
+    doc = {"vertices": list("abcd"), "edges": [list(e) for e in ("ab", "bc", "ac", "cd")]}
+    orders = (["abc", "cd"], ["cd", "abc"], ["dc", "cba"])
+    digests = {
+        instance_digest(parse_instance({**doc, "facets": list(map(list, facets))})[1])
+        for facets in orders
+    }
+    assert digests == {instance_digest(parse_instance(doc)[1])}
+    for facets in (["cd"], ["cd", "abc", "cd"], ["cd", "abc", "ab"]):
+        with pytest.raises(InstanceError) as err:
+            parse_instance({**doc, "facets": list(map(list, facets))})
+        assert err.value.path == "/facets"
+
+
 NAMES = st.sampled_from(["a", "b", "c", "d", "y", "z", ""])
 VERTICES = st.sampled_from("abcd")
 KEYS = st.sampled_from(
@@ -626,6 +642,24 @@ def test_cli_help_full_stdout_exit1(argv):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-c", CLI, *argv],
+            env=child_env(unbuffered=False),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["p2", path("bruns")], ["-h"]], ids=["report", "help"])
+def test_main_argv_full_stdout_exit1(argv):
+    """``main(argv)`` returns to an interpreter that tears down and flushes
+    stdout again: a write that failed must not fail there too, with
+    "Exception ignored" lines and exit 120."""
+    code = "import sys; from scrollex.cli import main; sys.exit(main(sys.argv[1:]))"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
             env=child_env(unbuffered=False),
             stdout=full,
             stderr=subprocess.PIPE,
