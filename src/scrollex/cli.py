@@ -115,11 +115,24 @@ def _text(x, pad):
 
 
 def _write(text, end):
-    """Print ``text`` and ``end`` to stdout, flushed.  A failed write on a stream
-    with a file descriptor points fd 1 at ``os.devnull`` before it raises (the
-    idiom Python documents for EPIPE), so teardown cannot fail on the rest."""
+    """Write ``text`` and ``end`` to stdout, flushed.  They go to the binary
+    buffer as one byte string, written until every byte is out: with
+    unbuffered stdout the buffer is the raw file, whose short counts the
+    text layer would ignore.  A stream without a buffer (``io.StringIO``, or
+    None without fd 1) is printed to.  A failed write on a stream with a file
+    descriptor points fd 1 at ``os.devnull`` before it raises (the idiom
+    Python documents for EPIPE), so teardown cannot fail on the rest."""
+    out = sys.stdout
     try:
-        print(text, end=end, flush=True)
+        buffer = getattr(out, "buffer", None)
+        if buffer is None:
+            print(text, end=end, flush=True)
+        else:
+            text += end  # CPython resizes in place when the caller passed a temporary
+            rest = memoryview(text.encode(out.encoding, out.errors))
+            while rest:
+                rest = rest[buffer.write(rest) :]
+            buffer.flush()
     except OSError:
         try:
             with open(os.devnull, "wb") as null:
@@ -130,7 +143,16 @@ def _write(text, end):
 
 
 def _emit(report):
-    _write(_text(report, "\n"), "\n")
+    """Write ``report``, lifting the limit on the digits of int-to-str, a guard
+    for parsing untrusted text: every input is parsed, and entries are exact."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _write(_text(report, "\n"), "\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _load(path):

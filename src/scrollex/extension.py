@@ -78,11 +78,6 @@ class ScrollMatrix:
     def variables(self):
         return frozenset({self.x0} | {b.x for b in self.blocks} | set(self.y_vertices()))
 
-    def column_position(self, j, t):
-        """Column index of the t-th new variable (1-based) of block j (1-based)."""
-        start = 1 + sum(len(b.y) for b in self.blocks[: j - 1])
-        return start + t - 1
-
     def __repr__(self):
         fac = ",".join(sorted(self.facet))
         return f"ScrollMatrix({{{fac}}}, x0={self.x0}, {len(self.blocks)} blocks)"

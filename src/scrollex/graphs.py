@@ -230,21 +230,13 @@ class CliqueComplex:
 
     The faces of the complex are exactly the cliques of ``skeleton``, so the
     facets are determined by the graph and every facet question is one of
-    adjacency (:func:`_is_facet`).  ``facets`` lists them for the output; a
-    declared list is rejected unless it lists them, each once, in any order.
+    adjacency (:func:`_is_facet`).  ``facets`` lists them for the output.
     """
 
     skeleton: Graph
-    facets: tuple = None
 
     def __post_init__(self):
-        cliques = maximal_cliques(self.skeleton)
-        if self.facets is not None:
-            if sorted(map(sorted, map(set, self.facets))) != sorted(map(sorted, cliques)):
-                raise GraphError(
-                    "declared facets do not match the maximal cliques of the skeleton"
-                )
-        object.__setattr__(self, "facets", cliques)
+        object.__setattr__(self, "facets", maximal_cliques(self.skeleton))
 
     def __repr__(self):
         return f"CliqueComplex({len(self.skeleton.vertices)} vertices, {len(self.facets)} facets)"

@@ -25,7 +25,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .graphs import CliqueComplex, Extension, Graph, GraphError
+from .graphs import CliqueComplex, Extension, Graph
 
 
 class InstanceError(ValueError):
@@ -94,11 +94,8 @@ def parse_instance(document):
         _expect(u != w, f"/edges/{k}", "loop edge")
         edges.append((u, w))
 
-    try:
-        graph = Graph(vertices, edges)
-    except GraphError as e:
-        raise InstanceError("/edges", str(e)) from None
-
+    # every condition Graph checks has been rejected above, with a finer path
+    cx = CliqueComplex(Graph(vertices, edges))
     facets_doc = document.get("facets")
     if facets_doc is not None:
         _expect(isinstance(facets_doc, list), "/facets", "expected a list")
@@ -107,13 +104,10 @@ def parse_instance(document):
             names = _string_list(f, f"/facets/{k}")
             for v in names:
                 _expect(v in seen, f"/facets/{k}", f"unknown vertex {v!r}")
-            declared.append(frozenset(names))
-    else:
-        declared = None
-    try:
-        cx = CliqueComplex(graph, declared)
-    except GraphError as e:
-        raise InstanceError("/facets", str(e)) from None
+            declared.append(sorted(set(names)))
+        # the facets, each once, in any order
+        _expect(sorted(declared) == sorted(map(sorted, cx.facets)), "/facets",
+                "declared facets do not match the maximal cliques of the skeleton")
 
     exts_doc = document.get("extensions", [])
     _expect(isinstance(exts_doc, list), "/extensions", "expected a list")

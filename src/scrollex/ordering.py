@@ -1,5 +1,5 @@
-"""Admissible orders of scroll matrices, column permutations, variable orders,
-and the initial complex that they decide.
+"""Admissible orders of scroll matrices, and the initial complex and variable
+order that one decides under the pi* column permutation.
 
 A family of matrices is admissibly ordered when, at every position, the
 top-left entry of the matrix avoids the second rows of all later matrices
@@ -12,7 +12,7 @@ digraph is acyclic, and a directed cycle is the witness of impossibility.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .graphs import Graph, frozen_record
 
@@ -91,49 +91,6 @@ def find_admissible_order(matrices):
     )
 
 
-# ---------------------------------------------------------------------------
-# column permutations
-# ---------------------------------------------------------------------------
-
-
-def is_admissible_permutation(m, image):
-    """Whether ``image`` (0-based column order) is admissible for matrix ``m``.
-
-    The first column must stay first, and no column's bottom entry may equal
-    the top entry of any column at the same or an earlier position.
-    """
-    cols = m.columns()
-    if sorted(image) != list(range(len(cols))):
-        raise ValueError("not a permutation of the columns")
-    if image[0] != 0:
-        return False
-    for i in range(1, len(cols)):
-        bot = cols[image[i]][1]
-        if any(cols[image[j]][0] == bot for j in range(i + 1)):
-            return False
-    return True
-
-
-def pi_star(m):
-    """The canonical interleaving permutation.
-
-    Keeps the first column, then takes the first column of every block in
-    block order, then every second column, and so on.  Always admissible.
-    """
-    image = [0]
-    depth = max(len(b.y) for b in m.blocks)
-    for t in range(1, depth + 1):
-        for j, b in enumerate(m.blocks, 1):
-            if len(b.y) >= t:
-                image.append(m.column_position(j, t))
-    return tuple(image)
-
-
-# ---------------------------------------------------------------------------
-# the induced variable order
-# ---------------------------------------------------------------------------
-
-
 @frozen_record
 class VarOrder:
     """A total order on variables; position 0 is the largest variable."""
@@ -148,49 +105,8 @@ class VarOrder:
         if len(self.rank) != len(self.variables):
             raise ValueError("repeated variable in order")
 
-    def greater(self, a, b):
-        return self.rank[a] < self.rank[b]
-
     def __repr__(self):
         return "VarOrder(" + " > ".join(self.variables) + ")"
-
-
-def variable_order(matrices, images, universe):
-    """The variable order induced by an admissibly ordered, permuted family.
-
-    Walks the permuted first rows in matrix order, assigning each unseen
-    variable the next (smaller) position; all remaining members of
-    ``universe`` follow in their input order.  The family must come in an
-    admissible order, as :func:`find_admissible_order` emits it; that is not
-    re-checked.  Each permutation is checked for admissibility (ValueError),
-    and the result for making every permuted top row strictly decreasing and
-    every column top-heavy (NotOrderableError).
-    """
-    matrices = tuple(matrices)
-    permuted = []
-    for m, im in zip(matrices, images):
-        if not is_admissible_permutation(m, im):
-            raise ValueError(f"permutation {tuple(im)} is not admissible for {m!r}")
-        cols = m.columns()
-        permuted.append([cols[pos] for pos in im])
-    tops = [[top for top, _bot in cols] for cols in permuted]
-    order = VarOrder(dict.fromkeys([v for row in tops for v in row] + list(universe)))
-    for m, cols, row in zip(matrices, permuted, tops):
-        if not all(order.greater(a, b) for a, b in zip(row, row[1:])):
-            raise NotOrderableError(
-                f"top row of {m!r} is not decreasing under the induced order"
-            )
-        for top, bot in cols:
-            if not order.greater(top, bot):
-                raise NotOrderableError(
-                    f"column ({top}, {bot}) of {m!r} is not top-heavy"
-                )
-    return order
-
-
-# ---------------------------------------------------------------------------
-# the initial complex
-# ---------------------------------------------------------------------------
 
 
 @frozen_record
@@ -210,24 +126,32 @@ class InitialComplex:
 def initial_complex(ext):
     """Delete the diagonals {top_i, bottom_k}, i < k, of every permuted matrix.
 
-    The one place where the admissible order is decided: the family is
-    ordered by :func:`find_admissible_order` (which raises NotOrderableError
-    with the witness cycle as ``facets`` if it has no order), every matrix
-    is permuted by :func:`pi_star`, and the same ordered, permuted family
-    gives the variable order.  The resulting edge set is exactly the complement
-    of the lead terms of the Groebner route, and its restriction to every
-    extended facet is chordal.  No diagonal degenerates to a square: the
-    variable order has checked that every permutation is admissible.
+    The one place where the admissible order is decided and the variable
+    order built.  :func:`find_admissible_order` orders the family (or raises
+    NotOrderableError with the witness cycle as ``facets``), and pi*
+    permutes each matrix's columns once: the first column, then the first
+    column of every block in block order, then every second one, and so on.
+    The order reads the permuted top rows in matrix order, each unseen
+    variable next, then the other vertices of the extended skeleton.  The
+    remaining edges are exactly the complement of the Groebner route's lead
+    terms, and chordal on every extended facet.
+
+    Nothing is re-checked.  In an admissible order no matrix's head lies in
+    a later matrix's second row, and pi* lists only new variables after the
+    first column, the column (y, y') before the one headed by y'.  So every
+    permuted top row decreases, every column's top is above its bottom, and
+    no diagonal is a square: the checks of ``variable_order`` in
+    ``tests/oracles.py``, the oracle this function is held against.
     """
     matrices = find_admissible_order(ext.matrices)
-    images = tuple(pi_star(m) for m in matrices)
     gbar = ext.skeleton_bar
-    order = variable_order(matrices, images, gbar.vertices)
-    deleted = set()
-    for m, image in zip(matrices, images):
-        cols = m.columns()
-        pc = [cols[p] for p in image]
-        deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(pc, 2))
+    tops, deleted = [], set()
+    for m in matrices:
+        tiers = zip_longest(*(zip(b.y, b.y[1:] + (b.x,)) for b in m.blocks))
+        cols = [m.columns()[0]] + [c for tier in tiers for c in tier if c is not None]
+        tops += [top for top, _bottom in cols]
+        deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(cols, 2))
+    order = VarOrder(dict.fromkeys(tops + list(gbar.vertices)))
     graph = Graph(gbar.vertices, gbar.edges - deleted)
     return InitialComplex(graph, frozenset(deleted), order)
 

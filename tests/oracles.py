@@ -15,16 +15,22 @@ matrix's minors, never ``groebner.encode_system``.  ``rank_encoded`` maps a
 system oriented by ``oriented_system`` to rank tuples, for tests that hand
 the library's check a system no extension builds.
 
-Three judges of the paper's ordering data live here as well, because only
+The judges of the paper's ordering data live here as well, because only
 tests use them: ``check_admissible_order``, the literal two-branch
 admissibility test that ``find_admissible_order`` is checked against;
-``identity_permutation``, the second admissible permutation the theorem
-tests quantify over besides pi*; and ``diagonal_deletions``, the matrix
-diagonals under any given permutations, which with ``diagonal_route``
-stands in for ``initial_complex``: under identity permutations in
-``identity_route``, and under pi* in ``bfs_replacement_length``, so that
-no oracle calls ``initial_complex``.  ``orderable`` turns the
-``NotOrderableError`` of ``find_admissible_order`` into a boolean for tests.
+``is_admissible_permutation`` and two admissible column permutations as
+image tuples, ``identity_permutation`` and ``pi_star``, the two the
+theorem tests quantify over; ``variable_order``, the variable order under
+any admissible permutations, with its three checks (every permutation
+admissible, every permuted top row decreasing, every column top-heavy);
+and ``diagonal_deletions``, the matrix diagonals under any given
+permutations.  With ``diagonal_route`` the last two stand in for
+``initial_complex``: under identity permutations in ``identity_route``,
+and under pi* in ``pi_star_route``, which the tests hold against
+``initial_complex``'s own one-pass pi* order and diagonals and
+``bfs_replacement_length`` uses, so that none of these judges calls
+``initial_complex``.  ``orderable`` turns the ``NotOrderableError`` of
+``find_admissible_order`` into a boolean for tests.
 
 The graph helpers ``induced`` and ``canonical_cycle`` live here as well,
 since only the oracles and tests build induced subgraphs or canonicalize
@@ -61,10 +67,9 @@ from scrollex.homology import QQ, _hochster_sweep
 from scrollex.kernel import _core_homology
 from scrollex.ordering import (
     NotOrderableError,
+    VarOrder,
     find_admissible_order,
     initial_complex,
-    pi_star,
-    variable_order,
 )
 from scrollex.graphs import DEFAULT_CYCLE_CAP
 from scrollex.groebner import Binomial, GroebnerCheck
@@ -118,6 +123,74 @@ def identity_permutation(m):
     return tuple(range(len(m.columns())))
 
 
+def is_admissible_permutation(m, image):
+    """Whether ``image`` (0-based column order) is admissible for matrix ``m``.
+
+    The first column must stay first, and no column's bottom entry may equal
+    the top entry of any column at the same or an earlier position.
+    """
+    cols = m.columns()
+    if sorted(image) != list(range(len(cols))):
+        raise ValueError("not a permutation of the columns")
+    if image[0] != 0:
+        return False
+    for i in range(1, len(cols)):
+        bot = cols[image[i]][1]
+        if any(cols[image[j]][0] == bot for j in range(i + 1)):
+            return False
+    return True
+
+
+def pi_star(m):
+    """The canonical interleaving permutation, as the tuple of column images.
+
+    Keeps the first column, then takes the first column of every block in
+    block order, then every second column, and so on.  Always admissible.
+    """
+    starts = [1]  # starts[j]: the column of block j's first new variable
+    for b in m.blocks:
+        starts.append(starts[-1] + len(b.y))
+    image = [0]
+    for t in range(max(len(b.y) for b in m.blocks)):
+        image += [starts[j] + t for j, b in enumerate(m.blocks) if len(b.y) > t]
+    return tuple(image)
+
+
+def variable_order(matrices, images, universe):
+    """The variable order induced by an admissibly ordered, permuted family.
+
+    Walks the permuted first rows in matrix order, assigning each unseen
+    variable the next (smaller) position; all remaining members of
+    ``universe`` follow in their input order.  The family must come in an
+    admissible order, as ``find_admissible_order`` emits it; that is not
+    re-checked.  Each permutation is checked for admissibility (ValueError),
+    and the result for making every permuted top row strictly decreasing and
+    every column top-heavy (NotOrderableError).  ``initial_complex`` builds
+    the pi* order without these checks, which an admissible order implies.
+    """
+    matrices = tuple(matrices)
+    permuted = []
+    for m, im in zip(matrices, images):
+        if not is_admissible_permutation(m, im):
+            raise ValueError(f"permutation {tuple(im)} is not admissible for {m!r}")
+        cols = m.columns()
+        permuted.append([cols[pos] for pos in im])
+    tops = [[top for top, _bot in cols] for cols in permuted]
+    order = VarOrder(dict.fromkeys([v for row in tops for v in row] + list(universe)))
+    rank = order.rank
+    for m, cols, row in zip(matrices, permuted, tops):
+        if not all(rank[a] < rank[b] for a, b in zip(row, row[1:])):
+            raise NotOrderableError(
+                f"top row of {m!r} is not decreasing under the induced order"
+            )
+        for top, bot in cols:
+            if not rank[top] < rank[bot]:
+                raise NotOrderableError(
+                    f"column ({top}, {bot}) of {m!r} is not top-heavy"
+                )
+    return order
+
+
 def diagonal_deletions(ext, matrices, images):
     """The diagonals {top_i, bottom_k}, i < k, of every permuted matrix.
 
@@ -157,6 +230,12 @@ def identity_route(ext):
     which use pi*.
     """
     return diagonal_route(ext, identity_permutation)
+
+
+def pi_star_route(ext):
+    """The variable order and the deleted diagonals under pi*, built and
+    checked by ``variable_order``: what ``initial_complex(ext)`` must give."""
+    return diagonal_route(ext, pi_star)
 
 
 def adjacency(g):
@@ -463,7 +542,7 @@ def bfs_replacement_length(ext, cycle, e):
     the cycle.  Returns the path length, or None when no detour exists.
     """
     g, gbar = ext.base.skeleton, ext.skeleton_bar
-    h_adj = adjacency(Graph(gbar.vertices, gbar.edges - diagonal_route(ext, pi_star)[1]))
+    h_adj = adjacency(Graph(gbar.vertices, gbar.edges - pi_star_route(ext)[1]))
     e = g.edge_key(*e)
     m, _block = virtual_matrix(ext, e)
     fbar = m.facet | set(m.y_vertices())

@@ -38,6 +38,7 @@ from oracles import (
     homology_witness,
     identity_route,
     induced,
+    pi_star_route,
     random_extension_instance,
     virtual_edges,
 )
@@ -516,6 +517,16 @@ def test_small_extensions_match_brute_betti(ext):
     if len(graphs) == 2 and not is_chordal(base):
         # ``brute`` is now the initial complex's table over QQ
         assert p2_report(ext).lower == p2_from_table(BettiTable(brute)).p2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_extensions)
+def test_small_extensions_initial_complex_matches_the_oracle(ext):
+    try:
+        ic = initial_complex(ext)
+    except NotOrderableError:
+        return
+    assert (ic.order, ic.deleted) == pi_star_route(ext)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

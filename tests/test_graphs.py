@@ -21,6 +21,7 @@ from scrollex.graphs import (
 )
 from scrollex.fixtures import proper_edges, random_chordal_graph
 from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
+from scrollex.instance import InstanceError, parse_instance
 from oracles import (
     adjacency,
     brute_chordless_cycles,
@@ -227,10 +228,13 @@ def test_proper_edges_examples():
 
 
 def test_facet_override_must_match():
-    g = Graph("abc", ["ab", "bc", "ca"])
-    CliqueComplex(g, [["a", "b", "c"]])
-    with pytest.raises(GraphError):
-        CliqueComplex(g, [["a", "b"], ["b", "c"], ["a", "c"]])
+    doc = {"vertices": list("abc"), "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
+    assert parse_instance({**doc, "facets": [["a", "b", "c"]]})[0].base.facets == (("a", "b", "c"),)
+    with pytest.raises(InstanceError) as err:
+        parse_instance({**doc, "facets": [["a", "b"], ["b", "c"], ["a", "c"]]})
+    assert (err.value.path, err.value.message) == (
+        "/facets", "declared facets do not match the maximal cliques of the skeleton"
+    )
 
 
 def test_canonical_cycle_rotation_reflection():

@@ -8,14 +8,7 @@ from scrollex import fixtures, groebner
 from scrollex.graphs import CliqueComplex, Graph
 from scrollex.cycles import is_chordal
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
-from scrollex.ordering import (
-    NotOrderableError,
-    VarOrder,
-    find_admissible_order,
-    initial_complex,
-    pi_star,
-    variable_order,
-)
+from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order, initial_complex
 from scrollex.groebner import (
     Binomial,
     SquareLeadError,
@@ -29,16 +22,18 @@ from scrollex.instance import parse_instance
 from oracles import (
     GeneratorSystem,
     adjacency,
-    diagonal_deletions,
     extended_facets,
     generator_system,
     identity_permutation,
     identity_route,
     induced,
     oriented_system,
+    pi_star,
+    pi_star_route,
     random_extension_instance,
     rank_encoded,
     scan_is_groebner,
+    variable_order,
 )
 
 
@@ -183,14 +178,26 @@ def test_initial_complex_unorderable_carries_witness(triangle_ring):
 
 
 def test_initial_complex_order_is_the_pi_star_order(corpus):
+    # the oracle builds the order from pi* images with its three checks,
+    # which raise nothing on an admissibly ordered family
     for ext in corpus:
-        matrices = find_admissible_order(ext.matrices)
-        images = [pi_star(m) for m in matrices]
         ic = initial_complex(ext)
-        assert ic.order.variables == variable_order(
-            matrices, images, ext.skeleton_bar.vertices
-        ).variables
-        assert ic.deleted == diagonal_deletions(ext, matrices, images)
+        assert (ic.order, ic.deleted) == pi_star_route(ext)
+
+
+def test_initial_complex_matches_the_oracle_on_the_sweep_set():
+    from sweep_p2 import sweep_set
+
+    checked = 0
+    for _name, doc in sweep_set():
+        ext = parse_instance(doc)[0]
+        try:
+            ic = initial_complex(ext)
+        except NotOrderableError:
+            continue
+        assert (ic.order, ic.deleted) == pi_star_route(ext)
+        checked += 1
+    assert checked == 811  # one of the 812 instances has no admissible order
 
 
 def test_initial_complex_partition(corpus):

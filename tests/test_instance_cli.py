@@ -685,6 +685,38 @@ def test_cli_broken_pipe_exit1(tmp_path, unbuffered):
     assert (proc.wait(), err) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
+def limit_file_size():
+    """In a child before exec: files grow to 100 bytes at most, and a write
+    past that fails with EFBIG instead of killing the process by SIGXFSZ."""
+    import resource
+    import signal
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["p2", path("bruns")], ["poligon", "5", "2"]], ids=["help", "p2", "poligon"]
+)
+def test_cli_short_write_exit1(tmp_path, unbuffered, argv):
+    """A file that takes only the first 100 bytes: exit 1 with one error
+    line.  Unbuffered stdout is the raw file, and a short count there must
+    not pass as a written report or help."""
+    with open(tmp_path / "out", "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI, *argv],
+            env=child_env(unbuffered),
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=limit_file_size,
+        )
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 27] File too large\n")
+    assert (tmp_path / "out").stat().st_size == 100
+
+
 def test_cli_poligon(capsys):
     code, out, _ = run(capsys, "poligon", "4", "2")
     doc = json.loads(out)
@@ -693,6 +725,23 @@ def test_cli_poligon(capsys):
     assert doc["p2"] == 3
     code, _, err = run(capsys, "poligon", "3", "1")
     assert code == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_cli_poligon_prints_past_the_int_digit_limit(capsys):
+    """The limit on int-to-str digits guards parsing, not the report: at the
+    smallest limit, the 2200-gon's table prints as it does with none."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        unlimited = run(capsys, "poligon", "2200", "0")
+        sys.set_int_max_str_digits(640)
+        assert run(capsys, "poligon", "2200", "0") == unlimited
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    entries = json.loads(unlimited[1])["entries"]
+    assert unlimited[0] == 0 and max(len(str(r)) for row in entries for r in row) > 640
 
 
 def test_cli_betti_initial_matches_poligon(tmp_path, capsys):

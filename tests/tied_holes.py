@@ -9,7 +9,8 @@ edge, closed by the path a_K p q a_0: 2^K tied holes of length 2K + 3, so
 p2 = 2K.  The default is ``bipartite 46``.
 
 The script writes the bare instance to a temporary file, runs ``scrollex
-p2`` on it in a child process, and reads the child's peak RSS from
+p2`` on it in a child process (the checkout's ``src`` prepended to its
+``PYTHONPATH``, so no install is needed), and reads the child's peak RSS from
 ``resource.getrusage(RUSAGE_CHILDREN)``.  It prints the exit code, the
 "exact" value, the wall time and the peak RSS, and exits 1 unless the child
 exits 0 with the closed-form "exact" value under 64 MB and within 5 s.
@@ -57,9 +58,12 @@ def main(argv):
         path = os.path.join(tmp, "instance.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         start = time.perf_counter()
         run = subprocess.run(
-            [sys.executable, "-m", "scrollex.cli", "p2", path], capture_output=True, text=True
+            [sys.executable, "-m", "scrollex.cli", "p2", path], capture_output=True, text=True, env=env
         )
         wall = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
