@@ -16,10 +16,11 @@ or a unique prefix, and the last repeat wins; "--" ends the options, and
 keys, exact integers, infinite values as the string "infinity");
 diagnostics go to stderr.  Exit codes: 0 success, 1 input or validation
 error (a Betti table over more vertices than --max-vertices is one, and so
-is a usage error such as an unknown option, a missing argument or a value
-of the wrong type; the usage line and the message, in argparse's words, go
-to stderr), 2 method not applicable, 3 a "cycles" listing exceeded its cap,
-4 internal error: any other exception, reported on one stderr line as
+are one whose subset sweep does not fit in memory and a usage error such
+as an unknown option, a missing argument or a value of the wrong type; the
+usage line and the message, in argparse's words, go to stderr), 2 method
+not applicable, 3 a "cycles" listing exceeded its cap, 4 internal error:
+any other exception, reported on one stderr line as
 "error: internal error: <Type>: <message>", never as a traceback.  A
 report that cannot be written to stdout (a full disk, a closed pipe) also
 exits 1, with one "error: <message>" line on stderr.

@@ -10,8 +10,8 @@ Y_j inserted along each block.  The matrix columns are
 where the entry under x0 is y_11, or x_1 when the first block carries no
 new variables.  The 2x2 minors of these matrices, together with the
 non-edges of the extended 1-skeleton (``Extension.skeleton_bar``), generate
-the binomial ideal the rest of the package analyses;
-``groebner.encode_system`` builds them from the extension.
+the binomial ideal the rest of the package analyses; ``groebner.encode_system``
+encodes the minors, and the non-edges as adjacency masks without listing them.
 """
 
 from __future__ import annotations

@@ -113,24 +113,20 @@ def attach_random_matrices(g, rng, max_new=7, max_matrices=4):
 
 
 def chordal_instance(seed, n=6):
-    """A seeded random extension over a chordal base (always 2-linear)."""
+    """A seeded random extension over a chordal base (always 2-linear), from
+    one draw: it is valid by construction, and ``parse_instance`` checks it."""
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     rng = random.Random(seed)
-    for _ in range(400):
-        g = random_chordal_graph(rng, n)
-        extensions = attach_random_matrices(g, rng, max_new=12 - n, max_matrices=3)
-        doc = {
-            "vertices": list(g.vertices),
-            "edges": [list(e) for e in sorted(g.edges)],
-            "extensions": extensions,
-        }
-        try:
-            parse_instance(doc)
-        except ValueError:
-            continue
-        return doc
-    raise RuntimeError(f"no valid chordal instance for seed {seed}")
+    g = random_chordal_graph(rng, n)
+    extensions = attach_random_matrices(g, rng, max_new=12 - n, max_matrices=3)
+    doc = {
+        "vertices": list(g.vertices),
+        "edges": [list(e) for e in sorted(g.edges)],
+        "extensions": extensions,
+    }
+    parse_instance(doc)
+    return doc
 
 
 def random_cycle_extension_instance(seed, n=None):

@@ -3,24 +3,20 @@
 The generators under scrutiny are tiny by design: quadratic squarefree
 monomials (the non-edges of the extended 1-skeleton) plus quadratic
 binomials lead - trail (the 2x2 minors of the scroll matrices).  Under a
-lex variable order, :func:`encode_system` builds every generator straight
-from the extension as the sorted tuple of its variables' ranks (rank 0 is
-the largest variable).  An S-polynomial has at most two terms of degree <= 3,
-and division by the generators is linear, so the Buchberger check reduces
-each monomial once, through a memo shared by every S-pair; variable names
-come back only in what it reports.
+lex variable order, :func:`encode_system` encodes the monomials as the
+skeleton's adjacency masks on ranks (rank 0 is the largest variable) and
+each minor as the sorted tuples of its monomials' ranks.  An S-polynomial
+has at most two terms of degree <= 3, and division by the generators is
+linear, so the Buchberger check reduces each monomial once, through a memo
+shared by every S-pair; variable names come back only in what it reports.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import frozen_record
+from .graphs import _bits, frozen_record
 from .ordering import NotOrderableError, initial_complex
-
-
-class SquareLeadError(ValueError):
-    """A diagonal pair degenerated to a square; admissibility was violated."""
 
 
 @frozen_record
@@ -71,14 +67,21 @@ def _s_terms(f, g):
     return {t: -1, u: 1} if t != u else {}
 
 
-def normal_form(terms, nf, leads, memo=None):
+def _joined(m, adj):
+    """Whether every two ranks of ``m``, of degree 2 or 3, are joined in ``adj``."""
+    a, b, c = m[0], m[1], m[-1]
+    return adj[a] >> b & adj[a] >> c & adj[b] >> c & 1
+
+
+def normal_form(terms, adj, leads, memo=None):
     """Remainder of the division algorithm against the prepared system.
 
     Monomials are sorted tuples of ``order.rank`` values; the terms have
-    degree 2 or 3, as S-polynomials of quadratic generators do.  ``nf`` is
-    the set of monomial generators; ``leads`` maps a binomial lead to
-    ``(position, lead, trail, -1)`` of the first binomial with that lead.
-    A generator divides a term exactly when it is one of the term's pairs.
+    degree 2 or 3, as S-polynomials of quadratic generators do.  ``adj``
+    holds the masks of :func:`encode_system`: a monomial generator divides a
+    term exactly when two of its ranks are not joined.  ``leads`` maps a
+    binomial lead to ``(position, lead, trail, -1)`` of the first binomial
+    with that lead.
 
     Division is linear and every binomial is ``lead - trail``, so the
     remainder is the sum of ``c * R(m)`` over the terms ``c * m``, zeros
@@ -86,13 +89,13 @@ def normal_form(terms, nf, leads, memo=None):
     ``R(t)`` if the earliest binomial whose lead is a pair of ``m``
     rewrites it to ``t``, else ``m``.  ``memo`` maps each monomial of a
     chain of rewrites to its R (``()`` for zero), so a memo shared by calls
-    with the same ``nf`` and ``leads`` rewrites each monomial once.  A
+    with the same ``adj`` and ``leads`` rewrites each monomial once.  A
     monomial that a monomial generator divides is never stored.
 
     With ranks a=0, b=1, u=2 and the generators ab and au - b^2:
 
-    >>> nf, leads, memo = {(0, 1)}, {(0, 2): (0, (0, 2), (1, 1), -1)}, {}
-    >>> normal_form({(0, 2, 2): 3, (1, 2, 2): 1, (0, 1, 2): 5}, nf, leads, memo)
+    >>> adj, leads, memo = [0b101, 0b110, 0b111], {(0, 2): (0, (0, 2), (1, 1), -1)}, {}
+    >>> normal_form({(0, 2, 2): 3, (1, 2, 2): 1, (0, 1, 2): 5}, adj, leads, memo)
     {(1, 1, 2): 3, (1, 2, 2): 1}
     >>> memo
     {(0, 2, 2): (1, 1, 2), (1, 1, 2): (1, 1, 2), (1, 2, 2): (1, 2, 2)}
@@ -101,7 +104,7 @@ def normal_form(terms, nf, leads, memo=None):
     remainder = {}
     for m, c in terms.items():
         r = memo.get(m)
-        if r is None and nf.isdisjoint(combinations(m, 2)):
+        if r is None and _joined(m, adj):
             chain = []
             while r is None:
                 chain.append(m)
@@ -112,7 +115,7 @@ def normal_form(terms, nf, leads, memo=None):
                 _pos, lead, trail, _c = min(hits)
                 # a rewrite keeps the degree, 2 (m is the lead) or 3 (m / lead is one rank)
                 m = trail if m == lead else _times(sum(m) - lead[0] - lead[1], trail)
-                r = memo.get(m) if nf.isdisjoint(combinations(m, 2)) else ()
+                r = memo[m] if m in memo else None if _joined(m, adj) else ()
             memo.update(dict.fromkeys(chain, r))
         if r:
             remainder[r] = remainder.get(r, 0) + c
@@ -129,21 +132,23 @@ class GroebnerCheck:
 
 
 def encode_system(ext, order):
-    """The generators of an extension on rank tuples: ``(nf, binomials)``.
+    """The generators of an extension on ranks: ``(adj, binomials)``.
 
-    Every monomial is the sorted tuple of its variables' ranks under
-    ``order``.  ``nf`` lists the non-edges of the extended 1-skeleton,
-    ascending.  ``binomials`` lists one ``(lead, trail)`` per 2x2 minor
+    ``adj[r]`` masks the ranks under ``order`` joined to rank r in the
+    extended 1-skeleton, r included, read off ``Graph.nbr``: the monomial
+    generators, its non-edges, are the pairs it leaves out, never listed.
+    ``binomials`` lists one ``(lead, trail)`` per 2x2 minor
     top_u*bot_v - top_v*bot_u (u < v) of each matrix's columns, matrices in
-    input order.  Every generator is quadratic, so the lex-larger monomial
-    of a minor is the smaller tuple.  The two never tie: the tops of a
-    validated matrix are pairwise distinct, and no column's top is its
-    bottom.
+    input order, each monomial the sorted tuple of its ranks.  Every
+    generator is quadratic, so the lex-larger monomial of a minor is the
+    smaller tuple.  The two never tie: the tops of a validated matrix are
+    pairwise distinct, and no column's top is its bottom.
     """
     g, rank = ext.skeleton_bar, order.rank
-    names = sorted(g.vertices, key=rank.__getitem__)
-    nf = [(rank[u], rank[w]) for u, w in combinations(names, 2)
-          if g.edge_key(u, w) not in g.edges]
+    ranks = [rank[v] for v in g.vertices]
+    adj = [0] * len(order.variables)
+    for r, nbr in zip(ranks, g.nbr):
+        adj[r] = sum(1 << ranks[i] for i in _bits(nbr)) | 1 << r
     binomials = []
     for m in ext.matrices:
         cols = [(rank[top], rank[bot]) for top, bot in m.columns()]
@@ -151,7 +156,7 @@ def encode_system(ext, order):
             a = (tu, bv) if tu <= bv else (bv, tu)
             b = (tv, bu) if tv <= bu else (bu, tv)
             binomials.append((a, b) if a < b else (b, a))
-    return nf, binomials
+    return adj, binomials
 
 
 def buchberger_is_groebner(encoded, order):
@@ -161,16 +166,23 @@ def buchberger_is_groebner(encoded, order):
     ``order``.  Checks that every S-polynomial of a pair with non-coprime
     leads reduces to zero; pairs with coprime leads are skipped (first
     Buchberger criterion), as are pairs of plain monomials.  A monomial
-    generator m enters as the binomial m + 0.  Pairs come from an index of
-    binomial positions by lead variable, in the order of a scan over all
-    pairs, and each is reduced by one :func:`normal_form` call, all through
-    one memo.  A failure reports the pair (a monomial as its variables, a
-    minor as a :class:`Binomial`) and the remainder in variable names.
+    generator m enters as the binomial m + 0, ahead of the binomials, only
+    when m is a lead or m = v*z for a rank v of a lead whose trail c*d has z
+    joined to c and d: any other S-term z*c*d with a binomial has a non-edge
+    factor, so it is zero at once and leaves the memo as it was.  Pairs come
+    from an index of binomial positions by lead variable, in the order of a
+    scan over all pairs, and each is reduced by one :func:`normal_form` call,
+    all through one memo.  A failure reports the pair (a monomial as its
+    variables, a minor as a :class:`Binomial`) and the remainder in names.
     """
-    nf, binomials = encoded
-    coded = [(i, m, (), 0) for i, m in enumerate(nf)]
+    adj, binomials = encoded
+    nf = {lead for lead, _trail in binomials if not _joined(lead, adj)}
+    for lead, (c, d) in binomials:
+        for v in set(lead):
+            for z in _bits(adj[c] & adj[d] & ~adj[v]):
+                nf.add((v, z) if v < z else (z, v))
+    coded = [(i, m, (), 0) for i, m in enumerate(sorted(nf))]
     coded += [(i, lead, trail, -1) for i, (lead, trail) in enumerate(binomials, len(nf))]
-    nf_set = set(nf)
     leads = {}
     by_var = {}  # lead variable rank -> ascending binomial positions
     memo = {}  # monomial -> what it reduces to, shared by every S-pair
@@ -180,25 +192,11 @@ def buchberger_is_groebner(encoded, order):
             by_var.setdefault(r, []).append(f[0])
     for f in coded:
         for j in sorted({j for r in f[1] for j in by_var.get(r, ()) if j > f[0]}):
-            rem = normal_form(_s_terms(f, coded[j]), nf_set, leads, memo)
+            rem = normal_form(_s_terms(f, coded[j]), adj, leads, memo)
             if rem:
                 pair = (_generator(f, order), _generator(coded[j], order))
                 return GroebnerCheck(False, pair, {_names(m, order): c for m, c in rem.items()})
     return GroebnerCheck(True)
-
-
-def lead_deletions(encoded, order):
-    """Edges named by the lead terms of the oriented minors (Groebner route).
-
-    ``encoded`` is the system as :func:`encode_system` encodes it under
-    ``order``; the edges are returned as unordered pairs.  Raises
-    :class:`SquareLeadError` if any lead is a square: the initial ideal
-    would not be squarefree, which admissible data never produces.
-    """
-    for lead, _trail in encoded[1]:
-        if lead[0] == lead[1]:
-            raise SquareLeadError(f"square lead {order.variables[lead[0]]}^2")
-    return frozenset(frozenset(_names(lead, order)) for lead, _trail in encoded[1])
 
 
 def cmd_groebner(ext, args):
@@ -207,13 +205,13 @@ def cmd_groebner(ext, args):
         ic = initial_complex(ext)
     except NotOrderableError as e:
         return {"not_applicable": "no admissible order", "witness": [sorted(f) for f in e.facets]}, 2
-    encoded = encode_system(ext, ic.order)
-    check = buchberger_is_groebner(encoded, ic.order)
-    groebner_route = lead_deletions(encoded, ic.order)
+    adj, binomials = encode_system(ext, ic.order)
     payload = {
-        "groebner_basis": check.ok,
+        "groebner_basis": buchberger_is_groebner((adj, binomials), ic.order).ok,
         "variable_order": list(ic.order.variables),
         "deletions": [list(e) for e in sorted(ic.deleted)],
-        "routes_agree": groebner_route == {frozenset(e) for e in ic.deleted},
+        # the minors' leads are the deleted diagonals; a square lead (never under pi*) is none
+        "routes_agree": {lead for lead, _trail in binomials}
+        == {tuple(sorted(map(ic.order.rank.get, e))) for e in ic.deleted},
     }
     return payload, 0

@@ -105,10 +105,14 @@ def _hochster_sweep(g, char):
     homology plus one H~_0 rank per extra component, and a connected s go
     to the rank kernel, once per distinct core; :mod:`scrollex.kernel`,
     which does both, is imported then.  Equal results share one interned
-    dict.
+    dict.  A list of 2^n entries that cannot be allocated raises GuardExceeded.
     """
-    nbr = g.nbr
-    h = [{}] * (1 << len(nbr))
+    nbr, n = g.nbr, len(g.nbr)
+    try:
+        h = [{}] * (1 << n)
+    except (MemoryError, OverflowError):
+        message = f"{n} vertices: the sweep's 2^{n} subsets do not fit in memory"
+        raise GuardExceeded(message) from None
     h[0] = {-1: 1}
     interned = {}
     cores = {}

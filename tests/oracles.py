@@ -12,8 +12,9 @@ the record types ``Binomial`` and ``GroebnerCheck`` with the library).  Its
 input is the name-level system that ``generator_system`` here builds from
 the extension on its own: the non-edges of the extended skeleton and each
 matrix's minors, never ``groebner.encode_system``.  ``rank_encoded`` maps a
-system oriented by ``oriented_system`` to rank tuples, for tests that hand
-the library's check a system no extension builds.
+system oriented by ``oriented_system`` to rank tuples and masks, for tests
+that hand the library's check a system no extension builds, and
+``mask_monomials`` lists the monomial generators that masks leave out.
 
 The judges of the paper's ordering data live here as well, because only
 tests use them: ``check_admissible_order``, the literal two-branch
@@ -870,13 +871,24 @@ def generator_system(ext):
 
 def rank_encoded(system, order):
     """:func:`oriented_system` on rank tuples, as ``groebner.encode_system``
-    returns a system: ``(nf, [(lead, trail), ...])``."""
+    returns a system: ``(adj, [(lead, trail), ...])``, with ``adj[r]`` every
+    rank of ``order`` but those that share a monomial generator with r."""
     nf, binomials = oriented_system(system, order)
 
     def ranks(m):
         return tuple(order.rank[v] for v in m)
 
-    return [ranks(m) for m in nf], [(ranks(b.lead), ranks(b.trail)) for b in binomials]
+    adj = [(1 << len(order.variables)) - 1] * len(order.variables)
+    for p, q in map(ranks, nf):
+        adj[p] &= ~(1 << q)
+        adj[q] &= ~(1 << p)
+    return adj, [(ranks(b.lead), ranks(b.trail)) for b in binomials]
+
+
+def mask_monomials(adj):
+    """The monomial generators that the masks ``adj`` of an encoded system
+    leave out: the rank pairs (p, q), p < q, not joined, ascending."""
+    return [(p, q) for p, q in combinations(range(len(adj)), 2) if not adj[p] >> q & 1]
 
 
 def _canonical(m, order):
@@ -926,6 +938,12 @@ def oriented_system(system, order):
                 raise ValueError(f"minor {pair} has equal monomials")
             binomials.append(Binomial(a, b) if _lex_greater(order, a, b) else Binomial(b, a))
     return nf, binomials
+
+
+def lead_route(system, order):
+    """The Groebner route: the edges the minors' leads name under ``order``,
+    each an unordered pair (a square lead is a single name)."""
+    return {frozenset(b.lead) for b in oriented_system(system, order)[1]}
 
 
 def scan_s_polynomial(f, g, order):

@@ -25,7 +25,7 @@ from scrollex.homology import (
     p2_from_table,
 )
 from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order, initial_complex
-from scrollex.groebner import buchberger_is_groebner, encode_system, lead_deletions
+from scrollex.groebner import buchberger_is_groebner, cmd_groebner, encode_system
 from scrollex.bounds import (
     Interval,
     NotApplicable,
@@ -40,12 +40,15 @@ from oracles import (
     brute_betti_table,
     check_admissible_order,
     expand_cycle,
+    generator_system,
     homology_witness,
     identity_route,
+    lead_route,
     orderable,
     random_extension_instance,
     rank_encoded,
 )
+
 
 
 def _nx_to_graph(g):
@@ -143,9 +146,8 @@ def test_criterion_4_generic_scroll_basis():
             for j in range(i + 1, n)
         )
         system = GeneratorSystem((), ((frozenset(xs + ys), minors),))
-        encoded = rank_encoded(system, order)
-        assert buchberger_is_groebner(encoded, order).ok
-        leads = lead_deletions(encoded, order)
+        assert buchberger_is_groebner(rank_encoded(system, order), order).ok
+        leads = lead_route(system, order)
         assert leads == {
             frozenset((xs[i], ys[j])) for i in range(n) for j in range(i + 1, n)
         }
@@ -171,9 +173,9 @@ def test_criterion_5_random_extensions_groebner(random_extensions):
         assert orderable(ext.matrices)
         ic = initial_complex(ext)
         for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
-            encoded = encode_system(ext, order)
-            assert buchberger_is_groebner(encoded, order).ok
-            assert lead_deletions(encoded, order) == {frozenset(e) for e in deleted}
+            assert buchberger_is_groebner(encode_system(ext, order), order).ok
+            assert lead_route(generator_system(ext), order) == {frozenset(e) for e in deleted}
+        assert cmd_groebner(ext, {})[0]["routes_agree"]
     print(
         f"\nACCEPTANCE 5 PASS: Buchberger + route agreement on "
         f"{len(random_extensions)} random extensions x two permutations"

@@ -13,15 +13,17 @@ from scrollex.extension import (
 from scrollex.bounds import toricity_gate
 from scrollex.groebner import encode_system
 from scrollex.ordering import VarOrder
-from oracles import adjacency, extended_facets
+from oracles import adjacency, extended_facets, mask_monomials
 
 
 def named_system(ext):
     """``encode_system`` under the extended skeleton's vertex enumeration,
-    mapped back to names: the non-edges and the minors, in its order, every
-    monomial a sorted pair of names (a square like z*z is ("z", "z"))."""
+    mapped back to names: the non-edges its masks leave out and the minors,
+    in its order, every monomial a sorted pair of names (a square like z*z
+    is ("z", "z"))."""
     order = VarOrder(ext.skeleton_bar.vertices)
-    nf, binomials = encode_system(ext, order)
+    adj, binomials = encode_system(ext, order)
+    nf = mask_monomials(adj)
 
     def names(m):
         return tuple(sorted(order.variables[r] for r in m))

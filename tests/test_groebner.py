@@ -8,14 +8,18 @@ from scrollex import fixtures, groebner
 from scrollex.graphs import CliqueComplex, Graph
 from scrollex.cycles import is_chordal
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
-from scrollex.ordering import NotOrderableError, VarOrder, find_admissible_order, initial_complex
+from scrollex.ordering import (
+    InitialComplex,
+    NotOrderableError,
+    VarOrder,
+    find_admissible_order,
+    initial_complex,
+)
 from scrollex.groebner import (
-    Binomial,
-    SquareLeadError,
     _s_terms,
     buchberger_is_groebner,
+    cmd_groebner,
     encode_system,
-    lead_deletions,
     normal_form,
 )
 from scrollex.instance import parse_instance
@@ -27,6 +31,8 @@ from oracles import (
     identity_permutation,
     identity_route,
     induced,
+    lead_route,
+    mask_monomials,
     oriented_system,
     pi_star,
     pi_star_route,
@@ -54,21 +60,27 @@ def test_encode_system_encodes_and_orients():
     # (a, z), (z, c), so the one minor is ac - z^2; the non-edges are ad, bd, dz
     base = CliqueComplex(Graph("abcd", ["ab", "bc", "ca", "cd"]))
     ext = validate_extension(base, [ScrollMatrix("abc", "a", [ScrollBlock("c", "z")])])
-    # a > z > c > b > d: the minor's lead ac is the smaller rank tuple (0, 2)
-    assert encode_system(ext, VarOrder("azcbd")) == ([(0, 4), (1, 4), (3, 4)], [((0, 2), (1, 1))])
-    # z > a > c: the lead is z^2
-    assert encode_system(ext, VarOrder("zacbd")) == ([(0, 4), (1, 4), (3, 4)], [((0, 0), (1, 2))])
+    # a > z > c > b > d: a, z and b are joined to all but d (0b01111), c to
+    # all (0b11111), d to c and itself (0b10100); the minor's lead ac is the
+    # smaller rank tuple (0, 2)
+    adj = [0b01111, 0b01111, 0b11111, 0b01111, 0b10100]
+    assert encode_system(ext, VarOrder("azcbd")) == (adj, [((0, 2), (1, 1))])
+    assert mask_monomials(adj) == [(0, 4), (1, 4), (3, 4)]
+    # z > a > c: the same masks, as a and z trade ranks; the lead is z^2
+    assert encode_system(ext, VarOrder("zacbd")) == (adj, [((0, 0), (1, 2))])
 
 
-def test_lead_deletions_rejects_a_square_lead(bruns):
-    # z first makes z^2 the lead of z^2 - ac, a minor of bruns's triangle
-    order = initial_complex(bruns).order
-    foreign = VarOrder(("z",) + tuple(v for v in order.variables if v != "z"))
-    with pytest.raises(SquareLeadError):
-        lead_deletions(encode_system(bruns, foreign), foreign)
-    assert lead_deletions(encode_system(bruns, order), order) == {
-        frozenset(e) for e in initial_complex(bruns).deleted
-    }
+def test_a_square_lead_is_no_deletion(bruns, monkeypatch):
+    # z first makes z^2 the lead of z^2 - ac, a minor of bruns's triangle;
+    # handed that order, the groebner report says the routes disagree
+    ic = initial_complex(bruns)
+    assert cmd_groebner(bruns, {})[0]["routes_agree"]
+    foreign = VarOrder(("z",) + tuple(v for v in ic.order.variables if v != "z"))
+    assert ("z", "z") in {b.lead for b in oriented_system(generator_system(bruns), foreign)[1]}
+    foreign_ic = InitialComplex(ic.graph, ic.deleted, foreign)
+    monkeypatch.setattr(groebner, "initial_complex", lambda ext: foreign_ic)
+    payload, code = cmd_groebner(bruns, {})
+    assert code == 0 and payload["routes_agree"] is False
 
 
 def test_encode_system_matches_oracle_orientation(corpus):
@@ -79,34 +91,26 @@ def test_encode_system_matches_oracle_orientation(corpus):
         shuffled = list(order.variables)
         rng.shuffle(shuffled)
         for var_order in (order, VarOrder(reversed(order.variables)), VarOrder(shuffled)):
-            nf, binomials = encode_system(ext, var_order)
-
-            def names(m):
-                return tuple(var_order.variables[r] for r in m)
-
-            oracle_nf, oracle_binomials = oriented_system(system, var_order)
-            assert [names(m) for m in nf] == oracle_nf
-            assert [Binomial(names(u), names(t)) for u, t in binomials] == oracle_binomials
+            assert encode_system(ext, var_order) == rank_encoded(system, var_order)
 
 
 def test_normal_form_examples():
-    # ranks a=0, b=1, u=2; generators ab and au - b^2
-    nf = {(0, 1)}
+    # ranks a=0, b=1, u=2; generators ab and au - b^2: a and b are not joined
+    adj = [0b101, 0b110, 0b111]
     leads = {(0, 2): (0, (0, 2), (1, 1), -1)}
     # a member of the system reduces to zero
-    assert normal_form({(0, 2): 1, (1, 1): -1}, nf, leads) == {}
+    assert normal_form({(0, 2): 1, (1, 1): -1}, adj, leads) == {}
     # a multiple of a monomial generator dies
-    assert normal_form({(0, 1, 2): 5}, nf, leads) == {}
+    assert normal_form({(0, 1, 2): 5}, adj, leads) == {}
     # an untouchable monomial survives
-    assert normal_form({(2, 2): 1}, nf, leads) == {(2, 2): 1}
+    assert normal_form({(2, 2): 1}, adj, leads) == {(2, 2): 1}
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generic_scroll_is_groebner(n):
     system, order, xs, ys = generic_scroll_system(n)
-    encoded = rank_encoded(system, order)
-    assert buchberger_is_groebner(encoded, order).ok
-    leads = lead_deletions(encoded, order)
+    assert buchberger_is_groebner(rank_encoded(system, order), order).ok
+    leads = lead_route(system, order)
     assert leads == {
         frozenset((xs[i], ys[j])) for i in range(n) for j in range(i + 1, n)
     }
@@ -115,7 +119,7 @@ def test_generic_scroll_is_groebner(n):
 def test_generic_scroll_initial_graph_two_linear():
     # complement of the lead pairs: edge uv present unless uv is a lead
     system, order, xs, ys = generic_scroll_system(4)
-    leads = lead_deletions(rank_encoded(system, order), order)
+    leads = lead_route(system, order)
     verts = xs + ys
     edges = [
         (u, w)
@@ -219,17 +223,17 @@ def test_initial_complex_facet_restrictions_chordal(corpus):
 def test_lead_route_equals_diagonal_route(corpus):
     for ext in corpus:
         ic = initial_complex(ext)
+        system = generator_system(ext)
         for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
-            assert lead_deletions(encode_system(ext, order), order) == {
-                frozenset(e) for e in deleted
-            }
+            assert lead_route(system, order) == {frozenset(e) for e in deleted}
+        assert cmd_groebner(ext, {})[0]["routes_agree"]
 
 
 def test_spair_degree_bound(bruns):
     matrices = find_admissible_order(bruns.matrices)
     images = [pi_star(m) for m in matrices]
     order = variable_order(matrices, images, bruns.skeleton_bar.vertices)
-    _nf, binomials = encode_system(bruns, order)
+    _adj, binomials = encode_system(bruns, order)
     for i, (fl, ft) in enumerate(binomials):
         for gl, gt in binomials[i + 1 :]:
             if not set(fl) & set(gl):
@@ -324,7 +328,13 @@ def test_spair_count_is_pinned(monkeypatch):
     calls = count_normal_form_calls(monkeypatch)
     ext, order = pi_star_extension(fixtures.cycle_extension_instance(8, [3] * 7 + [0]))
     assert buchberger_is_groebner(encode_system(ext, order), order).ok
-    assert len(calls) == 1983
+    # none of the 335 monomial generators can leave a live S-term, so only
+    # the binomial pairs are reduced
+    assert len(calls) == 117
+    calls.clear()
+    ext, order = pi_star_extension(fixtures.cycle_extension_instance(64, [3] * 63 + [0]))
+    assert buchberger_is_groebner(encode_system(ext, order), order).ok
+    assert len(calls) == 1125
     calls.clear()
     system, order, _xs, _ys = generic_scroll_system(6)
     assert buchberger_is_groebner(rank_encoded(system, order), order).ok
@@ -332,16 +342,18 @@ def test_spair_count_is_pinned(monkeypatch):
 
 
 def spair_terms(encoded):
-    """The monomial generators, the lead index and the S-terms of every pair
-    with non-coprime leads, as :func:`buchberger_is_groebner` builds them."""
-    nf, binomials = encoded
+    """The masks, the lead index and the S-terms of every pair with
+    non-coprime leads, as :func:`buchberger_is_groebner` builds them, but
+    with every monomial generator entered."""
+    adj, binomials = encoded
+    nf = mask_monomials(adj)
     coded = [(i, m, (), 0) for i, m in enumerate(nf)]
     coded += [(i, lead, trail, -1) for i, (lead, trail) in enumerate(binomials, len(nf))]
     leads = {}
     for f in coded[len(nf) :]:
         leads.setdefault(f[1], f)
     terms = [_s_terms(f, g) for f, g in combinations(coded, 2) if g[3] and set(f[1]) & set(g[1])]
-    return set(nf), leads, terms
+    return adj, leads, terms
 
 
 def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
@@ -350,12 +362,12 @@ def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
     for ext in (random_extensions[3], cycle_extensions[0]):
         order = initial_complex(ext).order
         for _system, _var_order, encoded in mutated_systems(ext, order, rng):
-            nf, leads, terms = spair_terms(encoded)
+            adj, leads, terms = spair_terms(encoded)
             memo = {}
             for t in terms:
                 reused += any(m in memo for m in t)
-                rem = normal_form(t, nf, leads, memo)
-                assert rem == normal_form(t, nf, leads, {})
+                rem = normal_form(t, adj, leads, memo)
+                assert rem == normal_form(t, adj, leads, {})
                 reduced += 1
                 nonzero += bool(rem)
     # failing systems contribute nonzero remainders, and the memo is reused
@@ -370,6 +382,9 @@ def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
         ((), [("ab", "cd"), ("ab", "ce")], {("c", "d"): -1, ("c", "e"): 1}),
         # the monomial ab and the binomial ab - cd leave cd
         (("ab",), [("ab", "cd"), ("ce", "de")], {("c", "d"): 1}),
+        # the same, with ab entering the check only as a lead: c is joined
+        # to neither a nor b, so no trail enters it
+        (("ab", "ac", "bc"), [("ab", "cd")], {("c", "d"): 1}),
     ],
 )
 def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
@@ -377,7 +392,7 @@ def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
     pairs = tuple((tuple(u), tuple(t)) for u, t in minors)
     system = GeneratorSystem(tuple(tuple(m) for m in nf), ((frozenset("abcde"), pairs),))
     encoded = rank_encoded(system, order)
-    _nf, _leads, terms = spair_terms(encoded)
+    _adj, _leads, terms = spair_terms(encoded)
     assert any(t and all(len(m) == 2 for m in t) for t in terms)
     check = buchberger_is_groebner(encoded, order)
     assert check == scan_is_groebner(system, order)

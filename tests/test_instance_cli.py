@@ -717,6 +717,38 @@ def test_cli_short_write_exit1(tmp_path, unbuffered, argv):
     assert (tmp_path / "out").stat().st_size == 100
 
 
+def limit_address_space():
+    """In a child before exec: 2 GiB of address space at most, so a sweep
+    table that did get allocated could not take the runner's memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.parametrize("n", [40, 70])
+def test_betti_past_the_memory_of_its_sweep_exit1(tmp_path, n):
+    """An n-cycle with one chord under --max-vertices 100 is swept, and its
+    list of 2^n entries cannot be allocated (a MemoryError at 40 vertices,
+    an OverflowError at 70): exit 1 with one error line, not exit 4."""
+    names = [f"x{i + 1}" for i in range(n)]
+    edges = [[names[i - 1], v] for i, v in enumerate(names)] + [[names[0], names[2]]]
+    f = tmp_path / "chord.json"
+    f.write_text(json.dumps({"vertices": names, "edges": edges, "extensions": []}))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, "betti", str(f), "--max-vertices", "100"],
+        env=child_env(unbuffered=False),
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {n} vertices: the sweep's 2^{n} subsets do not fit in memory\n"
+
+
 def test_cli_poligon(capsys):
     code, out, _ = run(capsys, "poligon", "4", "2")
     doc = json.loads(out)

@@ -31,7 +31,7 @@ MATRIX = ScrollMatrix(frozenset("abc"), "a", [ScrollBlock("b", ("u",))])
         (ScrollBlock("x", ["y"]), "y"),
         (GroebnerCheck(True), "pair"),
         (TRIANGLE, "edges"),
-        (TRIANGLE, "adj"),
+        (TRIANGLE, "nbr"),
         (CliqueComplex(TRIANGLE), "facets"),
         (MATRIX, "blocks"),
         (validate_extension(CliqueComplex(TRIANGLE), [MATRIX]), "skeleton_bar"),
@@ -39,6 +39,7 @@ MATRIX = ScrollMatrix(frozenset("abc"), "a", [ScrollBlock("b", ("u",))])
     ],
 )
 def test_fields_cannot_be_assigned_or_deleted(record, name):
+    assert hasattr(record, name)  # a case naming a vanished attribute would test nothing
     with pytest.raises(AttributeError):
         setattr(record, name, None)
     with pytest.raises(AttributeError):
