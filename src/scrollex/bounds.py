@@ -38,7 +38,6 @@ from itertools import combinations
 
 from .cycles import _cycle_search, cycle_edges, is_chordal, p2_monomial
 from .graphs import DEFAULT_CYCLE_CAP, INFINITE, frozen_record
-from .ordering import NotOrderableError, initial_complex
 
 
 @frozen_record
@@ -135,10 +134,13 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
 
     Enumerates cycles of the base graph in canonical form, pruning any
     branch that would create a non-virtual chord or put two cycle edges in
-    one facet.
+    one facet.  With no virtual edge they are the chordless cycles, so a
+    chordal base is not walked (a negative cap is still refused by the walk).
     """
     g = ext.base.skeleton
     vmap = _virtual_edge_blocks(ext)
+    if not vmap and cap >= 0 and is_chordal(g):
+        return ()
     found = _cycle_search(g, vmap, cap, "virtual cycle candidates")
     return tuple(_virtual_cycle(cyc, vmap, g) for cyc in found)
 
@@ -275,6 +277,8 @@ def p2_report(ext):
         vc = _virtual_cycle(tuple([g.vertices[i] for i in ranks]), vmap, g)
         return vc.total_length(), len(ranks), ranks
 
+    if vmap:  # only then is there an order to build, or NotOrderableError to catch
+        from .ordering import NotOrderableError, initial_complex
     try:
         initial = initial_complex(ext).graph if vmap else g
     except NotOrderableError:

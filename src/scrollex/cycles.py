@@ -48,20 +48,21 @@ def cycle_edges(cycle, g):
 def chordless_cycles(g, cap=DEFAULT_CYCLE_CAP):
     """All chordless cycles of length >= 4, canonical, sorted by (length, rank).
 
-    A cycle C qualifies iff the subgraph induced on V(C) is exactly C.
-    Aborts with :class:`CycleCapExceeded` past ``cap`` emitted cycles.
+    A cycle C qualifies iff the subgraph induced on V(C) is exactly C; a
+    chordal graph has none and is not walked.  A negative ``cap`` raises
+    ValueError, and more than ``cap`` cycles :class:`CycleCapExceeded`.
     """
-    return _cycle_search(g, (), cap, "chordless cycles")
+    return () if cap >= 0 and is_chordal(g) else _cycle_search(g, (), cap, "chordless cycles")
 
 
 def p2_monomial(g):
     """p2 of the non-edge ideal of ``g``: shortest chordless cycle length - 3.
 
-    Infinite exactly when ``g`` is chordal.  The walk stops at the first
-    shortest cycle; the number of them is beta_{p,p+3} of the Betti table
-    (:func:`scrollex.homology.p2_from_table`).
+    Infinite exactly when ``g`` is chordal, which is answered without a walk.
+    The walk stops at the first shortest cycle; the number of them is
+    beta_{p,p+3} of the Betti table (:func:`scrollex.homology.p2_from_table`).
     """
-    cycle = _cycle_search(g, (), weight={})
+    cycle = None if is_chordal(g) else _cycle_search(g, (), weight={})
     return len(cycle) - 3 if cycle else INFINITE
 
 

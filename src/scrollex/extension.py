@@ -16,7 +16,7 @@ encodes the minors, and the non-edges as adjacency masks without listing them.
 
 from __future__ import annotations
 
-from .graphs import CliqueComplex, Extension, _is_facet, frozen_record
+from .graphs import Extension, _is_facet, frozen_record
 
 
 class ExtensionError(ValueError):
@@ -35,9 +35,6 @@ class ScrollBlock:
     x: str
     y: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", tuple(self.y))
-
 
 @frozen_record
 class ScrollMatrix:
@@ -46,14 +43,6 @@ class ScrollMatrix:
     facet: frozenset
     x0: str
     blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "facet", frozenset(self.facet))
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(b if isinstance(b, ScrollBlock) else ScrollBlock(*b) for b in self.blocks),
-        )
 
     def columns(self):
         """All columns as (top, bottom) pairs, first column included."""
@@ -95,9 +84,6 @@ def validate_extension(base, matrices):
     An edge is proper iff it and its end points' common neighbours form a
     facet, so each block's {x0, x} is one such test.
     """
-    if not isinstance(base, CliqueComplex):
-        base = CliqueComplex(base)
-    matrices = tuple(matrices)
     g = base.skeleton
     nbr, rank = g.nbr, g.rank
     seen_facets = set()

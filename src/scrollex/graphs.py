@@ -31,23 +31,25 @@ class CycleCapExceeded(RuntimeError):
 def frozen_record(cls):
     """Class decorator: an immutable record of the fields annotated in ``cls``.
 
-    A field's class attribute is its default; fields with defaults come
-    last.  Adds ``__init__`` (which then calls ``__post_init__``, if any; it
-    may normalise a field or set a derived attribute, one outside equality,
-    hash and repr, with ``object.__setattr__``), ``__eq__`` (same class,
-    equal fields), ``__hash__`` (of the field tuple), ``__repr__``
-    unless the class has one, and a ``__setattr__``/``__delattr__`` that
-    raises AttributeError.  No source is generated, so a record costs next
-    to nothing to define.  Fields are set with ``object.__setattr__`` and
-    read with ``getattr``, never through ``__dict__``: touching that would
-    turn the instance's inline attribute values into a dict and slow every
-    later attribute read.
+    Fields are given positionally, each of its final type; a keyword
+    argument, or too few or too many arguments, raises TypeError.  A field's
+    class attribute is its default; fields with defaults come last.  Adds
+    ``__init__`` (which then calls ``__post_init__``, if any; it may check
+    the fields or set a derived attribute, one outside equality, hash and
+    repr, with ``object.__setattr__``; only ``Graph``'s canonicalises its
+    fields), ``__eq__`` (same class, equal fields), ``__hash__`` (of the
+    field tuple), ``__repr__`` unless the class has one, and a
+    ``__setattr__``/``__delattr__`` that raises AttributeError.  No source
+    is generated, so a record costs next to nothing to define.  Fields are
+    set with ``object.__setattr__`` and read with ``getattr``, never through
+    ``__dict__``: touching that would turn the instance's inline attribute
+    values into a dict and slow every later attribute read.
 
     >>> @frozen_record
     ... class Pair:
     ...     a: int
     ...     b: int = 0
-    >>> Pair(1), Pair(1) == Pair(a=1, b=0), hash(Pair(1, 2)) == hash((1, 2))
+    >>> Pair(1), Pair(1) == Pair(1, 0), hash(Pair(1, 2)) == hash((1, 2))
     (Pair(a=1, b=0), True, True)
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
@@ -59,25 +61,10 @@ def frozen_record(cls):
     post_init = getattr(cls, "__post_init__", None)
     set_field = object.__setattr__
 
-    def bind(args, kwargs):
-        if len(args) > n:
-            raise TypeError(f"{cls.__name__}() takes {n} arguments, got {len(args)}")
-        values = list(args)
-        for k in range(len(args), n):
-            if names[k] in kwargs:
-                values.append(kwargs.pop(names[k]))
-            elif k >= required:
-                values.append(defaults[k - required])
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {names[k]!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got an unexpected argument {next(iter(kwargs))!r}")
-        return values
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or not required <= len(args) <= n:
-            args = bind(args, kwargs)
-        elif len(args) < n:
+    def __init__(self, *args):
+        if not required <= len(args) <= n:
+            raise TypeError(f"{cls.__name__}() takes {required} to {n} arguments, got {len(args)}")
+        if len(args) < n:
             args += defaults[len(args) - n :]
         for f, v in zip(names, args):
             set_field(self, f, v)
@@ -267,20 +254,17 @@ class Extension:
     matrices: tuple
 
     def __post_init__(self):
-        base = self.base
-        matrices = tuple(self.matrices)
-        bar = base.skeleton
-        if matrices:
+        bar = self.base.skeleton
+        if self.matrices:
             vertices = list(bar.vertices)
-            for m in matrices:
+            for m in self.matrices:
                 vertices.extend(m.y_vertices())
             # a base facet is a clique of the base: only extended facets add edges
             edges = set(bar.edges)
             rank = {v: i for i, v in enumerate(vertices)}
-            for m in matrices:
+            for m in self.matrices:
                 edges.update(combinations(sorted(m.facet | set(m.y_vertices()), key=rank.get), 2))
             bar = Graph(vertices, edges)
-        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "skeleton_bar", bar)
 
     def __repr__(self):

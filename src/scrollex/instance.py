@@ -133,13 +133,13 @@ def parse_instance(document):
                     "expected a string")
             ys = _string_list(b["y"], f"/extensions/{i}/blocks/{j}/y")
             blocks.append(ScrollBlock(b["x"], tuple(ys)))
-        matrices.append(ScrollMatrix(facet, x0, blocks))
+        matrices.append(ScrollMatrix(facet, x0, tuple(blocks)))
 
     if not exts_doc:
         ext = Extension(cx, ())
     else:
         try:
-            ext = validate_extension(cx, matrices)
+            ext = validate_extension(cx, tuple(matrices))
         except ExtensionError as e:
             path = "/extensions"
             if e.matrix_index is not None:

@@ -98,7 +98,6 @@ class VarOrder:
     variables: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(
             self, "rank", {v: i for i, v in enumerate(self.variables)}
         )
@@ -151,7 +150,7 @@ def initial_complex(ext):
         cols = [m.columns()[0]] + [c for tier in tiers for c in tier if c is not None]
         tops += [top for top, _bottom in cols]
         deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(cols, 2))
-    order = VarOrder(dict.fromkeys(tops + list(gbar.vertices)))
+    order = VarOrder(tuple(dict.fromkeys(tops + list(gbar.vertices))))
     graph = Graph(gbar.vertices, gbar.edges - deleted)
     return InitialComplex(graph, frozenset(deleted), order)
 

@@ -177,7 +177,7 @@ def variable_order(matrices, images, universe):
         cols = m.columns()
         permuted.append([cols[pos] for pos in im])
     tops = [[top for top, _bot in cols] for cols in permuted]
-    order = VarOrder(dict.fromkeys([v for row in tops for v in row] + list(universe)))
+    order = VarOrder(tuple(dict.fromkeys([v for row in tops for v in row] + list(universe))))
     rank = order.rank
     for m, cols, row in zip(matrices, permuted, tops):
         if not all(rank[a] < rank[b] for a, b in zip(row, row[1:])):

@@ -139,7 +139,7 @@ def test_criterion_4_generic_scroll_basis():
     for n in range(2, 7):
         xs = [f"x{i}" for i in range(1, n + 1)]
         ys = [f"y{i}" for i in range(1, n + 1)]
-        order = VarOrder(xs + ys)
+        order = VarOrder(tuple(xs + ys))
         minors = tuple(
             ((xs[i], ys[j]), (xs[j], ys[i]))
             for i in range(n)

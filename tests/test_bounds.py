@@ -48,7 +48,7 @@ def test_virtual_edges_examples(bruns, square_one_edge):
     assert virtual_edges(bruns) == {("a", "c"), ("d", "e")}
     assert virtual_edges(square_one_edge) == {("1", "2")}
     base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
-    assert virtual_edges(validate_extension(base, [])) == frozenset()
+    assert virtual_edges(validate_extension(base, ())) == frozenset()
 
 
 def test_virtual_edges_equal_base_deletions_for_any_permutation(corpus):
@@ -152,13 +152,13 @@ def test_classify_empty_first_block_gives_short_detour():
     base = CliqueComplex(Graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
     ext = validate_extension(
         base,
-        [
+        (
             ScrollMatrix(
                 frozenset("abc"),
                 "a",
-                [ScrollBlock("b", ()), ScrollBlock("c", ("u", "v"))],
-            )
-        ],
+                (ScrollBlock("b", ()), ScrollBlock("c", ("u", "v"))),
+            ),
+        ),
     )
     (vc,) = virtual_minimal_cycles(ext)
     assert vc.cycle == ("a", "c", "d", "e")
@@ -216,13 +216,13 @@ def test_expand_cycle_rejects_non_first_block():
     base = CliqueComplex(Graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
     ext = validate_extension(
         base,
-        [
+        (
             ScrollMatrix(
                 frozenset("abc"),
                 "a",
-                [ScrollBlock("b", ("p",)), ScrollBlock("c", ("z",))],
-            )
-        ],
+                (ScrollBlock("b", ("p",)), ScrollBlock("c", ("z",))),
+            ),
+        ),
     )
     cycles = [vc for vc in virtual_minimal_cycles(ext) if vc.cycle == tuple("acde")]
     (vc,) = cycles
@@ -254,13 +254,13 @@ def test_upper_bound_no_expandable_cycle():
     base = CliqueComplex(Graph("abcde", ["ab", "bc", "ac", "cd", "de", "ae"]))
     ext = validate_extension(
         base,
-        [
+        (
             ScrollMatrix(
                 frozenset("abc"),
                 "a",
-                [ScrollBlock("b", ("p",)), ScrollBlock("c", ("z",))],
-            )
-        ],
+                (ScrollBlock("b", ("p",)), ScrollBlock("c", ("z",))),
+            ),
+        ),
     )
     rep = p2_report(ext)
     assert rep.upper == NotApplicable("no expandable virtual minimal cycle")
@@ -360,7 +360,7 @@ def test_cycle_extension_reports(cycle_extensions):
 def test_binomial_betti_oracle_matches_hochster_on_c5():
     # J = 0: every class is one monomial, and B is the non-edge ideal
     g = Graph("abcde", ["ab", "bc", "cd", "de", "ae"])
-    ext = validate_extension(CliqueComplex(g), [])
+    ext = validate_extension(CliqueComplex(g), ())
     got = {}
     for k in range(2, 6):
         for sigma in combinations(g.vertices, k):
@@ -447,7 +447,7 @@ def test_p2_report_walks_keep_few_cycles(monkeypatch):
     rng = random.Random(4)
     vs = [f"v{i}" for i in range(50)]
     edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1 :] if rng.random() < 0.06]
-    ext = validate_extension(CliqueComplex(Graph(vs, edges)), [])
+    ext = validate_extension(CliqueComplex(Graph(vs, edges)), ())
     assert len(virtual_minimal_cycles(ext)) == 2016
     holes = chordless_cycles(ext.base.skeleton)
     assert [len(c) for c in holes].count(4) == 10

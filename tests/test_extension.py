@@ -80,16 +80,16 @@ def test_non_proper_edge_rejected():
     base = two_triangle_base()
     with pytest.raises(ExtensionError, match="proper"):
         validate_extension(
-            base, [ScrollMatrix(frozenset("abc"), "b", [ScrollBlock("c", ("u",))])]
+            base, (ScrollMatrix(frozenset("abc"), "b", (ScrollBlock("c", ("u",)),)),)
         )
 
 
 def test_y_reuse_rejected():
     base = two_triangle_base()
-    mats = [
-        ScrollMatrix(frozenset("abc"), "a", [ScrollBlock("b", ("u",))]),
-        ScrollMatrix(frozenset("bcd"), "d", [ScrollBlock("b", ("u",))]),
-    ]
+    mats = (
+        ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ("u",)),)),
+        ScrollMatrix(frozenset("bcd"), "d", (ScrollBlock("b", ("u",)),)),
+    )
     with pytest.raises(ExtensionError, match="used twice"):
         validate_extension(base, mats)
 
@@ -98,7 +98,7 @@ def test_y_base_collision_rejected():
     base = two_triangle_base()
     with pytest.raises(ExtensionError, match="collides"):
         validate_extension(
-            base, [ScrollMatrix(frozenset("abc"), "a", [ScrollBlock("b", ("d",))])]
+            base, (ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ("d",)),)),)
         )
 
 
@@ -107,27 +107,27 @@ def test_block_shape_errors():
     with pytest.raises(ExtensionError, match="first block"):
         validate_extension(
             base,
-            [
+            (
                 ScrollMatrix(
                     frozenset("abc"),
                     "a",
-                    [ScrollBlock("b", ("u",)), ScrollBlock("c", ())],
-                )
-            ],
+                    (ScrollBlock("b", ("u",)), ScrollBlock("c", ())),
+                ),
+            ),
         )
     with pytest.raises(ExtensionError, match="trivial"):
         validate_extension(
-            base, [ScrollMatrix(frozenset("abc"), "a", [ScrollBlock("b", ())])]
+            base, (ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ()),)),)
         )
     with pytest.raises(ExtensionError, match="x0"):
         validate_extension(
-            base, [ScrollMatrix(frozenset("abc"), "d", [ScrollBlock("b", ("u",))])]
+            base, (ScrollMatrix(frozenset("abc"), "d", (ScrollBlock("b", ("u",)),)),)
         )
     # not a clique; a clique inside the triangle abc; empty; an unknown vertex
     for facet in ("abd", "ab", "", "abq"):
         with pytest.raises(ExtensionError, match="not a facet"):
             validate_extension(
-                base, [ScrollMatrix(frozenset(facet), "a", [ScrollBlock("b", ("u",))])]
+                base, (ScrollMatrix(frozenset(facet), "a", (ScrollBlock("b", ("u",)),)),)
             )
 
 
@@ -135,13 +135,13 @@ def test_empty_first_block_with_second_block_is_valid():
     base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
     ext = validate_extension(
         base,
-        [
+        (
             ScrollMatrix(
                 frozenset("abc"),
                 "a",
-                [ScrollBlock("b", ()), ScrollBlock("c", ("u",))],
-            )
-        ],
+                (ScrollBlock("b", ()), ScrollBlock("c", ("u",))),
+            ),
+        ),
     )
     (m,) = ext.matrices
     assert m.columns() == (("a", "b"), ("u", "c"))
@@ -199,10 +199,10 @@ def test_toricity_shared_two_variables():
     # two triangles glued along the non-proper edge uv; both matrices touch u and v
     g = Graph("uvwz", ["uv", "uw", "vw", "uz", "vz"])
     base = CliqueComplex(g)
-    mats = [
-        ScrollMatrix(frozenset("uvw"), "w", [ScrollBlock("u", ("p",)), ScrollBlock("v", ("q",))]),
-        ScrollMatrix(frozenset("uvz"), "z", [ScrollBlock("u", ("r",)), ScrollBlock("v", ("s",))]),
-    ]
+    mats = (
+        ScrollMatrix(frozenset("uvw"), "w", (ScrollBlock("u", ("p",)), ScrollBlock("v", ("q",)))),
+        ScrollMatrix(frozenset("uvz"), "z", (ScrollBlock("u", ("r",)), ScrollBlock("v", ("s",)))),
+    )
     ext = validate_extension(base, mats)
     report = toricity_gate(ext)
     assert not report.ok and "share 2" in report.reason

@@ -1,4 +1,5 @@
 import doctest
+import json
 import random
 import sys
 import time
@@ -9,12 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
+import scrollex.bounds
 import scrollex.cycles
 import scrollex.graphs
+from scrollex.bounds import virtual_minimal_cycles
+from scrollex.cli import main
 from scrollex.graphs import (
     INFINITE,
     CliqueComplex,
     CycleCapExceeded,
+    Extension,
     Graph,
     GraphError,
     maximal_cliques,
@@ -176,6 +181,44 @@ def test_is_chordal_long_diamond_chain():
     # closed by the path a_k p q a_0, the chain has 2^k holes
     closing = [(f"a{k}", "p"), ("p", "q"), ("q", "a0")]
     assert not is_chordal(Graph(names + ["p", "q"], edges + closing))
+
+
+def chain_graph(k):
+    """The chain of k diamonds, vertices in the order a0, b1, c1, a1, b2, ..."""
+    names = ["a0"] + [f"{x}{i}" for i in range(1, k + 1) for x in "bca"]
+    return Graph(names, diamond_chain(k))
+
+
+def test_a_chordal_graph_is_not_walked(monkeypatch):
+    # a walk on the chain would extend 2^200 paths that never close
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return walk(*args, **kwargs)
+
+    walk = scrollex.cycles._cycle_search
+    monkeypatch.setattr(scrollex.cycles, "_cycle_search", counted)
+    monkeypatch.setattr(scrollex.bounds, "_cycle_search", counted)
+    g = chain_graph(200)
+    assert chordless_cycles(g) == ()
+    assert p2_monomial(g) is INFINITE
+    assert virtual_minimal_cycles(Extension(CliqueComplex(g), ())) == ()
+    assert calls == []
+    # the count is live: a square is walked
+    assert chordless_cycles(Graph("abcd", ["ab", "bc", "cd", "da"])) and len(calls) == 1
+
+
+def test_cli_cycles_on_a_long_chordal_chain(tmp_path, capsys):
+    g = chain_graph(200)
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps({"vertices": list(g.vertices), "edges": sorted(g.edges)}))
+    for kind in ("minimal", "virtual"):
+        assert main(["cycles", str(f), "--kind", kind]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["kind"], doc["cycles"]) == (kind, [])
+        assert main(["cycles", str(f), "--kind", kind, "--cap", "-1"]) == 1
+        assert capsys.readouterr().err == "error: cycle cap must be nonnegative, got -1\n"
 
 
 def test_chordless_cycles_examples():

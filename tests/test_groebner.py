@@ -46,7 +46,7 @@ from oracles import (
 def generic_scroll_system(n):
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{i}" for i in range(1, n + 1)]
-    order = VarOrder(xs + ys)
+    order = VarOrder(tuple(xs + ys))
     minors = tuple(
         ((xs[i], ys[j]), (xs[j], ys[i]))
         for i in range(n)
@@ -59,15 +59,15 @@ def test_encode_system_encodes_and_orients():
     # triangle abc extended along ac by z, and the edge cd: the columns are
     # (a, z), (z, c), so the one minor is ac - z^2; the non-edges are ad, bd, dz
     base = CliqueComplex(Graph("abcd", ["ab", "bc", "ca", "cd"]))
-    ext = validate_extension(base, [ScrollMatrix("abc", "a", [ScrollBlock("c", "z")])])
+    ext = validate_extension(base, (ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("c", ("z",)),)),))
     # a > z > c > b > d: a, z and b are joined to all but d (0b01111), c to
     # all (0b11111), d to c and itself (0b10100); the minor's lead ac is the
     # smaller rank tuple (0, 2)
     adj = [0b01111, 0b01111, 0b11111, 0b01111, 0b10100]
-    assert encode_system(ext, VarOrder("azcbd")) == (adj, [((0, 2), (1, 1))])
+    assert encode_system(ext, VarOrder(tuple("azcbd"))) == (adj, [((0, 2), (1, 1))])
     assert mask_monomials(adj) == [(0, 4), (1, 4), (3, 4)]
     # z > a > c: the same masks, as a and z trade ranks; the lead is z^2
-    assert encode_system(ext, VarOrder("zacbd")) == (adj, [((0, 0), (1, 2))])
+    assert encode_system(ext, VarOrder(tuple("zacbd"))) == (adj, [((0, 0), (1, 2))])
 
 
 def test_a_square_lead_is_no_deletion(bruns, monkeypatch):
@@ -90,7 +90,7 @@ def test_encode_system_matches_oracle_orientation(corpus):
         order = initial_complex(ext).order
         shuffled = list(order.variables)
         rng.shuffle(shuffled)
-        for var_order in (order, VarOrder(reversed(order.variables)), VarOrder(shuffled)):
+        for var_order in (order, VarOrder(order.variables[::-1]), VarOrder(tuple(shuffled))):
             assert encode_system(ext, var_order) == rank_encoded(system, var_order)
 
 
@@ -132,7 +132,7 @@ def test_generic_scroll_initial_graph_two_linear():
 
 
 def test_buchberger_failure_case():
-    order = VarOrder(list("xyzuvw"))
+    order = VarOrder(tuple("xyzuvw"))
     system = GeneratorSystem(
         (),
         ((frozenset("xyzuvw"), ((("x", "y"), ("u", "v")), (("y", "z"), ("u", "w")))),),
@@ -169,7 +169,7 @@ def test_initial_complex_bruns(bruns):
 
 def test_initial_complex_unextended():
     base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
-    ext = validate_extension(base, [])
+    ext = validate_extension(base, ())
     ic = initial_complex(ext)
     assert ic.deleted == frozenset()
     assert ic.graph == ext.skeleton_bar
@@ -262,7 +262,7 @@ def mutated_systems(ext, order, rng):
         yield mutated, order, rank_encoded(mutated, order)
     shuffled = list(order.variables)
     rng.shuffle(shuffled)
-    for var_order in (VarOrder(reversed(order.variables)), VarOrder(shuffled)):
+    for var_order in (VarOrder(order.variables[::-1]), VarOrder(tuple(shuffled))):
         yield system, var_order, encode_system(ext, var_order)
 
 
@@ -292,12 +292,12 @@ def test_buchberger_matches_scanning_oracle_cycle_extension():
     images = [pi_star(m) for m in matrices]
     order = variable_order(matrices, images, ext.skeleton_bar.vertices)
     system = generator_system(ext)
-    orders = [order, VarOrder(reversed(order.variables))]
+    orders = [order, VarOrder(order.variables[::-1])]
     rng = random.Random(7)
     for _ in range(2):
         shuffled = list(order.variables)
         rng.shuffle(shuffled)
-        orders.append(VarOrder(shuffled))
+        orders.append(VarOrder(tuple(shuffled)))
     checks = [buchberger_is_groebner(encode_system(ext, o), o) for o in orders]
     assert [c.ok for c in checks] == [True, True, False, False]
     for check, var_order in zip(checks, orders):
@@ -388,7 +388,7 @@ def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
     ],
 )
 def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
-    order = VarOrder("abcde")
+    order = VarOrder(tuple("abcde"))
     pairs = tuple((tuple(u), tuple(t)) for u, t in minors)
     system = GeneratorSystem(tuple(tuple(m) for m in nf), ((frozenset("abcde"), pairs),))
     encoded = rank_encoded(system, order)
@@ -407,6 +407,6 @@ def test_buchberger_matches_scanning_oracle_fuzz(seed):
     ext, order = pi_star_extension(random_extension_instance(seed))
     shuffled = list(order.variables)
     random.Random(seed).shuffle(shuffled)
-    for var_order in (order, VarOrder(shuffled)):
+    for var_order in (order, VarOrder(tuple(shuffled))):
         check = buchberger_is_groebner(encode_system(ext, var_order), var_order)
         assert check == scan_is_groebner(generator_system(ext), var_order)

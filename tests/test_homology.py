@@ -235,7 +235,7 @@ def test_hochster_examples():
 def test_stanley_reisner_generators():
     def nf(g):
         order = VarOrder(g.vertices)
-        adj, _minors = encode_system(validate_extension(CliqueComplex(g), []), order)
+        adj, _minors = encode_system(validate_extension(CliqueComplex(g), ()), order)
         return [tuple(order.variables[r] for r in m) for m in mask_monomials(adj)]
 
     assert nf(K3) == []

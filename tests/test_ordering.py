@@ -54,14 +54,14 @@ def test_literal_fallback_clause_can_disagree_with_the_digraph():
     # helper pair sharing a head.  The digraph decision says "no order", yet
     # the literal two-branch test accepts one arrangement through its second
     # branch.  Documented divergence: the decision procedure is the digraph.
-    A = ScrollMatrix(frozenset("ac"), "a", [ScrollBlock("c", ("ya",))])
-    B = ScrollMatrix(frozenset("ab"), "b", [ScrollBlock("a", ("yb",))])
-    C = ScrollMatrix(frozenset("bc"), "c", [ScrollBlock("b", ("yc",))])
-    H = ScrollMatrix(frozenset(("e", "h1")), "e", [ScrollBlock("h1", ("yh",))])
+    A = ScrollMatrix(frozenset("ac"), "a", (ScrollBlock("c", ("ya",)),))
+    B = ScrollMatrix(frozenset("ab"), "b", (ScrollBlock("a", ("yb",)),))
+    C = ScrollMatrix(frozenset("bc"), "c", (ScrollBlock("b", ("yc",)),))
+    H = ScrollMatrix(frozenset(("e", "h1")), "e", (ScrollBlock("h1", ("yh",)),))
     E = ScrollMatrix(
         frozenset(("e", "c", "e2")),
         "e",
-        [ScrollBlock("c", ()), ScrollBlock("e2", ("ye",))],
+        (ScrollBlock("c", ()), ScrollBlock("e2", ("ye",))),
     )
     mats = (A, B, C, H, E)
     assert not orderable(mats)
@@ -89,12 +89,12 @@ def test_pi_star_always_admissible(corpus):
 
 
 def test_pi_star_shapes():
-    single = ScrollMatrix(frozenset("ab"), "a", [ScrollBlock("b", ("u", "v"))])
+    single = ScrollMatrix(frozenset("ab"), "a", (ScrollBlock("b", ("u", "v")),))
     assert pi_star(single) == (0, 1, 2)
     two = ScrollMatrix(
         frozenset("abc"),
         "a",
-        [ScrollBlock("b", ("u", "v")), ScrollBlock("c", ("w",))],
+        (ScrollBlock("b", ("u", "v")), ScrollBlock("c", ("w",))),
     )
     # columns: 0=(a,u) 1=(u,v) 2=(v,b) 3=(w,c); interleaved: first columns of
     # both blocks, then the second column of the first block
@@ -102,7 +102,7 @@ def test_pi_star_shapes():
     three = ScrollMatrix(
         frozenset("abcd"),
         "a",
-        [ScrollBlock("b", ("u",)), ScrollBlock("c", ("v",)), ScrollBlock("d", ("w",))],
+        (ScrollBlock("b", ("u",)), ScrollBlock("c", ("v",)), ScrollBlock("d", ("w",))),
     )
     assert pi_star(three) == (0, 1, 2, 3)
 
