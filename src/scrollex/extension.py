@@ -17,15 +17,7 @@ encodes the minors, and the non-edges as adjacency masks without listing them.
 from __future__ import annotations
 
 from .graphs import Extension, _is_facet, frozen_record
-
-
-class ExtensionError(ValueError):
-    """Invalid scroll-extension data; carries indices for error pointers."""
-
-    def __init__(self, message, matrix_index=None, block_index=None):
-        super().__init__(message)
-        self.matrix_index = matrix_index
-        self.block_index = block_index
+from .instance import InstanceError, _check_keys, _expect, _string_list
 
 
 @frozen_record
@@ -72,66 +64,88 @@ class ScrollMatrix:
         return f"ScrollMatrix({{{fac}}}, x0={self.x0}, {len(self.blocks)} blocks)"
 
 
+def parse_extensions(base, exts_doc):
+    """Parse the ``extensions`` list of an instance document onto the
+    ``CliqueComplex`` ``base`` and return the checked :class:`Extension`.
+
+    Every entry's schema is checked before :func:`validate_extension`
+    checks what any of them means, so a malformed entry is reported ahead
+    of an invalid one listed before it.
+    """
+    matrices = []
+    for i, ex in enumerate(exts_doc):
+        path = f"/extensions/{i}"
+        _check_keys(ex, {"facet", "x0", "blocks"}, path)
+        for field in ("facet", "x0", "blocks"):
+            _expect(field in ex, f"{path}/{field}", "missing")
+        facet = frozenset(_string_list(ex["facet"], f"{path}/facet"))
+        _expect(isinstance(ex["x0"], str), f"{path}/x0", "expected a string")
+        blocks_doc = ex["blocks"]
+        _expect(isinstance(blocks_doc, list) and blocks_doc, f"{path}/blocks",
+                "expected a nonempty list")
+        blocks = []
+        for j, b in enumerate(blocks_doc):
+            bpath = f"{path}/blocks/{j}"
+            _check_keys(b, {"x", "y"}, bpath)
+            for field in ("x", "y"):
+                _expect(field in b, f"{bpath}/{field}", "missing")
+            _expect(isinstance(b["x"], str), f"{bpath}/x", "expected a string")
+            blocks.append(ScrollBlock(b["x"], tuple(_string_list(b["y"], f"{bpath}/y"))))
+        matrices.append(ScrollMatrix(facet, ex["x0"], tuple(blocks)))
+    return validate_extension(base, tuple(matrices))
+
+
 def validate_extension(base, matrices):
     """Check every invariant of the scroll data and assemble the Extension.
 
-    Raises :class:`ExtensionError` on: an {x0, x_j} pair that is not a proper
-    edge, new variables colliding with the base or with each other, an empty
-    block past the first, x0 or a block vertex outside the facet, duplicate
-    or unknown facets.  A matrix's facet is tested on adjacency masks, and
-    the facets are never listed: a nonempty set of base vertices is a facet
-    iff the vertices joined or equal to all of its members are its members.
-    An edge is proper iff it and its end points' common neighbours form a
-    facet, so each block's {x0, x} is one such test.
+    Raises :class:`~scrollex.instance.InstanceError` at ``/extensions/<i>``,
+    or at ``/extensions/<i>/blocks/<j>`` for a fault of block j, on: an
+    {x0, x_j} pair that is not a proper edge, new variables colliding with
+    the base or with each other, an empty block past the first, x0 or a
+    block vertex outside the facet, duplicate or unknown facets.  A
+    matrix's facet is tested on adjacency masks, and the facets are never
+    listed: a nonempty set of base vertices is a facet iff the vertices
+    joined or equal to all of its members are its members.  An edge is
+    proper iff it and its end points' common neighbours form a facet, so
+    each block's {x0, x} is one such test.
     """
     g = base.skeleton
     nbr, rank = g.nbr, g.rank
     seen_facets = set()
-    all_y = {}
+    all_y = set()
     for mi, m in enumerate(matrices):
+        path = f"/extensions/{mi}"
         if not m.facet <= rank.keys() or not _is_facet(sum(1 << rank[v] for v in m.facet), nbr):
-            raise ExtensionError(
-                f"{sorted(m.facet)} is not a facet of the base complex", mi
-            )
+            raise InstanceError(path, f"{sorted(m.facet)} is not a facet of the base complex")
         if m.facet in seen_facets:
-            raise ExtensionError(f"duplicate matrix for facet {sorted(m.facet)}", mi)
+            raise InstanceError(path, f"duplicate matrix for facet {sorted(m.facet)}")
         seen_facets.add(m.facet)
         if m.x0 not in m.facet:
-            raise ExtensionError(f"x0 {m.x0!r} is not in its facet", mi)
+            raise InstanceError(path, f"x0 {m.x0!r} is not in its facet")
         if not m.blocks:
-            raise ExtensionError("matrix with no blocks", mi)
+            raise InstanceError(path, "matrix with no blocks")
         if len(m.blocks) == 1 and not m.blocks[0].y:
-            raise ExtensionError("matrix with a single empty block is trivial", mi)
+            raise InstanceError(path, "matrix with a single empty block is trivial")
         seen_x = set()
         for bi, b in enumerate(m.blocks):
+            bpath = f"{path}/blocks/{bi}"
             if b.x not in m.facet:
-                raise ExtensionError(
-                    f"block vertex {b.x!r} is not in the facet", mi, bi
-                )
+                raise InstanceError(bpath, f"block vertex {b.x!r} is not in the facet")
             if b.x == m.x0:
-                raise ExtensionError("block vertex equals x0", mi, bi)
+                raise InstanceError(bpath, "block vertex equals x0")
             if b.x in seen_x:
-                raise ExtensionError(f"repeated block vertex {b.x!r}", mi, bi)
+                raise InstanceError(bpath, f"repeated block vertex {b.x!r}")
             seen_x.add(b.x)
             if bi > 0 and not b.y:
-                raise ExtensionError(
-                    "only the first block may have no new variables", mi, bi
-                )
+                raise InstanceError(bpath, "only the first block may have no new variables")
             r0, rx = rank[m.x0], rank[b.x]
             if not _is_facet(nbr[r0] & nbr[rx] | 1 << r0 | 1 << rx, nbr):
-                raise ExtensionError(
-                    f"{{{m.x0}, {b.x}}} is not a proper edge of its facet", mi, bi
-                )
+                raise InstanceError(bpath, f"{{{m.x0}, {b.x}}} is not a proper edge of its facet")
             for v in b.y:
                 if v in rank:
-                    raise ExtensionError(
-                        f"new variable {v!r} collides with a base vertex", mi, bi
-                    )
+                    raise InstanceError(bpath, f"new variable {v!r} collides with a base vertex")
                 if v in all_y:
-                    raise ExtensionError(
-                        f"new variable {v!r} used twice", mi, bi
-                    )
-                all_y[v] = (mi, bi)
+                    raise InstanceError(bpath, f"new variable {v!r} used twice")
+                all_y.add(v)
 
     return Extension(base, matrices)
-

@@ -243,8 +243,9 @@ def _is_facet(s, nbr):
 class Extension:
     """A clique complex together with validated scroll matrices on some facets.
 
-    Built through :func:`scrollex.extension.validate_extension`, or directly
-    when there are no matrices.  Exposes the 1-skeleton of the extended
+    Built through :func:`scrollex.extension.validate_extension`, which
+    ``parse_extensions`` calls on an instance's ``extensions`` list, or
+    directly when there are no matrices.  Exposes the 1-skeleton of the extended
     complex (``skeleton_bar``): the base edges plus every pair inside an
     extended facet (a matrix's facet with its new variables); without
     matrices it is the base skeleton itself.

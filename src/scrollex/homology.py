@@ -103,9 +103,9 @@ def _hochster_sweep(g, char):
     vertex's link is empty, h[0] = {-1: 1}, and adds one to H~_0.  Only
     when no vertex qualifies does a disconnected s sum its components'
     homology plus one H~_0 rank per extra component, and a connected s go
-    to the rank kernel, once per distinct core; :mod:`scrollex.kernel`,
-    which does both, is imported then.  Equal results share one interned
-    dict.  A list of 2^n entries that cannot be allocated raises GuardExceeded.
+    to the rank kernel; :mod:`scrollex.kernel`, which does both, is
+    imported then.  Equal results share one interned dict.  A list of 2^n
+    entries that cannot be allocated raises GuardExceeded.
     """
     nbr, n = g.nbr, len(g.nbr)
     try:
@@ -115,7 +115,6 @@ def _hochster_sweep(g, char):
         raise GuardExceeded(message) from None
     h[0] = {-1: 1}
     interned = {}
-    cores = {}
     graded = {}
     for s in range(3, len(h)):
         if not s & (s - 1):
@@ -136,7 +135,7 @@ def _hochster_sweep(g, char):
                 if len(parts) > 1:
                     hs = kernel._disjoint_union([h[c] for c in parts])
                 else:
-                    hs = kernel._core_homology(s, nbr, char, cores)
+                    hs = kernel._core_homology(s, nbr, char)
             h[s] = hs = interned.setdefault(tuple(sorted(hs.items())), hs)
         if hs:
             k = s.bit_count()

@@ -60,7 +60,8 @@ def parse_instance(document):
     """Parse and fully validate an instance; returns (Extension, canonical dict).
 
     ``document`` may be a JSON string or an already-decoded object.  Only an
-    instance with extensions loads :mod:`scrollex.extension`.
+    instance with extensions loads :mod:`scrollex.extension`, whose
+    :func:`~scrollex.extension.parse_extensions` parses and checks them.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -112,41 +113,11 @@ def parse_instance(document):
     exts_doc = document.get("extensions", [])
     _expect(isinstance(exts_doc, list), "/extensions", "expected a list")
     if exts_doc:
-        from .extension import ExtensionError, ScrollBlock, ScrollMatrix, validate_extension
-    matrices = []
-    for i, ex in enumerate(exts_doc):
-        _check_keys(ex, {"facet", "x0", "blocks"}, f"/extensions/{i}")
-        for field in ("facet", "x0", "blocks"):
-            _expect(field in ex, f"/extensions/{i}/{field}", "missing")
-        facet = frozenset(_string_list(ex["facet"], f"/extensions/{i}/facet"))
-        x0 = ex["x0"]
-        _expect(isinstance(x0, str), f"/extensions/{i}/x0", "expected a string")
-        blocks_doc = ex["blocks"]
-        _expect(isinstance(blocks_doc, list) and blocks_doc,
-                f"/extensions/{i}/blocks", "expected a nonempty list")
-        blocks = []
-        for j, b in enumerate(blocks_doc):
-            _check_keys(b, {"x", "y"}, f"/extensions/{i}/blocks/{j}")
-            for field in ("x", "y"):
-                _expect(field in b, f"/extensions/{i}/blocks/{j}/{field}", "missing")
-            _expect(isinstance(b["x"], str), f"/extensions/{i}/blocks/{j}/x",
-                    "expected a string")
-            ys = _string_list(b["y"], f"/extensions/{i}/blocks/{j}/y")
-            blocks.append(ScrollBlock(b["x"], tuple(ys)))
-        matrices.append(ScrollMatrix(facet, x0, tuple(blocks)))
+        from .extension import parse_extensions
 
-    if not exts_doc:
-        ext = Extension(cx, ())
+        ext = parse_extensions(cx, exts_doc)
     else:
-        try:
-            ext = validate_extension(cx, tuple(matrices))
-        except ExtensionError as e:
-            path = "/extensions"
-            if e.matrix_index is not None:
-                path += f"/{e.matrix_index}"
-                if e.block_index is not None:
-                    path += f"/blocks/{e.block_index}"
-            raise InstanceError(path, str(e)) from None
+        ext = Extension(cx, ())
 
     canonical = canonical_document(ext)
     return ext, canonical

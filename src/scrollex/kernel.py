@@ -104,22 +104,9 @@ def _disjoint_union(parts):
     return out
 
 
-def _core_homology(s, nbr, char, cores):
+def _core_homology(s, nbr, char):
     """Reduced Betti numbers of the clique complex on the nonempty subset
-    ``s``, a bitmask over ranks.
-
-    Memoized in ``cores`` under ``(m, edges)``: the subset relabelled
-    0..m-1 by rank.
-    """
-    verts = list(_bits(s))
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = tuple(
-        (i, pos[w]) for i, v in enumerate(verts) for w in _bits(nbr[v] & s) if w > v
-    )
-    key = (len(verts), edges)
-    hit = cores.get(key)
-    if hit is not None:
-        return hit
+    ``s``, a bitmask over ranks."""
     # faces (cliques) grouped by size, each group in lexicographic order
     by_size = {}
 
@@ -141,5 +128,4 @@ def _core_homology(s, nbr, char, cores):
         h = len(by_size[k]) - r[k] - r[k + 1]
         if h:
             out[k - 1] = h
-    cores[key] = out
     return out

@@ -676,7 +676,7 @@ def clique_homology(g, field=QQ):
     """
     if not g.vertices:
         return {-1: 1}
-    return _core_homology((1 << len(g.vertices)) - 1, g.nbr, field.char, {})
+    return _core_homology((1 << len(g.vertices)) - 1, g.nbr, field.char)
 
 
 def brute_betti_table(g, field):

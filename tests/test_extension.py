@@ -4,12 +4,8 @@ from itertools import combinations
 import pytest
 
 from scrollex.graphs import CliqueComplex, Graph
-from scrollex.extension import (
-    ExtensionError,
-    ScrollBlock,
-    ScrollMatrix,
-    validate_extension,
-)
+from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
+from scrollex.instance import InstanceError, parse_instance
 from scrollex.bounds import toricity_gate
 from scrollex.groebner import encode_system
 from scrollex.ordering import VarOrder
@@ -78,10 +74,11 @@ def two_triangle_base():
 
 def test_non_proper_edge_rejected():
     base = two_triangle_base()
-    with pytest.raises(ExtensionError, match="proper"):
+    with pytest.raises(InstanceError, match="proper") as e:
         validate_extension(
             base, (ScrollMatrix(frozenset("abc"), "b", (ScrollBlock("c", ("u",)),)),)
         )
+    assert e.value.path == "/extensions/0/blocks/0"
 
 
 def test_y_reuse_rejected():
@@ -90,21 +87,23 @@ def test_y_reuse_rejected():
         ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ("u",)),)),
         ScrollMatrix(frozenset("bcd"), "d", (ScrollBlock("b", ("u",)),)),
     )
-    with pytest.raises(ExtensionError, match="used twice"):
+    with pytest.raises(InstanceError, match="used twice") as e:
         validate_extension(base, mats)
+    assert e.value.path == "/extensions/1/blocks/0"
 
 
 def test_y_base_collision_rejected():
     base = two_triangle_base()
-    with pytest.raises(ExtensionError, match="collides"):
+    with pytest.raises(InstanceError, match="collides") as e:
         validate_extension(
             base, (ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ("d",)),)),)
         )
+    assert e.value.path == "/extensions/0/blocks/0"
 
 
 def test_block_shape_errors():
     base = two_triangle_base()
-    with pytest.raises(ExtensionError, match="first block"):
+    with pytest.raises(InstanceError, match="first block") as e:
         validate_extension(
             base,
             (
@@ -115,20 +114,76 @@ def test_block_shape_errors():
                 ),
             ),
         )
-    with pytest.raises(ExtensionError, match="trivial"):
+    assert e.value.path == "/extensions/0/blocks/1"
+    # from JSON an empty block list is refused earlier, at /extensions/0/blocks
+    with pytest.raises(InstanceError, match="matrix with no blocks") as e:
+        validate_extension(base, (ScrollMatrix(frozenset("abc"), "a", ()),))
+    assert e.value.path == "/extensions/0"
+    with pytest.raises(InstanceError, match="trivial") as e:
         validate_extension(
             base, (ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ()),)),)
         )
-    with pytest.raises(ExtensionError, match="x0"):
+    assert e.value.path == "/extensions/0"
+    with pytest.raises(InstanceError, match="x0") as e:
         validate_extension(
             base, (ScrollMatrix(frozenset("abc"), "d", (ScrollBlock("b", ("u",)),)),)
         )
+    assert e.value.path == "/extensions/0"
     # not a clique; a clique inside the triangle abc; empty; an unknown vertex
     for facet in ("abd", "ab", "", "abq"):
-        with pytest.raises(ExtensionError, match="not a facet"):
+        with pytest.raises(InstanceError, match="not a facet") as e:
             validate_extension(
                 base, (ScrollMatrix(frozenset(facet), "a", (ScrollBlock("b", ("u",)),)),)
             )
+        assert e.value.path == "/extensions/0"
+
+
+TWO_TRIANGLES = {
+    "vertices": list("abcd"),
+    "edges": [list(e) for e in ("ab", "ac", "bc", "bd", "cd")],
+}
+
+
+@pytest.mark.parametrize(
+    "matrices, path, message",
+    [
+        (
+            [("abc", "a", [("b", ["u"])]), ("bca", "b", [("c", ["v"])])],
+            "/extensions/1",
+            "duplicate matrix for facet ['a', 'b', 'c']",
+        ),
+        ([("abc", "a", [("b", ["u"]), ("d", ["v"])])], "/extensions/0/blocks/1",
+         "block vertex 'd' is not in the facet"),
+        ([("abc", "a", [("a", ["u"])])], "/extensions/0/blocks/0", "block vertex equals x0"),
+        ([("abc", "a", [("b", ["u"]), ("b", ["v"])])], "/extensions/0/blocks/1",
+         "repeated block vertex 'b'"),
+    ],
+    ids=["duplicate-facet", "block-outside-facet", "block-is-x0", "repeated-block"],
+)
+def test_parse_instance_points_at_each_invalid_matrix(matrices, path, message):
+    doc = dict(TWO_TRIANGLES, extensions=[
+        {"facet": list(f), "x0": x0, "blocks": [{"x": x, "y": y} for x, y in blocks]}
+        for f, x0, blocks in matrices
+    ])
+    with pytest.raises(InstanceError) as e:
+        parse_instance(doc)
+    assert (e.value.path, e.value.message) == (path, message)
+    assert str(e.value) == f"{path}: {message}"
+
+
+def test_every_entry_is_parsed_before_any_is_checked():
+    # matrix 0 names no facet and matrix 1 has no string x0: the schema fault wins
+    doc = dict(TWO_TRIANGLES, extensions=[
+        {"facet": ["a", "d"], "x0": "a", "blocks": [{"x": "d", "y": ["u"]}]},
+        {"facet": ["b", "c", "d"], "x0": 3, "blocks": [{"x": "b", "y": ["v"]}]},
+    ])
+    with pytest.raises(InstanceError) as e:
+        parse_instance(doc)
+    assert str(e.value) == "/extensions/1/x0: expected a string"
+    del doc["extensions"][1]
+    with pytest.raises(InstanceError) as e:
+        parse_instance(doc)
+    assert str(e.value) == "/extensions/0: ['a', 'd'] is not a facet of the base complex"
 
 
 def test_empty_first_block_with_second_block_is_valid():

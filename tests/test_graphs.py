@@ -73,6 +73,8 @@ def test_build_graph_errors():
         Graph("ab", [("a", "c")])
     with pytest.raises(GraphError):
         Graph(["a", "b", "a"], [])
+    with pytest.raises(GraphError, match="empty vertex name"):
+        Graph(["a", ""], [])
 
 
 def test_maximal_cliques_examples():

@@ -272,8 +272,8 @@ def test_betti_table_multigraded_sums_to_graded():
 
 
 def test_betti_table_cold_and_warm_core_cache():
-    # cores are memoized per sweep, so every call starts cold; the module
-    # keeps no process-global cache that a first call could warm
+    # no core is memoized, so every call starts cold; the module keeps no
+    # process-global cache that a first call could warm
     assert betti_table(HEX) == betti_table(HEX)
     assert sweep_betti_table(HEX, QQ) == sweep_betti_table(HEX, QQ)
     assert not [
