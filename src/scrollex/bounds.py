@@ -93,7 +93,7 @@ class VirtualCycle:
 def _virtual_edge_blocks(ext):
     """Each virtual edge, a base edge {x0, x_j} with Y_j nonempty, mapped to
     (its matrix, the 1-based index of its block)."""
-    g = ext.base.skeleton
+    g = ext.base
     return {
         g.edge_key(m.x0, b.x): (m, j)
         for m in ext.matrices
@@ -137,7 +137,7 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     one facet.  With no virtual edge they are the chordless cycles, so a
     chordal base is not walked (a negative cap is still refused by the walk).
     """
-    g = ext.base.skeleton
+    g = ext.base
     vmap = _virtual_edge_blocks(ext)
     if not vmap and cap >= 0 and is_chordal(g):
         return ()
@@ -262,7 +262,7 @@ def p2_report(ext):
     nothing when no edge is flagged.
     """
     gate = toricity_gate(ext)
-    g = ext.base.skeleton
+    g = ext.base
     if is_chordal(g):
         return P2Report(
             True, INFINITE, INFINITE, INFINITE, INFINITE,
@@ -344,7 +344,7 @@ def cmd_p2(ext, args):
     applicable, or, in exact mode, only an interval."""
     mode = args["mode"]
     report = p2_report(ext)
-    rank = ext.base.skeleton.rank
+    rank = ext.base.rank
     if mode in ("lower", "upper"):
         value = getattr(report, mode)
         if isinstance(value, NotApplicable):

@@ -158,9 +158,7 @@ def _emit(report):
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    ext, canonical = parse_instance(text)
-    return ext, instance_digest(canonical)
+        return parse_instance(fh.read())
 
 
 def _envelope(command, digest, payload):
@@ -169,15 +167,17 @@ def _envelope(command, digest, payload):
     return doc
 
 
-def cmd_validate(ext, args):
-    """``scrollex validate``: (payload, exit code).  Every other command's
-    handler, ``cmd_<command>``, lives in the module named in ``_HANDLERS``."""
+def cmd_validate(ext, canonical):
+    """``scrollex validate``: (payload, exit code), counted from the
+    canonical document, which lists the facets.  It takes that document in
+    place of the options it does not have.  Every other command's handler,
+    ``cmd_<command>(ext, args)``, lives in the module named in ``_HANDLERS``."""
     payload = {
         "valid": True,
         "vertices": len(ext.skeleton_bar.vertices),
-        "base_vertices": len(ext.base.skeleton.vertices),
-        "facets": len(ext.base.facets),
-        "matrices": len(ext.matrices),
+        "base_vertices": len(canonical["vertices"]),
+        "facets": len(canonical["facets"]),
+        "matrices": len(canonical["extensions"]),
     }
     return payload, 0
 
@@ -351,13 +351,13 @@ def main(argv=None):
                 params = json.dumps({"n": args["n"], "s": args["s"]}, sort_keys=True)
                 ext, digest = None, sha256(params.encode("utf-8")).hexdigest()
             else:
-                ext, digest = _load(args["file"])
+                ext, canonical = _load(args["file"])
+                digest = instance_digest(canonical)
             if command == "validate":
-                handler = cmd_validate
+                payload, code = cmd_validate(ext, canonical)
             else:
                 module = importlib.import_module(f".{_HANDLERS[command]}", __package__)
-                handler = getattr(module, f"cmd_{command}")
-            payload, code = handler(ext, args)
+                payload, code = getattr(module, f"cmd_{command}")(ext, args)
             report = _envelope(command, digest, payload)
         _emit(report)
     except CycleCapExceeded as e:

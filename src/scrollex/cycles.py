@@ -203,10 +203,10 @@ def cmd_cycles(ext, args):
     """``scrollex cycles``: (payload, exit code).  ``--kind virtual`` runs
     :mod:`scrollex.bounds`, imported only then."""
     if args["kind"] == "minimal":
-        cycles = chordless_cycles(ext.base.skeleton, cap=args["cap"])
+        cycles = chordless_cycles(ext.base, cap=args["cap"])
         return {"kind": "minimal", "cycles": [list(c) for c in cycles]}, 0
     from .bounds import _cycle_payload, virtual_minimal_cycles
 
-    rank = ext.base.skeleton.rank
+    rank = ext.base.rank
     vcs = virtual_minimal_cycles(ext, cap=args["cap"])
     return {"kind": "virtual", "cycles": [_cycle_payload(vc, rank) for vc in vcs]}, 0

@@ -17,7 +17,7 @@ encodes the minors, and the non-edges as adjacency masks without listing them.
 from __future__ import annotations
 
 from .graphs import Extension, _is_facet, frozen_record
-from .instance import InstanceError, _check_keys, _expect, _string_list
+from .instance import InstanceError, _check_keys, _expect, _string_list, _vertex_list
 
 
 @frozen_record
@@ -65,8 +65,8 @@ class ScrollMatrix:
 
 
 def parse_extensions(base, exts_doc):
-    """Parse the ``extensions`` list of an instance document onto the
-    ``CliqueComplex`` ``base`` and return the checked :class:`Extension`.
+    """Parse the ``extensions`` list of an instance document onto the base
+    ``Graph`` and return the checked :class:`Extension`.
 
     Every entry's schema is checked before :func:`validate_extension`
     checks what any of them means, so a malformed entry is reported ahead
@@ -78,7 +78,7 @@ def parse_extensions(base, exts_doc):
         _check_keys(ex, {"facet", "x0", "blocks"}, path)
         for field in ("facet", "x0", "blocks"):
             _expect(field in ex, f"{path}/{field}", "missing")
-        facet = frozenset(_string_list(ex["facet"], f"{path}/facet"))
+        facet = frozenset(_vertex_list(ex["facet"], f"{path}/facet"))
         _expect(isinstance(ex["x0"], str), f"{path}/x0", "expected a string")
         blocks_doc = ex["blocks"]
         _expect(isinstance(blocks_doc, list) and blocks_doc, f"{path}/blocks",
@@ -96,7 +96,8 @@ def parse_extensions(base, exts_doc):
 
 
 def validate_extension(base, matrices):
-    """Check every invariant of the scroll data and assemble the Extension.
+    """Check every invariant of the scroll data on the base ``Graph`` and
+    assemble the Extension.
 
     Raises :class:`~scrollex.instance.InstanceError` at ``/extensions/<i>``,
     or at ``/extensions/<i>/blocks/<j>`` for a fault of block j, on: an
@@ -109,8 +110,7 @@ def validate_extension(base, matrices):
     proper iff it and its end points' common neighbours form a facet, so
     each block's {x0, x} is one such test.
     """
-    g = base.skeleton
-    nbr, rank = g.nbr, g.rank
+    nbr, rank = base.nbr, base.rank
     seen_facets = set()
     all_y = set()
     for mi, m in enumerate(matrices):

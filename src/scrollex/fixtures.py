@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, CliqueComplex, _is_facet, maximal_cliques
+from .graphs import Graph, _is_facet, maximal_cliques
 from .instance import parse_instance
 
 
@@ -37,10 +37,10 @@ def cycle_extension_instance(n, sizes):
     return {"vertices": names, "edges": edges, "extensions": extensions}
 
 
-def proper_edges(cx):
-    """Edges of the skeleton contained in exactly one facet: the edges that,
-    with the common neighbours of their end points, form a facet."""
-    g = cx.skeleton
+def proper_edges(g):
+    """Edges of ``g`` contained in exactly one facet of its clique complex:
+    the edges that, with the common neighbours of their end points, form a
+    facet."""
     nbr, rank = g.nbr, g.rank
     return frozenset(
         (u, w) for u, w in g.edges
@@ -73,12 +73,11 @@ def attach_random_matrices(g, rng, max_new=7, max_matrices=4):
 
     Returns an extensions list for the instance schema, possibly empty.
     """
-    cx = CliqueComplex(g)
-    proper = proper_edges(cx)
+    proper = proper_edges(g)
     counter = 0
     extensions = []
     budget = max_new
-    facets = list(cx.facets)
+    facets = list(maximal_cliques(g))
     rng.shuffle(facets)
     for f in facets:
         if len(extensions) >= max_matrices or budget <= 0:

@@ -1,9 +1,10 @@
-"""Finite undirected graphs, clique complexes, ``Extension`` (a complex with
-its scroll matrices, which :mod:`scrollex.extension` defines and validates
-and only an instance with matrices loads), ``INFINITE`` (the p2 of a
-chordal graph) and ``CycleCapExceeded`` (a census past its cap; the census
-itself is :mod:`scrollex.cycles`), and :func:`frozen_record`, the decorator
-behind every immutable type: the reports, and ``Graph``, ``CliqueComplex``,
+"""Finite undirected graphs and their maximal cliques (the facets of the
+clique complex, a function of the graph), ``Extension`` (a graph with the
+scroll matrices on its facets, which :mod:`scrollex.extension` defines and
+validates and only an instance with matrices loads), ``INFINITE`` (the p2
+of a chordal graph) and ``CycleCapExceeded`` (a census past its cap; the
+census itself is :mod:`scrollex.cycles`), and :func:`frozen_record`, the
+decorator behind every immutable type: the reports, and ``Graph``,
 ``ScrollMatrix``, ``Extension`` and ``VarOrder`` too.
 
 Every structure in this package is deterministic: a vertex keeps the position
@@ -211,24 +212,6 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@frozen_record
-class CliqueComplex:
-    """A graph together with its facet family (the maximal cliques).
-
-    The faces of the complex are exactly the cliques of ``skeleton``, so the
-    facets are determined by the graph and every facet question is one of
-    adjacency (:func:`_is_facet`).  ``facets`` lists them for the output.
-    """
-
-    skeleton: Graph
-
-    def __post_init__(self):
-        object.__setattr__(self, "facets", maximal_cliques(self.skeleton))
-
-    def __repr__(self):
-        return f"CliqueComplex({len(self.skeleton.vertices)} vertices, {len(self.facets)} facets)"
-
-
 def _is_facet(s, nbr):
     """True iff the vertex bitmask ``s`` is a facet (a maximal clique) of the
     graph with adjacency masks ``nbr``: the vertices joined or equal to all
@@ -241,21 +224,22 @@ def _is_facet(s, nbr):
 
 @frozen_record
 class Extension:
-    """A clique complex together with validated scroll matrices on some facets.
+    """A base graph together with validated scroll matrices on some facets of
+    its clique complex.
 
     Built through :func:`scrollex.extension.validate_extension`, which
     ``parse_extensions`` calls on an instance's ``extensions`` list, or
     directly when there are no matrices.  Exposes the 1-skeleton of the extended
     complex (``skeleton_bar``): the base edges plus every pair inside an
     extended facet (a matrix's facet with its new variables); without
-    matrices it is the base skeleton itself.
+    matrices it is the base graph itself.
     """
 
-    base: CliqueComplex
+    base: Graph
     matrices: tuple
 
     def __post_init__(self):
-        bar = self.base.skeleton
+        bar = self.base
         if self.matrices:
             vertices = list(bar.vertices)
             for m in self.matrices:
@@ -270,7 +254,7 @@ class Extension:
 
     def __repr__(self):
         return (
-            f"Extension({len(self.base.skeleton.vertices)} base vertices, "
+            f"Extension({len(self.base.vertices)} base vertices, "
             f"{len(self.matrices)} matrices, "
             f"{len(self.skeleton_bar.vertices)} total vertices)"
         )

@@ -56,20 +56,6 @@ QQ = FieldSpec(0)
 # ---------------------------------------------------------------------------
 
 
-@frozen_record
-class BettiTable:
-    """Graded Betti numbers: ``graded`` maps (homological index i, internal
-    degree j) to a rank; zero entries are omitted."""
-
-    graded: dict
-
-    def entry(self, i, j):
-        return self.graded.get((i, j), 0)
-
-    def is_two_linear(self):
-        return all(j <= i + 2 for (i, j) in self.graded)
-
-
 def _link_deletion_sum(s, nbr, h):
     """h[s] as ``b_e + a_{e-1}`` from the first vertex v of s whose link
     homology a = h[nbr[v] & s] and deletion homology b = h[s - v] share no
@@ -146,8 +132,10 @@ def _hochster_sweep(g, char):
 
 
 def betti_table(g, field=QQ, max_vertices=20):
-    """Full Betti table of the non-edge ideal of ``g``: Hochster's formula,
-    summed over all vertex subsets by :func:`_hochster_sweep`.  Refuses
+    """Full Betti table of the non-edge ideal of ``g``, as a dict mapping
+    (homological index i, internal degree j) to a rank, zero entries
+    omitted: Hochster's formula, summed over all vertex subsets by
+    :func:`_hochster_sweep`.  Refuses
     (rather than degrades) when the vertex count exceeds ``max_vertices``.
     After that guard, a cycle on n >= 4 vertices (every degree 2, and one
     walk meets every vertex) is not swept: its table is
@@ -165,7 +153,7 @@ def betti_table(g, field=QQ, max_vertices=20):
             seen |= step
         if seen == (1 << n) - 1:
             return cycle_betti_table(n)
-    return BettiTable(_hochster_sweep(g, field.char)[0])
+    return _hochster_sweep(g, field.char)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +170,13 @@ class P2Result:
 
 
 def p2_from_table(table):
-    """Maximal p such that beta_{i, i+2+j} vanishes for all i <= p-1, j >= 1."""
-    bad = [i for (i, j) in table.graded if j > i + 2]
+    """Maximal p such that beta_{i, i+2+j} vanishes for all i <= p-1, j >= 1,
+    read off the graded dict ``table`` (as :func:`betti_table` returns it)."""
+    bad = [i for (i, j) in table if j > i + 2]
     if not bad:
         return P2Result(INFINITE, 0)
     p = min(bad)
-    return P2Result(p, table.entry(p, p + 3))
+    return P2Result(p, table.get((p, p + 3), 0))
 
 
 def cycle_betti_table(n, s=0):
@@ -210,7 +199,7 @@ def cycle_betti_table(n, s=0):
             raise ArithmeticError("closed form did not divide exactly")
         graded[(i - 1, i + 1)] = num // den
     graded[(nn - 3, nn)] = 1
-    return BettiTable(graded)
+    return graded
 
 
 def cmd_betti(ext, args):
@@ -223,7 +212,7 @@ def cmd_betti(ext, args):
     else:
         raise ValueError(f"--field must be q or a prime, got {name!r}")
     if args["ideal"] == "gamma":
-        graph = ext.base.skeleton
+        graph = ext.base
     else:
         from .ordering import NotOrderableError, initial_complex
 
@@ -236,8 +225,8 @@ def cmd_betti(ext, args):
     payload = {
         "ideal": args["ideal"],
         "field": repr(field),
-        "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
-        "two_linear": table.is_two_linear(),
+        "entries": [[i, j, r] for (i, j), r in sorted(table.items())],
+        "two_linear": p2.p2 is INFINITE,
         "p2": p2.p2,
         "witnesses": p2.witness_count,
     }
@@ -251,7 +240,7 @@ def cmd_poligon(ext, args):
     payload = {
         "n": n,
         "s": s,
-        "entries": [[i, j, r] for (i, j), r in sorted(table.graded.items())],
+        "entries": [[i, j, r] for (i, j), r in sorted(table.items())],
         "p2": n + s - 3,
     }
     return payload, 0

@@ -25,7 +25,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .graphs import CliqueComplex, Extension, Graph
+from .graphs import Extension, Graph, maximal_cliques
 
 
 class InstanceError(ValueError):
@@ -56,11 +56,25 @@ def _string_list(value, path):
     return list(value)
 
 
+def _vertex_list(value, path):
+    """A list of distinct vertex names: ``vertices``, a declared facet or an
+    extension's ``facet``.  A repeated name is refused at its index."""
+    names = _string_list(value, path)
+    seen = set()
+    for k, v in enumerate(names):
+        if v in seen:
+            raise InstanceError(f"{path}/{k}", f"duplicate vertex {v!r}")
+        seen.add(v)
+    return names
+
+
 def parse_instance(document):
     """Parse and fully validate an instance; returns (Extension, canonical dict).
 
-    ``document`` may be a JSON string or an already-decoded object.  Only an
-    instance with extensions loads :mod:`scrollex.extension`, whose
+    ``document`` may be a JSON string or an already-decoded object.  The
+    maximal cliques are listed once, for the declared ``facets`` check and
+    the canonical document.  Only an instance with extensions loads
+    :mod:`scrollex.extension`, whose
     :func:`~scrollex.extension.parse_extensions` parses and checks them.
     """
     if isinstance(document, (str, bytes)):
@@ -72,12 +86,8 @@ def parse_instance(document):
     _expect("vertices" in document, "/vertices", "missing")
     _expect("edges" in document, "/edges", "missing")
 
-    vertices = _string_list(document["vertices"], "/vertices")
-    seen = set()
-    for k, v in enumerate(vertices):
-        if v in seen:
-            raise InstanceError(f"/vertices/{k}", f"duplicate vertex {v!r}")
-        seen.add(v)
+    vertices = _vertex_list(document["vertices"], "/vertices")
+    seen = set(vertices)
 
     raw_edges = document["edges"]
     _expect(isinstance(raw_edges, list), "/edges", "expected a list")
@@ -96,18 +106,19 @@ def parse_instance(document):
         edges.append((u, w))
 
     # every condition Graph checks has been rejected above, with a finer path
-    cx = CliqueComplex(Graph(vertices, edges))
+    g = Graph(vertices, edges)
+    facets = maximal_cliques(g)
     facets_doc = document.get("facets")
     if facets_doc is not None:
         _expect(isinstance(facets_doc, list), "/facets", "expected a list")
         declared = []
         for k, f in enumerate(facets_doc):
-            names = _string_list(f, f"/facets/{k}")
+            names = _vertex_list(f, f"/facets/{k}")
             for v in names:
                 _expect(v in seen, f"/facets/{k}", f"unknown vertex {v!r}")
-            declared.append(sorted(set(names)))
+            declared.append(sorted(names))
         # the facets, each once, in any order
-        _expect(sorted(declared) == sorted(map(sorted, cx.facets)), "/facets",
+        _expect(sorted(declared) == sorted(map(sorted, facets)), "/facets",
                 "declared facets do not match the maximal cliques of the skeleton")
 
     exts_doc = document.get("extensions", [])
@@ -115,21 +126,21 @@ def parse_instance(document):
     if exts_doc:
         from .extension import parse_extensions
 
-        ext = parse_extensions(cx, exts_doc)
+        ext = parse_extensions(g, exts_doc)
     else:
-        ext = Extension(cx, ())
+        ext = Extension(g, ())
 
-    canonical = canonical_document(ext)
-    return ext, canonical
+    return ext, canonical_document(ext, facets)
 
 
-def canonical_document(ext):
-    """The normalized instance dict: sorted edges, facets, stable extension order."""
-    g = ext.base.skeleton
-    doc = {
+def canonical_document(ext, facets):
+    """The normalized instance dict: sorted edges, the base's ``facets`` (its
+    maximal cliques), stable extension order."""
+    g = ext.base
+    return {
         "vertices": list(g.vertices),
         "edges": [list(e) for e in sorted(g.edges, key=lambda e: (g.rank[e[0]], g.rank[e[1]]))],
-        "facets": [list(f) for f in ext.base.facets],
+        "facets": [list(f) for f in facets],
         "extensions": [
             {
                 "facet": sorted(m.facet, key=g.rank.get),
@@ -139,7 +150,6 @@ def canonical_document(ext):
             for m in ext.matrices
         ],
     }
-    return doc
 
 
 def instance_digest(canonical):

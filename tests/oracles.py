@@ -40,7 +40,7 @@ library's adjacency bitmasks (``Graph.nbr``) to judge it, but builds its
 own map, vertex name -> neighbour set, from ``g.edges``.  So does
 ``sweep_betti_table``: not an oracle, but the library's subset sweep with
 its multigraded entries rebuilt, for the tests that hold it against
-``brute_betti_table`` subset by subset.  Likewise ``clique_homology``, the
+``brute_multigraded`` subset by subset.  Likewise ``clique_homology``, the
 library's core kernel run on a whole clique complex (on ``Graph.nbr``, as
 the sweep runs it) with no reduction first.
 
@@ -63,7 +63,7 @@ from itertools import combinations, permutations
 
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.fixtures import attach_random_matrices
-from scrollex.graphs import INFINITE, Graph, GraphError
+from scrollex.graphs import INFINITE, Graph, GraphError, maximal_cliques
 from scrollex.homology import QQ, _hochster_sweep
 from scrollex.kernel import _core_homology
 from scrollex.ordering import (
@@ -341,7 +341,7 @@ def virtual_edges(ext):
 
     Independent of the column permutation choice.
     """
-    g = ext.base.skeleton
+    g = ext.base
     return frozenset(g.edge_key(m.x0, b.x) for m in ext.matrices for b in m.blocks if b.y)
 
 
@@ -349,18 +349,19 @@ def extended_facets(ext):
     """The facets of the extended complex, in the base's facet order: a
     facet that carries a matrix joined to the matrix's new variables."""
     bar = {m.facet: m.facet | set(m.y_vertices()) for m in ext.matrices}
-    return [bar.get(f, f) for f in map(frozenset, ext.base.facets)]
+    return [bar.get(f, f) for f in map(frozenset, maximal_cliques(ext.base))]
 
 
 def brute_virtual_cycles(ext):
     """Virtual minimal cycles straight from the definition, via brute_all_cycles.
 
-    Two cycle edges share a facet when one of ``ext.base.facets`` holds both.
+    Two cycle edges share a facet when one maximal clique of the base holds
+    both.
     """
-    g = ext.base.skeleton
+    g = ext.base
     adj, virt = adjacency(g), virtual_edges(ext)
     edge_facets = {}  # canonical edge -> the indices of the facets holding it
-    for k, f in enumerate(ext.base.facets):
+    for k, f in enumerate(maximal_cliques(g)):
         for u, w in combinations(f, 2):
             edge_facets.setdefault(g.edge_key(u, w), set()).add(k)
     out = []
@@ -394,13 +395,13 @@ def census_p2_report(ext, cap=10**6):
     cycle of the family.
     """
     gate = toricity_gate(ext)
-    if is_chordal(ext.base.skeleton):
+    if is_chordal(ext.base):
         return P2Report(
             True, INFINITE, INFINITE, INFINITE, INFINITE,
             {"chordal_base": True}, None, None, gate,
         )
     cycles = virtual_minimal_cycles(ext, cap=cap)
-    rank = ext.base.skeleton.rank
+    rank = ext.base.rank
 
     def ranks(vc):
         return tuple(rank[v] for v in vc.cycle)
@@ -490,7 +491,7 @@ def random_extension_instance(seed, require_orderable=True, max_total=12):
 
 def virtual_matrix(ext, e):
     """(matrix, 1-based block index) of the virtual edge ``e``, or None."""
-    key = ext.base.skeleton.edge_key
+    key = ext.base.edge_key
     return next(
         (
             (m, j)
@@ -542,7 +543,7 @@ def bfs_replacement_length(ext, cycle, e):
     facet of ``e``, excluding every vertex that keeps an edge to the rest of
     the cycle.  Returns the path length, or None when no detour exists.
     """
-    g, gbar = ext.base.skeleton, ext.skeleton_bar
+    g, gbar = ext.base, ext.skeleton_bar
     h_adj = adjacency(Graph(gbar.vertices, gbar.edges - pi_star_route(ext)[1]))
     e = g.edge_key(*e)
     m, _block = virtual_matrix(ext, e)
@@ -644,18 +645,23 @@ def reduced_homology_rank(faces, d, field=QQ):
     return reduced_homology_ranks(faces, field).get(d, 0)
 
 
-Betti = namedtuple("Betti", "graded multigraded")
-Betti.__doc__ = """A Betti table with its multigraded entries: ``graded`` maps
-(i, j) and ``multigraded`` maps (i, vertex subset) to a nonzero rank."""
+def graded_sums(multigraded):
+    """The graded table of a multigraded one: each rank at (i, vertex subset)
+    summed into (i, size of the subset)."""
+    graded = {}
+    for (i, sigma), r in multigraded.items():
+        graded[(i, len(sigma))] = graded.get((i, len(sigma)), 0) + r
+    return graded
 
 
 def sweep_betti_table(g, field):
-    """The library's subset sweep as a :class:`Betti`.
+    """The library's subset sweep as ``(graded, multigraded)``: ``graded``
+    maps (i, j) and ``multigraded`` maps (i, vertex subset) to a nonzero rank.
 
     Not an oracle: the multigraded entries are rebuilt from the per-subset
     homology list of ``homology._hochster_sweep``, so that tests can hold
     every subset's value, not just the graded sums, against
-    :func:`brute_betti_table`.
+    :func:`brute_multigraded`.
     """
     graded, h = _hochster_sweep(g, field.char)
     multigraded = {}
@@ -663,7 +669,7 @@ def sweep_betti_table(g, field):
         sigma = frozenset(v for i, v in enumerate(g.vertices) if s >> i & 1)
         for d, r in h[s].items():
             multigraded[(len(sigma) - d - 2, sigma)] = r
-    return Betti(graded, multigraded)
+    return graded, multigraded
 
 
 def clique_homology(g, field=QQ):
@@ -679,15 +685,16 @@ def clique_homology(g, field=QQ):
     return _core_homology((1 << len(g.vertices)) - 1, g.nbr, field.char)
 
 
-def brute_betti_table(g, field):
-    """Hochster's formula summed naively over every vertex subset.
+def brute_multigraded(g, field):
+    """Hochster's formula evaluated naively on every vertex subset: a dict
+    mapping (i, vertex subset) to its nonzero rank.
 
     Each subset's clique complex is listed by testing every sub-subset for
     being a clique, and its reduced homology comes from the generic
     face-list ``reduced_homology_ranks``: no vertex deletions, no
-    components, no memo.  Returns a :class:`Betti`.
+    components, no memo.
     """
-    graded, multigraded, adj = {}, {}, adjacency(g)
+    multigraded, adj = {}, adjacency(g)
     for k in range(2, len(g.vertices) + 1):
         for sigma in combinations(g.vertices, k):
             faces = [
@@ -697,10 +704,14 @@ def brute_betti_table(g, field):
                 if all(w in adj[u] for u, w in combinations(f, 2))
             ]
             for d, h in reduced_homology_ranks(faces, field).items():
-                i = k - d - 2
-                multigraded[(i, frozenset(sigma))] = h
-                graded[(i, k)] = graded.get((i, k), 0) + h
-    return Betti(graded, multigraded)
+                multigraded[(k - d - 2, frozenset(sigma))] = h
+    return multigraded
+
+
+def brute_betti_table(g, field):
+    """The graded Betti table, as ``betti_table`` returns it, summed from
+    :func:`brute_multigraded`."""
+    return graded_sums(brute_multigraded(g, field))
 
 
 def sparse_rank_mod(columns, p):

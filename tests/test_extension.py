@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from scrollex.graphs import CliqueComplex, Graph
+from scrollex.graphs import Graph
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.instance import InstanceError, parse_instance
 from scrollex.bounds import toricity_gate
@@ -69,7 +69,7 @@ def test_extended_edge_count_matches_pairwise_scan(corpus):
 
 def two_triangle_base():
     # triangles abc and bcd share the edge bc
-    return CliqueComplex(Graph("abcd", ["ab", "ac", "bc", "bd", "cd"]))
+    return Graph("abcd", ["ab", "ac", "bc", "bd", "cd"])
 
 
 def test_non_proper_edge_rejected():
@@ -187,7 +187,7 @@ def test_every_entry_is_parsed_before_any_is_checked():
 
 
 def test_empty_first_block_with_second_block_is_valid():
-    base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
+    base = Graph("abc", ["ab", "bc", "ca"])
     ext = validate_extension(
         base,
         (
@@ -252,8 +252,7 @@ def test_toricity_bruns(bruns):
 
 def test_toricity_shared_two_variables():
     # two triangles glued along the non-proper edge uv; both matrices touch u and v
-    g = Graph("uvwz", ["uv", "uw", "vw", "uz", "vz"])
-    base = CliqueComplex(g)
+    base = Graph("uvwz", ["uv", "uw", "vw", "uz", "vz"])
     mats = (
         ScrollMatrix(frozenset("uvw"), "w", (ScrollBlock("u", ("p",)), ScrollBlock("v", ("q",)))),
         ScrollMatrix(frozenset("uvz"), "z", (ScrollBlock("u", ("r",)), ScrollBlock("v", ("s",)))),

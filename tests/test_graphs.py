@@ -17,7 +17,6 @@ from scrollex.bounds import virtual_minimal_cycles
 from scrollex.cli import main
 from scrollex.graphs import (
     INFINITE,
-    CliqueComplex,
     CycleCapExceeded,
     Extension,
     Graph,
@@ -205,7 +204,7 @@ def test_a_chordal_graph_is_not_walked(monkeypatch):
     g = chain_graph(200)
     assert chordless_cycles(g) == ()
     assert p2_monomial(g) is INFINITE
-    assert virtual_minimal_cycles(Extension(CliqueComplex(g), ())) == ()
+    assert virtual_minimal_cycles(Extension(g, ())) == ()
     assert calls == []
     # the count is live: a square is walked
     assert chordless_cycles(Graph("abcd", ["ab", "bc", "cd", "da"])) and len(calls) == 1
@@ -258,23 +257,21 @@ def test_induced_examples():
 
 
 def test_proper_edges_examples():
-    k3 = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
-    assert proper_edges(k3) == k3.skeleton.edges
-    bruns = CliqueComplex(bruns_graph())
-    assert proper_edges(bruns) == bruns.skeleton.edges
-    two = CliqueComplex(
-        Graph("abcd", ["ab", "ac", "bc", "bd", "cd"])
-    )  # triangles abc and bcd share bc
-    assert proper_edges(two) == two.skeleton.edges - {("b", "c")}
+    k3 = Graph("abc", ["ab", "bc", "ca"])
+    assert proper_edges(k3) == k3.edges
+    bruns = bruns_graph()
+    assert proper_edges(bruns) == bruns.edges
+    two = Graph("abcd", ["ab", "ac", "bc", "bd", "cd"])  # triangles abc and bcd share bc
+    assert proper_edges(two) == two.edges - {("b", "c")}
     # the complement of four disjoint triangles: every edge lies in three facets
     vs = [f"v{i}" for i in range(12)]
     moon_moser = Graph(vs, [(vs[i], vs[j]) for i in range(12) for j in range(i) if i // 3 != j // 3])
-    assert proper_edges(CliqueComplex(moon_moser)) == frozenset()
+    assert proper_edges(moon_moser) == frozenset()
 
 
 def test_facet_override_must_match():
     doc = {"vertices": list("abc"), "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
-    assert parse_instance({**doc, "facets": [["a", "b", "c"]]})[0].base.facets == (("a", "b", "c"),)
+    assert parse_instance({**doc, "facets": [["a", "b", "c"]]})[1]["facets"] == [["a", "b", "c"]]
     with pytest.raises(InstanceError) as err:
         parse_instance({**doc, "facets": [["a", "b"], ["b", "c"], ["a", "c"]]})
     assert (err.value.path, err.value.message) == (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import fixtures, groebner
-from scrollex.graphs import CliqueComplex, Graph
+from scrollex.graphs import Graph
 from scrollex.cycles import is_chordal
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.ordering import (
@@ -58,7 +58,7 @@ def generic_scroll_system(n):
 def test_encode_system_encodes_and_orients():
     # triangle abc extended along ac by z, and the edge cd: the columns are
     # (a, z), (z, c), so the one minor is ac - z^2; the non-edges are ad, bd, dz
-    base = CliqueComplex(Graph("abcd", ["ab", "bc", "ca", "cd"]))
+    base = Graph("abcd", ["ab", "bc", "ca", "cd"])
     ext = validate_extension(base, (ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("c", ("z",)),)),))
     # a > z > c > b > d: a, z and b are joined to all but d (0b01111), c to
     # all (0b11111), d to c and itself (0b10100); the minor's lead ac is the
@@ -168,7 +168,7 @@ def test_initial_complex_bruns(bruns):
 
 
 def test_initial_complex_unextended():
-    base = CliqueComplex(Graph("abc", ["ab", "bc", "ca"]))
+    base = Graph("abc", ["ab", "bc", "ca"])
     ext = validate_extension(base, ())
     ic = initial_complex(ext)
     assert ic.deleted == frozenset()

@@ -13,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from scrollex import fixtures, homology, kernel
-from scrollex.graphs import INFINITE, CliqueComplex, Graph
+from scrollex.graphs import INFINITE, Graph, maximal_cliques
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.homology import (
     QQ,
-    BettiTable,
     FieldSpec,
     GuardExceeded,
     P2Result,
@@ -33,7 +32,9 @@ from scrollex.ordering import VarOrder, initial_complex
 from oracles import (
     adjacency,
     brute_betti_table,
+    brute_multigraded,
     clique_homology,
+    graded_sums,
     induced,
     mask_monomials,
     oracle_rank,
@@ -181,7 +182,7 @@ def test_torsion_rp2_depends_on_the_field():
     # over GF(2).  A stored pivot 2 over QQ must not be read mod 2.
     g = flag_rp2()
     assert len(g.vertices) == 31
-    faces = downward_closure(CliqueComplex(g).facets)
+    faces = downward_closure(maximal_cliques(g))
     for field, want in [(QQ, {}), (FieldSpec(3), {}), (FieldSpec(2), {1: 1, 2: 1})]:
         assert clique_homology(g, field) == want, field
         for d in (0, 1, 2):
@@ -193,7 +194,7 @@ def test_cross_polytope_betti_table_closed_form(field):
     # the 12-vertex cross-polytope's ideal is a complete intersection of six
     # quadrics: its Koszul table has beta_{i-1, 2i} = C(6, i)
     t = betti_table(cross_polytope(6), field)
-    assert t.graded == {(i - 1, 2 * i): math.comb(6, i) for i in range(1, 7)}
+    assert t == {(i - 1, 2 * i): math.comb(6, i) for i in range(1, 7)}
 
 
 def test_flag_spheres_clique_homology():
@@ -214,9 +215,8 @@ def test_clique_homology_matches_generic_path():
             if rng.random() < 0.5
         ]
         g = Graph(verts, edges)
-        cx = CliqueComplex(g)
         faces = downward_closure(
-            [c for f in cx.facets for r in range(1, len(f) + 1) for c in combinations(f, r)]
+            [c for f in maximal_cliques(g) for r in range(1, len(f) + 1) for c in combinations(f, r)]
         )
         fast = clique_homology(g)
         for d in range(-1, n):
@@ -224,18 +224,18 @@ def test_clique_homology_matches_generic_path():
 
 
 def test_hochster_examples():
-    assert sweep_betti_table(C4, QQ).multigraded == {
+    assert sweep_betti_table(C4, QQ)[1] == {
         (0, frozenset("ac")): 1,
         (0, frozenset("bd")): 1,
         (1, frozenset("abcd")): 1,
     }
-    assert sweep_betti_table(K3, QQ).multigraded == {}
+    assert sweep_betti_table(K3, QQ)[1] == {}
 
 
 def test_stanley_reisner_generators():
     def nf(g):
         order = VarOrder(g.vertices)
-        adj, _minors = encode_system(validate_extension(CliqueComplex(g), ()), order)
+        adj, _minors = encode_system(validate_extension(g, ()), order)
         return [tuple(order.variables[r] for r in m) for m in mask_monomials(adj)]
 
     assert nf(K3) == []
@@ -244,16 +244,15 @@ def test_stanley_reisner_generators():
 
 
 def test_betti_table_c4():
-    assert betti_table(C4).graded == {(0, 2): 2, (1, 4): 1}
+    assert betti_table(C4) == {(0, 2): 2, (1, 4): 1}
 
 
 def test_betti_table_hexagon():
-    assert betti_table(HEX).graded == {(0, 2): 9, (1, 3): 16, (2, 4): 9, (3, 6): 1}
+    assert betti_table(HEX) == {(0, 2): 9, (1, 3): 16, (2, 4): 9, (3, 6): 1}
 
 
 def test_betti_table_k3_empty():
-    t = betti_table(K3)
-    assert t.graded == {} and t.is_two_linear()
+    assert betti_table(K3) == {}
 
 
 def test_betti_table_guard():
@@ -264,11 +263,11 @@ def test_betti_table_guard():
 
 
 def test_betti_table_multigraded_sums_to_graded():
-    t = sweep_betti_table(cycle_graph(5), QQ)
+    graded, multigraded = sweep_betti_table(cycle_graph(5), QQ)
     sums = {}
-    for (i, sigma), r in t.multigraded.items():
+    for (i, sigma), r in multigraded.items():
         sums[(i, len(sigma))] = sums.get((i, len(sigma)), 0) + r
-    assert sums == t.graded == betti_table(cycle_graph(5)).graded
+    assert sums == graded == betti_table(cycle_graph(5))
 
 
 def test_betti_table_cold_and_warm_core_cache():
@@ -293,9 +292,9 @@ def test_betti_table_matches_brute_force_on_atlas(field):
         g = Graph(
             [f"v{i}" for i in a.nodes()], [(f"v{u}", f"v{w}") for u, w in a.edges()]
         )
-        fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
-        assert betti_table(g, field).graded == fast.graded == slow.graded, sorted(a.edges())
-        assert fast.multigraded == slow.multigraded, sorted(a.edges())
+        (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
+        assert betti_table(g, field) == graded == graded_sums(slow), sorted(a.edges())
+        assert multigraded == slow, sorted(a.edges())
         checked += 1
     assert checked == 209
 
@@ -314,9 +313,9 @@ def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field, monkey
         full = (1 << len(g.vertices)) - 1
         splits.clear()
         cores.clear()
-        fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
-        assert betti_table(g, field).graded == fast.graded == slow.graded
-        assert fast.multigraded == slow.multigraded
+        (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
+        assert betti_table(g, field) == graded == graded_sums(slow)
+        assert multigraded == slow
         if parts == (C4, C4):
             # each link is two points and each deletion has H~_0, so no vertex
             # of the full set qualifies: the components step settles it, once
@@ -372,9 +371,9 @@ def test_sweep_deletes_a_vertex_whose_link_is_acyclic_but_not_a_cone(field, monk
     _graded, h = homology._hochster_sweep(g, field.char)
     assert full not in [args[0] for args in cores]  # v4 is deleted instead
     assert h[full] is h[full ^ (1 << 4)] == {1: 3}
-    fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
-    assert fast.multigraded == slow.multigraded
-    assert betti_table(g, field).graded == fast.graded == slow.graded
+    (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
+    assert multigraded == slow
+    assert betti_table(g, field) == graded == graded_sums(slow)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3)], ids=repr)
@@ -382,9 +381,9 @@ def test_betti_table_matches_brute_force_on_random_graphs(field):
     # a fixed fuzz budget: nine seeded graphs on 7-9 vertices, sparse to dense
     for seed in range(9):
         g = gnp(7 + seed % 3, (0.3, 0.5, 0.7)[seed // 3], seed)
-        fast, slow = sweep_betti_table(g, field), brute_betti_table(g, field)
-        assert fast.multigraded == slow.multigraded, sorted(g.edges)
-        assert betti_table(g, field).graded == fast.graded == slow.graded, sorted(g.edges)
+        (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
+        assert multigraded == slow, sorted(g.edges)
+        assert betti_table(g, field) == graded == graded_sums(slow), sorted(g.edges)
 
 
 def klein_bottle():
@@ -433,7 +432,7 @@ def test_sweep_reaches_the_kernel_on_the_klein_bottle(field, expected, monkeypat
     g, full = KLEIN, (1 << 16) - 1
     assert (len(g.vertices), len(g.edges)) == (16, 48)
     # flag: the maximal cliques are exactly the triangles
-    assert sorted(map(sorted, CliqueComplex(g).facets)) == sorted(map(sorted, KLEIN_TRIANGLES))
+    assert sorted(map(sorted, maximal_cliques(g))) == sorted(map(sorted, KLEIN_TRIANGLES))
     cores = record_calls(monkeypatch, "_core_homology")
     _graded, h = homology._hochster_sweep(g, field.char)
     assert [args[0] for args in cores] == [full]
@@ -475,16 +474,16 @@ def test_klein_bottle_loads_the_kernel_in_a_fresh_interpreter(tmp_path):
         doc = json.loads(out)
         assert doc["field"] == repr(field)
         table = betti_table(KLEIN, field)
-        assert doc["entries"] == [[i, j, r] for (i, j), r in sorted(table.graded.items())]
+        assert doc["entries"] == [[i, j, r] for (i, j), r in sorted(table.items())]
 
 
 def test_field_independence_on_cycles():
     # the sweep, not betti_table, which reads a cycle's table from the closed form
     for n in range(4, 8):
         g = cycle_graph(n)
-        t0 = sweep_betti_table(g, QQ)
+        t0 = sweep_betti_table(g, QQ)[0]
         for p in (2, 3):
-            assert sweep_betti_table(g, FieldSpec(p)).graded == t0.graded
+            assert sweep_betti_table(g, FieldSpec(p))[0] == t0
 
 
 def test_euler_characteristic_consistency():
@@ -500,10 +499,9 @@ def test_euler_characteristic_consistency():
                 if rng.random() < 0.5
             ]
             g = Graph(verts, edges)
-            cx = CliqueComplex(g)
             faces = {
                 frozenset(c)
-                for f in cx.facets
+                for f in maximal_cliques(g)
                 for r in range(1, len(f) + 1)
                 for c in combinations(f, r)
             }
@@ -529,7 +527,7 @@ def test_p2_monomial_examples():
 def test_p2_from_table_examples():
     assert p2_from_table(betti_table(C4)).p2 == 1
     assert p2_from_table(betti_table(HEX)).p2 == 3
-    assert p2_from_table(BettiTable({})).p2 is INFINITE
+    assert p2_from_table({}).p2 is INFINITE
 
 
 def test_two_linear_iff_chordal():
@@ -544,20 +542,20 @@ def test_two_linear_iff_chordal():
             if rng.random() < 0.5
         ]
         g = Graph(verts, edges)
-        assert is_chordal(g) == betti_table(g).is_two_linear()
+        assert is_chordal(g) == all(j <= i + 2 for i, j in betti_table(g)), sorted(g.edges)
 
 
 def test_cycle_betti_closed_form():
-    assert cycle_betti_table(4, 0).graded == {(0, 2): 2, (1, 4): 1}
-    assert cycle_betti_table(4, 2).graded == {(0, 2): 9, (1, 3): 16, (2, 4): 9, (3, 6): 1}
-    assert cycle_betti_table(5, 0).graded == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
+    assert cycle_betti_table(4, 0) == {(0, 2): 2, (1, 4): 1}
+    assert cycle_betti_table(4, 2) == {(0, 2): 9, (1, 3): 16, (2, 4): 9, (3, 6): 1}
+    assert cycle_betti_table(5, 0) == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
     with pytest.raises(ValueError):
         cycle_betti_table(3, 1)
 
 
 def test_cycle_closed_form_matches_sweep():
     for n, s in [(4, 0), (5, 0), (4, 1), (6, 1)]:
-        assert cycle_betti_table(n, s).graded == homology._hochster_sweep(cycle_graph(n + s), 0)[0]
+        assert cycle_betti_table(n, s) == homology._hochster_sweep(cycle_graph(n + s), 0)[0]
 
 
 FIELDS = [QQ, FieldSpec(2), FieldSpec(32003)]
@@ -600,7 +598,7 @@ NOT_CYCLES = {
 def test_betti_table_sweeps_every_other_graph(name, field, monkeypatch):
     g = NOT_CYCLES[name]
     sweeps = record_calls(monkeypatch, "_hochster_sweep", homology)
-    assert betti_table(g, field).graded == brute_betti_table(g, field).graded
+    assert betti_table(g, field) == brute_betti_table(g, field)
     assert sweeps == [(g, field.char)]
 
 
@@ -608,5 +606,5 @@ def test_betti_table_sweeps_every_other_graph(name, field, monkeypatch):
 @given(st.integers(min_value=4, max_value=7), st.integers(min_value=0, max_value=2))
 def test_cycle_table_top_entry(n, s):
     t = cycle_betti_table(n, s)
-    assert max(t.graded.items()) == ((n + s - 3, n + s), 1)
+    assert max(t.items()) == ((n + s - 3, n + s), 1)
     assert p2_from_table(t).p2 == n + s - 3

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrollex import cli, homology
+from scrollex import cli, graphs, homology
 from scrollex.bounds import Interval, NotApplicable, virtual_minimal_cycles
 from scrollex.cycles import chordless_cycles
-from scrollex.graphs import INFINITE
+from scrollex.extension import validate_extension
+from scrollex.graphs import INFINITE, Extension
 from scrollex.instance import InstanceError, instance_digest, parse_instance
 from scrollex.cli import main
 from oracles import argparse_args
@@ -49,6 +50,65 @@ def test_duplicate_vertex_pointer():
     with pytest.raises(InstanceError) as err:
         parse_instance(doc)
     assert err.value.path == "/vertices/2"
+
+
+TRIANGLE_DOC = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
+
+
+@pytest.mark.parametrize(
+    "fields, line",
+    [
+        ({"facets": [["a", "b", "c", "c"]]}, "/facets/0/3: duplicate vertex 'c'"),
+        (
+            {"extensions": [{"facet": ["a", "b", "c", "a"], "x0": "a", "blocks": [{"x": "b", "y": ["u"]}]}]},
+            "/extensions/0/facet/3: duplicate vertex 'a'",
+        ),
+        (
+            {"extensions": [{"facet": ["a", "b", "c"], "x0": "a", "blocks": [{"x": "b", "y": ["u", "u"]}]}]},
+            "/extensions/0/blocks/0: new variable 'u' used twice",
+        ),
+    ],
+    ids=["declared-facet", "extension-facet", "block-y"],
+)
+def test_cli_refuses_a_vertex_repeated_in_a_list(tmp_path, capsys, fields, line):
+    # a facet repeats a vertex as `vertices` does (test_duplicate_vertex_pointer);
+    # a block's y list keeps its own message
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TRIANGLE_DOC, **fields}))
+    assert run(capsys, "validate", str(bad)) == (1, "", f"error: {line}\n")
+
+
+def count_clique_listings(monkeypatch):
+    """The graph of every later call to ``graphs.maximal_cliques``, under
+    whichever ``scrollex`` module's name it is called."""
+    calls, listed = [], graphs.maximal_cliques
+
+    def counted(g):
+        calls.append(g)
+        return listed(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "scrollex" and getattr(module, "maximal_cliques", None) is listed:
+            monkeypatch.setattr(module, "maximal_cliques", counted)
+    return calls
+
+
+def test_the_facets_are_listed_once_per_call(tmp_path, capsys, monkeypatch):
+    text = (FIXTURES / "bruns.json").read_text()
+    facets = parse_instance(text)[1]["facets"]
+    doc = {**json.loads(text), "facets": facets}
+    calls = count_clique_listings(monkeypatch)
+    ext, canonical = parse_instance(doc)
+    assert calls == [ext.base] and canonical["facets"] == facets
+    calls.clear()
+    (tmp_path / "bruns.json").write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(tmp_path / "bruns.json"))
+    assert code == 0 and json.loads(out)["facets"] == len(facets)
+    assert len(calls) == 1  # parse_instance's own; validate lists none
+    calls.clear()
+    assert validate_extension(ext.base, ext.matrices) == ext
+    assert Extension(ext.base, ()).skeleton_bar is ext.base
+    assert calls == []
 
 
 def test_y_collision_pointer():
@@ -1008,7 +1068,7 @@ def test_long_bare_polygon_census(tmp_path, capsys):
     f = tmp_path / "polygon.json"
     f.write_text(json.dumps(doc))
     ext, _ = parse_instance(f.read_text())
-    assert chordless_cycles(ext.base.skeleton) == (tuple(names),)
+    assert chordless_cycles(ext.base) == (tuple(names),)
     (vc,) = virtual_minimal_cycles(ext)
     assert vc.cycle == tuple(names)
     assert {ec.kind for ec in vc.edge_classes.values()} == {"nonvirtual"}
@@ -1034,7 +1094,7 @@ def test_cli_generators_deterministic(capsys):
     code, out3, _ = run(capsys, "gen-cycle-ext", "--seed", "9")
     assert code == 0
     ext, _ = parse_instance(json.loads(out3))
-    assert len(ext.base.skeleton.vertices) >= 4
+    assert len(ext.base.vertices) >= 4
 
 
 def test_cli_gen_chordal_no_vertices(capsys):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from scrollex import cli
-from scrollex.graphs import INFINITE, CliqueComplex, Graph, frozen_record
+from scrollex.graphs import INFINITE, Graph, frozen_record
 from scrollex.homology import QQ, FieldSpec
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.groebner import Binomial, GroebnerCheck
@@ -33,9 +33,9 @@ MATRIX = ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ("u",)),))
         (GroebnerCheck(True), "pair"),
         (TRIANGLE, "edges"),
         (TRIANGLE, "nbr"),
-        (CliqueComplex(TRIANGLE), "facets"),
+        (validate_extension(TRIANGLE, ()), "base"),
         (MATRIX, "blocks"),
-        (validate_extension(CliqueComplex(TRIANGLE), (MATRIX,)), "skeleton_bar"),
+        (validate_extension(TRIANGLE, (MATRIX,)), "skeleton_bar"),
         (VarOrder(tuple("abc")), "rank"),
     ],
 )
@@ -105,8 +105,8 @@ def test_a_record_keeps_the_fields_it_is_given():
     assert ScrollBlock("x", ys).y is ys
     assert ScrollMatrix(frozenset("ax"), "a", blocks).blocks is blocks
     assert VarOrder(variables).variables is variables
-    ext = validate_extension(CliqueComplex(TRIANGLE), (MATRIX,))
-    assert ext.matrices[0] is MATRIX
+    ext = validate_extension(TRIANGLE, (MATRIX,))
+    assert ext.base is TRIANGLE and ext.matrices[0] is MATRIX
 
 
 @pytest.mark.parametrize(
@@ -129,7 +129,7 @@ def test_records_take_no_keyword_arguments(build, kwargs):
 def test_parse_instance_hands_every_record_tuples_and_frozensets():
     text = (Path(__file__).parent / "fixtures" / "bruns.json").read_text()
     ext, _canonical = parse_instance(text)
-    g = ext.base.skeleton
+    g = ext.base
     assert type(g.vertices) is tuple and type(g.edges) is frozenset
     assert type(ext.matrices) is tuple and ext.matrices
     for m in ext.matrices:
