@@ -61,35 +61,6 @@ class Interval:
         return {"lower": self.lower, "upper": self.upper}
 
 
-@frozen_record
-class EdgeClass:
-    """Classification of one cycle edge and its replacement length t."""
-
-    kind: str  # "nonvirtual" | "R1" | "R2" | "R3"
-    t: int
-    matrix: object = None  # the ScrollMatrix of a virtual edge
-    block: int | None = None  # 1-based index of the block ending at the far vertex
-    eta: int | None = None
-    jls: tuple | None = None  # usable block indices, 1-based
-
-
-@frozen_record
-class VirtualCycle:
-    """A virtual minimal cycle with its per-edge classification.
-
-    ``expandable`` marks membership in the family whose virtual edges all
-    sit on the first block of their matrix, so the first-block expansion
-    applies.
-    """
-
-    cycle: tuple
-    edge_classes: dict
-    expandable: bool
-
-    def total_length(self):
-        return sum(ec.t for ec in self.edge_classes.values())
-
-
 def _virtual_edge_blocks(ext):
     """Each virtual edge, a base edge {x0, x_j} with Y_j nonempty, mapped to
     (its matrix, the 1-based index of its block)."""
@@ -102,13 +73,13 @@ def _virtual_edge_blocks(ext):
     }
 
 
-_NONVIRTUAL = EdgeClass("nonvirtual", 1)  # shared: most cycle edges are not virtual
-
-
 def _classify(e, members, vmap, g):
-    """EdgeClass of the canonical cycle edge ``e``; ``members`` is V(C) as a rank bitmask."""
+    """The report entry of the canonical cycle edge ``e``: its ``kind``
+    ("nonvirtual", "R1", "R2" or "R3") and replacement length ``t``, and for
+    R2 and R3 ``eta`` and the usable ``blocks`` (1-based); ``members`` is
+    V(C) as a rank bitmask."""
     if e not in vmap:
-        return _NONVIRTUAL
+        return {"edge": list(e), "kind": "nonvirtual", "t": 1}
     m, kblk = vmap[e]
     off = members & ~(1 << g.rank[e[0]] | 1 << g.rank[e[1]])
 
@@ -116,21 +87,20 @@ def _classify(e, members, vmap, g):
         return not g.nbr[g.rank[x]] & off
 
     if any(isolated(x) for x in m.facet - m.gamma_vertices()):
-        return EdgeClass("R1", 2, m, kblk)
+        return {"edge": list(e), "kind": "R1", "t": 2}
     usable = {kblk}
     for j, b in enumerate(m.blocks, 1):
         if isolated(b.x):
             usable.add(j)
-    jls = tuple(sorted(usable))
+    jls = sorted(usable)
     eta = min(len(m.blocks[j - 1].y) for j in jls)
-    yk = len(m.blocks[kblk - 1].y)
-    if eta < yk:
-        return EdgeClass("R2", eta + 2, m, kblk, eta, jls)
-    return EdgeClass("R3", eta + 1, m, kblk, eta, jls)
+    kind, t = ("R2", eta + 2) if eta < len(m.blocks[kblk - 1].y) else ("R3", eta + 1)
+    return {"edge": list(e), "kind": kind, "t": t, "eta": eta, "blocks": jls}
 
 
 def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
-    """All virtual minimal cycles, classified, sorted by (length, rank).
+    """All virtual minimal cycles in report form (see :func:`_virtual_cycle`),
+    sorted by (length, rank).
 
     Enumerates cycles of the base graph in canonical form, pruning any
     branch that would create a non-virtual chord or put two cycle edges in
@@ -140,24 +110,25 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
     g = ext.base
     vmap = _virtual_edge_blocks(ext)
     if not vmap and cap >= 0 and is_chordal(g):
-        return ()
+        return []
     found = _cycle_search(g, vmap, cap, "virtual cycle candidates")
-    return tuple(_virtual_cycle(cyc, vmap, g) for cyc in found)
+    return [_virtual_cycle(cyc, vmap, g) for cyc in found]
 
 
 def _virtual_cycle(cycle, vmap, g):
-    """``cycle`` with its edges classified; ``vmap`` as :func:`_virtual_edge_blocks`."""
-    members = sum(1 << g.rank[v] for v in cycle)
-    classes = {e: _classify(e, members, vmap, g) for e in cycle_edges(cycle, g)}
-    expandable = all(ec.block in (None, 1) for ec in classes.values())
-    return VirtualCycle(cycle, classes, expandable)
-
-
-def _expanded_length(vc):
-    """|C| plus |Y_1| of every virtual edge: the first-block expansion's length."""
-    return len(vc.cycle) + sum(
-        len(ec.matrix.blocks[0].y) for ec in vc.edge_classes.values() if ec.matrix
-    )
+    """The report form of ``cycle``: ``{"cycle", "edges", "expandable"}``, its
+    edges classified by :func:`_classify` and sorted by rank; ``vmap`` as
+    :func:`_virtual_edge_blocks`.  ``expandable`` marks membership in the
+    family whose virtual edges all sit on the first block of their matrix,
+    so the first-block expansion applies."""
+    rank = g.rank
+    members = sum(1 << rank[v] for v in cycle)
+    edges = sorted(cycle_edges(cycle, g), key=lambda e: (rank[e[0]], rank[e[1]]))
+    return {
+        "cycle": list(cycle),
+        "edges": [_classify(e, members, vmap, g) for e in edges],
+        "expandable": all(vmap[e][1] == 1 for e in edges if e in vmap),
+    }
 
 
 def _sizes_fit(m):
@@ -167,32 +138,24 @@ def _sizes_fit(m):
     return y1 == 1 or (y1 == ymin >= 2 and m.gamma_vertices() == m.facet)
 
 
-@frozen_record
-class ToricityReport:
-    """Outcome of the variable-sharing forest test on the scroll matrices.
+def toricity_gate(ext):
+    """The variable-sharing forest test on the scroll matrices, as
+    ``{"ok": ..., "reason": ...}``.
 
     ``ok`` certifies the sufficient condition: matrices pairwise share at
     most one variable and the sharing graph is a forest.  A failure means
-    only that the upper-bound machinery is not applicable here.
+    only that the upper-bound machinery is not applicable here, and
+    ``reason`` (None on a pass) says why.
     """
-
-    ok: bool
-    reason: str | None
-
-
-def toricity_gate(ext):
-    """Pass iff matrices pairwise share <= 1 variable and form a forest."""
     mats = ext.matrices
     var_sets = [m.variables() for m in mats]
     edges = []
     for i, j in combinations(range(len(mats)), 2):
         shared = var_sets[i] & var_sets[j]
         if len(shared) > 1:
-            return ToricityReport(
-                False,
-                f"matrices {i} and {j} share {len(shared)} variables "
-                f"({', '.join(sorted(shared))})",
-            )
+            names = ", ".join(sorted(shared))
+            reason = f"matrices {i} and {j} share {len(shared)} variables ({names})"
+            return {"ok": False, "reason": reason}
         if shared:
             edges.append((i, j))
     # forest check: every connected component has |edges| = |nodes| - 1
@@ -207,14 +170,14 @@ def toricity_gate(ext):
     for i, j in edges:
         ri, rj = find(i), find(j)
         if ri == rj:
-            return ToricityReport(False, "the variable-sharing graph contains a cycle")
+            return {"ok": False, "reason": "the variable-sharing graph contains a cycle"}
         parent[ri] = rj
-    return ToricityReport(True, None)
+    return {"ok": True, "reason": None}
 
 
-@frozen_record
-class P2Report:
-    """Everything scrollex says about p2 of one instance.
+def p2_report(ext):
+    """Everything scrollex says about p2 of one instance, computed by bounded
+    walks: the ``p2 --mode auto`` payload without its ``mode``.
 
     ``lower`` is the certified lower bound: p2 of the initial complex, by
     upper semicontinuity of Betti numbers under Groebner degeneration.
@@ -224,24 +187,13 @@ class P2Report:
     hypothesis (observed so far, not proved); without it, it can exceed p2
     of the binomial system.  ``upper`` is the first-block expansion bound,
     witnessed by ``upper_witness``.  ``exact`` is numeric only when the
-    exactness hypotheses all verify, and then equals both bounds; otherwise
-    it is the interval between ``lower`` and ``upper``.  A bound the
-    instance does not support is a :class:`NotApplicable`.
-    """
-
-    two_linear: bool
-    lower: object
-    lower_substitution: object
-    upper: object
-    exact: object
-    hypotheses: dict
-    lower_witness: VirtualCycle | None = None
-    upper_witness: VirtualCycle | None = None
-    toricity: object = None
-
-
-def p2_report(ext):
-    """Compute every p2 bound by bounded walks; see :class:`P2Report`.
+    exactness hypotheses (in ``hypotheses``) all verify, and then equals
+    both bounds; otherwise it is the interval between ``lower`` and
+    ``upper``.  ``two_linear`` marks a chordal base, and ``toricity`` is
+    :func:`toricity_gate`.  A bound the instance does not support is a
+    :class:`NotApplicable`.  A witness is a cycle in the report form of
+    :func:`virtual_minimal_cycles`, and its key is present only when the
+    report has one.
 
     Chordal bases short-circuit to an infinite (linear) report.  No walk
     lists the whole family of virtual minimal cycles.  The lower witness
@@ -264,45 +216,51 @@ def p2_report(ext):
     gate = toricity_gate(ext)
     g = ext.base
     if is_chordal(g):
-        return P2Report(
-            True, INFINITE, INFINITE, INFINITE, INFINITE,
-            {"chordal_base": True}, None, None, gate,
-        )
+        return {
+            "two_linear": True, "lower": INFINITE, "lower_substitution": INFINITE,
+            "upper": INFINITE, "exact": INFINITE, "hypotheses": {"chordal_base": True},
+            "toricity": gate,
+        }
     vmap = _virtual_edge_blocks(ext)
 
     def walk(**mode):
         return _cycle_search(g, vmap, **mode)
 
     def lower_key(ranks):
-        vc = _virtual_cycle(tuple([g.vertices[i] for i in ranks]), vmap, g)
-        return vc.total_length(), len(ranks), ranks
+        cycle = [g.vertices[i] for i in ranks]
+        members = sum(1 << i for i in ranks)
+        total = sum(
+            _classify(e, members, vmap, g)["t"] if e in vmap else 1
+            for e in cycle_edges(cycle, g)
+        )
+        return total, len(ranks), ranks
 
+    report = {"two_linear": False}
     if vmap:  # only then is there an order to build, or NotOrderableError to catch
         from .ordering import NotOrderableError, initial_complex
     try:
         initial = initial_complex(ext).graph if vmap else g
     except NotOrderableError:
-        orderable, low_wit = False, None
+        orderable = False
         cert_value = sub_value = NotApplicable("no admissible order")
     else:
         orderable = True
         # not empty: a chordless cycle of the non-chordal base is virtual minimal
         lowest = walk(weight=dict.fromkeys(vmap, 2), cost=lower_key if vmap else None)
-        low_wit = _virtual_cycle(lowest, vmap, g)
-        sub_value = low_wit.total_length() - 3
+        report["lower_witness"] = low_wit = _virtual_cycle(lowest, vmap, g)
+        sub_value = sum(entry["t"] for entry in low_wit["edges"]) - 3
         cert_value = p2_monomial(initial) if vmap else sub_value
 
-    up_wit = None
-    if not gate.ok:
-        up_value = NotApplicable(f"toricity gate failed: {gate.reason}")
+    if not gate["ok"]:
+        up_value = NotApplicable(f"toricity gate failed: {gate['reason']}")
     elif not vmap:  # nothing expands, so the lower witness is the upper one
-        up_wit, up_value = low_wit, sub_value
+        report["upper_witness"], up_value = low_wit, sub_value
     else:
         first_block = {e: 1 + len(m.blocks[0].y) if j == 1 else None for e, (m, j) in vmap.items()}
         shortest = walk(weight=first_block)
         if shortest:
-            up_wit = _virtual_cycle(shortest, vmap, g)
-            up_value = _expanded_length(up_wit) - 3
+            report["upper_witness"] = _virtual_cycle(shortest, vmap, g)
+            up_value = sum(first_block.get(e, 1) for e in cycle_edges(shortest, g)) - 3
         else:
             up_value = NotApplicable("no expandable virtual minimal cycle")
 
@@ -311,32 +269,19 @@ def p2_report(ext):
     hypotheses = {
         "chordal_base": False,
         "admissible_order": orderable,
-        "toric_gate": gate.ok,
+        "toric_gate": gate["ok"],
         "expandable_family_complete": expandable_all,
         "block_sizes": sizes_ok,
     }
-    if orderable and gate.ok and expandable_all and sizes_ok:
+    if orderable and gate["ok"] and expandable_all and sizes_ok:
         exact = up_value
     else:
         exact = Interval(cert_value, up_value)
-    return P2Report(
-        False, cert_value, sub_value, up_value, exact,
-        hypotheses, low_wit, up_wit, gate,
+    report.update(
+        lower=cert_value, lower_substitution=sub_value, upper=up_value, exact=exact,
+        hypotheses=hypotheses, toricity=gate,
     )
-
-
-def _cycle_payload(vc, gbar_rank):
-    """The report form of the virtual cycle ``vc``, edges sorted by rank."""
-    ecs = []
-    for e in sorted(vc.edge_classes, key=lambda e: (gbar_rank[e[0]], gbar_rank[e[1]])):
-        ec = vc.edge_classes[e]
-        entry = {"edge": list(e), "kind": ec.kind, "t": ec.t}
-        if ec.eta is not None:
-            entry["eta"] = ec.eta
-        if ec.jls is not None:
-            entry["blocks"] = list(ec.jls)
-        ecs.append(entry)
-    return {"cycle": list(vc.cycle), "edges": ecs, "expandable": vc.expandable}
+    return report
 
 
 def cmd_p2(ext, args):
@@ -344,31 +289,15 @@ def cmd_p2(ext, args):
     applicable, or, in exact mode, only an interval."""
     mode = args["mode"]
     report = p2_report(ext)
-    rank = ext.base.rank
     if mode in ("lower", "upper"):
-        value = getattr(report, mode)
+        value = report[mode]
         if isinstance(value, NotApplicable):
             return {"not_applicable": value.reason}, 2
         payload = {"mode": mode, mode: value}
         if mode == "lower":
-            payload["lower_substitution"] = report.lower_substitution
-        witness = getattr(report, f"{mode}_witness")
-        if witness is not None:
-            payload["witness"] = _cycle_payload(witness, rank)
+            payload["lower_substitution"] = report["lower_substitution"]
+        if f"{mode}_witness" in report:
+            payload["witness"] = report[f"{mode}_witness"]
         return payload, 0
-
-    payload = {
-        "mode": mode,
-        "two_linear": report.two_linear,
-        "lower": report.lower,
-        "lower_substitution": report.lower_substitution,
-        "upper": report.upper,
-        "exact": report.exact,
-        "hypotheses": report.hypotheses,
-        "toricity": {"ok": report.toricity.ok, "reason": report.toricity.reason},
-    }
-    if report.lower_witness is not None:
-        payload["lower_witness"] = _cycle_payload(report.lower_witness, rank)
-    if report.upper_witness is not None:
-        payload["upper_witness"] = _cycle_payload(report.upper_witness, rank)
-    return payload, 2 if mode == "exact" and isinstance(report.exact, Interval) else 0
+    code = 2 if mode == "exact" and isinstance(report["exact"], Interval) else 0
+    return {"mode": mode, **report}, code

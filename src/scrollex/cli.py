@@ -51,8 +51,6 @@ from .instance import instance_digest, parse_instance, sha256
 
 
 def _json_default(x):
-    if isinstance(x, frozenset):
-        return sorted(x)
     to_json = getattr(x, "to_json", None)
     if to_json is None:
         raise TypeError(f"{type(x).__name__} is not JSON serializable")
@@ -71,7 +69,7 @@ def _text(x, pad):
     hold: str, int, bool and None, lists and tuples, dicts with str keys,
     and whatever ``_json_default`` turns into those.
 
-    >>> print(_text({"b": [1, (True, None)], "a": frozenset("yx"), "c": []}, "\\n"))
+    >>> print(_text({"b": [1, (True, None)], "a": ("x", "y"), "c": []}, "\\n"))
     {
       "a": [
         "x",

@@ -205,8 +205,6 @@ def cmd_cycles(ext, args):
     if args["kind"] == "minimal":
         cycles = chordless_cycles(ext.base, cap=args["cap"])
         return {"kind": "minimal", "cycles": [list(c) for c in cycles]}, 0
-    from .bounds import _cycle_payload, virtual_minimal_cycles
+    from .bounds import virtual_minimal_cycles
 
-    rank = ext.base.rank
-    vcs = virtual_minimal_cycles(ext, cap=args["cap"])
-    return {"kind": "virtual", "cycles": [_cycle_payload(vc, rank) for vc in vcs]}, 0
+    return {"kind": "virtual", "cycles": virtual_minimal_cycles(ext, cap=args["cap"])}, 0

@@ -161,22 +161,16 @@ def betti_table(g, field=QQ, max_vertices=20):
 # ---------------------------------------------------------------------------
 
 
-@frozen_record
-class P2Result:
-    """p2 of a Betti table and beta_{p,p+3}, for a flag complex its shortest holes."""
-
-    p2: object  # int or INFINITE
-    witness_count: int
-
-
 def p2_from_table(table):
-    """Maximal p such that beta_{i, i+2+j} vanishes for all i <= p-1, j >= 1,
-    read off the graded dict ``table`` (as :func:`betti_table` returns it)."""
+    """``(p2, witnesses)``: the maximal p such that beta_{i, i+2+j} vanishes
+    for all i <= p-1, j >= 1, read off the graded dict ``table`` (as
+    :func:`betti_table` returns it), and beta_{p,p+3}, for a flag complex its
+    shortest holes (0 when p2 is infinite)."""
     bad = [i for (i, j) in table if j > i + 2]
     if not bad:
-        return P2Result(INFINITE, 0)
+        return INFINITE, 0
     p = min(bad)
-    return P2Result(p, table.get((p, p + 3), 0))
+    return p, table.get((p, p + 3), 0)
 
 
 def cycle_betti_table(n, s=0):
@@ -221,14 +215,14 @@ def cmd_betti(ext, args):
         except NotOrderableError:
             return {"not_applicable": "no admissible order"}, 2
     table = betti_table(graph, field, max_vertices=args["max_vertices"])
-    p2 = p2_from_table(table)
+    p2, witnesses = p2_from_table(table)
     payload = {
         "ideal": args["ideal"],
         "field": repr(field),
         "entries": [[i, j, r] for (i, j), r in sorted(table.items())],
-        "two_linear": p2.p2 is INFINITE,
-        "p2": p2.p2,
-        "witnesses": p2.witness_count,
+        "two_linear": p2 is INFINITE,
+        "p2": p2,
+        "witnesses": witnesses,
     }
     return payload, 0
 

@@ -46,7 +46,8 @@ the sweep runs it) with no reduction first.
 
 ``census_p2_report`` is the p2 report read off the whole census of virtual
 minimal cycles, as the library computed it before its bounded walks; it
-judges ``p2_report`` field by field.  ``random_extension_instance`` (with
+judges ``p2_report`` key by key, and reads the expanded length and the
+block-size rule without the library's helpers.  ``random_extension_instance`` (with
 its ``random_connected_graph``) draws the seeded instances that the test
 corpus, the fuzz tests and ``sweep_p2.py`` run on, and ``virtual_edges``
 lists an extension's virtual edges; only tests use either.  ``argparse_args`` is the command line
@@ -78,9 +79,6 @@ from scrollex.instance import parse_instance
 from scrollex.bounds import (
     Interval,
     NotApplicable,
-    P2Report,
-    _expanded_length,
-    _sizes_fit,
     toricity_gate,
     virtual_minimal_cycles,
 )
@@ -387,67 +385,84 @@ def brute_virtual_cycles(ext):
 
 
 def census_p2_report(ext, cap=10**6):
-    """:class:`P2Report` from the full census of virtual minimal cycles.
+    """The dict ``p2_report`` returns, from the full census of virtual minimal
+    cycles.
 
     The lower witness is the least (total length, length, ranks) over the
     whole family, the upper witness the least (expanded length, ranks) over
-    its expandable members, and the two edge hypotheses are read off every
-    cycle of the family.
+    its expandable members, the expanded length being that of the cycle
+    :func:`expand_cycle` builds from the matrices.  The two edge hypotheses
+    are read off every cycle of the family, the block-size rule stated here
+    from the ``p2_report`` docstring: a virtual edge's matrix has |Y_1| = 1,
+    or |Y_1| = min_j |Y_j| >= 2 and no facet vertex outside the matrix.
     """
     gate = toricity_gate(ext)
     if is_chordal(ext.base):
-        return P2Report(
-            True, INFINITE, INFINITE, INFINITE, INFINITE,
-            {"chordal_base": True}, None, None, gate,
-        )
+        return {
+            "two_linear": True, "lower": INFINITE, "lower_substitution": INFINITE,
+            "upper": INFINITE, "exact": INFINITE, "hypotheses": {"chordal_base": True},
+            "toricity": gate,
+        }
     cycles = virtual_minimal_cycles(ext, cap=cap)
     rank = ext.base.rank
+    report = {"two_linear": False}
 
     def ranks(vc):
-        return tuple(rank[v] for v in vc.cycle)
+        return tuple(rank[v] for v in vc["cycle"])
+
+    def total_length(vc):
+        return sum(entry["t"] for entry in vc["edges"])
 
     try:
         initial = initial_complex(ext).graph
     except NotOrderableError:
-        orderable, low_wit = False, None
+        orderable = False
         cert_value = sub_value = NotApplicable("no admissible order")
     else:
         orderable = True
-        low_wit = min(cycles, key=lambda vc: (vc.total_length(), len(vc.cycle), ranks(vc)))
-        sub_value = low_wit.total_length() - 3
+        low_wit = min(cycles, key=lambda vc: (total_length(vc), len(vc["cycle"]), ranks(vc)))
+        report["lower_witness"] = low_wit
+        sub_value = total_length(low_wit) - 3
         cert_value = p2_monomial(initial)
 
-    expandable = [vc for vc in cycles if vc.expandable]
-    up_wit = min(expandable, key=lambda vc: (_expanded_length(vc), ranks(vc)), default=None)
-    if not gate.ok:
-        up_value, up_wit = NotApplicable(f"toricity gate failed: {gate.reason}"), None
-    elif up_wit is None:
+    expandable = [vc for vc in cycles if vc["expandable"]]
+    expanded = [(len(expand_cycle(vc, ext)), ranks(vc), vc) for vc in expandable]
+    if not gate["ok"]:
+        up_value = NotApplicable(f"toricity gate failed: {gate['reason']}")
+    elif not expanded:
         up_value = NotApplicable("no expandable virtual minimal cycle")
     else:
-        up_value = _expanded_length(up_wit) - 3
+        length, _ranks, report["upper_witness"] = min(expanded, key=lambda x: x[:2])
+        up_value = length - 3
+
+    def sizes_fit(m):
+        ys = [len(b.y) for b in m.blocks]
+        outside = m.facet - {m.x0} - {b.x for b in m.blocks}
+        return ys[0] == 1 or (ys[0] == min(ys) >= 2 and not outside)
 
     expandable_all = len(expandable) == len(cycles)
     sizes_ok = all(
-        _sizes_fit(ec.matrix)
+        sizes_fit(virtual_matrix(ext, entry["edge"])[0])
         for vc in cycles
-        for ec in vc.edge_classes.values()
-        if ec.matrix
+        for entry in vc["edges"]
+        if entry["kind"] != "nonvirtual"
     )
     hypotheses = {
         "chordal_base": False,
         "admissible_order": orderable,
-        "toric_gate": gate.ok,
+        "toric_gate": gate["ok"],
         "expandable_family_complete": expandable_all,
         "block_sizes": sizes_ok,
     }
-    if orderable and gate.ok and expandable_all and sizes_ok:
+    if orderable and gate["ok"] and expandable_all and sizes_ok:
         exact = up_value
     else:
         exact = Interval(cert_value, up_value)
-    return P2Report(
-        False, cert_value, sub_value, up_value, exact,
-        hypotheses, low_wit, up_wit, gate,
+    report.update(
+        lower=cert_value, lower_substitution=sub_value, upper=up_value, exact=exact,
+        hypotheses=hypotheses, toricity=gate,
     )
+    return report
 
 
 def random_connected_graph(rng, n, p=0.45):
@@ -504,15 +519,15 @@ def virtual_matrix(ext, e):
 
 
 def expand_cycle(vc, ext):
-    """Replace each virtual edge of the VirtualCycle ``vc`` by the path
-    through its first block.
+    """Replace each virtual edge of the virtual cycle ``vc``, in the report
+    form of ``virtual_minimal_cycles``, by the path through its first block.
 
     Only defined for cycles whose virtual edges all sit on the first block
     of their matrix.  The result is a cycle of the extended 1-skeleton in
     canonical form, of length |C| + sum |Y_1|.
     """
-    seq = []
-    for u, w in zip(vc.cycle, vc.cycle[1:] + vc.cycle[:1]):
+    seq, cycle = [], vc["cycle"]
+    for u, w in zip(cycle, cycle[1:] + cycle[:1]):
         seq.append(u)
         hit = virtual_matrix(ext, (u, w))
         if hit is None:

@@ -89,11 +89,11 @@ def test_criterion_1_p2_oracle_equivalence(tables):
     t0 = time.time()
     for g, table in tables:
         p2 = p2_monomial(g)
-        sweep = p2_from_table(table)
-        assert p2 == sweep.p2, g.edges
+        sweep_p2, sweep_witnesses = p2_from_table(table)
+        assert p2 == sweep_p2, g.edges
         holes = chordless_cycles(g)
         shortest = sum(1 for c in holes if len(c) == len(holes[0])) if holes else 0
-        assert shortest == sweep.witness_count, g.edges
+        assert shortest == sweep_witnesses, g.edges
         if p2 is not INFINITE:
             assert shortest == table.get((p2, p2 + 3), 0)
     dt = time.time() - t0
@@ -128,7 +128,7 @@ def test_criterion_3_polygon_closed_form():
                 closed = cycle_betti_table(n, nn - n)
                 assert closed == sweep, (n, nn - n, field)
                 checked += 1
-        assert p2_from_table(closed).p2 == nn - 3
+        assert p2_from_table(closed)[0] == nn - 3
         assert closed.get((nn - 3, nn), 0) == 1
     dt = time.time() - t0
     assert dt < 60
@@ -184,14 +184,14 @@ def test_criterion_5_random_extensions_groebner(random_extensions):
 
 def test_criterion_6_worked_square_example(bruns):
     report = p2_report(bruns)
-    assert report.lower == 4
-    assert report.upper == 4
-    assert report.exact == 4
+    assert report["lower"] == 4
+    assert report["upper"] == 4
+    assert report["exact"] == 4
     (vc,) = virtual_minimal_cycles(bruns)
     expanded = expand_cycle(vc, bruns)
     assert len(expanded) == 7
     assert homology_witness(expanded, bruns, QQ) == 1
-    assert toricity_gate(bruns).ok
+    assert toricity_gate(bruns)["ok"]
     print("\nACCEPTANCE 6 PASS: worked square example end-to-end "
           "(lower = upper = exact = 4, |expanded| = 7, witness = 1, gate Pass)")
 
@@ -246,14 +246,14 @@ def test_criterion_8_bound_sandwich(corpus):
         if is_chordal(ext.base):
             continue
         report = p2_report(ext)
-        if isinstance(report.upper, NotApplicable):
+        if isinstance(report["upper"], NotApplicable):
             continue
-        if not isinstance(report.lower, NotApplicable):
-            assert report.lower <= report.upper
-            assert report.lower_substitution <= report.lower
+        if not isinstance(report["lower"], NotApplicable):
+            assert report["lower"] <= report["upper"]
+            assert report["lower_substitution"] <= report["lower"]
             certified += 1
         hypotheses_hold = all(
-            report.hypotheses.get(k)
+            report["hypotheses"].get(k)
             for k in (
                 "admissible_order",
                 "toric_gate",
@@ -262,8 +262,8 @@ def test_criterion_8_bound_sandwich(corpus):
             )
         )
         if hypotheses_hold:
-            assert not isinstance(report.exact, Interval)
-            assert report.exact == report.lower == report.upper
+            assert not isinstance(report["exact"], Interval)
+            assert report["exact"] == report["lower"] == report["upper"]
             exact += 1
     assert certified >= 10 and exact >= 10
     print(
@@ -276,10 +276,10 @@ def test_criterion_9_replacement_lengths(corpus):
     checked = 0
     for ext in corpus:
         for vc in virtual_minimal_cycles(ext):
-            for e, ec in vc.edge_classes.items():
-                if ec.kind == "nonvirtual":
+            for ec in vc["edges"]:
+                if ec["kind"] == "nonvirtual":
                     continue
-                assert bfs_replacement_length(ext, vc.cycle, e) == ec.t
+                assert bfs_replacement_length(ext, vc["cycle"], ec["edge"]) == ec["t"]
                 checked += 1
     assert checked >= 30
     print(f"\nACCEPTANCE 9 PASS: BFS detour == closed-form t on {checked} classified edges")
@@ -289,7 +289,7 @@ def test_criterion_10_homology_witnesses(corpus):
     checked = 0
     for ext in corpus:
         for vc in virtual_minimal_cycles(ext):
-            if not vc.expandable:
+            if not vc["expandable"]:
                 continue
             expanded = expand_cycle(vc, ext)
             for field in (QQ, FieldSpec(2)):

@@ -11,7 +11,6 @@ from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
 from scrollex.homology import (
     QQ,
     FieldSpec,
-    P2Result,
     betti_table,
     cycle_betti_table,
     p2_from_table,
@@ -61,16 +60,16 @@ def test_virtual_edges_equal_base_deletions_for_any_permutation(corpus):
 
 def test_virtual_cycle_census_fixtures(bruns, square_one_edge, flap_square):
     (vc,) = virtual_minimal_cycles(bruns)
-    assert vc.cycle == ("a", "c", "d", "e") and vc.expandable
+    assert vc["cycle"] == ["a", "c", "d", "e"] and vc["expandable"]
     (vh,) = virtual_minimal_cycles(square_one_edge)
-    assert vh.cycle == ("1", "2", "3", "4") and vh.expandable
+    assert vh["cycle"] == ["1", "2", "3", "4"] and vh["expandable"]
     (vf,) = virtual_minimal_cycles(flap_square)
-    assert vf.cycle == ("a", "b", "c", "d") and vf.expandable
+    assert vf["cycle"] == ["a", "b", "c", "d"] and vf["expandable"]
 
 
 def test_virtual_cycle_census_matches_bruteforce(corpus):
     for ext in corpus:
-        got = tuple(vc.cycle for vc in virtual_minimal_cycles(ext))
+        got = tuple(tuple(vc["cycle"]) for vc in virtual_minimal_cycles(ext))
         assert got == brute_virtual_cycles(ext)
 
 
@@ -83,7 +82,7 @@ def test_virtual_cycle_census_matches_bruteforce_on_shuffled_ranks():
         vertices = list(doc["vertices"])
         random.Random(seed).shuffle(vertices)
         ext, _ = parse_instance(dict(doc, vertices=vertices))
-        got = tuple(vc.cycle for vc in virtual_minimal_cycles(ext))
+        got = tuple(tuple(vc["cycle"]) for vc in virtual_minimal_cycles(ext))
         assert got == brute_virtual_cycles(ext), seed
 
 
@@ -107,7 +106,7 @@ def test_facet_questions_match_the_maximal_cliques(graph, seed):
     extensions = fixtures.attach_random_matrices(g, random.Random(seed))
     doc = {"vertices": vs, "edges": [list(e) for e in g.edges], "extensions": extensions}
     ext, _ = parse_instance(doc)
-    got = tuple(vc.cycle for vc in virtual_minimal_cycles(ext))
+    got = tuple(tuple(vc["cycle"]) for vc in virtual_minimal_cycles(ext))
     assert got == brute_virtual_cycles(ext)
 
 
@@ -116,34 +115,34 @@ def test_census_empty_for_chordal_base():
 
     for seed in range(5):
         ext, _ = parse_instance(chordal_instance(seed))
-        assert virtual_minimal_cycles(ext) == ()
+        assert virtual_minimal_cycles(ext) == []
 
 
 def test_every_virtual_cycle_contains_an_induced_cycle(corpus):
     for ext in corpus:
         g = ext.base
         for vc in virtual_minimal_cycles(ext):
-            assert chordless_cycles(induced(g, vc.cycle)) != ()
+            assert chordless_cycles(induced(g, vc["cycle"])) != ()
 
 
 def test_classify_bruns(bruns):
+    # each entry whole, edges in rank order: a virtual edge's matrix and
+    # block are not part of it, but its class is R1 through the facet abc
+    # and R3 through the block of de, and both sit on a first block
     (vc,) = virtual_minimal_cycles(bruns)
-    ac = vc.edge_classes[("a", "c")]
-    assert (ac.kind, ac.t, ac.matrix.facet, ac.block) == ("R1", 2, frozenset("abc"), 1)
-    de = vc.edge_classes[("d", "e")]
-    assert (de.kind, de.t, de.eta, de.jls) == ("R3", 3, 2, (1,))
-    assert de.matrix.facet == frozenset("de")
-    for e in (("c", "d"), ("a", "e")):
-        assert vc.edge_classes[e].kind == "nonvirtual"
-        assert vc.edge_classes[e].t == 1
-        assert vc.edge_classes[e].matrix is None
-    assert set(vc.edge_classes) == {("a", "c"), ("c", "d"), ("d", "e"), ("a", "e")}
+    assert vc["edges"] == [
+        {"edge": ["a", "c"], "kind": "R1", "t": 2},
+        {"edge": ["a", "e"], "kind": "nonvirtual", "t": 1},
+        {"edge": ["c", "d"], "kind": "nonvirtual", "t": 1},
+        {"edge": ["d", "e"], "kind": "R3", "t": 3, "eta": 2, "blocks": [1]},
+    ]
+    assert vc["expandable"]
 
 
 def test_classify_square_one_edge(square_one_edge):
     (vc,) = virtual_minimal_cycles(square_one_edge)
-    ec = vc.edge_classes[("1", "2")]
-    assert (ec.kind, ec.t, ec.eta) == ("R3", 3, 2)
+    (ec,) = [ec for ec in vc["edges"] if ec["edge"] == ["1", "2"]]
+    assert (ec["kind"], ec["t"], ec["eta"]) == ("R3", 3, 2)
 
 
 def test_classify_empty_first_block_gives_short_detour():
@@ -161,22 +160,23 @@ def test_classify_empty_first_block_gives_short_detour():
         ),
     )
     (vc,) = virtual_minimal_cycles(ext)
-    assert vc.cycle == ("a", "c", "d", "e")
-    ec = vc.edge_classes[("a", "c")]
-    assert (ec.kind, ec.t, ec.eta, ec.jls) == ("R2", 2, 0, (1, 2))
-    assert bfs_replacement_length(ext, vc.cycle, ("a", "c")) == 2
+    assert vc["cycle"] == ["a", "c", "d", "e"]
+    (ec,) = [ec for ec in vc["edges"] if ec["edge"] == ["a", "c"]]
+    assert (ec["kind"], ec["t"], ec["eta"], ec["blocks"]) == ("R2", 2, 0, [1, 2])
+    assert bfs_replacement_length(ext, vc["cycle"], ("a", "c")) == 2
 
 
 def test_lower_bound_fixtures(bruns, square_one_edge, triangle_ring):
     rep = p2_report(bruns)
-    assert rep.lower_substitution == 4
-    assert rep.lower_witness.cycle == ("a", "c", "d", "e")
-    assert rep.lower_witness.total_length() == 7
+    assert rep["lower_substitution"] == 4
+    assert rep["lower_witness"]["cycle"] == ["a", "c", "d", "e"]
+    assert sum(ec["t"] for ec in rep["lower_witness"]["edges"]) == 7
     rep = p2_report(square_one_edge)
-    assert rep.lower_substitution == 3 and rep.lower_witness.cycle == ("1", "2", "3", "4")
+    assert rep["lower_substitution"] == 3
+    assert rep["lower_witness"]["cycle"] == ["1", "2", "3", "4"]
     rep = p2_report(triangle_ring)
-    assert rep.lower_substitution == NotApplicable("no admissible order")
-    assert rep.lower_witness is None
+    assert rep["lower_substitution"] == NotApplicable("no admissible order")
+    assert "lower_witness" not in rep
 
 
 def test_lower_bound_infinite_for_chordal_base():
@@ -184,7 +184,7 @@ def test_lower_bound_infinite_for_chordal_base():
 
     ext, _ = parse_instance(chordal_instance(1))
     rep = p2_report(ext)
-    assert rep.lower_substitution is INFINITE and rep.lower_witness is None
+    assert rep["lower_substitution"] is INFINITE and "lower_witness" not in rep
 
 
 def test_expand_cycle_fixtures(bruns, square_one_edge):
@@ -207,7 +207,7 @@ def test_expand_cycle_without_virtual_edges_is_identity():
         ],
     }
     ext, _ = parse_instance(doc)
-    cycles = {vc.cycle: vc for vc in virtual_minimal_cycles(ext)}
+    cycles = {tuple(vc["cycle"]): vc for vc in virtual_minimal_cycles(ext)}
     assert set(cycles) == {tuple("abcd"), tuple("efgh")}
     assert expand_cycle(cycles[tuple("efgh")], ext) == tuple("efgh")
 
@@ -224,9 +224,9 @@ def test_expand_cycle_rejects_non_first_block():
             ),
         ),
     )
-    cycles = [vc for vc in virtual_minimal_cycles(ext) if vc.cycle == tuple("acde")]
+    cycles = [vc for vc in virtual_minimal_cycles(ext) if vc["cycle"] == list("acde")]
     (vc,) = cycles
-    assert not vc.expandable
+    assert not vc["expandable"]
     with pytest.raises(ValueError):
         expand_cycle(vc, ext)
 
@@ -242,12 +242,12 @@ def test_homology_witness_fixtures(bruns, square_one_edge):
 
 def test_upper_bound_fixtures(bruns, square_one_edge, flap_square):
     rep = p2_report(bruns)
-    assert rep.upper == 4 and rep.upper_witness.cycle == ("a", "c", "d", "e")
+    assert rep["upper"] == 4 and rep["upper_witness"]["cycle"] == ["a", "c", "d", "e"]
     rep = p2_report(square_one_edge)
-    assert rep.upper == 3 and rep.upper_witness.cycle == ("1", "2", "3", "4")
+    assert rep["upper"] == 3 and rep["upper_witness"]["cycle"] == ["1", "2", "3", "4"]
     rep = p2_report(flap_square)
-    assert isinstance(rep.upper, NotApplicable) and "toricity" in rep.upper.reason
-    assert rep.upper_witness is None
+    assert isinstance(rep["upper"], NotApplicable) and "toricity" in rep["upper"].reason
+    assert "upper_witness" not in rep
 
 
 def test_upper_bound_no_expandable_cycle():
@@ -263,31 +263,31 @@ def test_upper_bound_no_expandable_cycle():
         ),
     )
     rep = p2_report(ext)
-    assert rep.upper == NotApplicable("no expandable virtual minimal cycle")
-    assert rep.upper_witness is None
-    assert not rep.hypotheses["expandable_family_complete"]
+    assert rep["upper"] == NotApplicable("no expandable virtual minimal cycle")
+    assert "upper_witness" not in rep
+    assert not rep["hypotheses"]["expandable_family_complete"]
 
 
 def test_two_linear_extension(bruns):
     from scrollex.fixtures import chordal_instance
 
-    assert not p2_report(bruns).two_linear
+    assert not p2_report(bruns)["two_linear"]
     ext, _ = parse_instance(chordal_instance(2))
-    assert p2_report(ext).two_linear
+    assert p2_report(ext)["two_linear"]
 
 
 def test_report_bruns(bruns):
     rep = p2_report(bruns)
-    assert not rep.two_linear
-    assert rep.lower == rep.lower_substitution == rep.upper == rep.exact == 4
-    assert all(rep.hypotheses[k] for k in (
+    assert not rep["two_linear"]
+    assert rep["lower"] == rep["lower_substitution"] == rep["upper"] == rep["exact"] == 4
+    assert all(rep["hypotheses"][k] for k in (
         "admissible_order", "toric_gate", "expandable_family_complete", "block_sizes",
     ))
 
 
 def test_report_square_one_edge(square_one_edge):
     rep = p2_report(square_one_edge)
-    assert rep.exact == 3 == rep.lower == rep.upper
+    assert rep["exact"] == 3 == rep["lower"] == rep["upper"]
 
 
 def test_report_chordal_short_circuit():
@@ -295,36 +295,36 @@ def test_report_chordal_short_circuit():
 
     ext, _ = parse_instance(chordal_instance(3))
     rep = p2_report(ext)
-    assert rep.two_linear
-    assert rep.lower is INFINITE and rep.upper is INFINITE and rep.exact is INFINITE
+    assert rep["two_linear"]
+    assert rep["lower"] is INFINITE and rep["upper"] is INFINITE and rep["exact"] is INFINITE
 
 
 def test_report_flap_square(flap_square):
     rep = p2_report(flap_square)
-    assert rep.lower == 5 and rep.lower_substitution == 5
-    assert isinstance(rep.upper, NotApplicable)
-    assert isinstance(rep.exact, Interval)
-    assert not rep.hypotheses["toric_gate"]
+    assert rep["lower"] == 5 and rep["lower_substitution"] == 5
+    assert isinstance(rep["upper"], NotApplicable)
+    assert isinstance(rep["exact"], Interval)
+    assert not rep["hypotheses"]["toric_gate"]
 
 
 def test_report_not_orderable(triangle_ring):
     rep = p2_report(triangle_ring)
-    assert isinstance(rep.lower, NotApplicable)
-    assert isinstance(rep.exact, Interval)
-    assert not rep.hypotheses["admissible_order"]
+    assert isinstance(rep["lower"], NotApplicable)
+    assert isinstance(rep["exact"], Interval)
+    assert not rep["hypotheses"]["admissible_order"]
 
 
 def test_report_lower_bounds_at_most_upper(corpus):
     seed54, _ = parse_instance(random_extension_instance(54, require_orderable=False))
     rep = p2_report(seed54)
     # the two lower bounds are not ordered against each other
-    assert (rep.lower, rep.lower_substitution, rep.upper) == (5, 6, 6)
+    assert (rep["lower"], rep["lower_substitution"], rep["upper"]) == (5, 6, 6)
     checked = 0
     for ext in corpus + [seed54]:
         rep = p2_report(ext)
-        for low in (rep.lower, rep.lower_substitution):
-            if isinstance(low, int) and isinstance(rep.upper, int):
-                assert low <= rep.upper
+        for low in (rep["lower"], rep["lower_substitution"]):
+            if isinstance(low, int) and isinstance(rep["upper"], int):
+                assert low <= rep["upper"]
                 checked += 1
     assert checked >= 40
 
@@ -334,17 +334,17 @@ def test_substitution_lower_matches_initial_complex_p2_on_fixtures(
 ):
     for ext in [bruns, square_one_edge, flap_square] + cycle_extensions:
         cert = p2_monomial(initial_complex(ext).graph)
-        assert p2_report(ext).lower_substitution == cert
+        assert p2_report(ext)["lower_substitution"] == cert
 
 
 def test_replacement_lengths_match_bfs(corpus):
     for ext in corpus:
         for vc in virtual_minimal_cycles(ext):
-            for e, ec in vc.edge_classes.items():
-                if ec.kind == "nonvirtual":
+            for ec in vc["edges"]:
+                if ec["kind"] == "nonvirtual":
                     continue
-                assert bfs_replacement_length(ext, vc.cycle, e) == ec.t, (
-                    ext, vc.cycle, e, ec,
+                assert bfs_replacement_length(ext, vc["cycle"], ec["edge"]) == ec["t"], (
+                    ext, vc["cycle"], ec,
                 )
 
 
@@ -353,8 +353,8 @@ def test_cycle_extension_reports(cycle_extensions):
         n = len(ext.base.vertices)
         s = len(ext.skeleton_bar.vertices) - n
         rep = p2_report(ext)
-        assert rep.exact == n + s - 3
-        assert rep.lower == rep.upper == rep.exact
+        assert rep["exact"] == n + s - 3
+        assert rep["lower"] == rep["upper"] == rep["exact"]
 
 
 def test_binomial_betti_oracle_matches_hochster_on_c5():
@@ -401,8 +401,8 @@ def test_binomial_betti_pins_p2_where_substitution_overshoots(seed, sigma):
     betti = binomial_class_betti(ext, sigma)
     assert betti[k] == 1 and all(i >= k for i in betti)
     rep = p2_report(ext)
-    assert rep.lower == k and rep.lower_substitution == k + 1
-    assert not rep.hypotheses["block_sizes"]
+    assert rep["lower"] == k and rep["lower_substitution"] == k + 1
+    assert not rep["hypotheses"]["block_sizes"]
 
 
 def square_and_pentagon(blocks):
@@ -431,12 +431,12 @@ def test_edge_hypothesis_fails_only_through_a_longer_cycle(blocks, broken):
     # the flagged edge {p, r} lies on the pentagon alone, and both witnesses
     # are the square: only a walk through the flagged edge sees the failure
     ext = square_and_pentagon(blocks)
-    assert [vc.cycle for vc in virtual_minimal_cycles(ext)] == [tuple("abcd"), tuple("aprst")]
+    assert [vc["cycle"] for vc in virtual_minimal_cycles(ext)] == [list("abcd"), list("aprst")]
     rep = p2_report(ext)
     assert rep == census_p2_report(ext)
-    assert rep.lower_witness.cycle == rep.upper_witness.cycle == tuple("abcd")
-    assert [k for k, ok in rep.hypotheses.items() if not ok] == ["chordal_base", broken]
-    assert rep.exact == Interval(1, 1)
+    assert rep["lower_witness"]["cycle"] == rep["upper_witness"]["cycle"] == list("abcd")
+    assert [k for k, ok in rep["hypotheses"].items() if not ok] == ["chordal_base", broken]
+    assert rep["exact"] == Interval(1, 1)
 
 
 def test_p2_report_walks_keep_few_cycles(monkeypatch):
@@ -462,8 +462,8 @@ def test_p2_report_walks_keep_few_cycles(monkeypatch):
     monkeypatch.setattr(bounds, "_cycle_search", recording)
     rep = p2_report(ext)
     assert kept == [holes[0], (), ()]
-    assert rep.lower == rep.lower_substitution == rep.upper == rep.exact == 1
-    assert rep.lower_witness.cycle == rep.upper_witness.cycle == holes[0]
+    assert rep["lower"] == rep["lower_substitution"] == rep["upper"] == rep["exact"] == 1
+    assert rep["lower_witness"]["cycle"] == rep["upper_witness"]["cycle"] == list(holes[0])
 
 
 def test_p2_report_needs_one_of_the_tied_4_holes():
@@ -472,9 +472,9 @@ def test_p2_report_needs_one_of_the_tied_4_holes():
     a, b = [f"a{i}" for i in range(8)], [f"b{i}" for i in range(8)]
     ext = validate_extension(Graph(a + b, [(u, w) for u in a for w in b]), [])
     g = ext.base
-    assert p2_report(ext).exact == p2_monomial(g) == 1
+    assert p2_report(ext)["exact"] == p2_monomial(g) == 1
     assert [len(c) for c in chordless_cycles(g)] == [4] * 784
-    assert p2_from_table(betti_table(g)) == P2Result(1, 784)
+    assert p2_from_table(betti_table(g)) == (1, 784)
 
 
 def closed_diamond_chain(k):
@@ -493,7 +493,7 @@ def test_tied_holes_are_counted_not_kept(k):
     g = ext.base
     assert p2_monomial(g) == 2 * k
     assert [len(c) for c in chordless_cycles(g)] == [2 * k + 3] * 2**k
-    assert p2_report(ext).exact == 2 * k
+    assert p2_report(ext)["exact"] == 2 * k
 
 
 # small extensions: a base on 4-7 vertices with matrices, 6-8 variables in all
@@ -516,7 +516,7 @@ def test_small_extensions_match_brute_betti(ext):
             assert betti_table(g, field) == brute
     if len(graphs) == 2 and not is_chordal(base):
         # ``brute`` is now the initial complex's table over QQ
-        assert p2_report(ext).lower == p2_from_table(brute).p2
+        assert p2_report(ext)["lower"] == p2_from_table(brute)[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -204,7 +204,7 @@ def test_a_chordal_graph_is_not_walked(monkeypatch):
     g = chain_graph(200)
     assert chordless_cycles(g) == ()
     assert p2_monomial(g) is INFINITE
-    assert virtual_minimal_cycles(Extension(g, ())) == ()
+    assert virtual_minimal_cycles(Extension(g, ())) == []
     assert calls == []
     # the count is live: a square is walked
     assert chordless_cycles(Graph("abcd", ["ab", "bc", "cd", "da"])) and len(calls) == 1
