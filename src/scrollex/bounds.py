@@ -239,7 +239,7 @@ def p2_report(ext):
     if vmap:  # only then is there an order to build, or NotOrderableError to catch
         from .ordering import NotOrderableError, initial_complex
     try:
-        initial = initial_complex(ext).graph if vmap else g
+        initial = initial_complex(ext)[0] if vmap else g
     except NotOrderableError:
         orderable = False
         cert_value = sub_value = NotApplicable("no admissible order")

@@ -18,7 +18,8 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 input or validation
 error (a Betti table over more vertices than --max-vertices is one, and so
 are one whose subset sweep does not fit in memory and a usage error such
 as an unknown option, a missing argument or a value of the wrong type; the
-usage line and the message, in argparse's words, go to stderr), 2 method
+usage line and the message, in argparse's words, go to stderr) or memory
+running out (one stderr line, "error: out of memory"), 2 method
 not applicable, 3 a "cycles" listing exceeded its cap, 4 internal error:
 any other exception, reported on one stderr line as
 "error: internal error: <Type>: <message>", never as a traceback.  A
@@ -363,6 +364,9 @@ def main(argv=None):
         code = 3
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
+        code = 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         code = 1
     except Exception as e:
         message = " ".join(str(e).split())

@@ -4,8 +4,9 @@ scroll matrices on its facets, which :mod:`scrollex.extension` defines and
 validates and only an instance with matrices loads), ``INFINITE`` (the p2
 of a chordal graph) and ``CycleCapExceeded`` (a census past its cap; the
 census itself is :mod:`scrollex.cycles`), and :func:`frozen_record`, the
-decorator behind every immutable type: the reports, and ``Graph``,
-``ScrollMatrix``, ``Extension`` and ``VarOrder`` too.
+decorator behind every record: ``Graph``, ``Extension``, ``ScrollBlock``,
+``ScrollMatrix``, ``VarOrder``, and the report values ``NotApplicable`` and
+``Interval``.  A report itself is a plain dict.
 
 Every structure in this package is deterministic: a vertex keeps the position
 it had in the input ("rank"), and every sort key, tie-break and output order
@@ -32,9 +33,8 @@ class CycleCapExceeded(RuntimeError):
 def frozen_record(cls):
     """Class decorator: an immutable record of the fields annotated in ``cls``.
 
-    Fields are given positionally, each of its final type; a keyword
-    argument, or too few or too many arguments, raises TypeError.  A field's
-    class attribute is its default; fields with defaults come last.  Adds
+    Every field is given, positionally, each of its final type; a keyword
+    argument, or too few or too many arguments, raises TypeError.  Adds
     ``__init__`` (which then calls ``__post_init__``, if any; it may check
     the fields or set a derived attribute, one outside equality, hash and
     repr, with ``object.__setattr__``; only ``Graph``'s canonicalises its
@@ -49,24 +49,21 @@ def frozen_record(cls):
     >>> @frozen_record
     ... class Pair:
     ...     a: int
-    ...     b: int = 0
-    >>> Pair(1), Pair(1) == Pair(1, 0), hash(Pair(1, 2)) == hash((1, 2))
+    ...     b: int
+    >>> Pair(1, 0), Pair(1, 0) == Pair(1, 0) != (1, 0), hash(Pair(1, 2)) == hash((1, 2))
     (Pair(a=1, b=0), True, True)
+    >>> Pair(1)
+    Traceback (most recent call last):
+    TypeError: Pair() takes 2 arguments, got 1
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(names)
-    defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
-    required = n - len(defaults)
-    if any(f in cls.__dict__ for f in names[:required]):
-        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
     post_init = getattr(cls, "__post_init__", None)
     set_field = object.__setattr__
 
     def __init__(self, *args):
-        if not required <= len(args) <= n:
-            raise TypeError(f"{cls.__name__}() takes {required} to {n} arguments, got {len(args)}")
-        if len(args) < n:
-            args += defaults[len(args) - n :]
+        if len(args) != n:
+            raise TypeError(f"{cls.__name__}() takes {n} arguments, got {len(args)}")
         for f, v in zip(names, args):
             set_field(self, f, v)
         if post_init is not None:

@@ -8,40 +8,21 @@ skeleton's adjacency masks on ranks (rank 0 is the largest variable) and
 each minor as the sorted tuples of its monomials' ranks.  An S-polynomial
 has at most two terms of degree <= 3, and division by the generators is
 linear, so the Buchberger check reduces each monomial once, through a memo
-shared by every S-pair; variable names come back only in what it reports.
+shared by every S-pair, and reports a failure in ranks too.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import _bits, frozen_record
+from .graphs import _bits
 from .ordering import NotOrderableError, initial_complex
-
-
-@frozen_record
-class Binomial:
-    """lead + trail_coeff * trail with lead strictly larger under the order."""
-
-    lead: tuple
-    trail: tuple
-    trail_coeff: int = -1
 
 
 def _times(q, trail):
     """The monomial ``q * trail`` for a rank ``q`` and a sorted pair ``trail``."""
     a, b = trail
     return (q, a, b) if q <= a else (a, q, b) if q <= b else (a, b, q)
-
-
-def _names(m, order):
-    return tuple(order.variables[r] for r in m)
-
-
-def _generator(f, order):
-    """An encoded generator as reported: a monomial's variables, or a Binomial."""
-    _i, lead, trail, c = f
-    return Binomial(_names(lead, order), _names(trail, order)) if c else _names(lead, order)
 
 
 def _s_terms(f, g):
@@ -122,15 +103,6 @@ def normal_form(terms, adj, leads, memo=None):
     return {r: c for r, c in sorted(remainder.items()) if c} if any(remainder.values()) else {}
 
 
-@frozen_record
-class GroebnerCheck:
-    """Outcome of the Buchberger test: every S-pair reduced to zero, or not."""
-
-    ok: bool
-    pair: tuple | None = None
-    remainder: dict | None = None
-
-
 def encode_system(ext, order):
     """The generators of an extension on ranks: ``(adj, binomials)``.
 
@@ -159,11 +131,12 @@ def encode_system(ext, order):
     return adj, binomials
 
 
-def buchberger_is_groebner(encoded, order):
-    """Whether the encoded generators are a lex Groebner basis of their ideal.
+def buchberger_is_groebner(encoded):
+    """None if the encoded generators are a lex Groebner basis of their
+    ideal, else the first failing S-pair as ``(f, g, remainder)``.
 
     ``encoded`` is the system as :func:`encode_system` encodes it under
-    ``order``.  Checks that every S-polynomial of a pair with non-coprime
+    some order.  Checks that every S-polynomial of a pair with non-coprime
     leads reduces to zero; pairs with coprime leads are skipped (first
     Buchberger criterion), as are pairs of plain monomials.  A monomial
     generator m enters as the binomial m + 0, ahead of the binomials, only
@@ -172,8 +145,9 @@ def buchberger_is_groebner(encoded, order):
     factor, so it is zero at once and leaves the memo as it was.  Pairs come
     from an index of binomial positions by lead variable, in the order of a
     scan over all pairs, and each is reduced by one :func:`normal_form` call,
-    all through one memo.  A failure reports the pair (a monomial as its
-    variables, a minor as a :class:`Binomial`) and the remainder in names.
+    all through one memo.  A failure is reported in ranks: each generator
+    as its ``(lead, trail)``, a monomial's trail ``()``, and the remainder
+    as :func:`normal_form` returns it.
     """
     adj, binomials = encoded
     nf = {lead for lead, _trail in binomials if not _joined(lead, adj)}
@@ -194,24 +168,23 @@ def buchberger_is_groebner(encoded, order):
         for j in sorted({j for r in f[1] for j in by_var.get(r, ()) if j > f[0]}):
             rem = normal_form(_s_terms(f, coded[j]), adj, leads, memo)
             if rem:
-                pair = (_generator(f, order), _generator(coded[j], order))
-                return GroebnerCheck(False, pair, {_names(m, order): c for m, c in rem.items()})
-    return GroebnerCheck(True)
+                return f[1:3], coded[j][1:3], rem
+    return None
 
 
 def cmd_groebner(ext, args):
     """``scrollex groebner``: (payload, exit code); 2 without an admissible order."""
     try:
-        ic = initial_complex(ext)
+        _graph, deleted, order = initial_complex(ext)
     except NotOrderableError as e:
         return {"not_applicable": "no admissible order", "witness": [sorted(f) for f in e.facets]}, 2
-    adj, binomials = encode_system(ext, ic.order)
+    adj, binomials = encode_system(ext, order)
     payload = {
-        "groebner_basis": buchberger_is_groebner((adj, binomials), ic.order).ok,
-        "variable_order": list(ic.order.variables),
-        "deletions": [list(e) for e in sorted(ic.deleted)],
+        "groebner_basis": buchberger_is_groebner((adj, binomials)) is None,
+        "variable_order": list(order.variables),
+        "deletions": [list(e) for e in sorted(deleted)],
         # the minors' leads are the deleted diagonals; a square lead (never under pi*) is none
         "routes_agree": {lead for lead, _trail in binomials}
-        == {tuple(sorted(map(ic.order.rank.get, e))) for e in ic.deleted},
+        == {tuple(sorted(map(order.rank.get, e))) for e in deleted},
     }
     return payload, 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import INFINITE, frozen_record
+from .graphs import INFINITE
 
 
 class GuardExceeded(ValueError):
@@ -30,25 +30,6 @@ def _is_prime(p):
         if p % q == 0:
             return False
     return True
-
-
-@frozen_record
-class FieldSpec:
-    """Coefficient field: char 0 means the rationals, otherwise a prime field."""
-
-    char: int = 0
-
-    def __post_init__(self):
-        if self.char >= 2**31:
-            raise ValueError(f"field characteristic {self.char} is not below 2^31")
-        if self.char != 0 and not _is_prime(self.char):
-            raise ValueError(f"{self.char} is not prime")
-
-    def __repr__(self):
-        return "QQ" if self.char == 0 else f"GF({self.char})"
-
-
-QQ = FieldSpec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +112,11 @@ def _hochster_sweep(g, char):
     return graded, h
 
 
-def betti_table(g, field=QQ, max_vertices=20):
-    """Full Betti table of the non-edge ideal of ``g``, as a dict mapping
-    (homological index i, internal degree j) to a rank, zero entries
-    omitted: Hochster's formula, summed over all vertex subsets by
-    :func:`_hochster_sweep`.  Refuses
+def betti_table(g, char=0, max_vertices=20):
+    """Full Betti table of the non-edge ideal of ``g`` over the rationals
+    (``char`` 0) or GF(``char``), as a dict mapping (homological index i,
+    internal degree j) to a rank, zero entries omitted: Hochster's formula,
+    summed over all vertex subsets by :func:`_hochster_sweep`.  Refuses
     (rather than degrades) when the vertex count exceeds ``max_vertices``.
     After that guard, a cycle on n >= 4 vertices (every degree 2, and one
     walk meets every vertex) is not swept: its table is
@@ -153,7 +134,7 @@ def betti_table(g, field=QQ, max_vertices=20):
             seen |= step
         if seen == (1 << n) - 1:
             return cycle_betti_table(n)
-    return _hochster_sweep(g, field.char)[0]
+    return _hochster_sweep(g, char)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +178,17 @@ def cycle_betti_table(n, s=0):
 
 
 def cmd_betti(ext, args):
-    """``scrollex betti``: (payload, exit code)."""
+    """``scrollex betti``: (payload, exit code).  ``--field`` is q, the
+    rationals, or a prime below 2^31."""
     name = args["field"]
     if name == "q":
-        field = QQ
+        char = 0
     elif name.isdecimal() and int(name):
-        field = FieldSpec(int(name))
+        char = int(name)
+        if char >= 2**31:
+            raise ValueError(f"field characteristic {char} is not below 2^31")
+        if not _is_prime(char):
+            raise ValueError(f"{char} is not prime")
     else:
         raise ValueError(f"--field must be q or a prime, got {name!r}")
     if args["ideal"] == "gamma":
@@ -211,14 +197,14 @@ def cmd_betti(ext, args):
         from .ordering import NotOrderableError, initial_complex
 
         try:
-            graph = initial_complex(ext).graph
+            graph = initial_complex(ext)[0]
         except NotOrderableError:
             return {"not_applicable": "no admissible order"}, 2
-    table = betti_table(graph, field, max_vertices=args["max_vertices"])
+    table = betti_table(graph, char, max_vertices=args["max_vertices"])
     p2, witnesses = p2_from_table(table)
     payload = {
         "ideal": args["ideal"],
-        "field": repr(field),
+        "field": f"GF({char})" if char else "QQ",
         "entries": [[i, j, r] for (i, j), r in sorted(table.items())],
         "two_linear": p2 is INFINITE,
         "p2": p2,

@@ -108,22 +108,12 @@ class VarOrder:
         return "VarOrder(" + " > ".join(self.variables) + ")"
 
 
-@frozen_record
-class InitialComplex:
-    """The extended 1-skeleton minus the diagonal edges of every matrix.
-
-    ``order`` is the lex variable order under which the matrix minors, as
-    ``groebner.encode_system`` orients them, have these diagonals as their
-    lead terms.
-    """
-
-    graph: Graph
-    deleted: frozenset
-    order: VarOrder
-
-
 def initial_complex(ext):
-    """Delete the diagonals {top_i, bottom_k}, i < k, of every permuted matrix.
+    """``(graph, deleted, order)``: the extended 1-skeleton minus the
+    diagonals {top_i, bottom_k}, i < k, of every permuted matrix, those
+    diagonals as a frozenset of edges, and the lex variable order under
+    which the matrix minors, as ``groebner.encode_system`` orients them,
+    have the diagonals as their lead terms.
 
     The one place where the admissible order is decided and the variable
     order built.  :func:`find_admissible_order` orders the family (or raises
@@ -151,8 +141,7 @@ def initial_complex(ext):
         tops += [top for top, _bottom in cols]
         deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(cols, 2))
     order = VarOrder(tuple(dict.fromkeys(tops + list(gbar.vertices))))
-    graph = Graph(gbar.vertices, gbar.edges - deleted)
-    return InitialComplex(graph, frozenset(deleted), order)
+    return Graph(gbar.vertices, gbar.edges - deleted), frozenset(deleted), order
 
 
 def cmd_order(ext, args):

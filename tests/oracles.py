@@ -7,8 +7,9 @@ No oracle calls the kernel it checks: homology ranks come from
 ``binomial_class_betti`` works from the matrices and the extended skeleton
 alone, with its own sparse rank and nothing from ``scrollex.homology``; and
 ``scan_is_groebner`` orients the minors, builds S-polynomials on multisets
-and divides by its own scans, on variable names throughout (it shares only
-the record types ``Binomial`` and ``GroebnerCheck`` with the library).  Its
+and divides by its own scans, on variable names throughout, each minor a
+``Binomial`` namedtuple of its own; ``named_failure`` maps the failure the
+library's check returns in ranks to the oracle's answer in names.  Its
 input is the name-level system that ``generator_system`` here builds from
 the extension on its own: the non-edges of the extended skeleton and each
 matrix's minors, never ``groebner.encode_system``.  ``rank_encoded`` maps a
@@ -65,7 +66,7 @@ from itertools import combinations, permutations
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.fixtures import attach_random_matrices
 from scrollex.graphs import INFINITE, Graph, GraphError, maximal_cliques
-from scrollex.homology import QQ, _hochster_sweep
+from scrollex.homology import _hochster_sweep
 from scrollex.kernel import _core_homology
 from scrollex.ordering import (
     NotOrderableError,
@@ -74,7 +75,6 @@ from scrollex.ordering import (
     initial_complex,
 )
 from scrollex.graphs import DEFAULT_CYCLE_CAP
-from scrollex.groebner import Binomial, GroebnerCheck
 from scrollex.instance import parse_instance
 from scrollex.bounds import (
     Interval,
@@ -414,7 +414,7 @@ def census_p2_report(ext, cap=10**6):
         return sum(entry["t"] for entry in vc["edges"])
 
     try:
-        initial = initial_complex(ext).graph
+        initial = initial_complex(ext)[0]
     except NotOrderableError:
         orderable = False
         cert_value = sub_value = NotApplicable("no admissible order")
@@ -540,7 +540,7 @@ def expand_cycle(vc, ext):
     return canonical_cycle(seq, ext.skeleton_bar.rank)
 
 
-def homology_witness(cycle_bar, ext, field=QQ):
+def homology_witness(cycle_bar, ext, char=0):
     """Rank of H~_1 of the extended clique complex restricted to the cycle's
     vertices, from the face list by :func:`reduced_homology_rank`."""
     adj, vs = adjacency(ext.skeleton_bar), list(cycle_bar)
@@ -548,7 +548,7 @@ def homology_witness(cycle_bar, ext, field=QQ):
     for f in faces:  # the list grows: every clique extended by later vertices
         start = vs.index(f[-1]) + 1 if f else 0
         faces.extend(f + (v,) for v in vs[start:] if all(v in adj[u] for u in f))
-    return reduced_homology_rank(faces, 1, field)
+    return reduced_homology_rank(faces, 1, char)
 
 
 def bfs_replacement_length(ext, cycle, e):
@@ -615,8 +615,9 @@ def oracle_rank(rows, char=0):
     return rank
 
 
-def reduced_homology_ranks(faces, field=QQ):
-    """Every nonzero dim H~_d, keyed by d, of an explicit simplicial complex.
+def reduced_homology_ranks(faces, char=0):
+    """Every nonzero dim H~_d, keyed by d, of an explicit simplicial complex,
+    over the rationals (``char`` 0) or GF(``char``).
 
     ``faces`` must be closed under taking subsets and contain the empty
     face.  H~_{-1} of the complex {{}} has rank 1.  Works straight from the
@@ -642,7 +643,7 @@ def reduced_homology_ranks(faces, field=QQ):
         for c, face in enumerate(by_size.get(k, ())):
             for pos in range(len(face)):
                 rows[index[face[:pos] + face[pos + 1 :]]][c] = (-1) ** pos
-        return oracle_rank(rows, field.char)
+        return oracle_rank(rows, char)
 
     ranks = [0] + [boundary_rank(k) for k in range(1, top + 1)] + [0]
     out = {}
@@ -653,11 +654,11 @@ def reduced_homology_ranks(faces, field=QQ):
     return out
 
 
-def reduced_homology_rank(faces, d, field=QQ):
+def reduced_homology_rank(faces, d, char=0):
     """dim of the reduced homology H~_d; see :func:`reduced_homology_ranks`."""
     if d < -1:
         raise ValueError("homological dimension below -1")
-    return reduced_homology_ranks(faces, field).get(d, 0)
+    return reduced_homology_ranks(faces, char).get(d, 0)
 
 
 def graded_sums(multigraded):
@@ -669,7 +670,7 @@ def graded_sums(multigraded):
     return graded
 
 
-def sweep_betti_table(g, field):
+def sweep_betti_table(g, char):
     """The library's subset sweep as ``(graded, multigraded)``: ``graded``
     maps (i, j) and ``multigraded`` maps (i, vertex subset) to a nonzero rank.
 
@@ -678,7 +679,7 @@ def sweep_betti_table(g, field):
     every subset's value, not just the graded sums, against
     :func:`brute_multigraded`.
     """
-    graded, h = _hochster_sweep(g, field.char)
+    graded, h = _hochster_sweep(g, char)
     multigraded = {}
     for s in range(1, len(h)):
         sigma = frozenset(v for i, v in enumerate(g.vertices) if s >> i & 1)
@@ -687,7 +688,7 @@ def sweep_betti_table(g, field):
     return graded, multigraded
 
 
-def clique_homology(g, field=QQ):
+def clique_homology(g, char=0):
     """All nonzero reduced Betti numbers of the clique complex of ``g``.
 
     Not an oracle: the whole graph goes to ``kernel._core_homology``, the
@@ -697,10 +698,10 @@ def clique_homology(g, field=QQ):
     """
     if not g.vertices:
         return {-1: 1}
-    return _core_homology((1 << len(g.vertices)) - 1, g.nbr, field.char)
+    return _core_homology((1 << len(g.vertices)) - 1, g.nbr, char)
 
 
-def brute_multigraded(g, field):
+def brute_multigraded(g, char):
     """Hochster's formula evaluated naively on every vertex subset: a dict
     mapping (i, vertex subset) to its nonzero rank.
 
@@ -718,15 +719,15 @@ def brute_multigraded(g, field):
                 for f in combinations(sigma, r)
                 if all(w in adj[u] for u, w in combinations(f, 2))
             ]
-            for d, h in reduced_homology_ranks(faces, field).items():
+            for d, h in reduced_homology_ranks(faces, char).items():
                 multigraded[(k - d - 2, frozenset(sigma))] = h
     return multigraded
 
 
-def brute_betti_table(g, field):
+def brute_betti_table(g, char):
     """The graded Betti table, as ``betti_table`` returns it, summed from
     :func:`brute_multigraded`."""
-    return graded_sums(brute_multigraded(g, field))
+    return graded_sums(brute_multigraded(g, char))
 
 
 def sparse_rank_mod(columns, p):
@@ -951,6 +952,10 @@ def _quotient(b, a):
     return tuple(rem)
 
 
+Binomial = namedtuple("Binomial", "lead trail trail_coeff", defaults=(-1,))
+"""lead + trail_coeff * trail, on names, with lead strictly larger under the order."""
+
+
 def oriented_system(system, order):
     """The NF monomials from the lex-largest down, and the minors as
     Binomials in system order, each lead chosen by :func:`_lex_greater`."""
@@ -1014,7 +1019,10 @@ def scan_normal_form(terms, nf_monomials, binomials, order):
 
 def scan_is_groebner(system, order):
     """The Buchberger check with :func:`scan_normal_form`, visiting the
-    monomial x binomial pairs and then the binomial pairs in system order."""
+    monomial x binomial pairs and then the binomial pairs in system order:
+    None if every S-pair reduces to zero, else ``(pair, remainder)`` of the
+    first that does not, a monomial as its variables and a minor as a
+    :data:`Binomial`."""
     nf, binomials = oriented_system(system, order)
     for mono in nf:
         for b in binomials:
@@ -1025,13 +1033,29 @@ def scan_is_groebner(system, order):
             t = _canonical(cofactor + b.trail, order)
             rem = scan_normal_form({t: -b.trail_coeff}, nf, binomials, order)
             if rem:
-                return GroebnerCheck(False, (mono, b), rem)
+                return (mono, b), rem
     for f, g in combinations(binomials, 2):
         if set(f.lead) & set(g.lead):
             rem = scan_normal_form(scan_s_polynomial(f, g, order), nf, binomials, order)
             if rem:
-                return GroebnerCheck(False, (f, g), rem)
-    return GroebnerCheck(True)
+                return (f, g), rem
+    return None
+
+
+def named_failure(failure, order):
+    """What ``groebner.buchberger_is_groebner`` returned, in ranks, as
+    :func:`scan_is_groebner` answers, in the names of ``order``: None, or
+    the failing pair (a monomial generator, whose trail is ``()``, as its
+    variables, a minor as a :data:`Binomial`) and the remainder."""
+    if failure is None:
+        return None
+
+    def names(m):
+        return tuple(order.variables[r] for r in m)
+
+    *pair, remainder = failure
+    pair = tuple(Binomial(names(lead), names(trail)) if trail else names(lead) for lead, trail in pair)
+    return pair, {names(m): c for m, c in remainder.items()}
 
 
 class _Parser(argparse.ArgumentParser):

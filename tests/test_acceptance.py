@@ -18,8 +18,6 @@ from scrollex import fixtures, homology
 from scrollex.graphs import INFINITE, Graph
 from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
 from scrollex.homology import (
-    QQ,
-    FieldSpec,
     betti_table,
     cycle_betti_table,
     p2_from_table,
@@ -120,13 +118,13 @@ def test_criterion_3_polygon_closed_form():
     for nn in range(4, 15):
         names = [f"x{i}" for i in range(nn)]
         cyc = Graph(rng.sample(names, nn), [(names[i], names[(i + 1) % nn]) for i in range(nn)])
-        for field in (QQ, FieldSpec(2), FieldSpec(32003)):
-            sweep = homology._hochster_sweep(cyc, field.char)[0]
+        for char in (0, 2, 32003):
+            sweep = homology._hochster_sweep(cyc, char)[0]
             if nn <= 8:
-                assert brute_betti_table(cyc, field) == sweep, (nn, field)
+                assert brute_betti_table(cyc, char) == sweep, (nn, char)
             for n in range(4, nn + 1):
                 closed = cycle_betti_table(n, nn - n)
-                assert closed == sweep, (n, nn - n, field)
+                assert closed == sweep, (n, nn - n, char)
                 checked += 1
         assert p2_from_table(closed)[0] == nn - 3
         assert closed.get((nn - 3, nn), 0) == 1
@@ -146,7 +144,7 @@ def test_criterion_4_generic_scroll_basis():
             for j in range(i + 1, n)
         )
         system = GeneratorSystem((), ((frozenset(xs + ys), minors),))
-        assert buchberger_is_groebner(rank_encoded(system, order), order).ok
+        assert buchberger_is_groebner(rank_encoded(system, order)) is None
         leads = lead_route(system, order)
         assert leads == {
             frozenset((xs[i], ys[j])) for i in range(n) for j in range(i + 1, n)
@@ -171,9 +169,9 @@ def test_criterion_5_random_extensions_groebner(random_extensions):
     for ext in random_extensions:
         assert len(ext.skeleton_bar.vertices) <= 12
         assert orderable(ext.matrices)
-        ic = initial_complex(ext)
-        for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
-            assert buchberger_is_groebner(encode_system(ext, order), order).ok
+        _graph, pi_star_deleted, pi_star_order = initial_complex(ext)
+        for order, deleted in ((pi_star_order, pi_star_deleted), identity_route(ext)):
+            assert buchberger_is_groebner(encode_system(ext, order)) is None
             assert lead_route(generator_system(ext), order) == {frozenset(e) for e in deleted}
         assert cmd_groebner(ext, {})[0]["routes_agree"]
     print(
@@ -190,7 +188,7 @@ def test_criterion_6_worked_square_example(bruns):
     (vc,) = virtual_minimal_cycles(bruns)
     expanded = expand_cycle(vc, bruns)
     assert len(expanded) == 7
-    assert homology_witness(expanded, bruns, QQ) == 1
+    assert homology_witness(expanded, bruns) == 1
     assert toricity_gate(bruns)["ok"]
     print("\nACCEPTANCE 6 PASS: worked square example end-to-end "
           "(lower = upper = exact = 4, |expanded| = 7, witness = 1, gate Pass)")
@@ -292,8 +290,8 @@ def test_criterion_10_homology_witnesses(corpus):
             if not vc["expandable"]:
                 continue
             expanded = expand_cycle(vc, ext)
-            for field in (QQ, FieldSpec(2)):
-                assert homology_witness(expanded, ext, field) >= 1
+            for char in (0, 2):
+                assert homology_witness(expanded, ext, char) >= 1
             checked += 1
     assert checked >= 10
     print(

@@ -9,7 +9,6 @@ from scrollex.graphs import Graph
 from scrollex.cycles import is_chordal
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.ordering import (
-    InitialComplex,
     NotOrderableError,
     VarOrder,
     find_admissible_order,
@@ -33,6 +32,7 @@ from oracles import (
     induced,
     lead_route,
     mask_monomials,
+    named_failure,
     oriented_system,
     pi_star,
     pi_star_route,
@@ -73,12 +73,11 @@ def test_encode_system_encodes_and_orients():
 def test_a_square_lead_is_no_deletion(bruns, monkeypatch):
     # z first makes z^2 the lead of z^2 - ac, a minor of bruns's triangle;
     # handed that order, the groebner report says the routes disagree
-    ic = initial_complex(bruns)
+    graph, deleted, order = initial_complex(bruns)
     assert cmd_groebner(bruns, {})[0]["routes_agree"]
-    foreign = VarOrder(("z",) + tuple(v for v in ic.order.variables if v != "z"))
+    foreign = VarOrder(("z",) + tuple(v for v in order.variables if v != "z"))
     assert ("z", "z") in {b.lead for b in oriented_system(generator_system(bruns), foreign)[1]}
-    foreign_ic = InitialComplex(ic.graph, ic.deleted, foreign)
-    monkeypatch.setattr(groebner, "initial_complex", lambda ext: foreign_ic)
+    monkeypatch.setattr(groebner, "initial_complex", lambda ext: (graph, deleted, foreign))
     payload, code = cmd_groebner(bruns, {})
     assert code == 0 and payload["routes_agree"] is False
 
@@ -87,7 +86,7 @@ def test_encode_system_matches_oracle_orientation(corpus):
     rng = random.Random(11)
     for ext in corpus:
         system = generator_system(ext)
-        order = initial_complex(ext).order
+        order = initial_complex(ext)[2]
         shuffled = list(order.variables)
         rng.shuffle(shuffled)
         for var_order in (order, VarOrder(order.variables[::-1]), VarOrder(tuple(shuffled))):
@@ -109,7 +108,7 @@ def test_normal_form_examples():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generic_scroll_is_groebner(n):
     system, order, xs, ys = generic_scroll_system(n)
-    assert buchberger_is_groebner(rank_encoded(system, order), order).ok
+    assert buchberger_is_groebner(rank_encoded(system, order)) is None
     leads = lead_route(system, order)
     assert leads == {
         frozenset((xs[i], ys[j])) for i in range(n) for j in range(i + 1, n)
@@ -137,9 +136,9 @@ def test_buchberger_failure_case():
         (),
         ((frozenset("xyzuvw"), ((("x", "y"), ("u", "v")), (("y", "z"), ("u", "w")))),),
     )
-    check = buchberger_is_groebner(rank_encoded(system, order), order)
-    assert not check.ok
-    assert check.remainder == {("x", "u", "w"): 1, ("z", "u", "v"): -1}
+    check = buchberger_is_groebner(rank_encoded(system, order))
+    assert check is not None
+    assert named_failure(check, order)[1] == {("x", "u", "w"): 1, ("z", "u", "v"): -1}
 
 
 def test_bruns_system_is_groebner(bruns):
@@ -149,30 +148,29 @@ def test_bruns_system_is_groebner(bruns):
         [pi_star(m) for m in matrices],
     ):
         order = variable_order(matrices, images, bruns.skeleton_bar.vertices)
-        assert buchberger_is_groebner(encode_system(bruns, order), order).ok
+        assert buchberger_is_groebner(encode_system(bruns, order)) is None
 
 
 def test_initial_complex_square_one_edge(square_one_edge):
-    ic = initial_complex(square_one_edge)
-    assert ic.deleted == {("1", "2"), ("1", "v"), ("2", "u")}
+    g, deleted, _order = initial_complex(square_one_edge)
+    assert deleted == {("1", "2"), ("1", "v"), ("2", "u")}
     # what is left of the extended square is a hexagon
-    g = ic.graph
     assert len(g.edges) == 6
     assert all(len(ns) == 2 for ns in adjacency(g).values())
 
 
 def test_initial_complex_bruns(bruns):
-    ic = initial_complex(bruns)
-    assert ic.deleted == {("a", "c"), ("e", "x"), ("d", "e"), ("d", "w")}
-    assert ic.order.variables == ("a", "z", "e", "w", "x", "b", "c", "d")
+    _graph, deleted, order = initial_complex(bruns)
+    assert deleted == {("a", "c"), ("e", "x"), ("d", "e"), ("d", "w")}
+    assert order.variables == ("a", "z", "e", "w", "x", "b", "c", "d")
 
 
 def test_initial_complex_unextended():
     base = Graph("abc", ["ab", "bc", "ca"])
     ext = validate_extension(base, ())
-    ic = initial_complex(ext)
-    assert ic.deleted == frozenset()
-    assert ic.graph == ext.skeleton_bar
+    graph, deleted, _order = initial_complex(ext)
+    assert deleted == frozenset()
+    assert graph == ext.skeleton_bar
 
 
 def test_initial_complex_unorderable_carries_witness(triangle_ring):
@@ -185,8 +183,8 @@ def test_initial_complex_order_is_the_pi_star_order(corpus):
     # the oracle builds the order from pi* images with its three checks,
     # which raise nothing on an admissibly ordered family
     for ext in corpus:
-        ic = initial_complex(ext)
-        assert (ic.order, ic.deleted) == pi_star_route(ext)
+        _graph, deleted, order = initial_complex(ext)
+        assert (order, deleted) == pi_star_route(ext)
 
 
 def test_initial_complex_matches_the_oracle_on_the_sweep_set():
@@ -196,35 +194,35 @@ def test_initial_complex_matches_the_oracle_on_the_sweep_set():
     for _name, doc in sweep_set():
         ext = parse_instance(doc)[0]
         try:
-            ic = initial_complex(ext)
+            _graph, deleted, order = initial_complex(ext)
         except NotOrderableError:
             continue
-        assert (ic.order, ic.deleted) == pi_star_route(ext)
+        assert (order, deleted) == pi_star_route(ext)
         checked += 1
     assert checked == 811  # one of the 812 instances has no admissible order
 
 
 def test_initial_complex_partition(corpus):
     for ext in corpus:
-        ic = initial_complex(ext)
-        assert not (ic.deleted & ic.graph.edges)
-        assert ic.deleted | ic.graph.edges == ext.skeleton_bar.edges
+        graph, deleted, _order = initial_complex(ext)
+        assert not (deleted & graph.edges)
+        assert deleted | graph.edges == ext.skeleton_bar.edges
 
 
 def test_initial_complex_facet_restrictions_chordal(corpus):
     for ext in corpus:
         gbar = ext.skeleton_bar
         _order, deleted = identity_route(ext)
-        for graph in (initial_complex(ext).graph, Graph(gbar.vertices, gbar.edges - deleted)):
+        for graph in (initial_complex(ext)[0], Graph(gbar.vertices, gbar.edges - deleted)):
             for fb in extended_facets(ext):
                 assert is_chordal(induced(graph, fb))
 
 
 def test_lead_route_equals_diagonal_route(corpus):
     for ext in corpus:
-        ic = initial_complex(ext)
+        _graph, pi_star_deleted, pi_star_order = initial_complex(ext)
         system = generator_system(ext)
-        for order, deleted in ((ic.order, ic.deleted), identity_route(ext)):
+        for order, deleted in ((pi_star_order, pi_star_deleted), identity_route(ext)):
             assert lead_route(system, order) == {frozenset(e) for e in deleted}
         assert cmd_groebner(ext, {})[0]["routes_agree"]
 
@@ -274,10 +272,10 @@ def test_buchberger_matches_scanning_oracle(corpus):
         images = [pi_star(m) for m in matrices]
         order = variable_order(matrices, images, ext.skeleton_bar.vertices)
         for system, var_order, encoded in mutated_systems(ext, order, rng):
-            check = buchberger_is_groebner(encoded, var_order)
-            assert check == scan_is_groebner(system, var_order)
+            check = buchberger_is_groebner(encoded)
+            assert named_failure(check, var_order) == scan_is_groebner(system, var_order)
             checked += 1
-            failed += not check.ok
+            failed += check is not None
     # the mutations must exercise the choice of failing pair and remainder
     assert failed > checked // 2
 
@@ -298,10 +296,10 @@ def test_buchberger_matches_scanning_oracle_cycle_extension():
         shuffled = list(order.variables)
         rng.shuffle(shuffled)
         orders.append(VarOrder(tuple(shuffled)))
-    checks = [buchberger_is_groebner(encode_system(ext, o), o) for o in orders]
-    assert [c.ok for c in checks] == [True, True, False, False]
+    checks = [buchberger_is_groebner(encode_system(ext, o)) for o in orders]
+    assert [c is None for c in checks] == [True, True, False, False]
     for check, var_order in zip(checks, orders):
-        assert check == scan_is_groebner(system, var_order)
+        assert named_failure(check, var_order) == scan_is_groebner(system, var_order)
 
 
 def count_normal_form_calls(monkeypatch):
@@ -319,7 +317,7 @@ def count_normal_form_calls(monkeypatch):
 
 def pi_star_extension(doc):
     ext = parse_instance(doc)[0]
-    return ext, initial_complex(ext).order
+    return ext, initial_complex(ext)[2]
 
 
 def test_spair_count_is_pinned(monkeypatch):
@@ -327,17 +325,17 @@ def test_spair_count_is_pinned(monkeypatch):
     # groebner.normal_form.calls counts the S-pairs reduced
     calls = count_normal_form_calls(monkeypatch)
     ext, order = pi_star_extension(fixtures.cycle_extension_instance(8, [3] * 7 + [0]))
-    assert buchberger_is_groebner(encode_system(ext, order), order).ok
+    assert buchberger_is_groebner(encode_system(ext, order)) is None
     # none of the 335 monomial generators can leave a live S-term, so only
     # the binomial pairs are reduced
     assert len(calls) == 117
     calls.clear()
     ext, order = pi_star_extension(fixtures.cycle_extension_instance(64, [3] * 63 + [0]))
-    assert buchberger_is_groebner(encode_system(ext, order), order).ok
+    assert buchberger_is_groebner(encode_system(ext, order)) is None
     assert len(calls) == 1125
     calls.clear()
     system, order, _xs, _ys = generic_scroll_system(6)
-    assert buchberger_is_groebner(rank_encoded(system, order), order).ok
+    assert buchberger_is_groebner(rank_encoded(system, order)) is None
     assert len(calls) == 40
 
 
@@ -360,7 +358,7 @@ def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
     rng = random.Random(3)
     reduced = nonzero = reused = 0
     for ext in (random_extensions[3], cycle_extensions[0]):
-        order = initial_complex(ext).order
+        order = initial_complex(ext)[2]
         for _system, _var_order, encoded in mutated_systems(ext, order, rng):
             adj, leads, terms = spair_terms(encoded)
             memo = {}
@@ -394,9 +392,9 @@ def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
     encoded = rank_encoded(system, order)
     _adj, _leads, terms = spair_terms(encoded)
     assert any(t and all(len(m) == 2 for m in t) for t in terms)
-    check = buchberger_is_groebner(encoded, order)
-    assert check == scan_is_groebner(system, order)
-    assert check.remainder == remainder
+    named = named_failure(buchberger_is_groebner(encoded), order)
+    assert named == scan_is_groebner(system, order)
+    assert (named and named[1]) == remainder
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -408,5 +406,5 @@ def test_buchberger_matches_scanning_oracle_fuzz(seed):
     shuffled = list(order.variables)
     random.Random(seed).shuffle(shuffled)
     for var_order in (order, VarOrder(tuple(shuffled))):
-        check = buchberger_is_groebner(encode_system(ext, var_order), var_order)
-        assert check == scan_is_groebner(generator_system(ext), var_order)
+        check = buchberger_is_groebner(encode_system(ext, var_order))
+        assert named_failure(check, var_order) == scan_is_groebner(generator_system(ext), var_order)

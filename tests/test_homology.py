@@ -16,8 +16,6 @@ from scrollex import fixtures, homology, kernel
 from scrollex.graphs import INFINITE, Graph, maximal_cliques
 from scrollex.cycles import is_chordal, p2_monomial
 from scrollex.homology import (
-    QQ,
-    FieldSpec,
     GuardExceeded,
     betti_table,
     cycle_betti_table,
@@ -98,13 +96,23 @@ def downward_closure(faces):
     return closed
 
 
+def field_name(char):
+    """The field of characteristic ``char`` as ``scrollex betti`` names it."""
+    return f"GF({char})" if char else "QQ"
+
+
 def test_field_spec():
-    assert repr(QQ) == "QQ"
-    assert repr(FieldSpec(5)) == "GF(5)"
-    with pytest.raises(ValueError):
-        FieldSpec(6)
-    with pytest.raises(ValueError):
-        FieldSpec(1000000000000000003)
+    # betti reads --field as q or a prime below 2^31, and names the field
+    ext = validate_extension(C4, ())
+
+    def field(name):
+        args = {"field": name, "ideal": "gamma", "max_vertices": 20}
+        return homology.cmd_betti(ext, args)[0]["field"]
+
+    assert field("q") == "QQ" and field("5") == "GF(5)"
+    for name in ("6", "1000000000000000003"):
+        with pytest.raises(ValueError):
+            field(name)
 
 
 def test_reduced_homology_examples():
@@ -182,17 +190,17 @@ def test_torsion_rp2_depends_on_the_field():
     g = flag_rp2()
     assert len(g.vertices) == 31
     faces = downward_closure(maximal_cliques(g))
-    for field, want in [(QQ, {}), (FieldSpec(3), {}), (FieldSpec(2), {1: 1, 2: 1})]:
-        assert clique_homology(g, field) == want, field
+    for char, want in [(0, {}), (3, {}), (2, {1: 1, 2: 1})]:
+        assert clique_homology(g, char) == want, char
         for d in (0, 1, 2):
-            assert reduced_homology_rank(faces, d, field) == want.get(d, 0), (field, d)
+            assert reduced_homology_rank(faces, d, char) == want.get(d, 0), (char, d)
 
 
-@pytest.mark.parametrize("field", [QQ, FieldSpec(32003)], ids=repr)
-def test_cross_polytope_betti_table_closed_form(field):
+@pytest.mark.parametrize("char", [0, 32003], ids=field_name)
+def test_cross_polytope_betti_table_closed_form(char):
     # the 12-vertex cross-polytope's ideal is a complete intersection of six
     # quadrics: its Koszul table has beta_{i-1, 2i} = C(6, i)
-    t = betti_table(cross_polytope(6), field)
+    t = betti_table(cross_polytope(6), char)
     assert t == {(i - 1, 2 * i): math.comb(6, i) for i in range(1, 7)}
 
 
@@ -223,12 +231,12 @@ def test_clique_homology_matches_generic_path():
 
 
 def test_hochster_examples():
-    assert sweep_betti_table(C4, QQ)[1] == {
+    assert sweep_betti_table(C4, 0)[1] == {
         (0, frozenset("ac")): 1,
         (0, frozenset("bd")): 1,
         (1, frozenset("abcd")): 1,
     }
-    assert sweep_betti_table(K3, QQ)[1] == {}
+    assert sweep_betti_table(K3, 0)[1] == {}
 
 
 def test_stanley_reisner_generators():
@@ -262,7 +270,7 @@ def test_betti_table_guard():
 
 
 def test_betti_table_multigraded_sums_to_graded():
-    graded, multigraded = sweep_betti_table(cycle_graph(5), QQ)
+    graded, multigraded = sweep_betti_table(cycle_graph(5), 0)
     sums = {}
     for (i, sigma), r in multigraded.items():
         sums[(i, len(sigma))] = sums.get((i, len(sigma)), 0) + r
@@ -273,7 +281,7 @@ def test_betti_table_cold_and_warm_core_cache():
     # no core is memoized, so every call starts cold; the module keeps no
     # process-global cache that a first call could warm
     assert betti_table(HEX) == betti_table(HEX)
-    assert sweep_betti_table(HEX, QQ) == sweep_betti_table(HEX, QQ)
+    assert sweep_betti_table(HEX, 0) == sweep_betti_table(HEX, 0)
     assert not [
         name
         for name, value in vars(homology).items()
@@ -282,8 +290,8 @@ def test_betti_table_cold_and_warm_core_cache():
     ]
 
 
-@pytest.mark.parametrize("field", [QQ, FieldSpec(2)], ids=repr)
-def test_betti_table_matches_brute_force_on_atlas(field):
+@pytest.mark.parametrize("char", [0, 2], ids=field_name)
+def test_betti_table_matches_brute_force_on_atlas(char):
     checked = 0
     for a in graph_atlas_g():
         if a.number_of_nodes() > 6:
@@ -291,20 +299,20 @@ def test_betti_table_matches_brute_force_on_atlas(field):
         g = Graph(
             [f"v{i}" for i in a.nodes()], [(f"v{u}", f"v{w}") for u, w in a.edges()]
         )
-        (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
-        assert betti_table(g, field) == graded == graded_sums(slow), sorted(a.edges())
+        (graded, multigraded), slow = sweep_betti_table(g, char), brute_multigraded(g, char)
+        assert betti_table(g, char) == graded == graded_sums(slow), sorted(a.edges())
         assert multigraded == slow, sorted(a.edges())
         checked += 1
     assert checked == 209
 
 
-@pytest.mark.parametrize("field", [QQ, FieldSpec(2)], ids=repr)
+@pytest.mark.parametrize("char", [0, 2], ids=field_name)
 @pytest.mark.parametrize(
     "parts",
     [(C4, C4), (C4, POINT, POINT), (cycle_graph(5), K3), (CROSS8, POINT)],
     ids=["C4+C4", "C4+2pts", "C5+K3", "cross8+pt"],
 )
-def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field, monkeypatch):
+def test_betti_table_matches_brute_force_on_disjoint_unions(parts, char, monkeypatch):
     splits = record_calls(monkeypatch, "_components")
     cores = record_calls(monkeypatch, "_core_homology")
     for seed in (None, 7):
@@ -312,8 +320,8 @@ def test_betti_table_matches_brute_force_on_disjoint_unions(parts, field, monkey
         full = (1 << len(g.vertices)) - 1
         splits.clear()
         cores.clear()
-        (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
-        assert betti_table(g, field) == graded == graded_sums(slow)
+        (graded, multigraded), slow = sweep_betti_table(g, char), brute_multigraded(g, char)
+        assert betti_table(g, char) == graded == graded_sums(slow)
         assert multigraded == slow
         if parts == (C4, C4):
             # each link is two points and each deletion has H~_0, so no vertex
@@ -354,8 +362,8 @@ ACYCLIC_LINK = Graph(
 )
 
 
-@pytest.mark.parametrize("field", [QQ, FieldSpec(2)], ids=repr)
-def test_sweep_deletes_a_vertex_whose_link_is_acyclic_but_not_a_cone(field, monkeypatch):
+@pytest.mark.parametrize("char", [0, 2], ids=field_name)
+def test_sweep_deletes_a_vertex_whose_link_is_acyclic_but_not_a_cone(char, monkeypatch):
     g, full = ACYCLIC_LINK, (1 << 8) - 1
     nbr, adj = g.nbr, adjacency(g)
     # no vertex v has a neighbour u with N(v) - {u} inside N(u): no vertex is dominated
@@ -363,26 +371,26 @@ def test_sweep_deletes_a_vertex_whose_link_is_acyclic_but_not_a_cone(field, monk
     assert kernel._components(full, nbr) == [full]
     link = induced(g, ["v1", "v2", "v3", "v7"])
     assert nbr[4] == 0b10001110
-    assert clique_homology(link, field) == {}
+    assert clique_homology(link, char) == {}
     assert max(map(len, adjacency(link).values())) < 3  # no apex: not a cone
-    assert clique_homology(g, field) == {1: 3}
+    assert clique_homology(g, char) == {1: 3}
     cores = record_calls(monkeypatch, "_core_homology")
-    _graded, h = homology._hochster_sweep(g, field.char)
+    _graded, h = homology._hochster_sweep(g, char)
     assert full not in [args[0] for args in cores]  # v4 is deleted instead
     assert h[full] is h[full ^ (1 << 4)] == {1: 3}
-    (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
+    (graded, multigraded), slow = sweep_betti_table(g, char), brute_multigraded(g, char)
     assert multigraded == slow
-    assert betti_table(g, field) == graded == graded_sums(slow)
+    assert betti_table(g, char) == graded == graded_sums(slow)
 
 
-@pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3)], ids=repr)
-def test_betti_table_matches_brute_force_on_random_graphs(field):
+@pytest.mark.parametrize("char", [0, 2, 3], ids=field_name)
+def test_betti_table_matches_brute_force_on_random_graphs(char):
     # a fixed fuzz budget: nine seeded graphs on 7-9 vertices, sparse to dense
     for seed in range(9):
         g = gnp(7 + seed % 3, (0.3, 0.5, 0.7)[seed // 3], seed)
-        (graded, multigraded), slow = sweep_betti_table(g, field), brute_multigraded(g, field)
+        (graded, multigraded), slow = sweep_betti_table(g, char), brute_multigraded(g, char)
         assert multigraded == slow, sorted(g.edges)
-        assert betti_table(g, field) == graded == graded_sums(slow), sorted(g.edges)
+        assert betti_table(g, char) == graded == graded_sums(slow), sorted(g.edges)
 
 
 def klein_bottle():
@@ -425,18 +433,18 @@ def test_betti_table_kernel_work_is_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, expected", [(QQ, {1: 1}), (FieldSpec(2), {1: 2, 2: 1})], ids=["QQ", "GF(2)"]
+    "char, expected", [(0, {1: 1}), (2, {1: 2, 2: 1})], ids=["QQ", "GF(2)"]
 )
-def test_sweep_reaches_the_kernel_on_the_klein_bottle(field, expected, monkeypatch):
+def test_sweep_reaches_the_kernel_on_the_klein_bottle(char, expected, monkeypatch):
     g, full = KLEIN, (1 << 16) - 1
     assert (len(g.vertices), len(g.edges)) == (16, 48)
     # flag: the maximal cliques are exactly the triangles
     assert sorted(map(sorted, maximal_cliques(g))) == sorted(map(sorted, KLEIN_TRIANGLES))
     cores = record_calls(monkeypatch, "_core_homology")
-    _graded, h = homology._hochster_sweep(g, field.char)
+    _graded, h = homology._hochster_sweep(g, char)
     assert [args[0] for args in cores] == [full]
     faces = downward_closure(KLEIN_TRIANGLES)
-    assert h[full] == expected == reduced_homology_ranks(faces, field)
+    assert h[full] == expected == reduced_homology_ranks(faces, char)
 
 
 # Runs one CLI call in a fresh interpreter and writes its scrollex modules to stderr.
@@ -455,24 +463,24 @@ def test_klein_bottle_loads_the_kernel_in_a_fresh_interpreter(tmp_path):
     f = tmp_path / "klein.json"
     f.write_text(json.dumps({"vertices": list(KLEIN.vertices), "edges": [list(e) for e in KLEIN.edges]}))
     env = {**os.environ, "PYTHONPATH": str(Path(homology.__file__).resolve().parents[1])}
-    fields = [QQ, FieldSpec(2)]
+    chars = [0, 2]
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", FRESH_CALL, "betti", str(f), "--field", str(field.char or "q")],
+            [sys.executable, "-c", FRESH_CALL, "betti", str(f), "--field", str(char or "q")],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
-        for field in fields
+        for char in chars
     ]
-    for field, proc in zip(fields, procs):
+    for char, proc in zip(chars, procs):
         out, err = proc.communicate()
         assert proc.returncode == 0, err
         assert "scrollex.kernel" in ast.literal_eval(err)
         doc = json.loads(out)
-        assert doc["field"] == repr(field)
-        table = betti_table(KLEIN, field)
+        assert doc["field"] == field_name(char)
+        table = betti_table(KLEIN, char)
         assert doc["entries"] == [[i, j, r] for (i, j), r in sorted(table.items())]
 
 
@@ -480,14 +488,14 @@ def test_field_independence_on_cycles():
     # the sweep, not betti_table, which reads a cycle's table from the closed form
     for n in range(4, 8):
         g = cycle_graph(n)
-        t0 = sweep_betti_table(g, QQ)[0]
+        t0 = sweep_betti_table(g, 0)[0]
         for p in (2, 3):
-            assert sweep_betti_table(g, FieldSpec(p))[0] == t0
+            assert sweep_betti_table(g, p)[0] == t0
 
 
 def test_euler_characteristic_consistency():
     rng = random.Random(5)
-    for field in (QQ, FieldSpec(2), FieldSpec(3)):
+    for char in (0, 2, 3):
         for _ in range(10):
             n = rng.randint(1, 6)
             verts = [f"v{i}" for i in range(n)]
@@ -508,7 +516,7 @@ def test_euler_characteristic_consistency():
             for f in faces:
                 f_by_dim[len(f) - 1] = f_by_dim.get(len(f) - 1, 0) + 1
             euler = sum((-1) ** d * c for d, c in f_by_dim.items())
-            h = clique_homology(g, field)
+            h = clique_homology(g, char)
             reduced = sum((-1) ** d * r for d, r in h.items() if d >= 0)
             assert euler == reduced + 1
 
@@ -557,28 +565,28 @@ def test_cycle_closed_form_matches_sweep():
         assert cycle_betti_table(n, s) == homology._hochster_sweep(cycle_graph(n + s), 0)[0]
 
 
-FIELDS = [QQ, FieldSpec(2), FieldSpec(32003)]
+CHARS = [0, 2, 32003]
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_betti_table_reads_a_cycle_from_the_closed_form(field, monkeypatch):
+@pytest.mark.parametrize("char", CHARS, ids=field_name)
+def test_betti_table_reads_a_cycle_from_the_closed_form(char, monkeypatch):
     sweeps = record_calls(monkeypatch, "_hochster_sweep", homology)
     rng = random.Random(11)
     for n in range(4, 10):
         g = cycle_graph(n)
         scrambled = Graph(rng.sample(g.vertices, n), g.edges)
-        assert betti_table(g, field) == betti_table(scrambled, field) == cycle_betti_table(n)
+        assert betti_table(g, char) == betti_table(scrambled, char) == cycle_betti_table(n)
     # the initial complex of an extended pentagon lists its new variables
     # after the base vertices, so its rank order does not follow the cycle
     ext, _ = parse_instance(fixtures.cycle_extension_instance(5, [2, 0, 1, 0, 0]))
-    g = initial_complex(ext).graph
+    g = initial_complex(ext)[0]
     assert len(g.vertices) == 8
     assert not all(w in adjacency(g)[u] for u, w in zip(g.vertices, g.vertices[1:]))
-    assert betti_table(g, field) == cycle_betti_table(5, 3)
+    assert betti_table(g, char) == cycle_betti_table(5, 3)
     assert sweeps == []
     # the size guard still runs first
     with pytest.raises(GuardExceeded):
-        betti_table(cycle_graph(8), field, max_vertices=7)
+        betti_table(cycle_graph(8), char, max_vertices=7)
 
 
 C5 = cycle_graph(5)
@@ -592,13 +600,13 @@ NOT_CYCLES = {
 }
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("char", CHARS, ids=field_name)
 @pytest.mark.parametrize("name", NOT_CYCLES)
-def test_betti_table_sweeps_every_other_graph(name, field, monkeypatch):
+def test_betti_table_sweeps_every_other_graph(name, char, monkeypatch):
     g = NOT_CYCLES[name]
     sweeps = record_calls(monkeypatch, "_hochster_sweep", homology)
-    assert betti_table(g, field) == brute_betti_table(g, field)
-    assert sweeps == [(g, field.char)]
+    assert betti_table(g, char) == brute_betti_table(g, char)
+    assert sweeps == [(g, char)]
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,16 @@ def test_cli_internal_error_exit4(monkeypatch, capsys, handler, line):
     assert code == 4 and out == ""
     assert err == f"error: internal error: {line}\n"
     assert "Traceback" not in err
+
+
+def raise_memory_error(ext, args):
+    raise MemoryError
+
+
+def test_cli_out_of_memory_exit1(monkeypatch, capsys):
+    # memory running out is a resource limit, not a bug: exit 1, not 4
+    monkeypatch.setattr(homology, "cmd_betti", raise_memory_error)
+    assert run(capsys, "betti", path("bruns")) == (1, "", "error: out of memory\n")
 
 
 def test_cli_p2_auto_bruns(capsys):
@@ -810,6 +821,41 @@ def test_betti_past_the_memory_of_its_sweep_exit1(tmp_path, n):
     assert proc.stderr == f"error: {n} vertices: the sweep's 2^{n} subsets do not fit in memory\n"
 
 
+def moon_moser(t):
+    """The complement of t disjoint triangles: 3t vertices, 3^t facets."""
+    names = [f"v{i}" for i in range(3 * t)]
+    edges = [[names[i], names[j]] for i, j in combinations(range(3 * t), 2) if i // 3 != j // 3]
+    return {"vertices": names, "edges": edges}
+
+
+def limit_address_space_to_48_mib():
+    """In a child before exec: 48 MiB of address space.  On CPython 3.11
+    (x86-64) a CLI child needs about 18 MiB to start and 72 MiB to list the
+    3^11 facets of the 33-vertex Moon-Moser graph: the limit sits well
+    inside that window, with room for other versions to start bigger."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (48 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+def test_validate_past_memory_exit1(tmp_path):
+    """Memory that runs out while the instance is parsed (every facet is
+    listed for the canonical document) is a resource limit: exit 1 with one
+    error line, not an internal error and exit 4."""
+    f = tmp_path / "moon_moser.json"
+    f.write_text(json.dumps(moon_moser(11)))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, "validate", str(f)],
+        env=child_env(unbuffered=False),
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space_to_48_mib,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
 def test_cli_poligon(capsys):
     code, out, _ = run(capsys, "poligon", "4", "2")
     doc = json.loads(out)
@@ -927,6 +973,24 @@ def test_emit_matches_json_dumps(value):
     assert out.getvalue() == expected + "\n"
 
 
+@pytest.mark.parametrize(
+    "value, line",
+    [
+        ("1", "1 is not prime"),
+        ("4", "4 is not prime"),
+        ("2147483648", "field characteristic 2147483648 is not below 2^31"),
+    ],
+)
+def test_cli_field_must_be_a_prime_below_2_31(capsys, value, line):
+    code, out, err = run(capsys, "betti", path("bruns"), "--field", value)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
+def test_cli_field_largest_prime_below_2_31(capsys):
+    code, out, _err = run(capsys, "betti", path("bruns"), "--field", "2147483647")
+    assert code == 0 and json.loads(out)["field"] == "GF(2147483647)"
+
+
 def test_cli_field_characteristic_too_large(capsys):
     big = "1000000000000000003"
     code, out, err = run(capsys, "betti", path("bruns"), "--field", big)
@@ -935,7 +999,7 @@ def test_cli_field_characteristic_too_large(capsys):
 
 @pytest.mark.parametrize("value", ["x", "0"])
 def test_cli_field_not_q_or_a_prime(capsys, value):
-    # 0 would be FieldSpec's code for the rationals; the CLI spells that q
+    # 0 would be betti_table's characteristic of the rationals; the CLI spells that q
     code, out, err = run(capsys, "betti", path("bruns"), "--field", value)
     assert (code, out, err) == (1, "", f"error: --field must be q or a prime, got '{value}'\n")
 

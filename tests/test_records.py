@@ -1,9 +1,12 @@
 """The frozen records: positional construction, immutability, equality,
-hashing, repr, validation.
+hashing, repr.
 
-Every immutable type is built by ``graphs.frozen_record``; these tests pin the
-behaviour the rest of the package relies on, including how ``cli._emit``
-serialises the two records that appear in JSON reports.
+Every record (``Graph``, ``Extension``, ``ScrollBlock``, ``ScrollMatrix``,
+``VarOrder``, ``NotApplicable`` and ``Interval``) is built by
+``graphs.frozen_record``, and takes exactly its fields; a report is a plain
+dict.  These tests pin the behaviour the rest of the package relies on,
+including how ``cli._emit`` serialises the two records that appear in JSON
+reports.
 """
 
 import json
@@ -13,9 +16,7 @@ import pytest
 
 from scrollex import cli
 from scrollex.graphs import INFINITE, Graph, frozen_record
-from scrollex.homology import QQ, FieldSpec
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
-from scrollex.groebner import Binomial, GroebnerCheck
 from scrollex.bounds import Interval, NotApplicable
 from scrollex.instance import parse_instance
 from scrollex.ordering import VarOrder, initial_complex
@@ -27,10 +28,10 @@ MATRIX = ScrollMatrix(frozenset("abc"), "a", (ScrollBlock("b", ("u",)),))
 @pytest.mark.parametrize(
     "record, name",
     [
-        (Binomial(("a", "b"), ("c", "d")), "lead"),
-        (FieldSpec(3), "char"),
+        (Interval(1, INFINITE), "lower"),
+        (NotApplicable("no cycle"), "reason"),
         (ScrollBlock("x", ("y",)), "y"),
-        (GroebnerCheck(True), "pair"),
+        (VarOrder(tuple("abc")), "variables"),
         (TRIANGLE, "edges"),
         (TRIANGLE, "nbr"),
         (validate_extension(TRIANGLE, ()), "base"),
@@ -50,8 +51,8 @@ def test_fields_cannot_be_assigned_or_deleted(record, name):
 
 
 def test_equality_is_by_class_and_fields():
-    assert Binomial(("a",), ("b",)) == Binomial(("a",), ("b",), -1)
-    assert Binomial(("a",), ("b",)) != Binomial(("a",), ("b",), 1)
+    assert ScrollBlock("x", ("y",)) == ScrollBlock("x", ("y",))
+    assert ScrollBlock("x", ("y",)) != ScrollBlock("x", ("z",))
     assert Interval(1, 2) == Interval(1, 2) and Interval(1, 2) != Interval(2, 1)
 
     @frozen_record
@@ -68,10 +69,9 @@ def test_equality_is_by_class_and_fields():
 
 
 def test_hash_is_the_hash_of_the_field_tuple():
-    assert hash(Binomial(("a", "b"), ("c",))) == hash((("a", "b"), ("c",), -1))
-    assert hash(FieldSpec(32003)) == hash((32003,))
     assert hash(ScrollBlock("x", ("y", "z"))) == hash(("x", ("y", "z")))
-    assert len({FieldSpec(2), FieldSpec(2), QQ}) == 2
+    assert hash(NotApplicable("gate")) == hash(("gate",))
+    assert len({Interval(1, 2), Interval(1, 2), Interval(2, 1)}) == 2
     path = Graph("abc", ["cb", "ab"])
     assert hash(path) == hash((("a", "b", "c"), frozenset({("a", "b"), ("b", "c")})))
 
@@ -89,15 +89,8 @@ def test_scroll_matrices_compare_by_fields():
 
 
 def test_repr():
-    assert repr(FieldSpec(0)) == "QQ" and repr(FieldSpec(5)) == "GF(5)"
     assert repr(Interval(1, INFINITE)) == "Interval(lower=1, upper=infinity)"
-    assert repr(Binomial(("a",), ("b",))) == "Binomial(lead=('a',), trail=('b',), trail_coeff=-1)"
-
-
-@pytest.mark.parametrize("char", [4, 1, 2**31])
-def test_field_spec_rejects_bad_characteristics(char):
-    with pytest.raises(ValueError):
-        FieldSpec(char)
+    assert repr(ScrollBlock("x", ("y",))) == "ScrollBlock(x='x', y=('y',))"
 
 
 def test_a_record_keeps_the_fields_it_is_given():
@@ -112,8 +105,8 @@ def test_a_record_keeps_the_fields_it_is_given():
 @pytest.mark.parametrize(
     "build, kwargs",
     [
-        (Binomial, {"lead": ("a",), "trail": ("b",)}),
-        (FieldSpec, {"char": 2}),
+        (Graph, {"vertices": ("a", "b"), "edges": frozenset({("a", "b")})}),
+        (NotApplicable, {"reason": "gate"}),
         (ScrollBlock, {"x": "x", "y": ("y",)}),
         (ScrollMatrix, {"facet": frozenset("abc"), "x0": "a", "blocks": MATRIX.blocks}),
         (VarOrder, {"variables": tuple("abc")}),
@@ -135,40 +128,20 @@ def test_parse_instance_hands_every_record_tuples_and_frozensets():
     for m in ext.matrices:
         assert type(m.facet) is frozenset and type(m.blocks) is tuple
         assert all(type(b.y) is tuple for b in m.blocks)
-    ic = initial_complex(ext)
-    assert type(ic.order.variables) is tuple and type(ic.deleted) is frozenset
-
-
-@frozen_record
-class Triple:
-    a: int
-    b: int = 1
-    c: int = 2
-
-
-def test_defaults_fill_the_missing_trailing_fields():
-    assert repr(Triple(0)) == "Triple(a=0, b=1, c=2)"
-    assert Triple(0, 5) == Triple(0, 5, 2)
-    assert Triple(0) == Triple(0, 1, 2)
-    with pytest.raises(TypeError):
-        Triple(0, c=7)
+    _graph, deleted, order = initial_complex(ext)
+    assert type(order.variables) is tuple and type(deleted) is frozenset
 
 
 def test_constructor_argument_errors():
+    # a record takes exactly its fields, positionally
     with pytest.raises(TypeError):
-        Binomial(("a",))
+        ScrollBlock("x")
     with pytest.raises(TypeError):
-        Binomial(("a",), ("b",), -1, 0)
+        ScrollBlock("x", ("y",), 0)
     with pytest.raises(TypeError):
-        Binomial(("a",), ("b",), sign=1)
+        ScrollBlock("x", ("y",), sign=1)
     with pytest.raises(TypeError):
-        Binomial(("a",), ("b",), lead=("c",))
-    with pytest.raises(TypeError):
-
-        @frozen_record
-        class Misordered:
-            a: int = 0
-            b: int
+        ScrollBlock("x", ("y",), x="z")
 
 
 def test_emit_writes_not_applicable_and_interval_as_objects(capsys):
