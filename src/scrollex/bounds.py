@@ -37,28 +37,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cycles import _cycle_search, cycle_edges, is_chordal, p2_monomial
-from .graphs import DEFAULT_CYCLE_CAP, INFINITE, frozen_record
-
-
-@frozen_record
-class NotApplicable:
-    """A bound this machinery cannot certify on the instance, with the reason."""
-
-    reason: str
-
-    def to_json(self):
-        return {"not_applicable": self.reason}
-
-
-@frozen_record
-class Interval:
-    """An undetermined p2, boxed between the certified bounds."""
-
-    lower: object
-    upper: object
-
-    def to_json(self):
-        return {"lower": self.lower, "upper": self.upper}
+from .graphs import DEFAULT_CYCLE_CAP, INFINITE
 
 
 def _virtual_edge_blocks(ext):
@@ -104,13 +83,15 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
 
     Enumerates cycles of the base graph in canonical form, pruning any
     branch that would create a non-virtual chord or put two cycle edges in
-    one facet.  With no virtual edge they are the chordless cycles, so a
-    chordal base is not walked (a negative cap is still refused by the walk).
+    one facet.  A chordal base has none, virtual edges or not, and is not
+    walked (a negative cap is still refused): a simplicial vertex v of the
+    chordal G[V(C)] (Dirac) has its two neighbours on C adjacent, so C's
+    two edges at v would lie in one facet.
     """
     g = ext.base
-    vmap = _virtual_edge_blocks(ext)
-    if not vmap and cap >= 0 and is_chordal(g):
+    if cap >= 0 and is_chordal(g):
         return []
+    vmap = _virtual_edge_blocks(ext)
     found = _cycle_search(g, vmap, cap, "virtual cycle candidates")
     return [_virtual_cycle(cyc, vmap, g) for cyc in found]
 
@@ -190,8 +171,9 @@ def p2_report(ext):
     exactness hypotheses (in ``hypotheses``) all verify, and then equals
     both bounds; otherwise it is the interval between ``lower`` and
     ``upper``.  ``two_linear`` marks a chordal base, and ``toricity`` is
-    :func:`toricity_gate`.  A bound the instance does not support is a
-    :class:`NotApplicable`.  A witness is a cycle in the report form of
+    :func:`toricity_gate`.  A bound the instance does not support is
+    ``{"not_applicable": reason}``, and an interval is ``{"lower": ...,
+    "upper": ...}``.  A witness is a cycle in the report form of
     :func:`virtual_minimal_cycles`, and its key is present only when the
     report has one.
 
@@ -242,7 +224,7 @@ def p2_report(ext):
         initial = initial_complex(ext)[0] if vmap else g
     except NotOrderableError:
         orderable = False
-        cert_value = sub_value = NotApplicable("no admissible order")
+        cert_value = sub_value = {"not_applicable": "no admissible order"}
     else:
         orderable = True
         # not empty: a chordless cycle of the non-chordal base is virtual minimal
@@ -252,7 +234,7 @@ def p2_report(ext):
         cert_value = p2_monomial(initial) if vmap else sub_value
 
     if not gate["ok"]:
-        up_value = NotApplicable(f"toricity gate failed: {gate['reason']}")
+        up_value = {"not_applicable": f"toricity gate failed: {gate['reason']}"}
     elif not vmap:  # nothing expands, so the lower witness is the upper one
         report["upper_witness"], up_value = low_wit, sub_value
     else:
@@ -262,7 +244,7 @@ def p2_report(ext):
             report["upper_witness"] = _virtual_cycle(shortest, vmap, g)
             up_value = sum(first_block.get(e, 1) for e in cycle_edges(shortest, g)) - 3
         else:
-            up_value = NotApplicable("no expandable virtual minimal cycle")
+            up_value = {"not_applicable": "no expandable virtual minimal cycle"}
 
     expandable_all = not walk(through={e for e, (_m, j) in vmap.items() if j > 1})
     sizes_ok = not walk(through={e for e, (m, _j) in vmap.items() if not _sizes_fit(m)})
@@ -276,7 +258,7 @@ def p2_report(ext):
     if orderable and gate["ok"] and expandable_all and sizes_ok:
         exact = up_value
     else:
-        exact = Interval(cert_value, up_value)
+        exact = {"lower": cert_value, "upper": up_value}
     report.update(
         lower=cert_value, lower_substitution=sub_value, upper=up_value, exact=exact,
         hypotheses=hypotheses, toricity=gate,
@@ -285,19 +267,20 @@ def p2_report(ext):
 
 
 def cmd_p2(ext, args):
-    """``scrollex p2``: (payload, exit code); 2 when the mode's value is not
-    applicable, or, in exact mode, only an interval."""
+    """``scrollex p2``: (payload, exit code); 2 when the mode's value is a
+    dict, not applicable or, in exact mode, an interval.  In lower and upper
+    mode that dict is then the payload."""
     mode = args["mode"]
     report = p2_report(ext)
     if mode in ("lower", "upper"):
         value = report[mode]
-        if isinstance(value, NotApplicable):
-            return {"not_applicable": value.reason}, 2
+        if isinstance(value, dict):
+            return value, 2
         payload = {"mode": mode, mode: value}
         if mode == "lower":
             payload["lower_substitution"] = report["lower_substitution"]
         if f"{mode}_witness" in report:
             payload["witness"] = report[f"{mode}_witness"]
         return payload, 0
-    code = 2 if mode == "exact" and isinstance(report["exact"], Interval) else 0
+    code = 2 if mode == "exact" and isinstance(report["exact"], dict) else 0
     return {"mode": mode, **report}, code

@@ -51,24 +51,17 @@ from .graphs import DEFAULT_CYCLE_CAP, CycleCapExceeded
 from .instance import instance_digest, parse_instance, sha256
 
 
-def _json_default(x):
-    to_json = getattr(x, "to_json", None)
-    if to_json is None:
-        raise TypeError(f"{type(x).__name__} is not JSON serializable")
-    return to_json()
-
-
 _quote = json.encoder.encode_basestring_ascii
 _is_str = str.__instancecheck__  # isinstance(v, str), callable from map
 
 
 def _text(x, pad):
-    """The text ``json.dumps(x, sort_keys=True, indent=2, default=_json_default)``
-    gives ``x``, when the line ``x`` starts on begins with ``pad``: a newline
-    and that line's indent.  With an indent ``json`` runs its pure-Python
-    encoder; this builds the same text from C joins.  It covers what reports
-    hold: str, int, bool and None, lists and tuples, dicts with str keys,
-    and whatever ``_json_default`` turns into those.
+    """The text ``json.dumps(x, sort_keys=True, indent=2)`` gives ``x``, when
+    the line ``x`` starts on begins with ``pad``: a newline and that line's
+    indent.  With an indent ``json`` runs its pure-Python encoder; this
+    builds the same text from C joins.  It covers what reports hold: str,
+    int, bool and None, lists and tuples, and dicts with str keys; anything
+    else raises the TypeError ``json`` raises.
 
     >>> print(_text({"b": [1, (True, None)], "a": ("x", "y"), "c": []}, "\\n"))
     {
@@ -111,7 +104,7 @@ def _text(x, pad):
         inner = pad + "  "
         items = [f"{_quote(k)}: {_text(v, inner)}" for k, v in sorted(x.items())]
         return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
-    return _text(_json_default(x), pad)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _write(text, end):

@@ -16,7 +16,7 @@ encodes the minors, and the non-edges as adjacency masks without listing them.
 
 from __future__ import annotations
 
-from .graphs import Extension, _is_facet, frozen_record
+from .graphs import Extension, _is_facet, _is_proper_edge, frozen_record
 from .instance import InstanceError, _check_keys, _expect, _string_list, _vertex_list
 
 
@@ -138,8 +138,7 @@ def validate_extension(base, matrices):
             seen_x.add(b.x)
             if bi > 0 and not b.y:
                 raise InstanceError(bpath, "only the first block may have no new variables")
-            r0, rx = rank[m.x0], rank[b.x]
-            if not _is_facet(nbr[r0] & nbr[rx] | 1 << r0 | 1 << rx, nbr):
+            if not _is_proper_edge(rank[m.x0], rank[b.x], nbr):
                 raise InstanceError(bpath, f"{{{m.x0}, {b.x}}} is not a proper edge of its facet")
             for v in b.y:
                 if v in rank:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, _is_facet, maximal_cliques
+from .graphs import Graph, _is_proper_edge, maximal_cliques
 from .instance import parse_instance
 
 
@@ -42,10 +42,7 @@ def proper_edges(g):
     the edges that, with the common neighbours of their end points, form a
     facet."""
     nbr, rank = g.nbr, g.rank
-    return frozenset(
-        (u, w) for u, w in g.edges
-        if _is_facet(nbr[rank[u]] & nbr[rank[w]] | 1 << rank[u] | 1 << rank[w], nbr)
-    )
+    return frozenset((u, w) for u, w in g.edges if _is_proper_edge(rank[u], rank[w], nbr))
 
 
 # ---------------------------------------------------------------------------

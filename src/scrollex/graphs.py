@@ -2,11 +2,12 @@
 clique complex, a function of the graph), ``Extension`` (a graph with the
 scroll matrices on its facets, which :mod:`scrollex.extension` defines and
 validates and only an instance with matrices loads), ``INFINITE`` (the p2
-of a chordal graph) and ``CycleCapExceeded`` (a census past its cap; the
-census itself is :mod:`scrollex.cycles`), and :func:`frozen_record`, the
-decorator behind every record: ``Graph``, ``Extension``, ``ScrollBlock``,
-``ScrollMatrix``, ``VarOrder``, and the report values ``NotApplicable`` and
-``Interval``.  A report itself is a plain dict.
+of a chordal graph, the string it prints as) and ``CycleCapExceeded`` (a
+census past its cap; the census itself is :mod:`scrollex.cycles`), and
+:func:`frozen_record`, the decorator behind the input's records: ``Graph``,
+``Extension``, ``ScrollBlock`` and ``ScrollMatrix``.  A report, and every
+value in it, is built in the form it prints: dicts, lists, strings, ints,
+bools and None.
 
 Every structure in this package is deterministic: a vertex keeps the position
 it had in the input ("rank"), and every sort key, tie-break and output order
@@ -31,7 +32,8 @@ class CycleCapExceeded(RuntimeError):
 
 
 def frozen_record(cls):
-    """Class decorator: an immutable record of the fields annotated in ``cls``.
+    """Class decorator: an immutable record of the fields annotated in ``cls``
+    (only ``Graph``, ``Extension``, ``ScrollBlock`` and ``ScrollMatrix`` use it).
 
     Every field is given, positionally, each of its final type; a keyword
     argument, or too few or too many arguments, raises TypeError.  Adds
@@ -189,24 +191,7 @@ def _bits(s):
         s ^= low
 
 
-class _Infinite:
-    """Explicit 'no finite value' marker for p-invariants (never a sentinel int)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "infinity"
-
-    def to_json(self):
-        return "infinity"
-
-
-INFINITE = _Infinite()
+INFINITE = "infinity"  # a p-invariant with no finite value, never a sentinel int
 
 
 def _is_facet(s, nbr):
@@ -217,6 +202,12 @@ def _is_facet(s, nbr):
     for i in _bits(s):
         common &= nbr[i] | 1 << i
     return common == s
+
+
+def _is_proper_edge(a, b, nbr):
+    """True iff the edge of ranks ``a`` and ``b`` lies in exactly one facet:
+    it and its end points' common neighbours form a facet."""
+    return _is_facet(nbr[a] & nbr[b] | 1 << a | 1 << b, nbr)
 
 
 @frozen_record

@@ -57,10 +57,10 @@ def _joined(m, adj):
 def normal_form(terms, adj, leads, memo=None):
     """Remainder of the division algorithm against the prepared system.
 
-    Monomials are sorted tuples of ``order.rank`` values; the terms have
-    degree 2 or 3, as S-polynomials of quadratic generators do.  ``adj``
-    holds the masks of :func:`encode_system`: a monomial generator divides a
-    term exactly when two of its ranks are not joined.  ``leads`` maps a
+    Monomials are sorted tuples of variable ranks; the terms have degree 2
+    or 3, as S-polynomials of quadratic generators do.  ``adj`` holds the
+    masks of :func:`encode_system`: a monomial generator divides a term
+    exactly when two of its ranks are not joined.  ``leads`` maps a
     binomial lead to ``(position, lead, trail, -1)`` of the first binomial
     with that lead.
 
@@ -106,9 +106,10 @@ def normal_form(terms, adj, leads, memo=None):
 def encode_system(ext, order):
     """The generators of an extension on ranks: ``(adj, binomials)``.
 
-    ``adj[r]`` masks the ranks under ``order`` joined to rank r in the
-    extended 1-skeleton, r included, read off ``Graph.nbr``: the monomial
-    generators, its non-edges, are the pairs it leaves out, never listed.
+    ``order`` lists the variables, the largest first, and a variable's rank
+    is its position there.  ``adj[r]`` masks the ranks joined to rank r in
+    the extended 1-skeleton, r included, read off ``Graph.nbr``: the
+    monomial generators, its non-edges, are the pairs it leaves out.
     ``binomials`` lists one ``(lead, trail)`` per 2x2 minor
     top_u*bot_v - top_v*bot_u (u < v) of each matrix's columns, matrices in
     input order, each monomial the sorted tuple of its ranks.  Every
@@ -116,9 +117,9 @@ def encode_system(ext, order):
     smaller tuple.  The two never tie: the tops of a validated matrix are
     pairwise distinct, and no column's top is its bottom.
     """
-    g, rank = ext.skeleton_bar, order.rank
+    g, rank = ext.skeleton_bar, {v: i for i, v in enumerate(order)}
     ranks = [rank[v] for v in g.vertices]
-    adj = [0] * len(order.variables)
+    adj = [0] * len(order)
     for r, nbr in zip(ranks, g.nbr):
         adj[r] = sum(1 << ranks[i] for i in _bits(nbr)) | 1 << r
     binomials = []
@@ -179,12 +180,13 @@ def cmd_groebner(ext, args):
     except NotOrderableError as e:
         return {"not_applicable": "no admissible order", "witness": [sorted(f) for f in e.facets]}, 2
     adj, binomials = encode_system(ext, order)
+    rank = {v: i for i, v in enumerate(order)}
     payload = {
         "groebner_basis": buchberger_is_groebner((adj, binomials)) is None,
-        "variable_order": list(order.variables),
+        "variable_order": list(order),
         "deletions": [list(e) for e in sorted(deleted)],
         # the minors' leads are the deleted diagonals; a square lead (never under pi*) is none
         "routes_agree": {lead for lead, _trail in binomials}
-        == {tuple(sorted(map(order.rank.get, e))) for e in deleted},
+        == {tuple(sorted(map(rank.get, e))) for e in deleted},
     }
     return payload, 0

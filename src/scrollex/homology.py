@@ -206,7 +206,7 @@ def cmd_betti(ext, args):
         "ideal": args["ideal"],
         "field": f"GF({char})" if char else "QQ",
         "entries": [[i, j, r] for (i, j), r in sorted(table.items())],
-        "two_linear": p2 is INFINITE,
+        "two_linear": p2 == INFINITE,
         "p2": p2,
         "witnesses": witnesses,
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations, zip_longest
 
-from .graphs import Graph, frozen_record
+from .graphs import Graph
 
 
 class NotOrderableError(RuntimeError):
@@ -91,29 +91,13 @@ def find_admissible_order(matrices):
     )
 
 
-@frozen_record
-class VarOrder:
-    """A total order on variables; position 0 is the largest variable."""
-
-    variables: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rank", {v: i for i, v in enumerate(self.variables)}
-        )
-        if len(self.rank) != len(self.variables):
-            raise ValueError("repeated variable in order")
-
-    def __repr__(self):
-        return "VarOrder(" + " > ".join(self.variables) + ")"
-
-
 def initial_complex(ext):
     """``(graph, deleted, order)``: the extended 1-skeleton minus the
     diagonals {top_i, bottom_k}, i < k, of every permuted matrix, those
     diagonals as a frozenset of edges, and the lex variable order under
     which the matrix minors, as ``groebner.encode_system`` orients them,
-    have the diagonals as their lead terms.
+    have the diagonals as their lead terms: a tuple of the variables, each
+    once, the largest first.
 
     The one place where the admissible order is decided and the variable
     order built.  :func:`find_admissible_order` orders the family (or raises
@@ -140,7 +124,7 @@ def initial_complex(ext):
         cols = [m.columns()[0]] + [c for tier in tiers for c in tier if c is not None]
         tops += [top for top, _bottom in cols]
         deleted.update(gbar.edge_key(a[0], b[1]) for a, b in combinations(cols, 2))
-    order = VarOrder(tuple(dict.fromkeys(tops + list(gbar.vertices))))
+    order = tuple(dict.fromkeys(tops + list(gbar.vertices)))
     return Graph(gbar.vertices, gbar.edges - deleted), frozenset(deleted), order
 
 

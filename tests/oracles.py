@@ -24,7 +24,9 @@ admissibility test that ``find_admissible_order`` is checked against;
 image tuples, ``identity_permutation`` and ``pi_star``, the two the
 theorem tests quantify over; ``variable_order``, the variable order under
 any admissible permutations, with its three checks (every permutation
-admissible, every permuted top row decreasing, every column top-heavy);
+admissible, every permuted top row decreasing, every column top-heavy),
+a tuple of the variables from the largest down, which ``rank_of`` maps to
+ranks;
 and ``diagonal_deletions``, the matrix diagonals under any given
 permutations.  With ``diagonal_route`` the last two stand in for
 ``initial_complex``: under identity permutations in ``identity_route``,
@@ -68,20 +70,10 @@ from scrollex.fixtures import attach_random_matrices
 from scrollex.graphs import INFINITE, Graph, GraphError, maximal_cliques
 from scrollex.homology import _hochster_sweep
 from scrollex.kernel import _core_homology
-from scrollex.ordering import (
-    NotOrderableError,
-    VarOrder,
-    find_admissible_order,
-    initial_complex,
-)
+from scrollex.ordering import NotOrderableError, find_admissible_order, initial_complex
 from scrollex.graphs import DEFAULT_CYCLE_CAP
 from scrollex.instance import parse_instance
-from scrollex.bounds import (
-    Interval,
-    NotApplicable,
-    toricity_gate,
-    virtual_minimal_cycles,
-)
+from scrollex.bounds import toricity_gate, virtual_minimal_cycles
 
 
 def check_admissible_order(matrices):
@@ -175,8 +167,8 @@ def variable_order(matrices, images, universe):
         cols = m.columns()
         permuted.append([cols[pos] for pos in im])
     tops = [[top for top, _bot in cols] for cols in permuted]
-    order = VarOrder(tuple(dict.fromkeys([v for row in tops for v in row] + list(universe))))
-    rank = order.rank
+    order = tuple(dict.fromkeys([v for row in tops for v in row] + list(universe)))
+    rank = rank_of(order)
     for m, cols, row in zip(matrices, permuted, tops):
         if not all(rank[a] < rank[b] for a, b in zip(row, row[1:])):
             raise NotOrderableError(
@@ -188,6 +180,12 @@ def variable_order(matrices, images, universe):
                     f"column ({top}, {bot}) of {m!r} is not top-heavy"
                 )
     return order
+
+
+def rank_of(order):
+    """Each variable of ``order``, a tuple from the largest variable down,
+    mapped to its position there, its rank."""
+    return {v: i for i, v in enumerate(order)}
 
 
 def diagonal_deletions(ext, matrices, images):
@@ -417,7 +415,7 @@ def census_p2_report(ext, cap=10**6):
         initial = initial_complex(ext)[0]
     except NotOrderableError:
         orderable = False
-        cert_value = sub_value = NotApplicable("no admissible order")
+        cert_value = sub_value = {"not_applicable": "no admissible order"}
     else:
         orderable = True
         low_wit = min(cycles, key=lambda vc: (total_length(vc), len(vc["cycle"]), ranks(vc)))
@@ -428,9 +426,9 @@ def census_p2_report(ext, cap=10**6):
     expandable = [vc for vc in cycles if vc["expandable"]]
     expanded = [(len(expand_cycle(vc, ext)), ranks(vc), vc) for vc in expandable]
     if not gate["ok"]:
-        up_value = NotApplicable(f"toricity gate failed: {gate['reason']}")
+        up_value = {"not_applicable": f"toricity gate failed: {gate['reason']}"}
     elif not expanded:
-        up_value = NotApplicable("no expandable virtual minimal cycle")
+        up_value = {"not_applicable": "no expandable virtual minimal cycle"}
     else:
         length, _ranks, report["upper_witness"] = min(expanded, key=lambda x: x[:2])
         up_value = length - 3
@@ -457,7 +455,7 @@ def census_p2_report(ext, cap=10**6):
     if orderable and gate["ok"] and expandable_all and sizes_ok:
         exact = up_value
     else:
-        exact = Interval(cert_value, up_value)
+        exact = {"lower": cert_value, "upper": up_value}
     report.update(
         lower=cert_value, lower_substitution=sub_value, upper=up_value, exact=exact,
         hypotheses=hypotheses, toricity=gate,
@@ -901,11 +899,12 @@ def rank_encoded(system, order):
     returns a system: ``(adj, [(lead, trail), ...])``, with ``adj[r]`` every
     rank of ``order`` but those that share a monomial generator with r."""
     nf, binomials = oriented_system(system, order)
+    rank = rank_of(order)
 
     def ranks(m):
-        return tuple(order.rank[v] for v in m)
+        return tuple(rank[v] for v in m)
 
-    adj = [(1 << len(order.variables)) - 1] * len(order.variables)
+    adj = [(1 << len(order)) - 1] * len(order)
     for p, q in map(ranks, nf):
         adj[p] &= ~(1 << q)
         adj[q] &= ~(1 << p)
@@ -918,17 +917,17 @@ def mask_monomials(adj):
     return [(p, q) for p, q in combinations(range(len(adj)), 2) if not adj[p] >> q & 1]
 
 
-def _canonical(m, order):
+def _canonical(m, rank):
     """Monomial ``m`` with its variables sorted from the largest down."""
-    return tuple(sorted(m, key=order.rank.__getitem__))
+    return tuple(sorted(m, key=rank.__getitem__))
 
 
-def _lex_greater(order, a, b):
+def _lex_greater(rank, a, b):
     """Whether monomial a is lex-larger than b: at the first difference of
     their sorted rank sequences a has the smaller rank, or b is a proper
     prefix of a."""
-    ra = sorted(order.rank[v] for v in a)
-    rb = sorted(order.rank[v] for v in b)
+    ra = sorted(rank[v] for v in a)
+    rb = sorted(rank[v] for v in b)
     for x, y in zip(ra, rb):
         if x != y:
             return x < y
@@ -959,15 +958,16 @@ Binomial = namedtuple("Binomial", "lead trail trail_coeff", defaults=(-1,))
 def oriented_system(system, order):
     """The NF monomials from the lex-largest down, and the minors as
     Binomials in system order, each lead chosen by :func:`_lex_greater`."""
-    key = cmp_to_key(lambda a, b: -1 if _lex_greater(order, a, b) else 1)
-    nf = sorted((_canonical(m, order) for m in system.nf), key=key)
+    rank = rank_of(order)
+    key = cmp_to_key(lambda a, b: -1 if _lex_greater(rank, a, b) else 1)
+    nf = sorted((_canonical(m, rank) for m in system.nf), key=key)
     binomials = []
     for _facet, minors in system.minors:
         for pair in minors:
-            a, b = (_canonical(m, order) for m in pair)
+            a, b = (_canonical(m, rank) for m in pair)
             if a == b:
                 raise ValueError(f"minor {pair} has equal monomials")
-            binomials.append(Binomial(a, b) if _lex_greater(order, a, b) else Binomial(b, a))
+            binomials.append(Binomial(a, b) if _lex_greater(rank, a, b) else Binomial(b, a))
     return nf, binomials
 
 
@@ -977,19 +977,19 @@ def lead_route(system, order):
     return {frozenset(b.lead) for b in oriented_system(system, order)[1]}
 
 
-def scan_s_polynomial(f, g, order):
+def scan_s_polynomial(f, g, rank):
     """(lcm / lead f) * f - (lcm / lead g) * g for two Binomials, with the
     lcm of the leads taken on multisets; zero terms dropped."""
     lcm = Counter(f.lead) | Counter(g.lead)
     terms = Counter()
     for b, sign in ((f, 1), (g, -1)):
         cofactor = lcm - Counter(b.lead)
-        t = _canonical(tuple((cofactor + Counter(b.trail)).elements()), order)
+        t = _canonical(tuple((cofactor + Counter(b.trail)).elements()), rank)
         terms[t] += sign * b.trail_coeff
     return {t: c for t, c in terms.items() if c}
 
 
-def scan_normal_form(terms, nf_monomials, binomials, order):
+def scan_normal_form(terms, nf_monomials, binomials, rank):
     """Division by linear scans: the lead term by a pairwise lex scan, then
     the first NF monomial, else the first binomial in list order whose lead
     divides it as a multiset, of any degree."""
@@ -998,14 +998,14 @@ def scan_normal_form(terms, nf_monomials, binomials, order):
     while work:
         m = None
         for other in work:
-            if m is None or _lex_greater(order, other, m):
+            if m is None or _lex_greater(rank, other, m):
                 m = other
         c = work.pop(m)
         if any(_divides(mono, m) for mono in nf_monomials):
             continue
         for b in binomials:
             if _divides(b.lead, m):
-                t = _canonical(_quotient(m, b.lead) + b.trail, order)
+                t = _canonical(_quotient(m, b.lead) + b.trail, rank)
                 nc = work.get(t, 0) - c * b.trail_coeff
                 if nc:
                     work[t] = nc
@@ -1024,19 +1024,20 @@ def scan_is_groebner(system, order):
     first that does not, a monomial as its variables and a minor as a
     :data:`Binomial`."""
     nf, binomials = oriented_system(system, order)
+    rank = rank_of(order)
     for mono in nf:
         for b in binomials:
             if not set(mono) & set(b.lead):
                 continue
             # lcm(mono, lead) / lead, as multisets
             cofactor = tuple((Counter(mono) - Counter(b.lead)).elements())
-            t = _canonical(cofactor + b.trail, order)
-            rem = scan_normal_form({t: -b.trail_coeff}, nf, binomials, order)
+            t = _canonical(cofactor + b.trail, rank)
+            rem = scan_normal_form({t: -b.trail_coeff}, nf, binomials, rank)
             if rem:
                 return (mono, b), rem
     for f, g in combinations(binomials, 2):
         if set(f.lead) & set(g.lead):
-            rem = scan_normal_form(scan_s_polynomial(f, g, order), nf, binomials, order)
+            rem = scan_normal_form(scan_s_polynomial(f, g, rank), nf, binomials, rank)
             if rem:
                 return (f, g), rem
     return None
@@ -1051,7 +1052,7 @@ def named_failure(failure, order):
         return None
 
     def names(m):
-        return tuple(order.variables[r] for r in m)
+        return tuple(order[r] for r in m)
 
     *pair, remainder = failure
     pair = tuple(Binomial(names(lead), names(trail)) if trail else names(lead) for lead, trail in pair)

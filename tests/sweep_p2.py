@@ -51,18 +51,17 @@ def sweep_set():
 
 
 def classify(rep):
-    """The counters one report adds to."""
-    from scrollex.bounds import Interval, NotApplicable
-
+    """The counters one report adds to.  An interval and a bound that does
+    not apply are dicts; a numeric value is an int."""
     hypotheses = rep["hypotheses"]
     if rep["two_linear"]:
         return ["chordal base"]
-    if not isinstance(rep["exact"], Interval):
+    if not isinstance(rep["exact"], dict):
         return ["numeric exact"]
     keys = ["interval"]
-    if isinstance(rep["lower"], NotApplicable):
+    if isinstance(rep["lower"], dict):
         return keys + ["interval: no admissible order"]
-    if isinstance(rep["upper"], NotApplicable):
+    if isinstance(rep["upper"], dict):
         gate = "toricity gate" if not hypotheses["toric_gate"] else "no expandable cycle"
         return keys + [f"interval: numeric lower, no upper ({gate})"]
     if rep["lower"] != rep["upper"]:

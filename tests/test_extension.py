@@ -8,7 +8,6 @@ from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
 from scrollex.instance import InstanceError, parse_instance
 from scrollex.bounds import toricity_gate
 from scrollex.groebner import encode_system
-from scrollex.ordering import VarOrder
 from oracles import adjacency, extended_facets, mask_monomials
 
 
@@ -17,12 +16,12 @@ def named_system(ext):
     mapped back to names: the non-edges its masks leave out and the minors,
     in its order, every monomial a sorted pair of names (a square like z*z
     is ("z", "z"))."""
-    order = VarOrder(ext.skeleton_bar.vertices)
+    order = ext.skeleton_bar.vertices
     adj, binomials = encode_system(ext, order)
     nf = mask_monomials(adj)
 
     def names(m):
-        return tuple(sorted(order.variables[r] for r in m))
+        return tuple(sorted(order[r] for r in m))
 
     return [names(m) for m in nf], [(names(lead), names(trail)) for lead, trail in binomials]
 

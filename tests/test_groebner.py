@@ -8,12 +8,7 @@ from scrollex import fixtures, groebner
 from scrollex.graphs import Graph
 from scrollex.cycles import is_chordal
 from scrollex.extension import ScrollBlock, ScrollMatrix, validate_extension
-from scrollex.ordering import (
-    NotOrderableError,
-    VarOrder,
-    find_admissible_order,
-    initial_complex,
-)
+from scrollex.ordering import NotOrderableError, find_admissible_order, initial_complex
 from scrollex.groebner import (
     _s_terms,
     buchberger_is_groebner,
@@ -46,7 +41,7 @@ from oracles import (
 def generic_scroll_system(n):
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{i}" for i in range(1, n + 1)]
-    order = VarOrder(tuple(xs + ys))
+    order = tuple(xs + ys)
     minors = tuple(
         ((xs[i], ys[j]), (xs[j], ys[i]))
         for i in range(n)
@@ -64,10 +59,10 @@ def test_encode_system_encodes_and_orients():
     # all (0b11111), d to c and itself (0b10100); the minor's lead ac is the
     # smaller rank tuple (0, 2)
     adj = [0b01111, 0b01111, 0b11111, 0b01111, 0b10100]
-    assert encode_system(ext, VarOrder(tuple("azcbd"))) == (adj, [((0, 2), (1, 1))])
+    assert encode_system(ext, tuple("azcbd")) == (adj, [((0, 2), (1, 1))])
     assert mask_monomials(adj) == [(0, 4), (1, 4), (3, 4)]
     # z > a > c: the same masks, as a and z trade ranks; the lead is z^2
-    assert encode_system(ext, VarOrder(tuple("zacbd"))) == (adj, [((0, 0), (1, 2))])
+    assert encode_system(ext, tuple("zacbd")) == (adj, [((0, 0), (1, 2))])
 
 
 def test_a_square_lead_is_no_deletion(bruns, monkeypatch):
@@ -75,7 +70,7 @@ def test_a_square_lead_is_no_deletion(bruns, monkeypatch):
     # handed that order, the groebner report says the routes disagree
     graph, deleted, order = initial_complex(bruns)
     assert cmd_groebner(bruns, {})[0]["routes_agree"]
-    foreign = VarOrder(("z",) + tuple(v for v in order.variables if v != "z"))
+    foreign = ("z",) + tuple(v for v in order if v != "z")
     assert ("z", "z") in {b.lead for b in oriented_system(generator_system(bruns), foreign)[1]}
     monkeypatch.setattr(groebner, "initial_complex", lambda ext: (graph, deleted, foreign))
     payload, code = cmd_groebner(bruns, {})
@@ -87,9 +82,9 @@ def test_encode_system_matches_oracle_orientation(corpus):
     for ext in corpus:
         system = generator_system(ext)
         order = initial_complex(ext)[2]
-        shuffled = list(order.variables)
+        shuffled = list(order)
         rng.shuffle(shuffled)
-        for var_order in (order, VarOrder(order.variables[::-1]), VarOrder(tuple(shuffled))):
+        for var_order in (order, order[::-1], tuple(shuffled)):
             assert encode_system(ext, var_order) == rank_encoded(system, var_order)
 
 
@@ -131,7 +126,7 @@ def test_generic_scroll_initial_graph_two_linear():
 
 
 def test_buchberger_failure_case():
-    order = VarOrder(tuple("xyzuvw"))
+    order = tuple("xyzuvw")
     system = GeneratorSystem(
         (),
         ((frozenset("xyzuvw"), ((("x", "y"), ("u", "v")), (("y", "z"), ("u", "w")))),),
@@ -162,7 +157,7 @@ def test_initial_complex_square_one_edge(square_one_edge):
 def test_initial_complex_bruns(bruns):
     _graph, deleted, order = initial_complex(bruns)
     assert deleted == {("a", "c"), ("e", "x"), ("d", "e"), ("d", "w")}
-    assert order.variables == ("a", "z", "e", "w", "x", "b", "c", "d")
+    assert order == ("a", "z", "e", "w", "x", "b", "c", "d")
 
 
 def test_initial_complex_unextended():
@@ -258,9 +253,9 @@ def mutated_systems(ext, order, rng):
     ]
     for mutated in mutations + [GeneratorSystem(system.nf[::2], system.minors)]:
         yield mutated, order, rank_encoded(mutated, order)
-    shuffled = list(order.variables)
+    shuffled = list(order)
     rng.shuffle(shuffled)
-    for var_order in (VarOrder(order.variables[::-1]), VarOrder(tuple(shuffled))):
+    for var_order in (order[::-1], tuple(shuffled)):
         yield system, var_order, encode_system(ext, var_order)
 
 
@@ -290,12 +285,12 @@ def test_buchberger_matches_scanning_oracle_cycle_extension():
     images = [pi_star(m) for m in matrices]
     order = variable_order(matrices, images, ext.skeleton_bar.vertices)
     system = generator_system(ext)
-    orders = [order, VarOrder(order.variables[::-1])]
+    orders = [order, order[::-1]]
     rng = random.Random(7)
     for _ in range(2):
-        shuffled = list(order.variables)
+        shuffled = list(order)
         rng.shuffle(shuffled)
-        orders.append(VarOrder(tuple(shuffled)))
+        orders.append(tuple(shuffled))
     checks = [buchberger_is_groebner(encode_system(ext, o)) for o in orders]
     assert [c is None for c in checks] == [True, True, False, False]
     for check, var_order in zip(checks, orders):
@@ -386,7 +381,7 @@ def test_shared_memo_matches_a_fresh_one(random_extensions, cycle_extensions):
     ],
 )
 def test_equal_leads_give_degree_two_s_terms(nf, minors, remainder):
-    order = VarOrder(tuple("abcde"))
+    order = tuple("abcde")
     pairs = tuple((tuple(u), tuple(t)) for u, t in minors)
     system = GeneratorSystem(tuple(tuple(m) for m in nf), ((frozenset("abcde"), pairs),))
     encoded = rank_encoded(system, order)
@@ -403,8 +398,8 @@ def test_buchberger_matches_scanning_oracle_fuzz(seed):
     # random extensions under their pi* order, which is a Groebner order, and
     # under a shuffled order, which mostly is not
     ext, order = pi_star_extension(random_extension_instance(seed))
-    shuffled = list(order.variables)
+    shuffled = list(order)
     random.Random(seed).shuffle(shuffled)
-    for var_order in (order, VarOrder(tuple(shuffled))):
+    for var_order in (order, tuple(shuffled)):
         check = buchberger_is_groebner(encode_system(ext, var_order))
         assert named_failure(check, var_order) == scan_is_groebner(generator_system(ext), var_order)

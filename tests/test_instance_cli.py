@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
@@ -14,13 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import cli, graphs, homology
-from scrollex.bounds import Interval, NotApplicable, virtual_minimal_cycles
+from scrollex.bounds import virtual_minimal_cycles
 from scrollex.cycles import chordless_cycles
 from scrollex.extension import validate_extension
 from scrollex.graphs import INFINITE, Extension
 from scrollex.instance import InstanceError, instance_digest, parse_instance
 from scrollex.cli import main
-from oracles import argparse_args
+from oracles import argparse_args, random_extension_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -354,6 +355,57 @@ def test_cli_out_of_memory_exit1(monkeypatch, capsys):
     # memory running out is a resource limit, not a bug: exit 1, not 4
     monkeypatch.setattr(homology, "cmd_betti", raise_memory_error)
     assert run(capsys, "betti", path("bruns")) == (1, "", "error: out of memory\n")
+
+
+def mutants(value):
+    """``value`` with any of its parts, itself included, swapped for an
+    arbitrary JSON value, as ``shaped`` swaps the parts of ``DOCUMENTS``."""
+    if isinstance(value, dict):
+        return shaped(st.fixed_dictionaries({k: mutants(v) for k, v in value.items()}))
+    if isinstance(value, list):
+        return shaped(st.tuples(*map(mutants, value)).map(list))
+    return shaped(st.just(value))
+
+
+VALID_DOCUMENTS = st.sampled_from(
+    [json.loads(f.read_text()) for f in sorted(FIXTURES.glob("*.json")) if f.name != "cli_digests.json"]
+) | st.builds(random_extension_instance, st.integers(0, 10**6), st.booleans(), st.integers(6, 8))
+FILE_CALLS = [
+    ["validate"], ["order"], ["groebner"],
+    *(["cycles", "--kind", kind] for kind in ("minimal", "virtual")),
+    *(["betti", "--ideal", ideal] for ideal in ("gamma", "initial")),
+    *(["p2", "--mode", mode] for mode in ("lower", "upper", "exact", "auto")),
+]
+
+
+def call(argv):
+    """``main(argv)`` in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(VALID_DOCUMENTS | VALID_DOCUMENTS.flatmap(mutants))
+def test_cli_is_total(doc):
+    # every file command, cycle kind and p2 mode, on a valid or mutated
+    # instance, exits 0-3 with at most one stderr line and, when it reports,
+    # prints canonical JSON: no report holds a value JSON cannot write
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "instance.json")
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command, *options in FILE_CALLS:
+            argv = [command, file, *options]
+            code, out, err = first = call(argv)
+            assert call(argv) == first, argv
+            assert code in (0, 1, 2, 3), (argv, err)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
+            if code in (0, 2):
+                assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+            else:
+                assert out == "" and err, argv
 
 
 def test_cli_p2_auto_bruns(capsys):
@@ -953,8 +1005,6 @@ REPORT_VALUES = st.recursive(
         st.booleans(),
         st.none(),
         st.just(INFINITE),
-        st.builds(NotApplicable, TEXT),
-        st.builds(Interval, st.integers(), st.integers() | st.just(INFINITE)),
     ),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
@@ -969,7 +1019,7 @@ def test_emit_matches_json_dumps(value):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(value)
-    expected = json.dumps(value, sort_keys=True, indent=2, default=cli._json_default)
+    expected = json.dumps(value, sort_keys=True, indent=2)
     assert out.getvalue() == expected + "\n"
 
 
