@@ -83,14 +83,14 @@ def virtual_minimal_cycles(ext, cap=DEFAULT_CYCLE_CAP):
 
     Enumerates cycles of the base graph in canonical form, pruning any
     branch that would create a non-virtual chord or put two cycle edges in
-    one facet.  A chordal base has none, virtual edges or not, and is not
-    walked (a negative cap is still refused): a simplicial vertex v of the
-    chordal G[V(C)] (Dirac) has its two neighbours on C adjacent, so C's
-    two edges at v would lie in one facet.
+    one facet.  The walk runs on the simplicial core of the base only: the
+    first vertex of C that elimination deletes has its two neighbours on C
+    adjacent, so C has a chord there, and an allowed one puts C's two edges
+    at that vertex in one facet.  So a chordal base, virtual edges or not,
+    starts no walk, while a closed chain of diamonds has nothing to
+    eliminate and takes exponential time.
     """
     g = ext.base
-    if cap >= 0 and is_chordal(g):
-        return []
     vmap = _virtual_edge_blocks(ext)
     found = _cycle_search(g, vmap, cap, "virtual cycle candidates")
     return [_virtual_cycle(cyc, vmap, g) for cyc in found]

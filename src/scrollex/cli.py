@@ -1,4 +1,6 @@
-"""Command-line front end.
+# Help prints this text, and a usage error the command's line of it.  It is
+# assigned, not a docstring, so that ``python -OO`` keeps it.
+__doc__ = """Command-line front end.
 
     scrollex validate  FILE
     scrollex order     FILE
@@ -38,8 +40,6 @@ prints "lower", "lower_substitution" and the latter's witness cycle;
 whole report.  A mode exits 2 when its value is not applicable, and exact
 also when p2 is only boxed in an interval.
 """
-
-from __future__ import annotations
 
 import importlib
 import json

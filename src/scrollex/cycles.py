@@ -11,18 +11,18 @@ from __future__ import annotations
 from .graphs import DEFAULT_CYCLE_CAP, INFINITE, CycleCapExceeded, _bits
 
 
-def is_chordal(g):
-    """True iff every cycle of length > 3 has a chord.
+def simplicial_core(g):
+    """The bitmask of the vertices that greedy simplicial elimination leaves.
 
-    Greedy simplicial elimination on ``g.nbr`` (Dirac; Fulkerson and Gross):
-    a graph is chordal iff deleting a vertex whose live neighbours form a
-    clique, in any order, deletes every vertex.  Deleting a vertex can only
-    make its neighbours simplicial, so only they go back on the worklist.
-    Agrees with ``chordless_cycles(g) == ()``.
+    Deletes, in any order, a vertex whose live neighbours form a clique on
+    ``g.nbr`` (Dirac; Fulkerson and Gross); a graph is chordal iff this
+    deletes every vertex.  Deleting a vertex can only make its neighbours
+    simplicial, so only they go back on the worklist.  No cycle that
+    :func:`_cycle_search` can return passes a deleted vertex.
 
     >>> from scrollex.graphs import Graph
-    >>> is_chordal(Graph("abcd", ["ab", "bc", "cd", "da"]))
-    False
+    >>> bin(simplicial_core(Graph("abcde", ["ab", "bc", "cd", "da", "de"])))
+    '0b1111'
     """
     nbr = g.nbr
     live = queued = (1 << len(nbr)) - 1
@@ -36,7 +36,19 @@ def is_chordal(g):
             fresh = ns & ~queued
             queued |= fresh
             todo.extend(_bits(fresh))
-    return not live
+    return live
+
+
+def is_chordal(g):
+    """True iff every cycle of length > 3 has a chord: iff simplicial
+    elimination leaves an empty core.  Agrees with ``chordless_cycles(g) ==
+    ()``.
+
+    >>> from scrollex.graphs import Graph
+    >>> is_chordal(Graph("abcd", ["ab", "bc", "cd", "da"]))
+    False
+    """
+    return not simplicial_core(g)
 
 
 def cycle_edges(cycle, g):
@@ -48,21 +60,26 @@ def cycle_edges(cycle, g):
 def chordless_cycles(g, cap=DEFAULT_CYCLE_CAP):
     """All chordless cycles of length >= 4, canonical, sorted by (length, rank).
 
-    A cycle C qualifies iff the subgraph induced on V(C) is exactly C; a
-    chordal graph has none and is not walked.  A negative ``cap`` raises
-    ValueError, and more than ``cap`` cycles :class:`CycleCapExceeded`.
+    A cycle C qualifies iff the subgraph induced on V(C) is exactly C.  The
+    walk runs on the :func:`simplicial_core` only, since the first vertex of
+    C that elimination deletes has its two neighbours on C adjacent, a
+    chord.  So a chordal graph starts no walk, while a closed chain of
+    diamonds has nothing to eliminate and takes exponential time.  A
+    negative ``cap`` raises ValueError, and more than ``cap`` cycles
+    :class:`CycleCapExceeded`.
     """
-    return () if cap >= 0 and is_chordal(g) else _cycle_search(g, (), cap, "chordless cycles")
+    return _cycle_search(g, (), cap, "chordless cycles")
 
 
 def p2_monomial(g):
     """p2 of the non-edge ideal of ``g``: shortest chordless cycle length - 3.
 
-    Infinite exactly when ``g`` is chordal, which is answered without a walk.
-    The walk stops at the first shortest cycle; the number of them is
-    beta_{p,p+3} of the Betti table (:func:`scrollex.homology.p2_from_table`).
+    Infinite exactly when ``g`` is chordal, whose empty simplicial core
+    starts no walk.  The walk stops at the first shortest cycle; the number
+    of them is beta_{p,p+3} of the Betti table
+    (:func:`scrollex.homology.p2_from_table`).
     """
-    cycle = None if is_chordal(g) else _cycle_search(g, (), weight={})
+    cycle = _cycle_search(g, (), weight={})
     return len(cycle) - 3 if cycle else INFINITE
 
 
@@ -81,6 +98,16 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
     is a forbidden chord.  Two edges share a facet iff their end points form
     a clique, which takes a chord; so a new or closing edge at u is held
     against the path's edges only when u has an allowed chord to the path.
+
+    The walk visits the :func:`simplicial_core` only: its neighbour lists
+    hold core vertices, while ``block``, ``chord`` and the facet test keep
+    the full adjacency.  This holds in every mode.  On a cycle C, the first
+    vertex v that elimination deletes has its two cycle neighbours adjacent,
+    which is a chord of C, forbidden or allowed, and an allowed one puts C's
+    two edges at v in one facet; so no returned cycle meets a deleted
+    vertex.  A chordal graph starts no walk.  A graph with nothing to
+    eliminate, such as a chain of diamonds closed into a ring, is still
+    walked in time exponential in its size.
 
     By default every cycle is listed, sorted by (length, rank), and past
     ``cap`` of them :class:`CycleCapExceeded` names them as ``what``.  Two
@@ -114,7 +141,8 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
         chord[a] |= 1 << b
         chord[b] |= 1 << a
     block = [adj[i] & ~chord[i] | 1 << i for i in range(n)]
-    nbrs = [list(_bits(m)) for m in adj]
+    core = simplicial_core(g)
+    walkable = [m & core if core >> i & 1 else 0 for i, m in enumerate(adj)]
     # wm[i][j]: the weight of {i, j}; with ``through``, 1 on its edges, else 0
     weighted = bool(weight or through)
     wm = [{} for _ in range(n)] if weighted else [[0 if weight is None else 1] * n] * n
@@ -122,10 +150,11 @@ def _cycle_search(g, allowed, cap=None, what=None, weight=None, cost=None, throu
         a, b = rank[e[0]], rank[e[1]]
         x = (1 if e in through else 0) if through else weight.get(e, 1)
         if x is None:  # a chord, never a cycle edge
-            nbrs[a].remove(b)
-            nbrs[b].remove(a)
+            walkable[a] &= ~(1 << b)
+            walkable[b] &= ~(1 << a)
         else:
             wm[a][b] = wm[b][a] = x
+    nbrs = [list(_bits(m)) for m in walkable]
 
     def shares_facet(a, b, walk):
         """True iff the edge {a, b} and an edge of ``walk`` form a clique."""

@@ -1,12 +1,11 @@
 import random
 from itertools import combinations, combinations_with_replacement
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollex import bounds, cycles, fixtures
-from scrollex.graphs import INFINITE, Graph
+from scrollex.graphs import INFINITE, Graph, maximal_cliques
 from scrollex.fixtures import proper_edges
 from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
 from scrollex.homology import (
@@ -23,6 +22,7 @@ from oracles import (
     binomial_class,
     binomial_class_betti,
     brute_betti_table,
+    brute_chordless_cycles,
     brute_maximal_cliques,
     brute_multigraded,
     brute_virtual_cycles,
@@ -122,11 +122,49 @@ CHORDAL_EXTENSIONS = (
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(CHORDAL_EXTENSIONS)
 def test_chordal_base_with_virtual_edges_has_no_virtual_cycle(ext):
-    # every matrix carries a virtual edge, yet the census answers without a
-    # walk: a simplicial vertex of V(C) would put two edges of C in one facet
-    with mock.patch.object(bounds, "_cycle_search", side_effect=AssertionError("walked")):
-        assert virtual_minimal_cycles(ext) == []
+    # every matrix carries a virtual edge, yet the census walks nothing:
+    # elimination empties the base, and a vertex simplicial in what is left
+    # would put two edges of a cycle through it in one facet
+    assert cycles.simplicial_core(ext.base) == 0
+    assert virtual_minimal_cycles(ext) == []
     assert brute_virtual_cycles(ext) == ()
+
+
+@st.composite
+def peelable_extensions(draw):
+    """A 4- or 5-cycle with random chords and 1-3 vertices glued on, one at
+    a time, each joined to 1-3 vertices of one facet: pendant trees and
+    cliques, which elimination peels away.  Ranks are shuffled, and matrices
+    are placed as ``chordal_instance`` places them."""
+    vs = [f"v{i}" for i in range(draw(st.integers(4, 5)))]
+    edges = [(vs[i - 1], v) for i, v in enumerate(vs)]
+    chords = [(u, w) for u, w in combinations(vs, 2) if (u, w) not in edges and (w, u) not in edges]
+    edges += [e for e in chords if draw(st.booleans())]
+    for i in range(draw(st.integers(1, 3))):
+        facet = draw(st.sampled_from(sorted(map(sorted, maximal_cliques(Graph(vs, edges))))))
+        at = draw(st.lists(st.sampled_from(facet), min_size=1, max_size=3, unique=True))
+        edges += [(u, f"w{i}") for u in at]
+        vs.append(f"w{i}")
+    g = Graph(draw(st.permutations(vs)), edges)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    extensions = fixtures.attach_random_matrices(g, rng, max_matrices=3)
+    doc = {"vertices": list(g.vertices), "edges": [list(e) for e in edges], "extensions": extensions}
+    return parse_instance(doc)[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(peelable_extensions())
+def test_the_walks_lose_no_cycle_to_the_core(ext):
+    # every chordless and virtual minimal cycle lies in the simplicial core,
+    # which the walks alone visit, and they find every one
+    g = ext.base
+    core = cycles.simplicial_core(g)
+    holes, virtual = brute_chordless_cycles(g), brute_virtual_cycles(ext)
+    for cyc in holes + virtual:
+        assert all(core >> g.rank[v] & 1 for v in cyc), cyc
+    assert chordless_cycles(g) == holes
+    assert tuple(tuple(vc["cycle"]) for vc in virtual_minimal_cycles(ext)) == virtual
+    assert p2_monomial(g) == (len(holes[0]) - 3 if holes else INFINITE)
 
 
 def test_every_virtual_cycle_contains_an_induced_cycle(corpus):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-import scrollex.bounds
 import scrollex.cycles
 import scrollex.graphs
 from scrollex.bounds import virtual_minimal_cycles
@@ -24,7 +23,7 @@ from scrollex.graphs import (
     maximal_cliques,
 )
 from scrollex.fixtures import proper_edges, random_chordal_graph
-from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial
+from scrollex.cycles import chordless_cycles, is_chordal, p2_monomial, simplicial_core
 from scrollex.instance import InstanceError, parse_instance
 from oracles import (
     adjacency,
@@ -190,24 +189,18 @@ def chain_graph(k):
     return Graph(names, diamond_chain(k))
 
 
-def test_a_chordal_graph_is_not_walked(monkeypatch):
-    # a walk on the chain would extend 2^200 paths that never close
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return walk(*args, **kwargs)
-
-    walk = scrollex.cycles._cycle_search
-    monkeypatch.setattr(scrollex.cycles, "_cycle_search", counted)
-    monkeypatch.setattr(scrollex.bounds, "_cycle_search", counted)
+def test_a_chordal_graph_is_not_walked():
+    # the walk runs on the simplicial core, which elimination empties on a
+    # chordal graph; a walk on the whole chain would extend 2^200 paths
     g = chain_graph(200)
+    assert simplicial_core(g) == 0
     assert chordless_cycles(g) == ()
     assert p2_monomial(g) == INFINITE
     assert virtual_minimal_cycles(Extension(g, ())) == []
-    assert calls == []
-    # the count is live: a square is walked
-    assert chordless_cycles(Graph("abcd", ["ab", "bc", "cd", "da"])) and len(calls) == 1
+    # the core is live: a square keeps its four vertices and is walked
+    square = Graph("abcd", ["ab", "bc", "cd", "da"])
+    assert simplicial_core(square) == 0b1111
+    assert chordless_cycles(square) == (("a", "b", "c", "d"),)
 
 
 def test_cli_cycles_on_a_long_chordal_chain(tmp_path, capsys):
@@ -220,6 +213,29 @@ def test_cli_cycles_on_a_long_chordal_chain(tmp_path, capsys):
         assert (doc["kind"], doc["cycles"]) == (kind, [])
         assert main(["cycles", str(f), "--kind", kind, "--cap", "-1"]) == 1
         assert capsys.readouterr().err == "error: cycle cap must be nonnegative, got -1\n"
+
+
+SQUARE_MATRICES = [
+    {"facet": ["s1", "s2"], "x0": "s1", "blocks": [{"x": "s2", "y": ["z1"]}]},
+    {"facet": ["a0", "b1", "c1"], "x0": "a0", "blocks": [{"x": "b1", "y": ["p1", "p2"]}, {"x": "c1", "y": ["q1"]}]},
+]
+
+
+@pytest.mark.parametrize("extensions, exact", [([], 1), (SQUARE_MATRICES, 2)], ids=["bare", "matrices"])
+def test_cli_a_square_beside_a_long_chordal_chain(tmp_path, capsys, extensions, exact):
+    # elimination peels the 200 diamonds, so every walk visits the square
+    # s1 s2 s3 s4 alone; walked whole, the chain has 2^200 paths that never
+    # close.  The matrices make s1 s2 and a0 b1 virtual edges.
+    g, square = chain_graph(200), ["s1", "s2", "s3", "s4"]
+    edges = sorted(g.edges) + [(square[i - 1], v) for i, v in enumerate(square)]
+    f = tmp_path / "chain_square.json"
+    f.write_text(json.dumps({"vertices": [*g.vertices, *square], "edges": edges, "extensions": extensions}))
+    assert main(["p2", str(f), "--mode", "exact"]) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] == exact
+    assert main(["cycles", str(f), "--kind", "minimal"]) == 0
+    assert json.loads(capsys.readouterr().out)["cycles"] == [square]
+    assert main(["cycles", str(f), "--kind", "virtual"]) == 0
+    assert [c["cycle"] for c in json.loads(capsys.readouterr().out)["cycles"]] == [square]
 
 
 def test_chordless_cycles_examples():

@@ -742,6 +742,34 @@ def test_cli_process_entry_matches_main(tmp_path, capsys, monkeypatch):
         assert (proc.returncode, out, err) == want, proc.args
 
 
+def test_cli_help_and_usage_survive_docstring_stripping(capsys):
+    """``python -OO`` drops docstrings, but the help text is no docstring: a
+    command's usage error exits 1 with its usage line, and help exits 0 with
+    the synopsis, each as ``main(argv)`` prints them in process."""
+    calls = [["betti", path("bruns"), "--max-vertices", "x"], ["--help"]]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-OO", "-c", CLI, *argv],
+            env=child_env(unbuffered=False),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for argv in calls
+    ]
+    got = []
+    for argv, proc in zip(calls, procs):
+        out, err = proc.communicate()
+        got.append((proc.returncode, out, err))
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert got[-1] == (exit_.value.code, *capsys.readouterr()), argv
+    (code, _, err), (help_code, help_out, _) = got
+    usage = "usage: scrollex betti FILE [--ideal gamma|initial] [--field q|P] [--max-vertices N]"
+    assert (code, err.splitlines()[0]) == (1, usage)
+    assert help_code == 0 and "    scrollex p2        FILE [--mode lower|upper|exact|auto]\n" in help_out
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_cli_full_stdout_exit1():
     """A report that only fails when buffered stdout is flushed exits 1 with
